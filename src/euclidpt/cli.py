@@ -161,7 +161,7 @@ def _cmd_transform(args):
         return EXIT_OK
     free = {}
     for name in dyson.free_parameter_names(args.symmetry):
-        value = getattr(args, name if name != "lam" else "lam", None)
+        value = getattr(args, name, None)
         if value is not None:
             free[name] = value
     if args.symmetry == "PT3" and args.mu9_target is not None:
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MapUndefined as exc:

@@ -33,10 +33,16 @@ class SpectralProblem:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if self.truncation < 4:
-            raise ValueError("truncation must be at least 4")
+        _check_truncation(self.truncation)
+        if not np.all(np.isfinite(self.element.coeffs)):
+            raise ValueError("element coefficients must be finite")
         if not 0.0 <= self.sector < 2.0:
-            raise ValueError("sector must lie in [0, 2)")
+            raise ValueError(f"sector must lie in [0, 2), got {self.sector}")
+
+
+def _check_truncation(truncation):
+    if truncation < 4:
+        raise ValueError(f"truncation must be at least 4, got {truncation}")
 
 
 def generator_matrices(truncation, sector=0.0):
@@ -73,6 +79,32 @@ def build_matrix(p: SpectralProblem) -> np.ndarray:
     return np.tensordot(p.element.coeffs, stack, axes=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _pt5_phases(truncation):
+    """Diagonal of D = diag(i^n), n = -N..N; entries are exactly 1, i, -1, -i."""
+    n = np.arange(-truncation, truncation + 1)
+    phases = np.array([1, 1j, -1, -1j])[n % 4]
+    phases.flags.writeable = False
+    return phases
+
+
+def _real_form(matrix):
+    """D^-1 M D as a real array, or None when it has an imaginary part.
+
+    PT5 maps c_k to (-1)^n exp(-i pi s/2) conj(c_k), so for a PT5-invariant
+    element this similarity is real in every sector (Bender, Berry &
+    Mandilara, J. Phys. A 35 (2002) L467); multiplying by the unit phases
+    is exact, so the test is bit for bit.  The real eigensolver is cheaper
+    and returns exact conjugate pairs and exactly real levels.  If R v = E v
+    then M (D v) = E (D v).
+    """
+    phases = _pt5_phases(len(matrix) // 2)
+    form = phases.conj()[:, None] * matrix * phases[None, :]
+    if form.imag.any():
+        return None
+    return form.real
+
+
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: np.ndarray        # sorted by real part
@@ -94,11 +126,13 @@ def eigen_spectrum(p: SpectralProblem, rtol: float = REALITY_RTOL) -> Spectrum:
     """All eigenvalues of the truncated matrix, sorted by real part.
 
     Only the interior ~2N+1 - 4*sqrt(N) lowest levels are trusted; edge
-    eigenvalues carry truncation artifacts.
+    eigenvalues carry truncation artifacts.  PT5-invariant elements are
+    solved in the real form of `_real_form`, others in complex arithmetic.
     """
     matrix = build_matrix(p)
+    real = _real_form(matrix)
     try:
-        w = scipy.linalg.eigvals(matrix)
+        w = scipy.linalg.eigvals(matrix if real is None else real)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(w.real, kind="stable")
@@ -153,6 +187,14 @@ class SweepTemplate:
             raise ValueError(f"unknown family {self.family!r}")
         if len(self.mu) != 9:
             raise ValueError("mu must have nine entries")
+        if not (np.all(np.isfinite(self.mu)) and math.isfinite(self.sector)):
+            raise ValueError(f"couplings and sector must be finite, got mu={self.mu}, "
+                             f"sector={self.sector}")
+        _check_truncation(self.truncation)
+        dim = 2 * self.truncation + 1
+        if not 1 <= self.track_levels <= dim:
+            raise ValueError(f"track_levels {self.track_levels} must lie in 1..{dim} "
+                             f"(2*truncation+1 levels at truncation {self.truncation})")
 
     def problem_at(self, axis: str, value: float) -> SpectralProblem:
         if axis not in SWEEP_AXES:
@@ -420,7 +462,12 @@ def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0
 def wavefunction(p: SpectralProblem, level: int) -> WavefunctionSpec:
     """L^2-normalized eigenvector of the given level (real-part order)."""
     matrix = build_matrix(p)
-    w, vecs = scipy.linalg.eig(matrix)
+    real = _real_form(matrix)
+    if real is None:
+        w, vecs = scipy.linalg.eig(matrix)
+    else:
+        w, vecs = scipy.linalg.eig(real)
+        vecs = vecs * _pt5_phases(p.truncation)[:, None]
     order = np.argsort(w.real, kind="stable")
     if not 0 <= level < len(w):
         raise ValueError(f"level {level} outside 0..{len(w) - 1}")

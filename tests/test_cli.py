@@ -183,3 +183,22 @@ def test_bad_flag_exit_1(capsys):
 def test_missing_required_flag_exit_1(capsys):
     code, _, _ = run(["transform"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--sweep", "mu10:0:1:3"],
+    ["spectrum", "--sweep", "mu3:0:1:1"],
+    ["spectrum", "--truncation", "2", "--sweep", "mu3:0:1:3"],
+    ["spectrum", "--sector", "3", "--sweep", "mu3:0:1:3"],
+    ["spectrum", "--mu3", "nan", "--sweep", "mu4:0:1:3"],
+    ["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"],
+    ["mathieu", "--q", "1", "--class", "even-pi", "--count", "80"],
+    ["spectrum", "--levels", "500", "--truncation", "8", "--sweep", "mu3:0:1:3"],
+], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
+        "mathieu-count", "levels"])
+def test_bad_value_one_line_exit_1(args, capsys):
+    code, _, err = run(args, capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
-from euclidpt.spectral import (SpectralProblem, SweepTemplate, build_matrix,
-                               eigen_spectrum, find_exceptional_points, intensity,
+from euclidpt.mathieu import pt5_complex_hamiltonian
+from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
+                               _real_form, build_matrix, eigen_spectrum,
+                               find_exceptional_points, intensity,
                                pt1_closed_spectrum, pt1_closed_wavefunction,
                                pt_eigenstate_check, pt_image, sweep, wavefunction)
 
@@ -59,6 +63,25 @@ def test_truncation_validation():
         SpectralProblem(EL(J2=1), truncation=3)
     with pytest.raises(ValueError):
         SpectralProblem(EL(J2=1), sector=2.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SpectralProblem(EL(J2=1, uJ=bad))
+    with pytest.raises(ValueError):
+        SpectralProblem(EL(J2=1), sector=bad)
+    with pytest.raises(ValueError, match="finite"):
+        SweepTemplate(mu=(1.0, 0.0, bad) + (0.0,) * 6)
+    with pytest.raises(ValueError, match="finite"):
+        SweepTemplate(sector=bad)
+
+
+def test_track_levels_bound():
+    assert SweepTemplate(truncation=8, track_levels=17).track_levels == 17
+    for count in (0, 18, 500):
+        with pytest.raises(ValueError, match=rf"track_levels {count} .*1\.\.17"):
+            SweepTemplate(truncation=8, track_levels=count)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +155,86 @@ def test_trusted_count():
     spec = eigen_spectrum(SpectralProblem(EL(J2=1), truncation=64))
     assert spec.trusted_count == 2 * 64 + 1 - 32
     assert len(spec.trusted(5)) == 5
+
+
+# ---------------------------------------------------------------------------
+# real form of PT5-invariant elements
+# ---------------------------------------------------------------------------
+
+RAW_PT5 = build_hamiltonian("PT5", (1.0, 0.3, 0.7, -0.4, 0.9, 1.1, -0.6, 0.25, 0.45))
+
+# (element, sector) pairs away from an EP: the broken window of the
+# three-parameter family (EPs at mu3 = 1 and 3), its unbroken side, the raw
+# family with every coupling on at an anyonic sector, and the Mathieu family
+PT5_CASES = {
+    "three-broken-s0": (pt5_three_param_hamiltonian(2.0, 1.0, 4.0), 0.0),
+    "three-broken-s1": (pt5_three_param_hamiltonian(2.0, 1.0, 4.0), 1.0),
+    "three-real-s1": (pt5_three_param_hamiltonian(0.5, 1.0, 4.0), 1.0),
+    "raw-s0.37": (RAW_PT5, 0.37),
+    "mathieu": (pt5_complex_hamiltonian(1.0, 0.5), 0.0),
+}
+
+
+@pytest.fixture(params=sorted(PT5_CASES))
+def pt5_problem(request):
+    element, sector = PT5_CASES[request.param]
+    return SpectralProblem(element, sector=sector)
+
+
+def test_pt5_real_form_exists(pt5_problem):
+    real = _real_form(build_matrix(pt5_problem))
+    assert real is not None and real.dtype == np.float64
+
+
+def test_pt5_levels_match_complex_solver(pt5_problem):
+    trusted = eigen_spectrum(pt5_problem).trusted()
+    reference = scipy.linalg.eigvals(build_matrix(pt5_problem))
+    cost = np.abs(trusted[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert len(rows) == len(trusted)
+    rel = cost[rows, cols] / np.maximum(1.0, np.abs(trusted[rows]))
+    assert np.max(rel) < 1e-9
+
+
+def test_pt5_conjugate_pairs_exact(pt5_problem):
+    w = eigen_spectrum(pt5_problem).eigenvalues
+    nonreal = w[w.imag != 0.0]
+    assert np.array_equal(np.sort_complex(nonreal), np.sort_complex(nonreal.conj()))
+    # each pair is adjacent in real-part order, +Im first
+    for k in np.flatnonzero(w.imag > 0):
+        assert w[k + 1] == w[k].conjugate()
+
+
+@pytest.mark.parametrize("case", ["three-real-s1", "raw-s0.37"])
+def test_pt5_real_levels_exactly_real(case):
+    element, sector = PT5_CASES[case]
+    spec = eigen_spectrum(SpectralProblem(element, sector=sector))
+    assert np.all(spec.trusted().imag == 0.0)
+
+
+def test_pt5_wavefunction_residual(pt5_problem):
+    matrix = build_matrix(pt5_problem)
+    levels = eigen_spectrum(pt5_problem).eigenvalues
+    scale = np.linalg.norm(matrix, 2)
+    for level in range(12):
+        v = wavefunction(pt5_problem, level).coeffs
+        v = v / np.linalg.norm(v)
+        assert np.linalg.norm(matrix @ v - levels[level] * v) <= 1e-9 * scale
+
+
+def test_non_pt5_element_takes_complex_path():
+    element = build_hamiltonian("PT1", (1.0, 0.2, 0.5, 0.1, 0.3, 0.4, 0.2, 0.7, 0.1))
+    problem = SpectralProblem(element, sector=0.37, truncation=32)
+    matrix = build_matrix(problem)
+    assert _real_form(matrix) is None
+    w = scipy.linalg.eigvals(matrix)
+    np.testing.assert_array_equal(eigen_spectrum(problem).eigenvalues,
+                                  w[np.argsort(w.real, kind="stable")])
+    w, vecs = scipy.linalg.eig(matrix)
+    order = np.argsort(w.real, kind="stable")
+    for level in (0, 5):
+        expected = WavefunctionSpec(sector=0.37, coeffs=vecs[:, order[level]]).normalized()
+        np.testing.assert_array_equal(wavefunction(problem, level).coeffs, expected.coeffs)
 
 
 # ---------------------------------------------------------------------------
