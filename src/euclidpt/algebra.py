@@ -15,144 +15,57 @@ normal-ordered with the rewrite rules Ju = uJ - iv and Jv = vJ + iu.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflow
+from .envelope import Element, Envelope
 
 # generator codes; the ordering fixes the normal form (u, v powers before J)
-_U, _V, _J = 0, 1, 2
+GENERATORS = ("u", "v", "J")
+_U, _V, _J = range(3)
 
 MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
              (2, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
 BASIS_LABELS = ("1", "u", "v", "J", "u2", "v2", "uv", "uJ", "vJ", "J2")
-_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 DIM = len(MONOMIALS)
 
+# [J, u] = -i v and [J, v] = i u; u and v commute
+ENVELOPE = Envelope([(_U,) * a + (_V,) * b + (_J,) * c for a, b, c in MONOMIALS],
+                    {(_J, _U): {_V: -1j}, (_J, _V): {_U: 1j}})
 
-def _word_powers(word):
-    return (word.count(_U), word.count(_V), word.count(_J))
-
-
-def _straighten(word, coeff):
-    """Normal-order a generator word, returning {monomial index: coefficient}.
-
-    Bubble-sorts adjacent out-of-order pairs; each J-past-translation swap
-    spawns the commutator correction ([J,u] = -iv, [J,v] = iu).
-    """
-    out = {}
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a <= b:
-            continue
-        swapped = word[:i] + (b, a) + word[i + 2:]
-        for k, c in _straighten(swapped, coeff).items():
-            out[k] = out.get(k, 0) + c
-        if (a, b) == (_J, _U):
-            corr, cc = word[:i] + (_V,) + word[i + 2:], coeff * (-1j)
-        elif (a, b) == (_J, _V):
-            corr, cc = word[:i] + (_U,) + word[i + 2:], coeff * (1j)
-        else:  # (v, u): plain commute
-            return out
-        for k, c in _straighten(corr, cc).items():
-            out[k] = out.get(k, 0) + c
-        return out
-    powers = _word_powers(word)
-    if sum(powers) > 2:
-        raise DegreeOverflow(f"monomial of degree {sum(powers)} outside the truncation")
-    out[_INDEX[powers]] = out.get(_INDEX[powers], 0) + coeff
-    return out
+# hermitian conjugation: u, v and J are self-adjoint, factors reverse
+_DAGGER = ENVELOPE.map_table({g: [(1.0, g)] for g in range(3)}, reverse=True)
 
 
-def _monomial_word(m):
-    a, b, c = m
-    return (_U,) * a + (_V,) * b + (_J,) * c
+def _index(label):
+    return BASIS_LABELS.index("1" if label == "one" else label)
 
 
-# all products of basis monomials with total degree <= 2, built once
-_PRODUCT = {}
-for _i, _m1 in enumerate(MONOMIALS):
-    for _j, _m2 in enumerate(MONOMIALS):
-        if sum(_m1) + sum(_m2) <= 2:
-            _PRODUCT[(_i, _j)] = _straighten(_monomial_word(_m1) + _monomial_word(_m2), 1.0 + 0j)
-
-# hermitian conjugates of the basis monomials: reverse factors, re-order
-_CONJUGATE = {}
-for _i, _m in enumerate(MONOMIALS):
-    _CONJUGATE[_i] = _straighten(tuple(reversed(_monomial_word(_m))), 1.0 + 0j)
-
-
-@dataclass(frozen=True)
-class E2Element:
+class E2Element(Element):
     """Complex coefficient vector over the ten normal-ordered monomials."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (DIM,):
-            raise ValueError(f"expected {DIM} coefficients, got shape {c.shape}")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(DIM, dtype=complex))
+    envelope = ENVELOPE
+    labels = BASIS_LABELS
 
     @classmethod
     def from_terms(cls, **terms):
         """Build from coefficients keyed by basis label, e.g. from_terms(J2=1, v=1j)."""
         c = np.zeros(DIM, dtype=complex)
         for label, value in terms.items():
-            if label == "one":
-                label = "1"
-            c[BASIS_LABELS.index(label)] += value
+            c[_index(label)] += value
         return cls(c)
 
-    # -- algebra -------------------------------------------------------
-
-    def __add__(self, other):
-        return E2Element(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return E2Element(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return E2Element(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, E2Element):
-            return multiply(self, other)
-        return E2Element(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def degree(self):
-        degs = [sum(MONOMIALS[i]) for i in range(DIM) if self.coeffs[i] != 0]
-        return max(degs, default=0)
+    def _product(self, other):
+        return multiply(self, other)
 
     def term(self, label):
-        if label == "one":
-            label = "1"
-        return complex(self.coeffs[BASIS_LABELS.index(label)])
+        return complex(self.coeffs[_index(label)])
 
     def conjugate(self):
         return hermitian_conjugate(self)
-
-    def allclose(self, other, tol=1e-12):
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
-    def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                parts.append(f"({c:.6g})*{BASIS_LABELS[i]}")
-        return "E2Element(" + (" + ".join(parts) if parts else "0") + ")"
 
     # -- serialization ---------------------------------------------------
     # schema: {"basis": "u,v,J-normal", "coeffs": [[re, im] x 10]}; exact round-trip
@@ -192,35 +105,12 @@ def casimir():
 
 def multiply(a: E2Element, b: E2Element) -> E2Element:
     """Normal-ordered product; requires degree(a) + degree(b) <= 2."""
-    if a.degree() + b.degree() > 2:
-        raise DegreeOverflow(
-            f"product of degrees {a.degree()} and {b.degree()} outside the truncation")
-    out = np.zeros(DIM, dtype=complex)
-    ca, cb = a.coeffs, b.coeffs
-    for i in range(DIM):
-        if ca[i] == 0:
-            continue
-        for j in range(DIM):
-            if cb[j] == 0:
-                continue
-            table = _PRODUCT.get((i, j))
-            if table is None:
-                raise DegreeOverflow(
-                    f"product {BASIS_LABELS[i]}*{BASIS_LABELS[j]} outside the truncation")
-            for k, c in table.items():
-                out[k] += ca[i] * cb[j] * c
-    return E2Element(out)
+    return E2Element(ENVELOPE.multiply(a.coeffs, b.coeffs))
 
 
 def hermitian_conjugate(a: E2Element) -> E2Element:
     """Adjoint under J† = J, u† = u, v† = v: conjugate coefficients, reverse factors."""
-    out = np.zeros(DIM, dtype=complex)
-    for i in range(DIM):
-        if a.coeffs[i] == 0:
-            continue
-        for k, c in _CONJUGATE[i].items():
-            out[k] += np.conj(a.coeffs[i]) * c
-    return E2Element(out)
+    return E2Element(ENVELOPE.apply_antilinear(_DAGGER, a.coeffs))
 
 
 def is_hermitian(a: E2Element, tol: float = 1e-12) -> bool:
@@ -241,14 +131,10 @@ class PTSymmetryE2:
     tag: str
     action: dict  # generator code -> (sign, generator code)
 
-    def image_word(self, word):
-        sign = 1.0
-        mapped = []
-        for g in word:
-            s, h = self.action[g]
-            sign *= s
-            mapped.append(h)
-        return sign, tuple(mapped)
+    @functools.cached_property
+    def table(self):
+        """Normal-ordered image of each basis monomial, coefficients not yet conjugated."""
+        return ENVELOPE.map_table({g: [image] for g, image in self.action.items()})
 
 
 # the five antilinear symmetries; each row is (u, v, J) images
@@ -272,15 +158,7 @@ def _resolve(sym) -> PTSymmetryE2:
 
 def apply_pt(sym, a: E2Element) -> E2Element:
     """Apply the antilinear map: conjugate coefficients, map generators, re-order."""
-    pt = _resolve(sym)
-    out = np.zeros(DIM, dtype=complex)
-    for i, m in enumerate(MONOMIALS):
-        if a.coeffs[i] == 0:
-            continue
-        sign, word = pt.image_word(_monomial_word(m))
-        for k, c in _straighten(word, sign * np.conj(a.coeffs[i])).items():
-            out[k] += c
-    return E2Element(out)
+    return E2Element(ENVELOPE.apply_antilinear(_resolve(sym).table, a.coeffs))
 
 
 def build_hamiltonian(sym, mu) -> E2Element:

@@ -1,8 +1,8 @@
 """Command-line front end: transform, spectrum, ep, intensity, mathieu, e3-adjoint.
 
 Exit codes: 0 success, 1 configuration error, 2 Dyson map undefined
-(broken-PT parameter region), 3 numerical failure.  All floating-point
-output uses %.12e so identical configurations produce byte-identical files.
+(broken-PT parameter region), 3 numerical failure.  CSV output uses %.12e and
+JSON output Python's round-trip float repr; equal configurations give equal bytes.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ def _select_pair(spectrum, near_energy):
 
 
 def _cmd_intensity(args):
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
     mu3s = [args.mu3 if args.mu3 is not None else 1.0]
     sweep_spec = getattr(args, "sweep", None)

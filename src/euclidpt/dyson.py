@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .algebra import E2Element, build_hamiltonian, hermiticity_residual, multiply
+from .algebra import E2Element, build_hamiltonian, hermiticity_residual
 from .errors import DegenerateCouplings, MapUndefined
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
@@ -92,18 +92,8 @@ def adjoint_generator(p: DysonParamsE2, g: str) -> E2Element:
 
 def similarity_transform(p: DysonParamsE2, H: E2Element) -> E2Element:
     """eta H eta^{-1}: substitute adjoint images and expand; spectrum-preserving."""
-    images = {code: adjoint_generator(p, name)
-              for code, name in ((algebra._U, "u"), (algebra._V, "v"), (algebra._J, "J"))}
-    out = E2Element.zero()
-    for i, m in enumerate(algebra.MONOMIALS):
-        coeff = H.coeffs[i]
-        if coeff == 0:
-            continue
-        acc = algebra.ONE
-        for g in algebra._monomial_word(m):
-            acc = multiply(acc, images[g])
-        out = out + complex(coeff) * acc
-    return out
+    images = [adjoint_generator(p, g) for g in algebra.GENERATORS]
+    return E2Element(algebra.ENVELOPE.substitute(images, H.coeffs))
 
 
 @dataclass(frozen=True)

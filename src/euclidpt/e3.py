@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflow
+from .envelope import Element, Envelope
 
 GENERATORS = ("Pz", "Pp", "Pm", "Jz", "Jp", "Jm")
 _G = {name: i for i, name in enumerate(GENERATORS)}
@@ -45,140 +45,70 @@ def bracket(a: str, b: str) -> dict:
 # monomial basis: (), single generators, then sorted pairs (i <= j)
 MONOMIALS = [()] + [(i,) for i in range(6)] + \
     [(i, j) for i in range(6) for j in range(i, 6)]
-_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
 DIM = len(MONOMIALS)
+
+ENVELOPE = Envelope(MONOMIALS, {(a, b): {_G[g]: c for g, c in bracket(ga, gb).items()}
+                                for a, ga in enumerate(GENERATORS)
+                                for b, gb in enumerate(GENERATORS[:a])})
 
 
 def monomial_label(m):
     return "1" if not m else "*".join(GENERATORS[i] for i in m)
 
 
-def _straighten(word, coeff):
-    out = {}
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a <= b:
-            continue
-        swapped = word[:i] + (b, a) + word[i + 2:]
-        for k, c in _straighten(swapped, coeff).items():
-            out[k] = out.get(k, 0) + c
-        for g, bc in bracket(GENERATORS[a], GENERATORS[b]).items():
-            corr = word[:i] + (_G[g],) + word[i + 2:]
-            for k, c in _straighten(corr, coeff * bc).items():
-                out[k] = out.get(k, 0) + c
-        return out
-    if len(word) > 2:
-        raise DegreeOverflow(f"monomial of degree {len(word)} outside the truncation")
-    out[_INDEX[tuple(word)]] = out.get(_INDEX[tuple(word)], 0) + coeff
-    return out
+def _word(label):
+    return () if label == "1" else tuple(sorted(_G[p] for p in label.split("*")))
 
 
-@dataclass(frozen=True)
-class E3Element:
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (DIM,):
-            raise ValueError(f"expected {DIM} coefficients")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(DIM, dtype=complex))
+class E3Element(Element):
+    envelope = ENVELOPE
+    labels = tuple(monomial_label(m) for m in MONOMIALS)
 
     @classmethod
     def from_terms(cls, terms: dict):
         """Build from {"Jp*Jp": coeff, "Pz": ..., "1": ...}."""
         c = np.zeros(DIM, dtype=complex)
-        labels = {monomial_label(m): k for k, m in enumerate(MONOMIALS)}
         for label, value in terms.items():
-            parts = tuple(sorted(_G[p] for p in label.split("*"))) if label != "1" else ()
-            key = monomial_label(parts)
-            c[labels[key]] += value
+            c[ENVELOPE.index[_word(label)]] += value
         return cls(c)
 
-    def __add__(self, other):
-        return E3Element(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return E3Element(self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, E3Element):
-            return multiply(self, other)
-        return E3Element(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def degree(self):
-        return max((len(MONOMIALS[i]) for i in range(DIM) if self.coeffs[i] != 0),
-                   default=0)
+    def _product(self, other):
+        return multiply(self, other)
 
     def term(self, label):
-        parts = tuple(sorted(_G[p] for p in label.split("*"))) if label != "1" else ()
-        return complex(self.coeffs[_INDEX[parts]])
-
-    def allclose(self, other, tol=1e-12):
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
-    def __repr__(self):
-        parts = [f"({c:.6g})*{monomial_label(MONOMIALS[i])}"
-                 for i, c in enumerate(self.coeffs) if c != 0]
-        return "E3Element(" + (" + ".join(parts) if parts else "0") + ")"
+        return complex(self.coeffs[ENVELOPE.index[_word(label)]])
 
 
 def generator(name: str) -> E3Element:
-    c = np.zeros(DIM, dtype=complex)
-    c[_INDEX[(_G[name],)]] = 1.0
-    return E3Element(c)
+    return E3Element.from_terms({name: 1.0})
 
 
 ONE_E3 = E3Element.from_terms({"1": 1.0})
 
 
 def multiply(a: E3Element, b: E3Element) -> E3Element:
-    if a.degree() + b.degree() > 2:
-        raise DegreeOverflow("product outside the degree-2 truncation")
-    out = np.zeros(DIM, dtype=complex)
-    for i in range(DIM):
-        if a.coeffs[i] == 0:
-            continue
-        for j in range(DIM):
-            if b.coeffs[j] == 0:
-                continue
-            word = MONOMIALS[i] + MONOMIALS[j]
-            for k, c in _straighten(word, 1.0 + 0j).items():
-                out[k] += a.coeffs[i] * b.coeffs[j] * c
-    return E3Element(out)
+    return E3Element(ENVELOPE.multiply(a.coeffs, b.coeffs))
 
 
 def commutator(a: E3Element, b: E3Element) -> E3Element:
     return multiply(a, b) - multiply(b, a)
 
 
+def _table(action, reverse=False):
+    """Basis-word images under a generator map given as name -> [(coeff, name)]."""
+    return ENVELOPE.map_table({_G[g]: [(c, _G[h]) for c, h in terms]
+                               for g, terms in action.items()}, reverse)
+
+
 # adjoint convention induced by Hermitian J_i, P_i:
 # Jz+ = Jz, (J+-)+ = J-+, Pz+ = Pz, (P+-)+ = -P-+
-_DAGGER = {"Jz": (1.0, "Jz"), "Jp": (1.0, "Jm"), "Jm": (1.0, "Jp"),
-           "Pz": (1.0, "Pz"), "Pp": (-1.0, "Pm"), "Pm": (-1.0, "Pp")}
+_DAGGER = _table({"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
+                  "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]},
+                 reverse=True)
 
 
 def hermitian_conjugate(a: E3Element) -> E3Element:
-    out = np.zeros(DIM, dtype=complex)
-    for i, m in enumerate(MONOMIALS):
-        if a.coeffs[i] == 0:
-            continue
-        sign = 1.0
-        word = []
-        for g in reversed(m):
-            s, h = _DAGGER[GENERATORS[g]]
-            sign *= s
-            word.append(_G[h])
-        for k, c in _straighten(tuple(word), sign * np.conj(a.coeffs[i])).items():
-            out[k] += c
-    return E3Element(out)
+    return E3Element(ENVELOPE.apply_antilinear(_DAGGER, a.coeffs))
 
 
 def hermiticity_residual(a: E3Element) -> float:
@@ -192,8 +122,8 @@ def is_hermitian(a: E3Element, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # antilinear symmetries, expressed in the (z, +, -) basis
 # ---------------------------------------------------------------------------
-# Each map lists gen -> [(coeff, gen)]; coefficients are conjugated together
-# with the element's own coefficients when applied.  PT3 and PT4 are the
+# Each map lists gen -> [(coeff, gen)]; the element's own coefficients are
+# conjugated, the listed image coefficients are not.  PT3 and PT4 are the
 # bracket-consistent completions of the componentwise rules (the J-sector
 # must permute the same axes as the P-sector for the mixed brackets to
 # survive the antilinear map).
@@ -208,24 +138,13 @@ PT_ACTIONS_E3 = {
     "PT4": {"Jz": [(-1, "Jz")], "Jp": [(+1, "Jm")], "Jm": [(+1, "Jp")],
             "Pz": [(-1, "Pz")], "Pp": [(-1, "Pm")], "Pm": [(-1, "Pp")]},
 }
+_PT_TABLES = {tag: _table(action) for tag, action in PT_ACTIONS_E3.items()}
 
 
 def apply_pt_e3(tag: str, a: E3Element) -> E3Element:
     """Antilinear image: conjugate the element's coefficients, substitute the
     tabulated generator images, re-normal-order."""
-    action = PT_ACTIONS_E3[tag]
-    out = E3Element.zero()
-    for i, m in enumerate(MONOMIALS):
-        if a.coeffs[i] == 0:
-            continue
-        term = complex(np.conj(a.coeffs[i])) * ONE_E3
-        for g in m:
-            img = E3Element.zero()
-            for coeff, h in action[GENERATORS[g]]:
-                img = img + coeff * generator(h)
-            term = multiply(term, img)
-        out = out + term
-    return out
+    return E3Element(ENVELOPE.apply_antilinear(_PT_TABLES[tag], a.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +203,7 @@ class E3AdjointTable:
     scalars: dict
 
     def image(self, gen_name: str) -> E3Element:
-        out = E3Element.zero()
-        for h, coeff in self.columns[gen_name].items():
-            out = out + coeff * generator(h)
-        return out
+        return E3Element.from_terms(self.columns[gen_name])
 
     def as_matrix(self) -> np.ndarray:
         """6x6 matrix on the generator space, ordered like GENERATORS."""
@@ -366,17 +282,8 @@ def build_h_tilde_pt1(mu) -> E3Element:
 def transform_h_tilde(p: DysonParamsE3, element: E3Element) -> E3Element:
     """eta . eta^{-1} of a degree-2 element via the adjoint table."""
     table = e3_adjoint(p)
-    images = {i: table.image(GENERATORS[i]) for i in range(6)}
-    out = E3Element.zero()
-    for i, m in enumerate(MONOMIALS):
-        coeff = element.coeffs[i]
-        if coeff == 0:
-            continue
-        acc = complex(coeff) * ONE_E3
-        for g in m:
-            acc = multiply(acc, images[g])
-        out = out + acc
-    return out
+    images = [table.image(g) for g in GENERATORS]
+    return E3Element(ENVELOPE.substitute(images, element.coeffs))
 
 
 # ---------------------------------------------------------------------------

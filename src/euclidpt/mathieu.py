@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
 from .errors import ConvergenceFailure
+from .spectral import bisect_transition, check_ep_tolerances
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -194,6 +195,7 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     """
     if max_q <= 0:
         raise ValueError("max_q must be positive")
+    check_ep_tolerances("param_tol", param_tol, im_tol)
 
     def n_complex(t):
         w = _sorted_eigs(1j * t, cls, trunc)[:count]
@@ -205,13 +207,8 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     for t in ts[1:]:
         n = n_complex(t)
         if n != prev_n:
-            lo, hi, n_lo = prev_t, t, prev_n
-            while hi - lo > param_tol:
-                mid = 0.5 * (lo + hi)
-                if n_complex(mid) != n_lo:
-                    hi = mid
-                else:
-                    lo = mid
+            lo, hi = bisect_transition(lambda x: n_complex(x) != prev_n,
+                                       prev_t, t, param_tol)
             w_lo = _sorted_eigs(1j * lo, cls, trunc)[:count]
             w_hi = _sorted_eigs(1j * hi, cls, trunc)[:count]
             pairs_lo = sorted(z for z in w_lo if z.imag > im_tol)

@@ -60,14 +60,13 @@ def generator_matrices(truncation, sector=0.0):
 @functools.lru_cache(maxsize=16)
 def _monomial_matrix_stack(truncation, sector):
     """Matrices of the ten basis monomials, stacked; monomials act right-to-left."""
-    mat_u, mat_v, mat_j = generator_matrices(truncation, sector)
-    gen = {algebra._U: mat_u, algebra._V: mat_v, algebra._J: mat_j}
+    gens = generator_matrices(truncation, sector)   # indexed by generator code
     dim = 2 * truncation + 1
     stack = np.empty((algebra.DIM, dim, dim), dtype=complex)
-    for i, m in enumerate(algebra.MONOMIALS):
+    for i, word in enumerate(algebra.ENVELOPE.words):
         acc = np.eye(dim, dtype=complex)
-        for g in algebra._monomial_word(m):
-            acc = acc @ gen[g]
+        for g in word:
+            acc = acc @ gens[g]
         stack[i] = acc
     stack.flags.writeable = False
     return stack
@@ -343,6 +342,28 @@ def _pair_sets_differ(a, b, match_tol):
     return fresh
 
 
+def check_ep_tolerances(tol_name, tol, im_tol):
+    """Require a finite positive bisection tolerance and a finite non-negative im_tol."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{tol_name} must be finite and positive, got {tol}")
+    if not (math.isfinite(im_tol) and im_tol >= 0):
+        raise ValueError(f"im_tol must be finite and non-negative, got {im_tol}")
+
+
+def bisect_transition(changed, lo, hi, tol):
+    """Narrow [lo, hi], where changed(lo) is false and changed(hi) true, to a
+    width <= tol, or to adjacent floats when tol is below their spacing."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if changed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
                             im_tol: float = 1e-6) -> list:
     """Bisect every reality transition of the sweep down to bracket <= tol.
@@ -353,6 +374,7 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
     as a worklist so several transitions inside one interval are all
     resolved.  Returns an empty list when the sweep has no transitions.
     """
+    check_ep_tolerances("tol", tol, im_tol)
     template, axis = result.template, result.axis
     values = result.values
     # seed the cache with the sweep's own eigensolves; only bisection points
@@ -376,13 +398,7 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
         n_lo, n_hi = len(pairs_at(lo)), len(pairs_at(hi))
         if n_lo == n_hi:
             continue
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if len(pairs_at(mid)) != n_lo:
-                b = mid
-            else:
-                a = mid
+        a, b = bisect_transition(lambda x: len(pairs_at(x)) != n_lo, lo, hi, tol)
         p_lo, p_hi = pairs_at(a), pairs_at(b)
         if len(p_hi) > len(p_lo):
             fresh = _pair_sets_differ(p_lo, p_hi, match_tol)

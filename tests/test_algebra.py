@@ -133,6 +133,15 @@ def test_conjugate_involution_random():
         assert hermitian_conjugate(hermitian_conjugate(a)).allclose(a, 1e-12)
 
 
+def test_conjugate_antihomomorphism_random():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        a, b = rand_element(rng, 1), rand_element(rng, 1)
+        lhs = hermitian_conjugate(multiply(a, b))
+        rhs = multiply(hermitian_conjugate(b), hermitian_conjugate(a))
+        assert lhs.allclose(rhs, 1e-12)
+
+
 def test_pt1_hermiticity_condition():
     # the PT1 family is Hermitian exactly when mu2 = 0, mu5 = -2 mu4, mu6 = 2 mu3
     rng = np.random.default_rng(11)
@@ -181,6 +190,16 @@ def test_apply_pt_preserves_brackets():
                 lhs = commutator(apply_pt(tag, a), apply_pt(tag, b))
                 rhs = apply_pt(tag, commutator(a, b))
                 assert lhs.allclose(rhs, 1e-14), tag
+
+
+def test_apply_pt_multiplicative():
+    rng = np.random.default_rng(19)
+    for tag in PT_SYMMETRIES:
+        for _ in range(10):
+            a, b = rand_element(rng, 1), rand_element(rng, 1)
+            lhs = apply_pt(tag, multiply(a, b))
+            rhs = multiply(apply_pt(tag, a), apply_pt(tag, b))
+            assert lhs.allclose(rhs, 1e-12), tag
 
 
 def test_build_hamiltonian_invariance():

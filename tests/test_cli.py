@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import euclidpt
 from euclidpt.cli import main
 
 
@@ -185,6 +190,21 @@ def test_missing_required_flag_exit_1(capsys):
     assert code == 1
 
 
+EP_SMALL = ["ep", "--family", "pt5-three", "--mu4", "1", "--mu7", "4",
+            "--sweep", "mu3:0:2:5", "--truncation", "8", "--levels", "4"]
+
+
+def test_ep_tolerance_below_float_spacing():
+    # a separate process, so that a bisection that never ends fails the test
+    src = str(Path(euclidpt.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "euclidpt.cli", *EP_SMALL,
+                           "--ep-tol", "1e-20"], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    points = json.loads(proc.stdout)["exceptional_points"]
+    assert points and all(0 < p["bracket_width"] < 1e-14 for p in points)
+
+
 @pytest.mark.parametrize("args", [
     ["spectrum", "--sweep", "mu10:0:1:3"],
     ["spectrum", "--sweep", "mu3:0:1:1"],
@@ -194,8 +214,13 @@ def test_missing_required_flag_exit_1(capsys):
     ["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"],
     ["mathieu", "--q", "1", "--class", "even-pi", "--count", "80"],
     ["spectrum", "--levels", "500", "--truncation", "8", "--sweep", "mu3:0:1:3"],
+    EP_SMALL + ["--ep-tol", "0"],
+    EP_SMALL + ["--ep-tol", "nan"],
+    EP_SMALL + ["--im-tol", "-1"],
+    ["intensity", "--grid", "0", "--truncation", "8"],
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
-        "mathieu-count", "levels"])
+        "mathieu-count", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
+        "grid"])
 def test_bad_value_one_line_exit_1(args, capsys):
     code, _, err = run(args, capsys)
     assert code == 1

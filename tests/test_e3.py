@@ -135,6 +135,22 @@ def test_pt_actions_involutive():
         assert apply_pt_e3(tag, apply_pt_e3(tag, a)).allclose(a, 1e-12), tag
 
 
+def test_pt_actions_multiplicative():
+    rng = np.random.default_rng(10)
+
+    def degree_one():
+        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        return sum((c[i] * generator(g) for i, g in enumerate(GENERATORS)),
+                   E3Element.zero())
+
+    for tag in PT_ACTIONS_E3:
+        for _ in range(6):
+            a, b = degree_one(), degree_one()
+            lhs = apply_pt_e3(tag, multiply(a, b))
+            rhs = multiply(apply_pt_e3(tag, a), apply_pt_e3(tag, b))
+            assert lhs.allclose(rhs, 1e-12), tag
+
+
 def test_pt2_generator_images():
     assert apply_pt_e3("PT2", generator("Jz")).allclose(-1 * generator("Jz"))
     assert apply_pt_e3("PT2", generator("Jp")).allclose(-1 * generator("Jm"))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from euclidpt import mathieu
 from euclidpt.dyson import pt5_three_param_hamiltonian, reduce_pt5_three_param
 from euclidpt.mathieu import (CLASSES, EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
                               antiperiodic_characteristic_values,
@@ -181,6 +182,31 @@ def test_double_points_against_continued_fraction(even_pi_eps):
     for (t, a), ep in zip(points, even_pi_eps):
         assert ep["q_imag"] == pytest.approx(t, abs=1e-6)
         assert ep["a_merge"] == pytest.approx(a, abs=1e-6)
+
+
+def test_eps_tolerance_below_float_spacing(monkeypatch):
+    # the bisection ends at adjacent floats instead of looping forever
+    solves = []
+    sorted_eigs = mathieu._sorted_eigs
+
+    def budgeted(*args):
+        solves.append(1)
+        assert len(solves) < 500, "bisection did not stop"
+        return sorted_eigs(*args)
+
+    monkeypatch.setattr(mathieu, "_sorted_eigs", budgeted)
+    eps = complex_mathieu_eps(2.0, EVEN_PI, trunc=20, param_tol=1e-20, scan_steps=20)
+    assert len(eps) == 1
+    assert eps[0]["q_imag"] == pytest.approx(1.4687686, abs=1e-6)
+    assert eps[0]["a_merge"] == pytest.approx(2.0886989, abs=1e-4)
+
+
+@pytest.mark.parametrize("param_tol, im_tol", [(0.0, 1e-8), (-1.0, 1e-8), (math.nan, 1e-8),
+                                               (1e-8, -1.0), (1e-8, math.inf)])
+def test_eps_reject_bad_tolerances(param_tol, im_tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        complex_mathieu_eps(2.0, EVEN_PI, trunc=20, param_tol=param_tol, im_tol=im_tol,
+                            scan_steps=20)
 
 
 @pytest.mark.slow

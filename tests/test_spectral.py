@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
 from euclidpt.mathieu import pt5_complex_hamiltonian
 from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
-                               _real_form, build_matrix, eigen_spectrum,
+                               _real_form, bisect_transition, build_matrix, eigen_spectrum,
                                find_exceptional_points, intensity,
                                pt1_closed_spectrum, pt1_closed_wavefunction,
                                pt_eigenstate_check, pt_image, sweep, wavefunction)
@@ -303,6 +304,52 @@ def test_level_pair_labels(fig2_eps):
     eps = fig2_eps
     low = [p for p in eps if abs(p.parameter_value - 1.0) < 1e-3 and abs(p.energy - 3) < 0.05]
     assert low and sorted(low[0].level_pair) == [1, 2]
+
+
+def test_bisect_transition_stops_at_adjacent_floats():
+    calls = []
+
+    def changed(x):
+        calls.append(x)
+        assert len(calls) < 200, "bisection did not stop"
+        return x > 1.0
+
+    lo, hi = bisect_transition(changed, 0.0, 2.0, 1e-300)
+    assert (lo, hi) == (1.0, np.nextafter(1.0, 2.0))
+    assert bisect_transition(lambda x: x > 1.0, 0.0, 2.0, 0.3) == (1.0, 1.25)
+
+
+@pytest.fixture(scope="module")
+def small_window_sweep():
+    template = SweepTemplate(family="pt5-three",
+                             mu=(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 4.0, 0.0, 0.0),
+                             truncation=8, track_levels=4)
+    return sweep(template, "mu3", 0.0, 2.0, 5)
+
+
+def test_find_eps_tolerance_below_float_spacing(small_window_sweep):
+    # tol far below the float spacing near mu3 = 1 must still end, at a
+    # one-ulp bracket; a daemon thread turns a regression into a failure
+    found = []
+    worker = threading.Thread(daemon=True, target=lambda: found.append(
+        find_exceptional_points(small_window_sweep, tol=1e-20)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "bisection did not stop"
+    eps = found[0]
+    assert eps
+    for p in eps:
+        assert 0 < p.bracket_width <= 4 * np.spacing(p.parameter_value)
+    near_one = [p for p in eps if abs(p.parameter_value - 1.0) < 1e-3]
+    assert near_one and abs(near_one[0].energy - 3.0) < 1e-2
+
+
+@pytest.mark.parametrize("tol, im_tol", [(0.0, 1e-6), (-1.0, 1e-6), (math.nan, 1e-6),
+                                         (math.inf, 1e-6), (1e-6, -1.0), (1e-6, math.nan),
+                                         (1e-6, math.inf)])
+def test_find_eps_rejects_bad_tolerances(small_window_sweep, tol, im_tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        find_exceptional_points(small_window_sweep, tol=tol, im_tol=im_tol)
 
 
 # ---------------------------------------------------------------------------
