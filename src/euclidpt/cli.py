@@ -194,6 +194,7 @@ def _cmd_spectrum(args):
 
 def _cmd_ep(args):
     axis, lo, hi, steps = _parse_sweep(args.sweep)
+    spectral.check_ep_tolerances("--ep-tol", args.ep_tol, args.im_tol, "--im-tol")
     result = spectral.sweep(_template(args), axis, lo, hi, steps, workers=args.workers)
     points = spectral.find_exceptional_points(result, tol=args.ep_tol,
                                               im_tol=args.im_tol)

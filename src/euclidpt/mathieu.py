@@ -197,9 +197,15 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
         raise ValueError("max_q must be positive")
     check_ep_tolerances("param_tol", param_tol, im_tol)
 
+    solved = {}
+
+    def levels(t):
+        if t not in solved:
+            solved[t] = _sorted_eigs(1j * t, cls, trunc)[:count]
+        return solved[t]
+
     def n_complex(t):
-        w = _sorted_eigs(1j * t, cls, trunc)[:count]
-        return int(np.sum(w.imag > im_tol))
+        return int(np.sum(levels(t).imag > im_tol))
 
     ts = np.linspace(max_q / scan_steps, max_q, scan_steps)
     eps = []
@@ -209,10 +215,8 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
         if n != prev_n:
             lo, hi = bisect_transition(lambda x: n_complex(x) != prev_n,
                                        prev_t, t, param_tol)
-            w_lo = _sorted_eigs(1j * lo, cls, trunc)[:count]
-            w_hi = _sorted_eigs(1j * hi, cls, trunc)[:count]
-            pairs_lo = sorted(z for z in w_lo if z.imag > im_tol)
-            pairs_hi = sorted(z for z in w_hi if z.imag > im_tol)
+            pairs_lo = sorted(z for z in levels(lo) if z.imag > im_tol)
+            pairs_hi = sorted(z for z in levels(hi) if z.imag > im_tol)
             longer, shorter = (pairs_hi, pairs_lo) if len(pairs_hi) > len(pairs_lo) \
                 else (pairs_lo, pairs_hi)
             fresh = [z for z in longer

@@ -57,10 +57,10 @@ def generator_matrices(truncation, sector=0.0):
     return mat_u, mat_v, mat_j
 
 
-@functools.lru_cache(maxsize=16)
-def _monomial_matrix_stack(truncation, sector):
-    """Matrices of the ten basis monomials, stacked; monomials act right-to-left."""
-    gens = generator_matrices(truncation, sector)   # indexed by generator code
+@functools.lru_cache(maxsize=4)
+def _monomial_matrix_stack(truncation):
+    """Sector-0 matrices of the ten basis monomials, stacked; monomials act right-to-left."""
+    gens = generator_matrices(truncation)   # indexed by generator code
     dim = 2 * truncation + 1
     stack = np.empty((algebra.DIM, dim, dim), dtype=complex)
     for i, word in enumerate(algebra.ENVELOPE.words):
@@ -72,10 +72,45 @@ def _monomial_matrix_stack(truncation, sector):
     return stack
 
 
+def _shift_sector(coeffs, sector):
+    """Coefficients of the element with J replaced by J + s/2.
+
+    Sector s acts as J = diag(n + s/2), so the sector-s matrix of an element
+    is the sector-0 matrix of this shifted element.
+    """
+    h = sector / 2.0
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = coeffs
+    return np.array([c1 + h * cj + h * h * cj2, cu + h * cuj, cv + h * cvj,
+                     cj + 2.0 * h * cj2, cu2, cv2, cuv, cuj, cvj, cj2])
+
+
 def build_matrix(p: SpectralProblem) -> np.ndarray:
     """(2N+1)x(2N+1) matrix of the element; bandwidth at most 2."""
-    stack = _monomial_matrix_stack(p.truncation, float(p.sector))
-    return np.tensordot(p.element.coeffs, stack, axes=1)
+    coeffs = p.element.coeffs
+    if p.sector:
+        coeffs = _shift_sector(coeffs, float(p.sector))
+    return np.tensordot(coeffs, _monomial_matrix_stack(p.truncation), axes=1)
+
+
+def hill_form(element: E2Element) -> E2Element | None:
+    """The Hill equation c(J + d)^2 + V isospectral to the element, or None.
+
+    With c the J^2 coefficient, completing the square gives
+    H = c(J + g)^2 + V, g = a u + b v + d, a = c_uJ/2c, b = c_vJ/2c,
+    d = c_J/2c (using Ju = uJ - iv, Jv = vJ + iu).  The periodic part of g
+    is removed by the gauge exp(-i(b sin - a cos)), which keeps the Floquet
+    sector.  When V has no first harmonics, exactly, the result couples
+    Fourier mode n only to n +- 2; otherwise (or when c = 0) this returns
+    None.
+    """
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c = (complex(x) for x in element.coeffs)
+    if c == 0:
+        return None
+    a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)
+    if cu - c * (1j * b + 2 * a * d) != 0 or cv - c * (-1j * a + 2 * b * d) != 0:
+        return None
+    return E2Element.from_terms(one=c1, J=cj, u2=cu2 - c * a * a, v2=cv2 - c * b * b,
+                                uv=cuv - 2 * c * a * b, J2=c)
 
 
 @functools.lru_cache(maxsize=16)
@@ -121,17 +156,42 @@ class Spectrum:
         return bool(np.any(~self.reality_flags[:self.trusted_count]))
 
 
+def _chain_eigenvalues(chain):
+    """Eigenvalues of one tridiagonal chain of a Hill matrix.
+
+    A real chain whose off-diagonal products are all >= 0 is similar, by a
+    real diagonal scaling, to the symmetric tridiagonal with off-diagonals
+    sqrt(product); every other chain takes the dense solver.
+    """
+    if chain.imag.any():
+        return scipy.linalg.eigvals(chain)
+    chain = chain.real
+    products = np.diagonal(chain, 1) * np.diagonal(chain, -1)
+    if np.all(products >= 0):
+        return scipy.linalg.eigh_tridiagonal(np.diagonal(chain), np.sqrt(products),
+                                             eigvals_only=True)
+    return scipy.linalg.eigvals(chain)
+
+
 def eigen_spectrum(p: SpectralProblem, rtol: float = REALITY_RTOL) -> Spectrum:
     """All eigenvalues of the truncated matrix, sorted by real part.
 
     Only the interior ~2N+1 - 4*sqrt(N) lowest levels are trusted; edge
-    eigenvalues carry truncation artifacts.  PT5-invariant elements are
-    solved in the real form of `_real_form`, others in complex arithmetic.
+    eigenvalues carry truncation artifacts.  Elements with a `hill_form`
+    are solved on its two chains, Fourier modes of even and of odd index,
+    each tridiagonal.  Other PT5-invariant elements are solved in the real
+    form of `_real_form`, the rest in complex arithmetic.
     """
-    matrix = build_matrix(p)
-    real = _real_form(matrix)
+    hill = hill_form(p.element)
     try:
-        w = scipy.linalg.eigvals(matrix if real is None else real)
+        if hill is None:
+            matrix = build_matrix(p)
+            real = _real_form(matrix)
+            w = scipy.linalg.eigvals(matrix if real is None else real)
+        else:
+            matrix = build_matrix(replace(p, element=hill))
+            w = np.concatenate([_chain_eigenvalues(matrix[k::2, k::2]) for k in (0, 1)],
+                               dtype=complex)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(w.real, kind="stable")
@@ -342,12 +402,12 @@ def _pair_sets_differ(a, b, match_tol):
     return fresh
 
 
-def check_ep_tolerances(tol_name, tol, im_tol):
+def check_ep_tolerances(tol_name, tol, im_tol, im_tol_name="im_tol"):
     """Require a finite positive bisection tolerance and a finite non-negative im_tol."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{tol_name} must be finite and positive, got {tol}")
     if not (math.isfinite(im_tol) and im_tol >= 0):
-        raise ValueError(f"im_tol must be finite and non-negative, got {im_tol}")
+        raise ValueError(f"{im_tol_name} must be finite and non-negative, got {im_tol}")
 
 
 def bisect_transition(changed, lo, hi, tol):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import euclidpt
+from euclidpt import spectral
 from euclidpt.cli import main
 
 
@@ -203,6 +204,18 @@ def test_ep_tolerance_below_float_spacing():
     assert proc.returncode == 0, proc.stderr
     points = json.loads(proc.stdout)["exceptional_points"]
     assert points and all(0 < p["bracket_width"] < 1e-14 for p in points)
+
+
+@pytest.mark.parametrize("flag,value", [("--ep-tol", "0"), ("--im-tol", "-1")])
+def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before the tolerances were checked")
+
+    monkeypatch.setattr(spectral, "sweep", no_sweep)
+    code, _, err = run(EP_SMALL + [flag, value], capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert flag in err
 
 
 @pytest.mark.parametrize("args", [

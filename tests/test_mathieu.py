@@ -184,6 +184,20 @@ def test_double_points_against_continued_fraction(even_pi_eps):
         assert ep["a_merge"] == pytest.approx(a, abs=1e-6)
 
 
+def test_eps_solve_each_q_once(monkeypatch):
+    solved = []
+    sorted_eigs = mathieu._sorted_eigs
+
+    def counted(q, cls, size):
+        solved.append(q)
+        return sorted_eigs(q, cls, size)
+
+    monkeypatch.setattr(mathieu, "_sorted_eigs", counted)
+    eps = complex_mathieu_eps(2.0, EVEN_PI, trunc=20, scan_steps=20)
+    assert len(eps) == 1
+    assert len(solved) == len(set(solved))
+
+
 def test_eps_tolerance_below_float_spacing(monkeypatch):
     # the bisection ends at adjacent floats instead of looping forever
     solves = []

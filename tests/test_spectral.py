@@ -6,12 +6,14 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+from euclidpt import algebra
 from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
 from euclidpt.mathieu import pt5_complex_hamiltonian
 from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
                                _real_form, bisect_transition, build_matrix, eigen_spectrum,
-                               find_exceptional_points, intensity,
+                               find_exceptional_points, generator_matrices, hill_form,
+                               intensity,
                                pt1_closed_spectrum, pt1_closed_wavefunction,
                                pt_eigenstate_check, pt_image, sweep, wavefunction)
 
@@ -236,6 +238,104 @@ def test_non_pt5_element_takes_complex_path():
     for level in (0, 5):
         expected = WavefunctionSpec(sector=0.37, coeffs=vecs[:, order[level]]).normalized()
         np.testing.assert_array_equal(wavefunction(problem, level).coeffs, expected.coeffs)
+
+
+@pytest.mark.parametrize("sector", [0.37, 1.0])
+def test_build_matrix_matches_generator_products(sector):
+    gens = generator_matrices(16, sector)
+    expected = np.zeros((33, 33), dtype=complex)
+    for coeff, word in zip(RAW_PT5.coeffs, algebra.ENVELOPE.words):
+        acc = np.eye(33, dtype=complex)
+        for g in word:
+            acc = acc @ gens[g]
+        expected += coeff * acc
+    m = build_matrix(SpectralProblem(RAW_PT5, sector=sector, truncation=16))
+    assert np.max(np.abs(m - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-13
+
+
+def test_rejected_pt5_elements_keep_the_real_form_path():
+    for element, sector in (PT5_CASES["raw-s0.37"], PT5_CASES["mathieu"]):
+        problem = SpectralProblem(element, sector=sector, truncation=32)
+        w = scipy.linalg.eigvals(_real_form(build_matrix(problem)))
+        np.testing.assert_array_equal(eigen_spectrum(problem).eigenvalues,
+                                      w[np.argsort(w.real, kind="stable")])
+
+
+# ---------------------------------------------------------------------------
+# Hill form: two tridiagonal chains
+# ---------------------------------------------------------------------------
+
+def test_hill_form_rejects_non_hill_elements():
+    assert hill_form(EL(J=1, u2=1)) is None                     # no J^2 term
+    assert hill_form(RAW_PT5) is None
+    assert hill_form(pt5_complex_hamiltonian(1.0, 0.5)) is None  # keeps (i mu4/2) cos
+
+
+@pytest.mark.parametrize("mu3,mu4,mu7", [(0.5, -1.3, 0.0), (2.0, 1.0, 4.0), (1.0, 3.0, 11.0)])
+def test_hill_form_of_three_param_family(mu3, mu4, mu7):
+    hill = hill_form(pt5_three_param_hamiltonian(mu3, mu4, mu7))
+    expected = EL(J2=1, u2=mu7 - mu4 ** 2, v2=mu3 ** 2, uv=-2j * mu3 * mu4)
+    np.testing.assert_allclose(hill.coeffs, expected.coeffs, rtol=0, atol=1e-14)
+
+
+def _dense_certificate(problem, count=12):
+    """Largest relative distance of the lowest `count` levels from a dense solve."""
+    levels = eigen_spectrum(problem).eigenvalues[:count]
+    dense = scipy.linalg.eigvals(build_matrix(problem))
+    dense = dense[np.argsort(dense.real)][:count + 4]
+    cost = np.abs(levels[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols] / np.maximum(1.0, np.abs(dense[cols]))))
+
+
+@pytest.mark.parametrize("sector", [0.0, 0.37, 1.0])
+def test_chains_match_dense_for_a_completed_square(sector):
+    # c (J + a u + b v + d)^2 + V with complex a, b and second harmonics in V;
+    # dyadic values keep the first-harmonic cancellation exact
+    c, a, b, d = 2.0, 0.25, 0.5j, 0.125
+    element = EL(J2=c, uJ=2 * c * a, vJ=2 * c * b, J=2 * c * d,
+                 u=c * (1j * b + 2 * a * d), v=c * (-1j * a + 2 * b * d),
+                 one=0.1, u2=0.7, v2=-0.3, uv=0.4 + 0.2j)
+    assert hill_form(element) is not None
+    assert _dense_certificate(SpectralProblem(element, sector=sector)) <= 1e-8
+
+
+def _mu(**couplings):
+    mu = [1.0] + [0.0] * 8
+    for name, value in couplings.items():
+        mu[int(name[2]) - 1] = value
+    return tuple(mu)
+
+
+# the README spectrum and ep recipes: template, axis, lo, hi, steps
+README_SWEEPS = {
+    "real-s0": (SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5)), "mu4", -3, 3, 200),
+    "real-s1": (SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5), sector=1.0),
+                "mu4", -3, 3, 200),
+    "window": (SweepTemplate(family="pt5-three", mu=_mu(mu4=1, mu7=4)), "mu3", -4, 4, 161),
+    "bands": (SweepTemplate(mu=_mu(mu7=0.5)), "s", 0, 1.95, 40),
+    "ep-mu3": (SweepTemplate(family="pt5-three", mu=_mu(mu4=1, mu7=4)), "mu3", -4, 4, 41),
+    "ep-mu7": (SweepTemplate(family="pt5-three", mu=_mu(mu3=1, mu4=3)), "mu7", 0, 20, 41),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(README_SWEEPS))
+def test_chains_certified_on_readme_recipes(recipe):
+    template, axis, lo, hi, steps = README_SWEEPS[recipe]
+    samples = np.linspace(lo, hi, steps)[::4]
+    checked = 0
+    for x in samples:
+        problem = template.problem_at(axis, x)
+        hill = hill_form(problem.element)
+        assert hill is not None
+        # R^2/4 is the product of the chains' off-diagonals; where it
+        # vanishes the dense solve itself is only good to about sqrt(eps)
+        r2 = ((hill.term("v2") - hill.term("u2")) / 2) ** 2 + (hill.term("uv") / 2) ** 2
+        if abs(r2) < 1e-2:
+            continue
+        assert _dense_certificate(problem) <= 1e-8, f"{axis}={x}"
+        checked += 1
+    assert checked >= 0.75 * len(samples)
 
 
 # ---------------------------------------------------------------------------
