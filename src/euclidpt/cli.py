@@ -216,6 +216,8 @@ def _select_pair(spectrum, near_energy):
 def _cmd_intensity(args):
     if args.grid < 1:
         raise ConfigError(f"--grid must be at least 1, got {args.grid}")
+    if not math.isfinite(args.near_energy):
+        raise ConfigError(f"--near-energy must be finite, got {args.near_energy}")
     theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
     mu3s = [args.mu3 if args.mu3 is not None else 1.0]
     sweep_spec = getattr(args, "sweep", None)
@@ -223,6 +225,8 @@ def _cmd_intensity(args):
         axis, lo, hi, steps = _parse_sweep(sweep_spec)
         if axis != "mu3":
             raise ConfigError("intensity sweeps support axis mu3 only")
+        if steps < 1:
+            raise ConfigError(f"--sweep needs at least one step, got {steps}")
         mu3s = list(np.linspace(lo, hi, steps))
     lines = ["mu3,theta,i_even,i_odd,i_sum_ref"]
     for m3 in mu3s:
@@ -230,9 +234,11 @@ def _cmd_intensity(args):
         problem = spectral.SpectralProblem(element, sector=args.sector,
                                            truncation=args.truncation)
         spec = spectral.eigen_spectrum(problem)
+        if spec.trusted_count < 2:
+            raise ConfigError(f"--truncation {args.truncation} leaves {spec.trusted_count} "
+                              "trusted level; intensity needs two")
         i, j = _select_pair(spec, args.near_energy)
-        wf_a = spectral.wavefunction(problem, i)
-        wf_b = spectral.wavefunction(problem, j)
+        wf_a, wf_b = spectral.wavefunction(problem, (i, j))
         int_a = spectral.intensity(wf_a, theta)
         int_b = spectral.intensity(wf_b, theta)
         ref = int_a[0]

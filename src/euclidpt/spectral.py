@@ -481,6 +481,20 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
 # wavefunctions and intensities
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _plane_waves(theta_bytes, modes, sector):
+    """exp(i(n + s/2) theta), rows theta (float64 bytes), columns n = -(modes-1)/2...
+
+    Cached because an intensity sweep evaluates every wavefunction on one
+    grid; read-only because callers share it.
+    """
+    theta = np.frombuffer(theta_bytes)
+    k = np.arange(modes) - (modes - 1) // 2 + sector / 2.0
+    table = np.exp(1j * np.outer(theta, k))
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class WavefunctionSpec:
     """Either a Fourier coefficient vector or a tagged closed form.
@@ -500,9 +514,8 @@ class WavefunctionSpec:
     def evaluate(self, theta):
         theta = np.asarray(theta, dtype=float)
         if self.coeffs is not None:
-            n = np.arange(len(self.coeffs)) - (len(self.coeffs) - 1) // 2
-            k = n + self.sector / 2.0
-            return np.exp(1j * np.outer(theta, k)) @ self.coeffs
+            table = _plane_waves(theta.tobytes(), len(self.coeffs), self.sector)
+            return table @ self.coeffs
         if self.closed_form == "pt1":
             mu1 = self.params["mu1"]
             mu3 = self.params.get("mu3", 0.0)
@@ -535,20 +548,76 @@ def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0
                             c1=c1, c2=c2)
 
 
-def wavefunction(p: SpectralProblem, level: int) -> WavefunctionSpec:
-    """L^2-normalized eigenvector of the given level (real-part order)."""
-    matrix = build_matrix(p)
-    real = _real_form(matrix)
-    if real is None:
-        w, vecs = scipy.linalg.eig(matrix)
-    else:
-        w, vecs = scipy.linalg.eig(real)
-        vecs = vecs * _pt5_phases(p.truncation)[:, None]
+def _gauge_coefficients(a, b, truncation):
+    """Fourier coefficients of exp(-i(b sin - a cos)) for modes -2N..2N-1.
+
+    Taken by FFT on 4N points; the aliased tail is of the size of the
+    coefficients of modes near +-2N, which decay like Bessel functions.
+    """
+    size = 4 * truncation
+    theta = 2.0 * math.pi * np.arange(size) / size
+    gauge = np.exp(-1j * (b * np.sin(theta) - a * np.cos(theta)))
+    return np.fft.fftshift(np.fft.fft(gauge)) / size
+
+
+def _hill_vectors(p, hill, levels):
+    """Eigenvectors of the given levels from the chains of the Hill element.
+
+    Each chain vector of the Hill equation is multiplied by the gauge that
+    `hill_form` removes; in Fourier space that is a convolution, cropped
+    back to modes -N..N.
+    """
+    matrix = build_matrix(replace(p, element=hill))
+    chains = []
+    for k in (0, 1):
+        chain = matrix[k::2, k::2]
+        chains.append(scipy.linalg.eig(chain if chain.imag.any() else chain.real))
+    w = np.concatenate([chain_w for chain_w, _ in chains])
     order = np.argsort(w.real, kind="stable")
-    if not 0 <= level < len(w):
-        raise ValueError(f"level {level} outside 0..{len(w) - 1}")
-    vec = vecs[:, order[level]]
-    return WavefunctionSpec(sector=p.sector, coeffs=vec).normalized()
+    c = p.element.term("J2")
+    gauge = _gauge_coefficients(p.element.term("uJ") / (2 * c),
+                                p.element.term("vJ") / (2 * c), p.truncation)
+    even = len(chains[0][0])
+    vectors = []
+    for level in levels:
+        idx = order[level]
+        k, col = (0, idx) if idx < even else (1, idx - even)
+        vec = np.zeros(len(matrix), dtype=complex)
+        vec[k::2] = chains[k][1][:, col]
+        # modes: vec -N..N, gauge -2N..2N-1, product -3N..3N-1
+        vectors.append(np.convolve(vec, gauge)[2 * p.truncation:4 * p.truncation + 1])
+    return vectors
+
+
+def wavefunction(p: SpectralProblem, level) -> WavefunctionSpec | list[WavefunctionSpec]:
+    """L^2-normalized eigenvector of the given level (real-part order).
+
+    `level` may also be a sequence of levels; the result is then a list,
+    and one eigendecomposition serves them all.  Elements with a
+    `hill_form` are solved on its two chains (`_hill_vectors`), the rest
+    on the full matrix, in real form where `_real_form` applies.
+    """
+    single = np.ndim(level) == 0
+    levels = [level] if single else list(level)
+    dim = 2 * p.truncation + 1
+    for lv in levels:
+        if not 0 <= lv < dim:
+            raise ValueError(f"level {lv} outside 0..{dim - 1}")
+    hill = hill_form(p.element)
+    if hill is not None:
+        vectors = _hill_vectors(p, hill, levels)
+    else:
+        matrix = build_matrix(p)
+        real = _real_form(matrix)
+        if real is None:
+            w, vecs = scipy.linalg.eig(matrix)
+        else:
+            w, vecs = scipy.linalg.eig(real)
+            vecs = vecs * _pt5_phases(p.truncation)[:, None]
+        order = np.argsort(w.real, kind="stable")
+        vectors = [vecs[:, order[lv]] for lv in levels]
+    specs = [WavefunctionSpec(sector=p.sector, coeffs=v).normalized() for v in vectors]
+    return specs[0] if single else specs
 
 
 def intensity(w: WavefunctionSpec, grid) -> np.ndarray:

@@ -231,12 +231,24 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     EP_SMALL + ["--ep-tol", "nan"],
     EP_SMALL + ["--im-tol", "-1"],
     ["intensity", "--grid", "0", "--truncation", "8"],
+    ["intensity", "--mu3", "0.8", "--truncation", "4"],
+    ["intensity", "--sweep", "mu3:0:4:0", "--truncation", "8"],
+    ["intensity", "--sweep", "mu3:0:4:-3", "--truncation", "8"],
+    ["intensity", "--near-energy", "nan", "--truncation", "8"],
+    ["intensity", "--near-energy", "inf", "--truncation", "8"],
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
         "mathieu-count", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
-        "grid"])
+        "grid", "intensity-trusted", "intensity-steps-zero", "intensity-steps-negative",
+        "near-energy-nan", "near-energy-inf"])
 def test_bad_value_one_line_exit_1(args, capsys):
     code, _, err = run(args, capsys)
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+def test_intensity_truncation_too_small_names_flag(capsys):
+    code, out, err = run(["intensity", "--mu3", "0.8", "--truncation", "4"], capsys)
+    assert code == 1 and out == ""
+    assert "--truncation" in err

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from euclidpt import algebra
 from euclidpt.algebra import E2Element, build_hamiltonian
+from euclidpt.cli import _select_pair
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
 from euclidpt.mathieu import pt5_complex_hamiltonian
 from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
@@ -523,3 +524,112 @@ def test_unbroken_numeric_state_is_pt_selfimage():
     ratio = image[np.argmax(np.abs(vals))] / vals[np.argmax(np.abs(vals))]
     assert abs(abs(ratio) - 1.0) < 1e-8   # PT image = unimodular multiple
     assert np.max(np.abs(image - ratio * vals)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# wavefunctions from the Hill chains
+# ---------------------------------------------------------------------------
+
+def _chain_r2(hill):
+    """R^2, four times the product of the chains' off-diagonals."""
+    return ((hill.term("v2") - hill.term("u2")) / 2) ** 2 + (hill.term("uv") / 2) ** 2
+
+
+def _assert_eigenvectors(matrix, energies, levels, waves):
+    """||M psi - E psi|| <= 1e-9 ||M|| for each level.
+
+    max |M_ij| stands in for ||M||_2, which it never exceeds, so the check is
+    at least as strict and needs no SVD.
+    """
+    scale = np.max(np.abs(matrix))
+    for level, wave in zip(levels, waves):
+        v = wave.coeffs / np.linalg.norm(wave.coeffs)
+        residual = np.linalg.norm(matrix @ v - energies[level] * v)
+        assert residual <= 1e-9 * scale, f"level {level}: {residual:.2e}"
+
+
+# the README intensity recipes: --sweep mu3:0:4:81, --mu3 0.8 and --mu3 1.2
+README_INTENSITY_MU3 = list(np.linspace(0.0, 4.0, 81)) + [0.8, 1.2]
+
+
+def test_chain_intensities_certified_on_readme_recipes():
+    theta = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+    checked = 0
+    for mu3 in README_INTENSITY_MU3:
+        problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0))
+        hill = hill_form(problem.element)
+        assert hill is not None
+        spectrum = eigen_spectrum(problem)
+        pair = _select_pair(spectrum, 3.0)
+        waves = wavefunction(problem, pair)
+        matrix = build_matrix(problem)
+        _assert_eigenvectors(matrix, spectrum.eigenvalues, pair, waves)
+        # the R^2 = 0 pairs are defective: any vector of the pair is as good
+        if abs(_chain_r2(hill)) < 1e-2:
+            continue
+        w, vecs = scipy.linalg.eig(matrix)
+        for level, wave in zip(pair, waves):
+            col = int(np.argmin(np.abs(w - spectrum.eigenvalues[level])))
+            dense = WavefunctionSpec(sector=0.0, coeffs=vecs[:, col]).normalized()
+            deviation = np.max(np.abs(intensity(wave, theta) - intensity(dense, theta)))
+            assert deviation <= 1e-10, f"mu3={mu3}, level {level}: {deviation:.2e}"
+        checked += 1
+    assert checked >= len(README_INTENSITY_MU3) - 4
+
+
+def _completed_square():
+    # c (J + a u + b v + d)^2 + V with complex a, b, as in
+    # test_chains_match_dense_for_a_completed_square
+    c, a, b, d = 2.0, 0.25, 0.5j, 0.125
+    return EL(J2=c, uJ=2 * c * a, vJ=2 * c * b, J=2 * c * d,
+              u=c * (1j * b + 2 * a * d), v=c * (-1j * a + 2 * b * d),
+              one=0.1, u2=0.7, v2=-0.3, uv=0.4 + 0.2j)
+
+
+@pytest.mark.parametrize("case,sector", [
+    ("unbroken", 0.37), ("unbroken", 1.0), ("broken", 0.37), ("broken", 1.0),
+    ("completed-square", 0.0), ("completed-square", 0.37), ("completed-square", 1.0)])
+def test_chain_wavefunction_residuals(case, sector):
+    element = {"unbroken": pt5_three_param_hamiltonian(0.8, 1.0, 4.0),
+               "broken": pt5_three_param_hamiltonian(1.2, 1.0, 4.0),
+               "completed-square": _completed_square()}[case]
+    assert hill_form(element) is not None
+    problem = SpectralProblem(element, sector=sector)
+    levels = list(range(12))
+    _assert_eigenvectors(build_matrix(problem), eigen_spectrum(problem).eigenvalues, levels,
+                         wavefunction(problem, levels))
+
+
+@pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(1.2, 1.0, 4.0), RAW_PT5],
+                         ids=["hill", "dense"])
+def test_wavefunction_sequence_matches_single_calls(element):
+    problem = SpectralProblem(element, sector=0.37, truncation=32)
+    pair = wavefunction(problem, (3, 4))
+    assert isinstance(pair, list) and len(pair) == 2
+    for level, wave in zip((3, 4), pair):
+        np.testing.assert_array_equal(wave.coeffs, wavefunction(problem, level).coeffs)
+
+
+def test_wavefunction_checks_levels_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the level was checked")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_solve)
+    for element in (pt5_three_param_hamiltonian(0.8, 1.0, 4.0), RAW_PT5):
+        problem = SpectralProblem(element, truncation=8)
+        for level in (-1, 17, (0, 17)):
+            with pytest.raises(ValueError, match="outside 0..16"):
+                wavefunction(problem, level)
+
+
+@pytest.mark.parametrize("sector", [0.0, 0.37, 1.0])
+def test_plane_wave_table_matches_direct_sum(sector):
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(129) + 1j * rng.standard_normal(129)
+    wave = WavefunctionSpec(sector=sector, coeffs=coeffs)
+    for theta in (np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False),
+                  rng.uniform(-7.0, 7.0, 50)):
+        k = np.arange(129) - 64 + sector / 2.0
+        direct = np.exp(1j * np.outer(theta, k)) @ coeffs
+        np.testing.assert_array_equal(wave.evaluate(theta), direct)
+        np.testing.assert_array_equal(wave.evaluate(list(theta)), direct)   # cached
