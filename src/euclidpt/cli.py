@@ -258,10 +258,14 @@ def _cmd_mathieu(args):
         parts = [float(p) for p in args.q.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --q value {args.q!r}: {exc}") from None
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise ConfigError(f"bad --q value {args.q!r}: expected finite RE or RE,IM")
     q = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
     cls = mathieu.CLASSES.get(args.cls)
     if cls is None:
         raise ConfigError(f"--class must be one of {sorted(mathieu.CLASSES)}")
+    if args.count <= 0:
+        raise ConfigError(f"--count must be positive, got {args.count}")
     values = mathieu.characteristic_values(q, cls, args.count, args.trunc)
     lines = ["order,re_a,im_a"]
     for k, a in enumerate(values):

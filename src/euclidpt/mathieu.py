@@ -1,10 +1,13 @@
 """Mathieu characteristic values and periodic functions for complex parameter q.
 
-Convention: y''(z) + (a - 2 q cos 2z) y = 0.  Characteristic values are
-computed as eigenvalues of the truncated Fourier recurrence matrix of the
-relevant parity/periodicity class, which handles real and complex q
-uniformly and makes eigenvalue collisions (exceptional points on the
-imaginary-q axis) directly observable.
+Convention: y''(z) + (a - 2 q cos 2z) y = 0.  The truncated Fourier
+recurrence of each parity/periodicity class is a tridiagonal chain (DLMF
+28.4), and characteristic values are its eigenvalues, which handles real
+and complex q uniformly and makes eigenvalue collisions (exceptional points
+on the imaginary-q axis) directly observable.  `spectral.tridiagonal_eigenvalues`
+solves each chain: real q with the symmetric tridiagonal solver (DLMF
+28.2(vi)), imaginary q on the real form of the even-pi, odd-pi and
+antiperiodic chains, any other q in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -17,9 +20,15 @@ import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
 from .errors import ConvergenceFailure
-from .spectral import bisect_transition, check_ep_tolerances
+from .spectral import (bisect_transition, check_ep_tolerances, tridiagonal_eigenvalues,
+                       tridiagonal_matrix)
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _check_parity(parity):
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +37,7 @@ class MathieuClass:
     periodicity: str   # "pi" | "2pi"
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+        _check_parity(self.parity)
         if self.periodicity not in ("pi", "2pi"):
             raise ValueError(f"periodicity must be 'pi' or '2pi', got {self.periodicity!r}")
 
@@ -45,28 +53,47 @@ ODD_2PI = MathieuClass("odd", "2pi")      # b_1, b_3, ...        sin((2k+1)z)
 CLASSES = {c.label: c for c in (EVEN_PI, ODD_PI, EVEN_2PI, ODD_2PI)}
 
 
+def _modes(cls, size):
+    """Frequencies m of a class's Fourier modes cos(m z) or sin(m z)."""
+    k = np.arange(size)
+    if cls == EVEN_PI:
+        return 2 * k
+    if cls == ODD_PI:
+        return 2 * k + 2
+    return 2 * k + 1
+
+
+def _antiperiodic_order(size):
+    """Mode order ..., 4, 2, 0, 1, 3, 5, ... that makes an antiperiodic class a chain."""
+    return np.concatenate([np.arange(0, size, 2)[::-1], np.arange(1, size, 2)])
+
+
+def _chain(q, cls, size):
+    """Diagonal and (symmetric) off-diagonal of one class's recurrence chain.
+
+    `cls` is a MathieuClass, or the parity of an antiperiodic class, whose
+    chain runs in the mode order of `_antiperiodic_order`.
+    """
+    q = complex(q)
+    off = np.full(size - 1, q)
+    if isinstance(cls, MathieuClass):
+        diag = _modes(cls, size) ** 2 + 0j
+        if cls == EVEN_PI:
+            off[0] *= _SQRT2    # symmetrized k=0 coupling
+        elif cls.periodicity == "2pi":
+            diag[0] += q if cls == EVEN_2PI else -q
+        return diag, off
+    _check_parity(cls)
+    # cos(2th) folds the k=0 mode back onto k=1 (sign flip for the sine
+    # basis): the middle link of the chain
+    off[(size - 1) // 2] = q if cls == "even" else -q
+    return (_antiperiodic_order(size) + 0.5) ** 2 + 0j, off
+
+
 def recurrence_matrix(q, cls: MathieuClass, size: int) -> np.ndarray:
     """Truncated (symmetrized) Fourier recurrence matrix of one class."""
-    q = complex(q)
-    m = np.zeros((size, size), dtype=complex)
-    if cls == EVEN_PI:
-        for k in range(size):
-            m[k, k] = (2 * k) ** 2
-        m[0, 1] = m[1, 0] = _SQRT2 * q   # symmetrized k=0 coupling
-        for k in range(1, size - 1):
-            m[k, k + 1] = m[k + 1, k] = q
-    elif cls == ODD_PI:
-        for k in range(size):
-            m[k, k] = (2 * (k + 1)) ** 2
-        for k in range(size - 1):
-            m[k, k + 1] = m[k + 1, k] = q
-    else:
-        for k in range(size):
-            m[k, k] = (2 * k + 1) ** 2
-        m[0, 0] += q if cls == EVEN_2PI else -q
-        for k in range(size - 1):
-            m[k, k + 1] = m[k + 1, k] = q
-    return m
+    diag, off = _chain(q, cls, size)
+    return tridiagonal_matrix(diag, off, off)
 
 
 def _canonical(w):
@@ -76,7 +103,27 @@ def _canonical(w):
 
 
 def _sorted_eigs(q, cls, size):
-    return _canonical(scipy.linalg.eigvals(recurrence_matrix(q, cls, size)))
+    """Eigenvalues of one class's chain (see `_chain`) in canonical order."""
+    diag, off = _chain(q, cls, size)
+    return _canonical(tridiagonal_eigenvalues(diag, off, off))
+
+
+def _lowest_certified(q, cls, count, trunc, what):
+    """The `count` lowest values at 2*trunc, certified against those at trunc.
+
+    Raises ConvergenceFailure if doubling the truncation moves any of them
+    by more than 1e-10.
+    """
+    if count <= 0:
+        raise ValueError(f"count must be positive, got {count}")
+    if trunc < count + 8:
+        raise ValueError("trunc must be at least count + 8")
+    w1 = _sorted_eigs(q, cls, trunc)[:count]
+    w2 = _sorted_eigs(q, cls, 2 * trunc)[:count]
+    drift = float(np.max(np.abs(w1 - w2)))
+    if drift > 1e-10:
+        raise ConvergenceFailure(f"{what} moved by {drift:.3e} under truncation doubling")
+    return w2
 
 
 def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> np.ndarray:
@@ -85,15 +132,7 @@ def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> 
     Raises ConvergenceFailure if doubling the truncation moves any reported
     value by more than 1e-10.
     """
-    if trunc < count + 8:
-        raise ValueError("trunc must be at least count + 8")
-    w1 = _sorted_eigs(q, cls, trunc)[:count]
-    w2 = _sorted_eigs(q, cls, 2 * trunc)[:count]
-    drift = float(np.max(np.abs(w1 - w2)))
-    if drift > 1e-10:
-        raise ConvergenceFailure(
-            f"characteristic values moved by {drift:.3e} under truncation doubling")
-    return w2
+    return _lowest_certified(q, cls, count, trunc, "characteristic values")
 
 
 def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60, tol: float = 1e-6):
@@ -120,16 +159,8 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60, tol: float = 1e
 
 def _synthesize(vec, cls, z):
     z = np.asarray(z, dtype=float)
-    k = np.arange(len(vec))
-    if cls == EVEN_PI:
-        basis = np.cos(np.outer(z, 2 * k))
-    elif cls == ODD_PI:
-        basis = np.sin(np.outer(z, 2 * (k + 1)))
-    elif cls == EVEN_2PI:
-        basis = np.cos(np.outer(z, 2 * k + 1))
-    else:
-        basis = np.sin(np.outer(z, 2 * k + 1))
-    return basis @ vec
+    wave = np.cos if cls.parity == "even" else np.sin
+    return wave(np.outer(z, _modes(cls, len(vec)))) @ vec
 
 
 def mathieu_function(q, a, parity: str, z, trunc: int = 60):
@@ -138,6 +169,7 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
     The class (pi- or 2pi-periodic) is resolved by locating a among the
     eigenvalues of the two candidate recurrences.
     """
+    _check_parity(parity)
     candidates = (EVEN_PI, EVEN_2PI) if parity == "even" else (ODD_PI, ODD_2PI)
     last_error = None
     for cls in candidates:
@@ -158,27 +190,17 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
 
 def antiperiodic_matrix(q, parity: str, size: int) -> np.ndarray:
     """Recurrence over cos((k+1/2) theta) (even) or sin((k+1/2) theta) (odd)."""
-    q = complex(q)
-    m = np.zeros((size, size), dtype=complex)
-    for k in range(size):
-        m[k, k] = (k + 0.5) ** 2
-    for k in range(size - 2):
-        m[k, k + 2] = m[k + 2, k] = q
-    # cos(2th) folds the k=0 mode back onto k=1 (sign flip for the sine basis)
-    fold = q if parity == "even" else -q
-    m[0, 1] += fold
-    m[1, 0] += fold
+    diag, off = _chain(q, parity, size)
+    chain = tridiagonal_matrix(diag, off, off)
+    order = _antiperiodic_order(size)
+    m = np.empty_like(chain)
+    m[np.ix_(order, order)] = chain
     return m
 
 
 def antiperiodic_characteristic_values(q, parity: str, count: int, trunc: int = 60):
-    if trunc < count + 8:
-        raise ValueError("trunc must be at least count + 8")
-    w1 = _canonical(scipy.linalg.eigvals(antiperiodic_matrix(q, parity, trunc)))[:count]
-    w2 = _canonical(scipy.linalg.eigvals(antiperiodic_matrix(q, parity, 2 * trunc)))[:count]
-    if float(np.max(np.abs(w1 - w2))) > 1e-10:
-        raise ConvergenceFailure("antiperiodic values moved under truncation doubling")
-    return w2
+    """First `count` values of one antiperiodic class, as `characteristic_values`."""
+    return _lowest_certified(q, parity, count, trunc, f"antiperiodic {parity} values")
 
 
 # ---------------------------------------------------------------------------

@@ -156,21 +156,38 @@ class Spectrum:
         return bool(np.any(~self.reality_flags[:self.trusted_count]))
 
 
-def _chain_eigenvalues(chain):
-    """Eigenvalues of one tridiagonal chain of a Hill matrix.
+def tridiagonal_eigenvalues(diag, upper, lower):
+    """Complex eigenvalues of the tridiagonal matrix with these three diagonals.
 
-    A real chain whose off-diagonal products are all >= 0 is similar, by a
-    real diagonal scaling, to the symmetric tridiagonal with off-diagonals
-    sqrt(product); every other chain takes the dense solver.
+    Only the diagonal and the products upper*lower fix the spectrum: a
+    diagonal similarity rescales the off-diagonals and keeps their products.
+    So when the diagonal and every product are real, the chain is solved in
+    real arithmetic: with all products >= 0 it is similar to the symmetric
+    tridiagonal with off-diagonals sqrt(product), which goes to
+    `eigh_tridiagonal`; otherwise real off-diagonals stay as they are and
+    complex ones become upper sqrt|p|, lower sign(p) sqrt|p|, for the dense
+    real solver.  Every other chain takes the dense complex solver.
     """
-    if chain.imag.any():
-        return scipy.linalg.eigvals(chain)
-    chain = chain.real
-    products = np.diagonal(chain, 1) * np.diagonal(chain, -1)
+    products = upper * lower
+    if diag.imag.any() or products.imag.any():
+        return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper, lower))
+    diag, products = diag.real, products.real
     if np.all(products >= 0):
-        return scipy.linalg.eigh_tridiagonal(np.diagonal(chain), np.sqrt(products),
-                                             eigvals_only=True)
-    return scipy.linalg.eigvals(chain)
+        w = scipy.linalg.eigh_tridiagonal(diag, np.sqrt(products), eigvals_only=True)
+        return w.astype(complex)
+    if upper.imag.any() or lower.imag.any():
+        upper = np.sqrt(np.abs(products))
+        lower = np.sign(products) * upper
+    return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper.real, lower.real))
+
+
+def tridiagonal_matrix(diag, upper, lower):
+    """Dense matrix with the given diagonal, super- and sub-diagonal."""
+    n = len(diag)
+    m = np.zeros((n, n), dtype=np.result_type(diag, upper, lower))
+    flat = m.reshape(-1)
+    flat[::n + 1], flat[1::n + 1], flat[n::n + 1] = diag, upper, lower
+    return m
 
 
 def eigen_spectrum(p: SpectralProblem, rtol: float = REALITY_RTOL) -> Spectrum:
@@ -190,8 +207,9 @@ def eigen_spectrum(p: SpectralProblem, rtol: float = REALITY_RTOL) -> Spectrum:
             w = scipy.linalg.eigvals(matrix if real is None else real)
         else:
             matrix = build_matrix(replace(p, element=hill))
-            w = np.concatenate([_chain_eigenvalues(matrix[k::2, k::2]) for k in (0, 1)],
-                               dtype=complex)
+            w = np.concatenate([
+                tridiagonal_eigenvalues(*(np.diagonal(matrix[k::2, k::2], j) for j in (0, 1, -1)))
+                for k in (0, 1)])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(w.real, kind="stable")

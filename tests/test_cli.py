@@ -226,6 +226,10 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     ["spectrum", "--mu3", "nan", "--sweep", "mu4:0:1:3"],
     ["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"],
     ["mathieu", "--q", "1", "--class", "even-pi", "--count", "80"],
+    ["mathieu", "--q", "1", "--class", "even-pi", "--count", "0"],
+    ["mathieu", "--q", "1", "--class", "even-pi", "--count", "-2"],
+    ["mathieu", "--q", "1,2,3", "--class", "even-pi"],
+    ["mathieu", "--q", "1,inf", "--class", "even-pi"],
     ["spectrum", "--levels", "500", "--truncation", "8", "--sweep", "mu3:0:1:3"],
     EP_SMALL + ["--ep-tol", "0"],
     EP_SMALL + ["--ep-tol", "nan"],
@@ -237,7 +241,8 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     ["intensity", "--near-energy", "nan", "--truncation", "8"],
     ["intensity", "--near-energy", "inf", "--truncation", "8"],
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
-        "mathieu-count", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
+        "mathieu-count", "mathieu-count-zero", "mathieu-count-negative", "mathieu-q-parts",
+        "mathieu-q-inf", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
         "grid", "intensity-trusted", "intensity-steps-zero", "intensity-steps-negative",
         "near-energy-nan", "near-energy-inf"])
 def test_bad_value_one_line_exit_1(args, capsys):
@@ -246,6 +251,14 @@ def test_bad_value_one_line_exit_1(args, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, flag", [(["--q", "1", "--count", "0"], "--count"),
+                                        (["--q", "1,2,3"], "--q"), (["--q", "nan"], "--q")])
+def test_mathieu_bad_value_names_flag(args, flag, capsys):
+    code, out, err = run(["mathieu", "--class", "even-pi", *args], capsys)
+    assert code == 1 and out == ""
+    assert flag in err
 
 
 def test_intensity_truncation_too_small_names_flag(capsys):

@@ -1,0 +1,147 @@
+"""The Mathieu classes solved as tridiagonal chains, and input validation."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
+
+from euclidpt import mathieu
+from euclidpt.errors import ConvergenceFailure
+from euclidpt.mathieu import (EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
+                              antiperiodic_characteristic_values,
+                              antiperiodic_matrix, characteristic_values,
+                              mathieu_function, recurrence_matrix)
+
+SQRT2 = np.sqrt(2.0)
+# the four periodic classes, and the antiperiodic ones by parity
+SIX_CLASSES = [EVEN_PI, ODD_PI, EVEN_2PI, ODD_2PI, "even", "odd"]
+CLASS_IDS = ["even-pi", "odd-pi", "even-2pi", "odd-2pi", "anti-even", "anti-odd"]
+
+
+def loop_recurrence_matrix(q, cls, size):
+    """Entry-by-entry reference for `recurrence_matrix`."""
+    m = np.zeros((size, size), dtype=complex)
+    for k in range(size):
+        m[k, k] = {EVEN_PI: 2 * k, ODD_PI: 2 * k + 2}.get(cls, 2 * k + 1) ** 2
+    for k in range(size - 1):
+        m[k, k + 1] = m[k + 1, k] = q
+    if cls == EVEN_PI:
+        m[0, 1] = m[1, 0] = SQRT2 * q
+    elif cls == EVEN_2PI:
+        m[0, 0] += q
+    elif cls == ODD_2PI:
+        m[0, 0] -= q
+    return m
+
+
+def loop_antiperiodic_matrix(q, parity, size):
+    """Entry-by-entry reference for `antiperiodic_matrix`."""
+    m = np.zeros((size, size), dtype=complex)
+    for k in range(size):
+        m[k, k] = (k + 0.5) ** 2
+    for k in range(size - 2):
+        m[k, k + 2] = m[k + 2, k] = q
+    fold = q if parity == "even" else -q
+    m[0, 1] += fold
+    m[1, 0] += fold
+    return m
+
+
+def dense_matrix(q, cls, size):
+    if isinstance(cls, str):
+        return antiperiodic_matrix(q, cls, size)
+    return recurrence_matrix(q, cls, size)
+
+
+@pytest.mark.parametrize("size", [2, 3, 12, 41])
+@pytest.mark.parametrize("q", [0.0, -1.3, 0.7j, 2.0 + 0.5j])
+def test_matrices_match_loop_reference(q, size):
+    q = complex(q)
+    for cls in (EVEN_PI, ODD_PI, EVEN_2PI, ODD_2PI):
+        assert np.array_equal(recurrence_matrix(q, cls, size),
+                              loop_recurrence_matrix(q, cls, size))
+    for parity in ("even", "odd"):
+        assert np.array_equal(antiperiodic_matrix(q, parity, size),
+                              loop_antiperiodic_matrix(q, parity, size))
+
+
+@pytest.mark.parametrize("size", [24, 60])
+@pytest.mark.parametrize("q", [3.7, 2.3j, 0.9 + 1.4j], ids=["real", "imaginary", "complex"])
+@pytest.mark.parametrize("cls", SIX_CLASSES, ids=CLASS_IDS)
+def test_chain_values_match_dense_solve(cls, q, size):
+    chain = mathieu._sorted_eigs(q, cls, size)
+    dense = scipy.linalg.eigvals(dense_matrix(q, cls, size))
+    assert chain.dtype == complex and len(chain) == size
+    # pair the two spectra one to one before comparing
+    rows, cols = linear_sum_assignment(np.abs(chain[:, None] - dense[None, :]))
+    rel = np.abs(chain[rows] - dense[cols]) / np.maximum(1.0, np.abs(dense[cols]))
+    assert np.max(rel) < 1e-10
+
+
+class _CountingEigvals:
+    def __init__(self, monkeypatch):
+        self.dtypes = []
+        self._eigvals = scipy.linalg.eigvals
+        monkeypatch.setattr(scipy.linalg, "eigvals", self)
+
+    def __call__(self, a, *args, **kwargs):
+        self.dtypes.append(np.asarray(a).dtype)
+        return self._eigvals(a, *args, **kwargs)
+
+
+def test_real_q_makes_no_dense_solve(monkeypatch):
+    calls = _CountingEigvals(monkeypatch)
+    for q in (0.0, 2.5, -6.0):
+        for cls in (EVEN_PI, ODD_PI, EVEN_2PI, ODD_2PI):
+            characteristic_values(q, cls, 4, trunc=20)
+        for parity in ("even", "odd"):
+            antiperiodic_characteristic_values(q, parity, 4, trunc=20)
+    assert calls.dtypes == []
+
+
+@pytest.mark.parametrize("cls, dtype", zip(SIX_CLASSES, [float, float, complex, complex,
+                                                      float, float]), ids=CLASS_IDS)
+def test_imaginary_q_real_form_where_the_diagonal_is_real(cls, dtype, monkeypatch):
+    # q = it leaves the diagonal real except on the 2pi classes, whose
+    # first diagonal entry is 1 +- q
+    calls = _CountingEigvals(monkeypatch)
+    mathieu._sorted_eigs(1.8j, cls, 20)
+    assert calls.dtypes == [np.dtype(dtype)]
+
+
+def test_generic_q_solves_in_complex_arithmetic(monkeypatch):
+    calls = _CountingEigvals(monkeypatch)
+    for cls in SIX_CLASSES:
+        mathieu._sorted_eigs(0.9 + 1.4j, cls, 20)
+    assert calls.dtypes == [np.dtype(complex)] * len(SIX_CLASSES)
+
+
+# ---------------------------------------------------------------------------
+# input validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: antiperiodic_matrix(0.5, "bogus", 3),
+    lambda: antiperiodic_characteristic_values(0.5, "bogus", 3),
+    lambda: mathieu_function(1.0, 0.0, "bogus", np.array([0.0])),
+], ids=["antiperiodic_matrix", "antiperiodic_characteristic_values", "mathieu_function"])
+def test_unknown_parity_rejected(call):
+    with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
+        call()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_nonpositive_count_rejected(count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        characteristic_values(1.0, EVEN_PI, count)
+    with pytest.raises(ValueError, match="count must be positive"):
+        antiperiodic_characteristic_values(1.0, "even", count)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: characteristic_values(300.0, EVEN_PI, 2, trunc=10),
+    lambda: antiperiodic_characteristic_values(300.0, "odd", 2, trunc=10),
+], ids=["periodic", "antiperiodic"])
+def test_convergence_failure_reports_drift(solve):
+    with pytest.raises(ConvergenceFailure, match=r"moved by \d\.\d{3}e[+-]\d+ under"):
+        solve()
