@@ -113,6 +113,8 @@ def _parse_sweep(text):
         lo, hi, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"bad --sweep value {text!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad --sweep value {text!r}: LO and HI must be finite")
     return axis, lo, hi, steps
 
 
@@ -126,11 +128,14 @@ def _mu_vector(args, default_mu1=1.0):
     return tuple(mu)
 
 
-def _template(args):
-    return spectral.SweepTemplate(symmetry=args.symmetry, mu=_mu_vector(args),
-                                  family=args.family, sector=args.sector,
-                                  truncation=args.truncation,
-                                  track_levels=args.levels)
+def _run_sweep(args):
+    axis, lo, hi, steps = _parse_sweep(args.sweep)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    template = spectral.SweepTemplate(symmetry=args.symmetry, mu=_mu_vector(args),
+                                      family=args.family, sector=args.sector,
+                                      truncation=args.truncation, track_levels=args.levels)
+    return spectral.sweep(template, axis, lo, hi, steps, workers=args.workers)
 
 
 def _config_echo(args, skip=("config", "out")):
@@ -178,8 +183,7 @@ def _cmd_transform(args):
 
 
 def _cmd_spectrum(args):
-    axis, lo, hi, steps = _parse_sweep(args.sweep)
-    result = spectral.sweep(_template(args), axis, lo, hi, steps, workers=args.workers)
+    result = _run_sweep(args)
     lines = ["axis_value,level_index,re_E,im_E"]
     for k, x in enumerate(result.values):
         for lv in range(result.curves.shape[0]):
@@ -193,9 +197,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_ep(args):
-    axis, lo, hi, steps = _parse_sweep(args.sweep)
     spectral.check_ep_tolerances("--ep-tol", args.ep_tol, args.im_tol, "--im-tol")
-    result = spectral.sweep(_template(args), axis, lo, hi, steps, workers=args.workers)
+    result = _run_sweep(args)
     points = spectral.find_exceptional_points(result, tol=args.ep_tol,
                                               im_tol=args.im_tol)
     report = {"command": "ep", "config": _config_echo(args),
@@ -266,6 +269,9 @@ def _cmd_mathieu(args):
         raise ConfigError(f"--class must be one of {sorted(mathieu.CLASSES)}")
     if args.count <= 0:
         raise ConfigError(f"--count must be positive, got {args.count}")
+    if args.trunc < args.count + 8:
+        raise ConfigError(f"--trunc must be at least --count + 8, got --trunc {args.trunc} "
+                          f"with --count {args.count}")
     values = mathieu.characteristic_values(q, cls, args.count, args.trunc)
     lines = ["order,re_a,im_a"]
     for k, a in enumerate(values):

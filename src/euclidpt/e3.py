@@ -15,6 +15,7 @@ verification oracle.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,11 @@ class DysonParamsE3:
     kappa_z: float = 0.0
     kappa_plus: float = 0.0
     kappa_minus: float = 0.0
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
     def as_dict(self):
         return {"lambda_z": self.lambda_z, "lambda_plus": self.lambda_plus,

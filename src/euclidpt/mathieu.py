@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
 from .errors import ConvergenceFailure
-from .spectral import (bisect_transition, check_ep_tolerances, tridiagonal_eigenvalues,
+from .spectral import (check_ep_tolerances, reality_transitions, tridiagonal_eigenvalues,
                        tridiagonal_matrix)
 
 _SQRT2 = math.sqrt(2.0)
@@ -212,42 +212,24 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
                         param_tol: float = 1e-8, im_tol: float = 1e-8) -> list:
     """Collisions of same-class characteristic values along q = i*t, t in (0, max_q].
 
-    Scans the count lowest values for reality transitions and bisects each
-    one; returns [{"q_imag": t, "a_merge": Re a at the collision}, ...].
+    The count lowest values are solved on scan_steps evenly spaced t, and
+    `spectral.reality_transitions` bisects every change in their number of
+    conjugate pairs (Im a > im_tol) to a bracket of width <= param_tol.
+    Returns [{"q_imag": t, "a_merge": Re a at the collision}, ...] in
+    increasing t, one entry per pair born or dying there.
     """
-    if max_q <= 0:
-        raise ValueError("max_q must be positive")
+    if not (math.isfinite(max_q) and max_q > 0):
+        raise ValueError(f"max_q must be finite and positive, got {max_q}")
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    if scan_steps < 2:
+        raise ValueError(f"scan_steps must be at least 2, got {scan_steps}")
     check_ep_tolerances("param_tol", param_tol, im_tol)
-
-    solved = {}
-
-    def levels(t):
-        if t not in solved:
-            solved[t] = _sorted_eigs(1j * t, cls, trunc)[:count]
-        return solved[t]
-
-    def n_complex(t):
-        return int(np.sum(levels(t).imag > im_tol))
-
     ts = np.linspace(max_q / scan_steps, max_q, scan_steps)
-    eps = []
-    prev_t, prev_n = ts[0], n_complex(ts[0])
-    for t in ts[1:]:
-        n = n_complex(t)
-        if n != prev_n:
-            lo, hi = bisect_transition(lambda x: n_complex(x) != prev_n,
-                                       prev_t, t, param_tol)
-            pairs_lo = sorted(z for z in levels(lo) if z.imag > im_tol)
-            pairs_hi = sorted(z for z in levels(hi) if z.imag > im_tol)
-            longer, shorter = (pairs_hi, pairs_lo) if len(pairs_hi) > len(pairs_lo) \
-                else (pairs_lo, pairs_hi)
-            fresh = [z for z in longer
-                     if not any(abs(z.real - y.real) < 1e-2 * max(1, abs(z.real))
-                                for y in shorter)]
-            for z in fresh:
-                eps.append({"q_imag": 0.5 * (lo + hi), "a_merge": float(z.real)})
-        prev_t, prev_n = t, n
-    return eps
+    return [{"q_imag": 0.5 * (lo + hi), "a_merge": float(z.real)}
+            for _, lo, hi, fresh in reality_transitions(
+                lambda t: _sorted_eigs(1j * t, cls, trunc)[:count], ts, param_tol, im_tol)
+            for z in fresh]
 
 
 # ---------------------------------------------------------------------------

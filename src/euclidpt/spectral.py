@@ -299,12 +299,6 @@ class SweepResult:
     curves: np.ndarray          # (track_levels, npoints), tracked by continuation
     refined_points: int = 0
 
-    def max_imag(self):
-        return np.max(np.abs(self.curves.imag), axis=0)
-
-    def broken_mask(self, im_tol=1e-6):
-        return self.max_imag() > im_tol
-
 
 def _levels_at(template, axis, value):
     spectrum = eigen_spectrum(template.problem_at(axis, value))
@@ -398,28 +392,6 @@ class ExceptionalPoint:
                 "bracket_width": self.bracket_width}
 
 
-def _complex_pairs(levels, im_tol):
-    """Representatives (one per conjugate pair) with |Im| above threshold."""
-    ups = [z for z in levels if z.imag > im_tol]
-    return sorted(ups, key=lambda z: z.real)
-
-
-def _pair_sets_differ(a, b, match_tol):
-    """Pairs present in `b` but unmatched in `a` (by real part)."""
-    fresh = []
-    used = [False] * len(a)
-    for z in b:
-        hit = False
-        for i, w in enumerate(a):
-            if not used[i] and abs(z.real - w.real) <= match_tol:
-                used[i] = True
-                hit = True
-                break
-        if not hit:
-            fresh.append(z)
-    return fresh
-
-
 def check_ep_tolerances(tol_name, tol, im_tol, im_tol_name="im_tol"):
     """Require a finite positive bisection tolerance and a finite non-negative im_tol."""
     if not (math.isfinite(tol) and tol > 0):
@@ -442,56 +414,73 @@ def bisect_transition(changed, lo, hi, tol):
     return lo, hi
 
 
+def reality_transitions(levels_at, grid, tol, im_tol):
+    """Yield (k, lo, hi, fresh) for every change in the number of conjugate pairs.
+
+    A pair is counted by its member with Im > im_tol.  Grid interval k is
+    walked from its left end: each change in that count is bisected to a
+    bracket [lo, hi] of width <= tol (`bisect_transition`), and the walk
+    resumes at hi until the count matches the interval's right end, so
+    several transitions inside one interval are all found.  `fresh` holds
+    the +Im members, sorted by real part, present at one end of the bracket
+    and unmatched at the other: the pairs born or dying across it.  Members
+    match when their real parts differ by at most max(1e-3, 100*tol).
+    `levels_at(x)` is called once per distinct point.
+    """
+    match_tol = max(1e-3, 100 * tol)
+    cache = {}
+
+    def pairs_at(x):
+        if x not in cache:
+            cache[x] = sorted((z for z in levels_at(x) if z.imag > im_tol),
+                              key=lambda z: z.real)
+        return cache[x]
+
+    grid = [float(x) for x in grid]
+    for k, (start, end) in enumerate(zip(grid, grid[1:])):
+        n_end = len(pairs_at(end))
+        while (n_start := len(pairs_at(start))) != n_end:
+            lo, hi = bisect_transition(lambda x: len(pairs_at(x)) != n_start, start, end, tol)
+            fewer, more = sorted((pairs_at(lo), pairs_at(hi)), key=len)
+            unused, fresh = list(fewer), []
+            for z in more:
+                near = [i for i, w in enumerate(unused) if abs(z.real - w.real) <= match_tol]
+                if near:
+                    del unused[near[0]]
+                else:
+                    fresh.append(z)
+            yield k, lo, hi, fresh
+            start = hi
+
+
 def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
                             im_tol: float = 1e-6) -> list:
     """Bisect every reality transition of the sweep down to bracket <= tol.
 
     An exceptional point is reported for each conjugate pair that is born
-    (or dies) across a transition; its energy is the real part of that pair
-    at the broken end of the final bracket.  Each grid interval is processed
-    as a worklist so several transitions inside one interval are all
-    resolved.  Returns an empty list when the sweep has no transitions.
+    (or dies) across a transition found by `reality_transitions`; its
+    energy is the real part of that pair at the broken end of the final
+    bracket, and its level pair the two tracked levels at the start of the
+    grid interval nearest that energy.  Grid points reuse the sweep's own
+    levels; only bisection points are solved.  Returns an empty list when
+    the sweep has no transitions.
     """
     check_ep_tolerances("tol", tol, im_tol)
-    template, axis = result.template, result.axis
-    values = result.values
-    # seed the cache with the sweep's own eigensolves; only bisection points
-    # need fresh work
-    cache = {float(x): _complex_pairs(result.curves[:, k], im_tol)
-             for k, x in enumerate(values)}
+    on_grid = {float(x): result.curves[:, k] for k, x in enumerate(result.values)}
 
-    def pairs_at(x):
-        x = float(x)
-        if x not in cache:
-            cache[x] = _complex_pairs(_levels_at(template, axis, x), im_tol)
-        return cache[x]
+    def levels_at(x):
+        if x in on_grid:
+            return on_grid[x]
+        return _levels_at(result.template, result.axis, x)
 
-    match_tol = max(1e-3, 100 * tol)
     eps = []
-    work = [(float(values[k]), float(values[k + 1]), k)
-            for k in range(len(values) - 1)
-            if len(pairs_at(values[k])) != len(pairs_at(values[k + 1]))]
-    while work:
-        lo, hi, k = work.pop()
-        n_lo, n_hi = len(pairs_at(lo)), len(pairs_at(hi))
-        if n_lo == n_hi:
-            continue
-        a, b = bisect_transition(lambda x: len(pairs_at(x)) != n_lo, lo, hi, tol)
-        p_lo, p_hi = pairs_at(a), pairs_at(b)
-        if len(p_hi) > len(p_lo):
-            fresh = _pair_sets_differ(p_lo, p_hi, match_tol)
-        else:
-            fresh = _pair_sets_differ(p_hi, p_lo, match_tol)
+    for k, lo, hi, fresh in reality_transitions(levels_at, result.values, tol, im_tol):
         ref = result.curves[:, k]
         for z in fresh:
             order = np.argsort(np.abs(ref.real - z.real))[:2]
-            eps.append(ExceptionalPoint(parameter_value=0.5 * (a + b),
-                                        energy=float(z.real),
+            eps.append(ExceptionalPoint(parameter_value=0.5 * (lo + hi), energy=float(z.real),
                                         level_pair=(int(order[0]), int(order[1])),
-                                        bracket_width=b - a,
-                                        axis=axis))
-        if len(pairs_at(b)) != n_hi:
-            work.append((b, hi, k))
+                                        bracket_width=hi - lo, axis=result.axis))
     return sorted(eps, key=lambda p: (p.parameter_value, p.energy))
 
 

@@ -240,11 +240,17 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     ["intensity", "--sweep", "mu3:0:4:-3", "--truncation", "8"],
     ["intensity", "--near-energy", "nan", "--truncation", "8"],
     ["intensity", "--near-energy", "inf", "--truncation", "8"],
+    ["e3-adjoint", "--lambda-z", "nan"],
+    ["spectrum", "--workers", "0", "--sweep", "mu3:0:1:3"],
+    EP_SMALL + ["--workers", "-3"],
+    ["spectrum", "--sweep", "mu3:0:inf:5"],
+    ["mathieu", "--q", "1", "--class", "even-pi", "--trunc", "3"],
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
         "mathieu-count", "mathieu-count-zero", "mathieu-count-negative", "mathieu-q-parts",
         "mathieu-q-inf", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
         "grid", "intensity-trusted", "intensity-steps-zero", "intensity-steps-negative",
-        "near-energy-nan", "near-energy-inf"])
+        "near-energy-nan", "near-energy-inf", "e3-lambda-nan", "workers-zero",
+        "ep-workers-negative", "sweep-inf", "mathieu-trunc"])
 def test_bad_value_one_line_exit_1(args, capsys):
     code, _, err = run(args, capsys)
     assert code == 1
@@ -254,9 +260,25 @@ def test_bad_value_one_line_exit_1(args, capsys):
 
 
 @pytest.mark.parametrize("args, flag", [(["--q", "1", "--count", "0"], "--count"),
-                                        (["--q", "1,2,3"], "--q"), (["--q", "nan"], "--q")])
+                                        (["--q", "1,2,3"], "--q"), (["--q", "nan"], "--q"),
+                                        (["--q", "1", "--count", "80"], "--count"),
+                                        (["--q", "1", "--trunc", "3"], "--trunc")])
 def test_mathieu_bad_value_names_flag(args, flag, capsys):
     code, out, err = run(["mathieu", "--class", "even-pi", *args], capsys)
+    assert code == 1 and out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("args, flag", [(["spectrum", "--workers", "0", "--sweep", "mu3:0:1:3"],
+                                         "--workers"),
+                                        (EP_SMALL + ["--workers", "-3"], "--workers"),
+                                        (["ep", "--sweep", "mu3:-inf:1:3"], "--sweep")])
+def test_sweep_bad_value_names_flag(args, flag, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before its flags were checked")
+
+    monkeypatch.setattr(spectral, "sweep", no_sweep)
+    code, out, err = run(args, capsys)
     assert code == 1 and out == ""
     assert flag in err
 

@@ -223,6 +223,18 @@ def test_eps_reject_bad_tolerances(param_tol, im_tol):
                             scan_steps=20)
 
 
+@pytest.mark.parametrize("kwargs, name", [({"max_q": 0.0}, "max_q"), ({"max_q": -1.0}, "max_q"),
+                                          ({"max_q": math.inf}, "max_q"),
+                                          ({"max_q": math.nan}, "max_q"),
+                                          ({"count": 0}, "count"), ({"count": -2}, "count"),
+                                          ({"scan_steps": 0}, "scan_steps"),
+                                          ({"scan_steps": 1}, "scan_steps")])
+def test_eps_reject_bad_arguments(kwargs, name):
+    args = {"max_q": 2.0, "cls": EVEN_PI, "trunc": 20, "scan_steps": 20, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        complex_mathieu_eps(**args)
+
+
 @pytest.mark.slow
 def test_third_even_ep():
     eps = complex_mathieu_eps(55.0, EVEN_PI, count=10, trunc=80)

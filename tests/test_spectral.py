@@ -16,7 +16,8 @@ from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
                                find_exceptional_points, generator_matrices, hill_form,
                                intensity,
                                pt1_closed_spectrum, pt1_closed_wavefunction,
-                               pt_eigenstate_check, pt_image, sweep, wavefunction)
+                               pt_eigenstate_check, pt_image, reality_transitions, sweep,
+                               wavefunction)
 
 EL = E2Element.from_terms
 
@@ -418,6 +419,28 @@ def test_bisect_transition_stops_at_adjacent_floats():
     lo, hi = bisect_transition(changed, 0.0, 2.0, 1e-300)
     assert (lo, hi) == (1.0, np.nextafter(1.0, 2.0))
     assert bisect_transition(lambda x: x > 1.0, 0.0, 2.0, 0.3) == (1.0, 1.25)
+
+
+def test_reality_transitions_two_births_in_one_interval():
+    # two real levels c -+ |x - x0| become the pair c -+ i(x - x0) at x0:
+    # pairs are born at 0.3 (c = 1) and 0.6 (c = 5), both inside grid
+    # interval 1, and each point is solved once
+    solved = []
+
+    def levels_at(x):
+        solved.append(x)
+        levels = []
+        for x0, c in ((0.3, 1.0), (0.6, 5.0)):
+            d = x - x0
+            levels += [c + 1j * d, c - 1j * d] if d > 0 else [c + d, c - d]
+        return np.array(levels)
+
+    found = list(reality_transitions(levels_at, [0.0, 0.25, 1.0], 1e-9, 0.0))
+    assert [(k, [z.real for z in fresh]) for k, _, _, fresh in found] == [(1, [1.0]),
+                                                                          (1, [5.0])]
+    for (_, lo, hi, _), x0 in zip(found, (0.3, 0.6)):
+        assert lo <= x0 < hi and hi - lo <= 1e-9
+    assert len(solved) == len(set(solved))
 
 
 @pytest.fixture(scope="module")
