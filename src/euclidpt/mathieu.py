@@ -108,22 +108,38 @@ def _sorted_eigs(q, cls, size):
     return _canonical(tridiagonal_eigenvalues(diag, off, off))
 
 
-def _lowest_certified(q, cls, count, trunc, what):
-    """The `count` lowest values at 2*trunc, certified against those at trunc.
-
-    Raises ConvergenceFailure if doubling the truncation moves any of them
-    by more than 1e-10.
-    """
+def _check_count(count, trunc):
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     if trunc < count + 8:
-        raise ValueError("trunc must be at least count + 8")
-    w1 = _sorted_eigs(q, cls, trunc)[:count]
-    w2 = _sorted_eigs(q, cls, 2 * trunc)[:count]
-    drift = float(np.max(np.abs(w1 - w2)))
+        raise ValueError(f"trunc must be at least count + 8, got trunc {trunc} with count {count}")
+
+
+def _lowest_certified(q, cls, count, trunc, what):
+    """The `count` lowest values at 2*trunc, certified against those at trunc.
+
+    Raises ConvergenceFailure if doubling the truncation moves a value by
+    more than 1e-10 * max(1, max(1, |q|)/gap), gap being its distance to
+    the nearest other value, or, when it moves by more than 1e-10, moves
+    its mean with that value by more than 1e-10.  Near a double point
+    (imaginary q) two values split by gap << |q| each move by about |q|/gap
+    times any perturbation of the chain, roundoff included; their mean does
+    not.
+    """
+    _check_count(count, trunc)
+    w1 = _sorted_eigs(q, cls, trunc)[:count + 1]
+    w2 = _sorted_eigs(q, cls, 2 * trunc)[:count + 1]
+    moved = np.abs(w1 - w2)[:count]
+    drift = float(np.max(moved))
     if drift > 1e-10:
-        raise ConvergenceFailure(f"{what} moved by {drift:.3e} under truncation doubling")
-    return w2
+        dist = np.abs(w2[:, None] - w2[None, :])
+        np.fill_diagonal(dist, np.inf)
+        near = np.argmin(dist[:count], axis=1)
+        stretch = np.maximum(1.0, max(1.0, abs(q)) / dist[np.arange(count), near])
+        mean_moved = np.abs(w1[:count] + w1[near] - w2[:count] - w2[near]) / 2
+        if np.any(moved > 1e-10 * stretch) or np.any((moved > 1e-10) & (mean_moved > 1e-10)):
+            raise ConvergenceFailure(f"{what} moved by {drift:.3e} under truncation doubling")
+    return w2[:count]
 
 
 def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> np.ndarray:
@@ -220,8 +236,7 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     """
     if not (math.isfinite(max_q) and max_q > 0):
         raise ValueError(f"max_q must be finite and positive, got {max_q}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    _check_count(count, trunc)
     if scan_steps < 2:
         raise ValueError(f"scan_steps must be at least 2, got {scan_steps}")
     check_ep_tolerances("param_tol", param_tol, im_tol)

@@ -113,6 +113,33 @@ def hill_form(element: E2Element) -> E2Element | None:
                                 uv=cuv - 2 * c * a * b, J2=c)
 
 
+def _mathieu_form(p: SpectralProblem):
+    """(c, e0, q2, shift) when the levels are e0 + c*a, else None.
+
+    Here a runs over the Mathieu characteristic values of all four classes
+    at q^2 = q2 (y'' + (a - 2q cos 2z) y = 0).  The `hill_form`
+    c(J + d)^2 + v0 + alpha u^2 + beta v^2 + gamma uv has, in sector s,
+    chains with diagonal c(n + shift)^2 + e0, shift = d + s/2,
+    e0 = v0 - c d^2 + (alpha + beta)/2, and constant off-diagonals whose
+    product is c^2 q2 = ((beta - alpha)^2 + gamma^2)/16.  When the shift is
+    an integer, relabelling n + shift as n makes them the Mathieu chains.
+    Only real c > 0, e0 and q2 qualify.
+    """
+    hill = hill_form(p.element)
+    if hill is None:
+        return None
+    c = hill.term("J2")
+    d = hill.term("J") / (2 * c)
+    shift = d + p.sector / 2.0
+    alpha, beta, gamma = hill.term("u2"), hill.term("v2"), hill.term("uv")
+    e0 = hill.term("one") - c * d * d + (alpha + beta) / 2
+    q2 = ((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)
+    if c.imag or c.real <= 0 or e0.imag or q2.imag or shift.imag \
+            or shift.real != round(shift.real):
+        return None
+    return c.real, e0.real, q2.real, shift.real
+
+
 @functools.lru_cache(maxsize=16)
 def _pt5_phases(truncation):
     """Diagonal of D = diag(i^n), n = -N..N; entries are exactly 1, i, -1, -i."""
@@ -401,11 +428,12 @@ def check_ep_tolerances(tol_name, tol, im_tol, im_tol_name="im_tol"):
 
 
 def bisect_transition(changed, lo, hi, tol):
-    """Narrow [lo, hi], where changed(lo) is false and changed(hi) true, to a
-    width <= tol, or to adjacent floats when tol is below their spacing."""
-    while hi - lo > tol:
+    """Narrow the bracket between lo and hi (in either order), where
+    changed(lo) is false and changed(hi) true, to a width <= tol, or to
+    adjacent floats when tol is below their spacing."""
+    while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        if not min(lo, hi) < mid < max(lo, hi):
             break
         if changed(mid):
             hi = mid
@@ -418,14 +446,15 @@ def reality_transitions(levels_at, grid, tol, im_tol):
     """Yield (k, lo, hi, fresh) for every change in the number of conjugate pairs.
 
     A pair is counted by its member with Im > im_tol.  Grid interval k is
-    walked from its left end: each change in that count is bisected to a
-    bracket [lo, hi] of width <= tol (`bisect_transition`), and the walk
-    resumes at hi until the count matches the interval's right end, so
-    several transitions inside one interval are all found.  `fresh` holds
-    the +Im members, sorted by real part, present at one end of the bracket
-    and unmatched at the other: the pairs born or dying across it.  Members
-    match when their real parts differ by at most max(1e-3, 100*tol).
-    `levels_at(x)` is called once per distinct point.
+    walked from its first end: each change in that count is bisected to a
+    bracket from lo (the walk side) to hi of width <= tol
+    (`bisect_transition`), and the walk resumes at hi until the count
+    matches the interval's other end, so several transitions inside one
+    interval are all found.  `fresh` holds the +Im members, sorted by real
+    part, present at one end of the bracket and unmatched at the other: the
+    pairs born or dying across it.  Members match when their real parts
+    differ by at most max(1e-3, 100*tol).  `levels_at(x)` is called once per
+    distinct point.
     """
     match_tol = max(1e-3, 100 * tol)
     cache = {}
@@ -455,17 +484,23 @@ def reality_transitions(levels_at, grid, tol, im_tol):
 
 def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
                             im_tol: float = 1e-6) -> list:
-    """Bisect every reality transition of the sweep down to bracket <= tol.
+    """Exceptional points of the sweep, sorted by parameter value and energy.
 
-    An exceptional point is reported for each conjugate pair that is born
-    (or dies) across a transition found by `reality_transitions`; its
-    energy is the real part of that pair at the broken end of the final
-    bracket, and its level pair the two tracked levels at the start of the
-    grid interval nearest that energy.  Grid points reuse the sweep's own
-    levels; only bisection points are solved.  Returns an empty list when
-    the sweep has no transitions.
+    When every grid point has a `_mathieu_form` with one shift, the points
+    come from the closed-form catalogue of `_catalogue_eps`.  Otherwise
+    every reality transition found by `reality_transitions` is bisected to
+    a bracket <= tol, and a point is reported for each conjugate pair born
+    (or dying) across it; its energy is the real part of that pair at the
+    broken end of the final bracket.  Grid points reuse the sweep's own
+    levels; only bisection points are solved.  Either way the level pair is
+    the two tracked levels at the start of the grid interval nearest the
+    energy.  Returns an empty list when the sweep has no transitions.
     """
     check_ep_tolerances("tol", tol, im_tol)
+    forms = [_mathieu_form(result.template.problem_at(result.axis, x)) for x in result.values]
+    if all(forms) and len({f[3] for f in forms}) == 1:
+        return sorted(_catalogue_eps(result, [f[2] for f in forms], im_tol),
+                      key=lambda p: (p.parameter_value, p.energy))
     on_grid = {float(x): result.curves[:, k] for k, x in enumerate(result.values)}
 
     def levels_at(x):
@@ -475,13 +510,99 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
 
     eps = []
     for k, lo, hi, fresh in reality_transitions(levels_at, result.values, tol, im_tol):
-        ref = result.curves[:, k]
-        for z in fresh:
-            order = np.argsort(np.abs(ref.real - z.real))[:2]
-            eps.append(ExceptionalPoint(parameter_value=0.5 * (lo + hi), energy=float(z.real),
-                                        level_pair=(int(order[0]), int(order[1])),
-                                        bracket_width=hi - lo, axis=result.axis))
+        eps += [_exceptional_point(result, k, 0.5 * (lo + hi), float(z.real), abs(hi - lo))
+                for z in fresh]
     return sorted(eps, key=lambda p: (p.parameter_value, p.energy))
+
+
+def _exceptional_point(result, k, x, energy, width):
+    order = np.argsort(np.abs(result.curves[:, k].real - energy))[:2]
+    return ExceptionalPoint(parameter_value=x, energy=energy,
+                            level_pair=(int(order[0]), int(order[1])),
+                            bracket_width=width, axis=result.axis)
+
+
+def _conjugate_pairs(levels, im_tol):
+    """Indices i where levels i and i + 1 form a conjugate pair with |Im| > im_tol."""
+    found, i = [], 0
+    while i < len(levels) - 1:
+        a, b = levels[i], levels[i + 1]
+        if a.imag * b.imag < 0 and min(abs(a.imag), abs(b.imag)) > im_tol:
+            found.append(i)
+            i += 2
+        else:
+            i += 1
+    return found
+
+
+def _catalogue_eps(result, q2s, im_tol):
+    """Exceptional points of a sweep of Mathieu forms, from their closed-form catalogue.
+
+    With levels e0 + c*a(q) (`_mathieu_form`), pairs coalesce where q^2
+    crosses a threshold: every odd-n pair a_n, b_n meets at a = n^2 where
+    q^2 changes sign, and two same-class values merge at a_k where q = i*t
+    passes a double point t_k of the even-pi or odd-pi class (Mulholland &
+    Goldstein 1929; Blanch & Clemm, Math. Comp. 23 (1969) 97), which
+    `mathieu.complex_mathieu_eps` finds on its chains for the t the sweep
+    reaches.  Each crossing between grid values of q2s (q^2 at the grid) is
+    bisected to adjacent floats on the sign of q^2 minus the threshold,
+    without an eigensolve.  It is then certified by one solve on either
+    side, a quarter grid interval (at most a third of the way to the next
+    crossing) away: every tracked pair real on the side above the threshold
+    and conjugate (|Im| > im_tol) below it is reported.  At q^2 = 0 these
+    must be odd-n pairs, levels 2n-1 and 2n; at a double point there is at
+    most one; no pair may turn real below the threshold.  A certificate that
+    breaks these rules raises ConvergenceFailure; a pair that stays within
+    im_tol of real on both sides is not reported.
+    """
+    template, axis = result.template, result.axis
+    grid = [float(x) for x in result.values]
+
+    def form(x):
+        found = _mathieu_form(template.problem_at(axis, x))
+        if found is None:
+            raise ConvergenceFailure(f"{axis}={x!r} leaves the Mathieu form of the sweep")
+        return found
+
+    crossings = [(0.0, None)]   # (threshold of q^2, merge value a or None for n^2)
+    t_max = math.sqrt(max(0.0, -min(q2s)))
+    if t_max > 0:
+        from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps   # mathieu imports spectral
+        count = template.track_levels
+        for cls in (EVEN_PI, ODD_PI):
+            crossings += [(-ep["q_imag"] ** 2, ep["a_merge"]) for ep in complex_mathieu_eps(
+                t_max, cls, count=count, trunc=max(count + 8, template.truncation // 2 + 1),
+                scan_steps=8 + int(t_max), param_tol=1e-15, im_tol=0.0)]
+    points = []
+    for threshold, a in crossings:
+        for k in range(len(grid) - 1):
+            below = q2s[k] < threshold
+            if below != (q2s[k + 1] < threshold):
+                lo, hi = bisect_transition(lambda x: (form(x)[2] < threshold) != below,
+                                           grid[k], grid[k + 1], 0.0)
+                points.append((0.5 * (lo + hi), k, abs(hi - lo), threshold, a))
+    eps = []
+    for j, (x, k, width, threshold, a) in enumerate(points):
+        gap = min((abs(y - x) for i, (y, *_) in enumerate(points) if i != j), default=math.inf)
+        h = min(abs(grid[k + 1] - grid[k]) / 4, gap / 3)
+        sides = sorted((form(s)[2] < threshold, s) for s in (x - h, x + h))
+        if [side for side, _ in sides] != [False, True]:
+            raise ConvergenceFailure(f"the crossing at {axis}={x!r} has no resolved sides")
+        (_, above), (_, below) = sides
+        real, broken = _levels_at(template, axis, above), _levels_at(template, axis, below)
+        flips = [i for i in _conjugate_pairs(broken, im_tol)
+                 if max(abs(real[i].imag), abs(real[i + 1].imag)) <= im_tol]
+        wrong = [i for i in _conjugate_pairs(real, im_tol)
+                 if max(abs(broken[i].imag), abs(broken[i + 1].imag)) <= im_tol]
+        if wrong or (any(i % 4 != 1 for i in flips) if a is None else len(flips) > 1):
+            raise ConvergenceFailure(
+                f"levels at {axis}={above!r} and {below!r} contradict the exceptional-point "
+                f"catalogue at {axis}={x!r}: new pairs at levels {flips}, lost pairs at {wrong}")
+        c, e0 = form(x)[:2]
+        for i in flips:
+            merge = ((i + 1) // 2) ** 2 if a is None else a
+            eps.append(_exceptional_point(result, k, x, e0 + c * merge, width))
+    return eps
 
 
 # ---------------------------------------------------------------------------

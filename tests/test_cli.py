@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import euclidpt
-from euclidpt import spectral
+from euclidpt import mathieu, spectral
 from euclidpt.cli import main
 
 
@@ -145,6 +146,16 @@ def test_mathieu_csv(capsys):
     assert lines[0] == "order,re_a,im_a"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == pytest.approx([0.0, 4.0, 16.0, 36.0], abs=1e-9)
+
+
+def test_mathieu_at_the_first_double_point(capsys):
+    # a_0 and a_2 are 5.5e-4 apart here; the rows are the trunc-120 chain
+    code, out, _ = run(["mathieu", "--q", "0,1.4687686", "--class", "even-pi"], capsys)
+    assert code == 0
+    values = [complex(float(re), float(im)) for _, re, im in
+              (line.split(",") for line in out.splitlines()[1:])]
+    chain = mathieu._sorted_eigs(1.4687686j, mathieu.EVEN_PI, 120)[:8]
+    assert np.max(np.abs(np.array(values) - chain)) <= 1e-8
 
 
 def test_e3_adjoint_identity(capsys):

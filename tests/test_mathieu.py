@@ -228,7 +228,8 @@ def test_eps_reject_bad_tolerances(param_tol, im_tol):
                                           ({"max_q": math.nan}, "max_q"),
                                           ({"count": 0}, "count"), ({"count": -2}, "count"),
                                           ({"scan_steps": 0}, "scan_steps"),
-                                          ({"scan_steps": 1}, "scan_steps")])
+                                          ({"scan_steps": 1}, "scan_steps"),
+                                          ({"count": 13}, "trunc 20 with count 13")])
 def test_eps_reject_bad_arguments(kwargs, name):
     args = {"max_q": 2.0, "cls": EVEN_PI, "trunc": 20, "scan_steps": 20, **kwargs}
     with pytest.raises(ValueError, match=name):

@@ -145,3 +145,28 @@ def test_nonpositive_count_rejected(count):
 def test_convergence_failure_reports_drift(solve):
     with pytest.raises(ConvergenceFailure, match=r"moved by \d\.\d{3}e[+-]\d+ under"):
         solve()
+
+
+@pytest.mark.parametrize("t", [1.4687686, 1.46876861, 1.4687687, 16.471166])
+def test_certificate_holds_at_a_near_double_point(t):
+    # two even-pi values split by far less than |q| move apart under
+    # truncation doubling by roundoff times |q|/split; their mean stays put
+    values = characteristic_values(1j * t, EVEN_PI, 8)
+    chain = mathieu._sorted_eigs(1j * t, EVEN_PI, 120)[:8]
+    assert np.max(np.abs(values - chain)) <= 1e-8
+
+
+@pytest.mark.parametrize("shift, passes", [((-1e-9, 1e-9), True), ((1e-9, 1e-9), False)])
+def test_near_merged_pair_is_certified_by_its_mean(monkeypatch, shift, passes):
+    # members 1e-6 apart at q = 1.5i may each move by 1e-9 when their
+    # mean stays put, but not together
+    def sorted_eigs(q, cls, size):
+        low = np.array([2.0, 2.0 + 1e-6])
+        return np.array([*(low + (shift if size > 20 else 0.0)), 16.0, 36.0], dtype=complex)
+
+    monkeypatch.setattr(mathieu, "_sorted_eigs", sorted_eigs)
+    if passes:
+        assert characteristic_values(1.5j, EVEN_PI, 2, trunc=20)[0] == 2.0 - 1e-9
+    else:
+        with pytest.raises(ConvergenceFailure, match="moved by 1.000e-09"):
+            characteristic_values(1.5j, EVEN_PI, 2, trunc=20)
