@@ -499,8 +499,13 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
     check_ep_tolerances("tol", tol, im_tol)
     forms = [_mathieu_form(result.template.problem_at(result.axis, x)) for x in result.values]
     if all(forms) and len({f[3] for f in forms}) == 1:
-        return sorted(_catalogue_eps(result, [f[2] for f in forms], im_tol),
-                      key=lambda p: (p.parameter_value, p.energy))
+        eps = _catalogue_eps(result, [f[2] for f in forms], im_tol)
+    else:
+        eps = _bisected_eps(result, tol, im_tol)
+    return sorted(eps, key=lambda p: (p.parameter_value, p.energy))
+
+
+def _bisected_eps(result, tol, im_tol):
     on_grid = {float(x): result.curves[:, k] for k, x in enumerate(result.values)}
 
     def levels_at(x):
@@ -508,11 +513,9 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
             return on_grid[x]
         return _levels_at(result.template, result.axis, x)
 
-    eps = []
-    for k, lo, hi, fresh in reality_transitions(levels_at, result.values, tol, im_tol):
-        eps += [_exceptional_point(result, k, 0.5 * (lo + hi), float(z.real), abs(hi - lo))
-                for z in fresh]
-    return sorted(eps, key=lambda p: (p.parameter_value, p.energy))
+    return [_exceptional_point(result, k, 0.5 * (lo + hi), float(z.real), abs(hi - lo))
+            for k, lo, hi, fresh in reality_transitions(levels_at, result.values, tol, im_tol)
+            for z in fresh]
 
 
 def _exceptional_point(result, k, x, energy, width):
