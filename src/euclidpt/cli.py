@@ -24,8 +24,9 @@ EXIT_MAP_UNDEFINED = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def _csv_lines(template, *columns):
+    """`template % row` per row of the arrays; Python numbers format like numpy scalars."""
+    return [template % row for row in zip(*(c.tolist() for c in columns))]
 
 
 class ConfigError(Exception):
@@ -184,11 +185,10 @@ def _cmd_transform(args):
 
 def _cmd_spectrum(args):
     result = _run_sweep(args)
-    lines = ["axis_value,level_index,re_E,im_E"]
-    for k, x in enumerate(result.values):
-        for lv in range(result.curves.shape[0]):
-            z = result.curves[lv, k]
-            lines.append(f"{_fmt(x)},{lv},{_fmt(z.real)},{_fmt(z.imag)}")
+    levels, z = len(result.curves), result.curves.T.ravel()   # point-major rows
+    lines = ["axis_value,level_index,re_E,im_E"] + _csv_lines(
+        "%.12e,%d,%.12e,%.12e", np.repeat(result.values, levels),
+        np.arange(len(z)) % levels, z.real, z.imag)
     out = "\n".join(lines) + "\n"
     _write(args.out, out)
     if args.plot_script and args.out not in (None, "-"):
@@ -244,10 +244,8 @@ def _cmd_intensity(args):
         wf_a, wf_b = spectral.wavefunction(problem, (i, j))
         int_a = spectral.intensity(wf_a, theta)
         int_b = spectral.intensity(wf_b, theta)
-        ref = int_a[0]
-        for t, ia, ib in zip(theta, int_a, int_b):
-            lines.append(f"{_fmt(m3)},{_fmt(t)},{_fmt(ia)},{_fmt(ib)},"
-                         f"{_fmt(ia + ib - ref)}")
+        lines += _csv_lines("%.12e,%.12e,%.12e,%.12e,%.12e", np.full(len(theta), m3),
+                            theta, int_a, int_b, int_a + int_b - int_a[0])
     out = "\n".join(lines) + "\n"
     _write(args.out, out)
     if args.plot_script and args.out not in (None, "-"):
@@ -273,9 +271,8 @@ def _cmd_mathieu(args):
         raise ConfigError(f"--trunc must be at least --count + 8, got --trunc {args.trunc} "
                           f"with --count {args.count}")
     values = mathieu.characteristic_values(q, cls, args.count, args.trunc)
-    lines = ["order,re_a,im_a"]
-    for k, a in enumerate(values):
-        lines.append(f"{k},{_fmt(a.real)},{_fmt(a.imag)}")
+    lines = ["order,re_a,im_a"] + _csv_lines("%d,%.12e,%.12e", np.arange(len(values)),
+                                             values.real, values.imag)
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -124,11 +124,15 @@ def _lowest_certified(q, cls, count, trunc, what):
     its mean with that value by more than 1e-10.  Near a double point
     (imaginary q) two values split by gap << |q| each move by about |q|/gap
     times any perturbation of the chain, roundoff included; their mean does
-    not.
+    not.  Raises ValueError when the last value and the next one are a
+    conjugate pair, which `count` would cut in half.
     """
     _check_count(count, trunc)
     w1 = _sorted_eigs(q, cls, trunc)[:count + 1]
     w2 = _sorted_eigs(q, cls, 2 * trunc)[:count + 1]
+    if w2[count - 1].imag and w2[count] == w2[count - 1].conjugate():
+        raise ValueError(f"count {count} separates {w2[count]:.12g} from its conjugate among "
+                         f"the {what}")
     moved = np.abs(w1 - w2)[:count]
     drift = float(np.max(moved))
     if drift > 1e-10:
@@ -146,7 +150,8 @@ def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> 
     """First `count` characteristic values by real part, convergence-checked.
 
     Raises ConvergenceFailure if doubling the truncation moves any reported
-    value by more than 1e-10.
+    value by more than 1e-10, and ValueError if `count` ends between the two
+    members of a conjugate pair.
     """
     return _lowest_certified(q, cls, count, trunc, "characteristic values")
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from . import algebra, dyson
+from . import dyson
 from .algebra import E2Element, build_hamiltonian
 from .errors import ConvergenceFailure, TrackingAmbiguity
 
@@ -57,39 +57,30 @@ def generator_matrices(truncation, sector=0.0):
     return mat_u, mat_v, mat_j
 
 
-@functools.lru_cache(maxsize=4)
-def _monomial_matrix_stack(truncation):
-    """Sector-0 matrices of the ten basis monomials, stacked; monomials act right-to-left."""
-    gens = generator_matrices(truncation)   # indexed by generator code
-    dim = 2 * truncation + 1
-    stack = np.empty((algebra.DIM, dim, dim), dtype=complex)
-    for i, word in enumerate(algebra.ENVELOPE.words):
-        acc = np.eye(dim, dtype=complex)
-        for g in word:
-            acc = acc @ gens[g]
-        stack[i] = acc
-    stack.flags.writeable = False
-    return stack
-
-
-def _shift_sector(coeffs, sector):
-    """Coefficients of the element with J replaced by J + s/2.
-
-    Sector s acts as J = diag(n + s/2), so the sector-s matrix of an element
-    is the sector-0 matrix of this shifted element.
-    """
-    h = sector / 2.0
-    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = coeffs
-    return np.array([c1 + h * cj + h * h * cj2, cu + h * cuj, cv + h * cvj,
-                     cj + 2.0 * h * cj2, cu2, cv2, cuv, cuj, cvj, cj2])
-
-
 def build_matrix(p: SpectralProblem) -> np.ndarray:
-    """(2N+1)x(2N+1) matrix of the element; bandwidth at most 2."""
-    coeffs = p.element.coeffs
-    if p.sector:
-        coeffs = _shift_sector(coeffs, float(p.sector))
-    return np.tensordot(coeffs, _monomial_matrix_stack(p.truncation), axes=1)
+    """(2N+1)x(2N+1) matrix of the element, from its five diagonals in closed form.
+
+    On mode n, k = n + s/2, with c_X the coefficient of monomial X (uJ = u @ J):
+      [n, n]        c_1 + c_J k + c_J2 k^2 + (c_u2 + c_v2)/2
+      [n -+ 1, n]   (+-i c_u + c_v)/2 + (+-i c_uJ + c_vJ) k/2
+      [n -+ 2, n]   (c_v2 - c_u2)/4 +- i c_uv/4
+    These are the products of the truncated `generator_matrices`, so the
+    corners n = -+N, which lack the neighbour outside the truncation, add
+    -(c_u2 + c_v2)/4 +- i c_uv/4.
+    """
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = (complex(x) for x in p.element.coeffs)
+    dim = 2 * p.truncation + 1
+    k = np.arange(-p.truncation, p.truncation + 1) + p.sector / 2.0
+    m = np.zeros((dim, dim), dtype=complex)
+    flat = m.reshape(-1)
+    flat[::dim + 1] = c1 + cj * k + cj2 * k * k + (cu2 + cv2) / 2
+    flat[0] += 0.25j * cuv - (cu2 + cv2) / 4
+    flat[-1] += -0.25j * cuv - (cu2 + cv2) / 4
+    flat[1::dim + 1] = (0.5j * cu + 0.5 * cv) + (0.5j * cuj + 0.5 * cvj) * k[1:]
+    flat[dim::dim + 1] = (-0.5j * cu + 0.5 * cv) + (-0.5j * cuj + 0.5 * cvj) * k[:-1]
+    flat[2:dim * (dim - 2):dim + 1] = (cv2 - cu2) / 4 + 0.25j * cuv
+    flat[2 * dim::dim + 1] = (cv2 - cu2) / 4 - 0.25j * cuv
+    return m
 
 
 def hill_form(element: E2Element) -> E2Element | None:

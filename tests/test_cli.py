@@ -9,7 +9,7 @@ import pytest
 
 import euclidpt
 from euclidpt import mathieu, spectral
-from euclidpt.cli import main
+from euclidpt.cli import _csv_lines, main
 
 
 def run(args, capsys):
@@ -156,6 +156,25 @@ def test_mathieu_at_the_first_double_point(capsys):
               (line.split(",") for line in out.splitlines()[1:])]
     chain = mathieu._sorted_eigs(1.4687686j, mathieu.EVEN_PI, 120)[:8]
     assert np.max(np.abs(np.array(values) - chain)) <= 1e-8
+
+
+@pytest.mark.parametrize("count,code", [(2, 0), (3, 1), (4, 0)])
+def test_mathieu_count_may_not_split_a_conjugate_pair(count, code, capsys):
+    status, out, err = run(["mathieu", "--q", "0,16.471166", "--class", "even-pi",
+                            "--count", str(count)], capsys)
+    assert status == code
+    if code:
+        assert out == "" and len(err.splitlines()) == 1 and "conjugate" in err
+    else:
+        assert len(out.splitlines()) == count + 1
+
+
+def test_csv_lines_match_per_value_format():
+    edge = np.array([-0.0, 0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                     3.0, -17.0, 2.0 ** 53, 1 / 3, np.inf, -np.inf, np.nan])
+    back = edge[::-1].copy()
+    expected = [f"{x:.12e},{k},{y:.12e}" for k, (x, y) in enumerate(zip(edge, back))]
+    assert _csv_lines("%.12e,%d,%.12e", edge, np.arange(len(edge)), back) == expected
 
 
 def test_e3_adjoint_identity(capsys):

@@ -58,6 +58,15 @@ def test_imaginary_q_conjugate_closure():
         assert np.max(np.abs(key(w) - key(np.conj(w)))) < 1e-8
 
 
+def test_count_may_not_split_a_conjugate_pair():
+    # at q = 16.471166i values 2 and 3 are a pair 2.7e-3 apart
+    with pytest.raises(ValueError, match="count 3 separates .* from its conjugate"):
+        characteristic_values(16.471166j, EVEN_PI, 3)
+    w = characteristic_values(16.471166j, EVEN_PI, 4)
+    assert w[3] == w[2].conjugate() and w[2].imag < 0
+    assert len(characteristic_values(16.471166j, EVEN_PI, 2)) == 2
+
+
 def test_convergence_guard():
     # ridiculous truncation for the requested count must fail loudly
     with pytest.raises(ValueError):

@@ -255,6 +255,44 @@ def test_build_matrix_matches_generator_products(sector):
     assert np.max(np.abs(m - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-13
 
 
+def _generator_product_matrix(element, truncation, sector):
+    gens = generator_matrices(truncation, sector)
+    dim = 2 * truncation + 1
+    expected = np.zeros((dim, dim), dtype=complex)
+    for coeff, word in zip(element.coeffs, algebra.ENVELOPE.words):
+        acc = np.eye(dim, dtype=complex)
+        for g in word:
+            acc = acc @ gens[g]
+        expected += coeff * acc
+    return expected
+
+
+BAND_ELEMENTS = {label: E2Element(np.eye(10, dtype=complex)[i])
+                 for i, label in enumerate(algebra.BASIS_LABELS)}
+BAND_ELEMENTS["random"] = E2Element(np.random.default_rng(11).standard_normal(20).view(complex))
+
+
+@pytest.mark.parametrize("label", sorted(BAND_ELEMENTS))
+def test_build_matrix_bands_match_generator_products(label):
+    # every entry, corners included, of each monomial alone and of a random element
+    for truncation in (4, 64):
+        for sector in (0.0, 0.37, 1.0, 1.9):
+            expected = _generator_product_matrix(BAND_ELEMENTS[label], truncation, sector)
+            m = build_matrix(SpectralProblem(BAND_ELEMENTS[label], sector=sector,
+                                             truncation=truncation))
+            assert np.max(np.abs(m - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pt5_invariant_elements_keep_an_exact_real_form(seed):
+    mu = tuple(np.random.default_rng(seed).standard_normal(9))
+    for sector in (0.0, 0.37):
+        for truncation in (4, 64):
+            problem = SpectralProblem(build_hamiltonian("PT5", mu), sector=sector,
+                                      truncation=truncation)
+            assert _real_form(build_matrix(problem)) is not None
+
+
 def test_rejected_pt5_elements_keep_the_real_form_path():
     for element, sector in (PT5_CASES["raw-s0.37"], PT5_CASES["mathieu"]):
         problem = SpectralProblem(element, sector=sector, truncation=32)
