@@ -262,6 +262,8 @@ def _cmd_mathieu(args):
     if len(parts) > 2 or not all(map(math.isfinite, parts)):
         raise ConfigError(f"bad --q value {args.q!r}: expected finite RE or RE,IM")
     q = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
+    if not np.isfinite(2.0 * q * q):
+        raise ConfigError(f"bad --q value {args.q!r}: the recurrence chain overflows")
     cls = mathieu.CLASSES.get(args.cls)
     if cls is None:
         raise ConfigError(f"--class must be one of {sorted(mathieu.CLASSES)}")

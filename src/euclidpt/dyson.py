@@ -249,7 +249,25 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     kwargs = {n: float(free.get(n, 1.0 if n == "mu1" else 0.0)) for n in names}
     if symmetry == "PT3" and "mu9_target" in free:
         kwargs["mu9_target"] = float(free["mu9_target"])
-    return solver(**kwargs)
+    _check_finite(kwargs)
+    try:
+        result = solver(**kwargs)
+    except (OverflowError, ValueError):  # ValueError: DysonParamsE2 got an infinite exponent
+        raise _overflow(symmetry + " hermitization", kwargs) from None
+    if not np.isfinite([*result.h.coeffs, *result.constrained_mu, result.residual]).all():
+        raise _overflow(symmetry + " hermitization", kwargs)
+    return result
+
+
+def _check_finite(values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _overflow(what, values):
+    given = ", ".join(f"{name}={value!r}" for name, value in values.items() if value)
+    return ValueError(f"{what} overflows floating point at {given}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +285,24 @@ def reduce_pt5_three_param(mu3: float, mu4: float, mu7: float) -> dict:
     Requires |mu3^2 + mu4^2 - mu7| > |2 mu3 mu4| and mu3*mu4 != 0; the
     boundary of that region is where eigenvalue pairs merge.
     """
+    couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
+    _check_finite(couplings)
     if mu3 * mu4 == 0:
         raise DegenerateCouplings("mu3*mu4 must be nonzero")
-    K2 = (mu3 ** 2 + mu4 ** 2 - mu7) / (2.0 * mu3 * mu4)
-    lam = 0.5 * arcoth(K2)
-    rho = lam * (mu3 / math.tanh(lam) - mu4)
-    ch, sh = math.cosh(lam), math.sinh(lam)
-    alpha = mu3 * math.tanh(lam / 2.0) - mu4
-    gamma = (mu3 * ch - mu4 * sh) ** 2 - mu7 * sh ** 2
-    beta = 2.0 * mu3 * (mu3 * ch - mu4 * sh) / (1.0 + ch) + mu7 - 2.0 * gamma
-    return {"alpha": alpha, "beta": beta, "gamma": gamma, "lambda": lam, "rho": rho}
+    try:
+        K2 = (mu3 ** 2 + mu4 ** 2 - mu7) / (2.0 * mu3 * mu4)
+        lam = 0.5 * arcoth(K2)
+        rho = lam * (mu3 / math.tanh(lam) - mu4)
+        ch, sh = math.cosh(lam), math.sinh(lam)
+        alpha = mu3 * math.tanh(lam / 2.0) - mu4
+        gamma = (mu3 * ch - mu4 * sh) ** 2 - mu7 * sh ** 2
+        beta = 2.0 * mu3 * (mu3 * ch - mu4 * sh) / (1.0 + ch) + mu7 - 2.0 * gamma
+    except OverflowError:
+        raise _overflow("the three-parameter reduction", couplings) from None
+    out = {"alpha": alpha, "beta": beta, "gamma": gamma, "lambda": lam, "rho": rho}
+    if not all(map(math.isfinite, out.values())):
+        raise _overflow("the three-parameter reduction", couplings)
+    return out
 
 
 def pt5_reduced_element(alpha, beta, gamma) -> E2Element:

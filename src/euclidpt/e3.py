@@ -57,8 +57,9 @@ def monomial_label(m):
     return "1" if not m else "*".join(GENERATORS[i] for i in m)
 
 
-def _word(label):
-    return () if label == "1" else tuple(sorted(_G[p] for p in label.split("*")))
+# label -> basis index; a two-letter label names its word in either order
+_LABEL_INDEX = {monomial_label(order): k for k, m in enumerate(MONOMIALS)
+                for order in (m, m[::-1])}
 
 
 class E3Element(Element):
@@ -70,14 +71,14 @@ class E3Element(Element):
         """Build from {"Jp*Jp": coeff, "Pz": ..., "1": ...}."""
         c = np.zeros(DIM, dtype=complex)
         for label, value in terms.items():
-            c[ENVELOPE.index[_word(label)]] += value
+            c[_LABEL_INDEX[label]] += value
         return cls(c)
 
     def _product(self, other):
         return multiply(self, other)
 
     def term(self, label):
-        return complex(self.coeffs[ENVELOPE.index[_word(label)]])
+        return complex(self.coeffs[_LABEL_INDEX[label]])
 
 
 def generator(name: str) -> E3Element:
@@ -226,11 +227,14 @@ class E3AdjointTable:
 
 
 def e3_adjoint(p: DysonParamsE3) -> E3AdjointTable:
-    """Closed-form adjoint coefficients of eta on all six generators."""
+    """Closed-form adjoint coefficients of eta on all six generators.
+
+    Raises ValueError when a coefficient overflows floating point."""
     lz, lp, lm = p.lambda_z, p.lambda_plus, p.lambda_minus
     kz, kp, km = p.kappa_z, p.kappa_plus, p.kappa_minus
     w2 = lz * lz + lp * lm
-    c, s, A, B = _omega_functions(w2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s, A, B = _omega_functions(w2) if math.isfinite(w2) else (math.nan,) * 4
     wt2 = 2.0 * lz * lz + lp * lm
     mu = kz * lz + kp * lm - km * lp
     mut = 2.0 * kz * lz + kp * lm - km * lp
@@ -271,6 +275,10 @@ def e3_adjoint(p: DysonParamsE3) -> E3AdjointTable:
     }
     scalars = {"omega_sq": w2, "omega_tilde_sq": wt2, "mu": mu, "mu_tilde": mut,
                "nu": nu, "c": c, "s": s}
+    if not all(map(math.isfinite, [*scalars.values(),
+                                   *(v for col in columns.values() for v in col.values())])):
+        raise ValueError(f"adjoint table is not finite at omega^2 = {w2!r}: "
+                         "the Dyson exponents are too large")
     return E3AdjointTable(params=p, columns=columns, scalars=scalars)
 
 

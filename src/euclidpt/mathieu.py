@@ -72,9 +72,12 @@ def _chain(q, cls, size):
     """Diagonal and (symmetric) off-diagonal of one class's recurrence chain.
 
     `cls` is a MathieuClass, or the parity of an antiperiodic class, whose
-    chain runs in the mode order of `_antiperiodic_order`.
+    chain runs in the mode order of `_antiperiodic_order`.  Raises ValueError
+    when a coupling product, at most 2 q^2, is not finite.
     """
     q = complex(q)
+    if not np.isfinite(2.0 * q * q):
+        raise ValueError(f"q = {q} overflows the recurrence chain: 2 q^2 is not finite")
     off = np.full(size - 1, q)
     if isinstance(cls, MathieuClass):
         diag = _modes(cls, size) ** 2 + 0j

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,43 @@ def test_sweep_bad_value_names_flag(args, flag, monkeypatch, capsys):
     code, out, err = run(args, capsys)
     assert code == 1 and out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("args", [["e3-adjoint", "--lambda-z", "400"],
+                                  ["e3-adjoint", "--lambda-plus", "1e200",
+                                   "--lambda-minus", "1e200"]], ids=["cosh", "omega-sq"])
+def test_e3_adjoint_overflow_one_line_exit_1(args, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(args, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--symmetry", "PT1", "--mu1", "1e308", "--mu3", "1e308"], "mu3"),
+    (["--symmetry", "PT5", "--mu1", "1", "--mu5", "1", "--mu6", "1", "--mu2", "inf"], "mu2"),
+    (["--symmetry", "PT1", "--lam", "1000"], "lam"),
+    (["--symmetry", "PT5", "--three-param", "--mu3", "1e200", "--mu4", "1"], "mu3"),
+    (["--symmetry", "PT5", "--three-param", "--mu3", "1", "--mu4", "nan"], "mu4"),
+], ids=["pt1-overflow", "pt5-inf", "lam-overflow", "three-param-overflow", "three-param-nan"])
+def test_transform_bad_value_one_line_exit_1(args, flag, capsys):
+    code, out, err = run(["transform", *args], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ")
+    assert flag in err
+
+
+@pytest.mark.parametrize("q", ["1e200", "0,1e200"])
+def test_mathieu_chain_overflow_names_flag(q, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["mathieu", "--class", "even-pi", "--q", q], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "--q" in err
 
 
 def test_intensity_truncation_too_small_names_flag(capsys):

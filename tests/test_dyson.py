@@ -330,3 +330,23 @@ def test_optical_lattice_isospectral():
     b = oracles.lowest_levels(out["h"], 10)
     assert np.max(np.abs(a.imag)) < 1e-8
     assert np.max(np.abs(np.sort(a.real) - np.sort(b.real))) < 1e-7
+
+
+@pytest.mark.parametrize("symmetry, free, name", [
+    ("PT1", {"mu1": 1e308, "mu3": 1e308}, "mu3"),
+    ("PT2", {"lam": 0.5, "mu1": 1e-300, "mu3": 1e300}, "mu3"),
+    ("PT4", {"mu5": 1e200, "mu6": 1.0, "mu8": 1.0}, "mu5"),
+    ("PT1", {"lam": 1000.0}, "lam"),
+    ("PT1", {"lam": 1e300, "mu4": 1e10}, "mu4"),
+    ("PT5", {"mu2": math.inf, "mu5": 1.0, "mu6": 1.0}, "mu2"),
+    ("PT3", {"mu4": math.nan}, "mu4"),
+])
+def test_hermitize_overflow_and_nonfinite_raise_value_error(symmetry, free, name):
+    with pytest.raises(ValueError, match=name):
+        hermitize(symmetry, **free)
+
+
+@pytest.mark.parametrize("mu", [(1e200, 1.0, 0.0), (1.0, math.inf, 0.0), (1.0, 2.0, math.nan)])
+def test_three_param_overflow_and_nonfinite_raise_value_error(mu):
+    with pytest.raises(ValueError):
+        reduce_pt5_three_param(*mu)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,29 @@ def test_transform_degree_one_matches_oracle():
         assert image.allclose(expected, 1e-9)
 
 
+def rep(element):
+    """The element in the 4x4 defining representation, word by word."""
+    out = np.zeros((4, 4), dtype=complex)
+    for c, word in zip(element.coeffs, MONOMIALS):
+        term = np.eye(4, dtype=complex)
+        for g in word:
+            term = term @ MATS[GENERATORS[g]]
+        out += c * term
+    return out
+
+
+def test_transform_degree_two_matches_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        params = rng.uniform(-0.7, 0.7, 6)
+        p = DysonParamsE3(*params)
+        element = E3Element(rng.normal(size=len(MONOMIALS)) + 1j * rng.normal(size=len(MONOMIALS)))
+        x = sum(c * MATS[g] for c, g in zip(params, ("Jz", "Jp", "Jm", "Pz", "Pp", "Pm")))
+        expected = expm(x) @ rep(element) @ expm(-x)
+        got = rep(transform_h_tilde(p, element))
+        assert np.max(np.abs(got - expected)) < 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
 def test_transform_inverse_composition():
     rng = np.random.default_rng(16)
     h = build_h_tilde_pt1(tuple(rng.uniform(-1, 1, 9)))
@@ -316,3 +340,16 @@ def test_table_json_dump():
     assert set(data["columns"]) == set(GENERATORS)
     assert data["params"]["lambda_z"] == 0.2
     assert "omega_sq" in data["scalars"]
+
+
+@pytest.mark.parametrize("params", [{"lambda_z": 400.0},
+                                    {"lambda_plus": 1e200, "lambda_minus": 1e200},
+                                    {"lambda_z": 1e10, "kappa_z": 1e300}])
+def test_adjoint_table_overflow_raises(params):
+    p = DysonParamsE3(**params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            e3_adjoint(p)
+        with pytest.raises(ValueError, match="not finite"):
+            transform_h_tilde(p, generator("Jz"))

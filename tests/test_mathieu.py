@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,3 +321,13 @@ def test_cross_module_three_param_routes():
 
 def test_class_labels():
     assert set(CLASSES) == {"even-pi", "odd-pi", "even-2pi", "odd-2pi"}
+
+
+@pytest.mark.parametrize("q", [1e200, 1e200j, complex(1e154, 1e154)])
+def test_chain_overflow_raises_without_warning(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="q"):
+            characteristic_values(q, EVEN_PI, 4)
+        with pytest.raises(ValueError, match="q"):
+            antiperiodic_characteristic_values(q, "odd", 4)
