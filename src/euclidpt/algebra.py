@@ -189,9 +189,5 @@ def build_hamiltonian(sym, mu) -> E2Element:
     raise ValueError(f"unknown symmetry tag {tag!r}")
 
 
-def anticommutator(a: E2Element, b: E2Element) -> E2Element:
-    return multiply(a, b) + multiply(b, a)
-
-
 def commutator(a: E2Element, b: E2Element) -> E2Element:
     return multiply(a, b) - multiply(b, a)

@@ -119,9 +119,8 @@ def _parse_sweep(text):
     return axis, lo, hi, steps
 
 
-def _mu_vector(args, default_mu1=1.0):
-    mu = [0.0] * 9
-    mu[0] = default_mu1
+def _mu_vector(args):
+    mu = [1.0] + [0.0] * 8
     for i in range(1, 10):
         value = getattr(args, f"mu{i}", None)
         if value is not None:
@@ -139,13 +138,9 @@ def _run_sweep(args):
     return spectral.sweep(template, axis, lo, hi, steps, workers=args.workers)
 
 
-def _config_echo(args, skip=("config", "out")):
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key == "func":
-            continue
-        echo[key] = value
-    return echo
+def _config_echo(args):
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in ("config", "out", "func")}
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +151,22 @@ def _cmd_transform(args):
     if args.three_param:
         if args.symmetry != "PT5":
             raise ConfigError("--three-param applies to the PT5 family")
-        mu3 = args.mu3 if args.mu3 is not None else 1.0
-        mu4 = args.mu4 if args.mu4 is not None else 0.0
-        mu7 = args.mu7 if args.mu7 is not None else 0.0
-        out = dyson.reduce_pt5_three_param(mu3, mu4, mu7)
-        report = {"command": "transform", "config": _config_echo(args),
-                  "free": {"mu3": mu3, "mu4": mu4, "mu7": mu7},
-                  "result": out}
-        _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    free = {}
-    for name in dyson.free_parameter_names(args.symmetry):
-        value = getattr(args, name, None)
-        if value is not None:
-            free[name] = value
-    if args.symmetry == "PT3" and args.mu9_target is not None:
-        free["mu9_target"] = args.mu9_target
-    result = dyson.hermitize(args.symmetry, **free)
+        free = {"mu3": args.mu3 if args.mu3 is not None else 1.0,
+                "mu4": args.mu4 if args.mu4 is not None else 0.0,
+                "mu7": args.mu7 if args.mu7 is not None else 0.0}
+        result = dyson.reduce_pt5_three_param(**free)
+    else:
+        free = {}
+        for name in dyson.free_parameter_names(args.symmetry):
+            value = getattr(args, name, None)
+            if value is not None:
+                free[name] = value
+        if args.symmetry == "PT3" and args.mu9_target is not None:
+            free["mu9_target"] = args.mu9_target
+        result = dyson.hermitize(args.symmetry, **free).as_dict()
     report = {"command": "transform", "config": _config_echo(args),
-              "free": free, "result": result.as_dict()}
-    if result.input_hermitian:
+              "free": free, "result": result}
+    if result.get("input_hermitian"):
         report["notice"] = ("constraints leave the input Hamiltonian already "
                             "Hermitian; the transform is spectrum- and "
                             "form-preserving here")
@@ -339,8 +330,6 @@ def _build_parser():
     p.set_defaults(func=_cmd_intensity)
 
     p = sub.add_parser("mathieu", help="Mathieu characteristic values (CSV)")
-    p.add_argument("mode", nargs="?", default="char", choices=["char"],
-                   help="table kind (characteristic values)")
     p.add_argument("--q", required=True, metavar="RE[,IM]")
     p.add_argument("--class", dest="cls", required=True,
                    help="even-pi | odd-pi | even-2pi | odd-2pi")

@@ -116,42 +116,20 @@ class HermitizationResult:
                 "input_hermitian": self.input_hermitian}
 
 
-def _finish(symmetry, params, mu, free_names):
-    H = build_hamiltonian(symmetry, mu)
-    h = similarity_transform(params, H)
-    return HermitizationResult(
-        symmetry=symmetry,
-        params=params,
-        constrained_mu=tuple(mu),
-        h=h,
-        free_parameter_names=tuple(free_names),
-        residual=hermiticity_residual(h),
-        input_hermitian=algebra.is_hermitian(H, 1e-12),
-    )
-
-
 def _hermitize_pt1(lam, mu1, mu3, mu4):
-    if mu1 == 0:
-        raise DegenerateCouplings("mu1 must be nonzero")
     mu = (mu1, 0.0, mu3, mu4, -2.0 * mu4, 2.0 * mu3,
           (mu4 ** 2 - mu3 ** 2) / mu1, 0.0, -2.0 * mu3 * mu4 / mu1)
-    params = DysonParamsE2(lam, rho=-lam * mu4 / mu1, tau=lam * mu3 / mu1)
-    return _finish("PT1", params, mu, ("lam", "mu1", "mu3", "mu4"))
+    return DysonParamsE2(lam, rho=-lam * mu4 / mu1, tau=lam * mu3 / mu1), mu
 
 
 def _hermitize_pt2(lam, mu1, mu3, mu4):
-    if mu1 == 0:
-        raise DegenerateCouplings("mu1 must be nonzero")
     mu = (mu1, 0.0, mu3, mu4, 2.0 * mu4, -2.0 * mu3,
           (mu3 ** 2 - mu4 ** 2) / mu1, 0.0, 2.0 * mu3 * mu4 / mu1)
     lc = _lam_coth(lam)
-    params = DysonParamsE2(lam, rho=mu3 * lc / mu1, tau=mu4 * lc / mu1)
-    return _finish("PT2", params, mu, ("lam", "mu1", "mu3", "mu4"))
+    return DysonParamsE2(lam, rho=mu3 * lc / mu1, tau=mu4 * lc / mu1), mu
 
 
 def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=0.0):
-    if mu1 == 0:
-        raise DegenerateCouplings("mu1 must be nonzero")
     num = mu2 * mu5 + mu1 * (mu6 - 2.0 * mu3)
     den = mu1 * (2.0 * mu4 - mu5) - mu2 * mu6
     scale = max(abs(mu1), abs(mu2), abs(mu3), abs(mu4), abs(mu5), abs(mu6), 1.0)
@@ -174,15 +152,10 @@ def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=0.0):
         K2 = (K1 * K1 + 1.0) / (2.0 * K1)  # coth(2*lam)
         mu9 = (mu5 ** 2 + mu6 ** 2 + 2.0 * mu5 * mu6 * K2) / (2.0 * mu1) + 2.0 * mu7 * K2
     rt = lam * (mu5 + mu6 * K1) / (2.0 * mu1)
-    params = DysonParamsE2(lam, rho=rt, tau=rt)
-    mu = (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9)
-    return _finish("PT3", params, mu,
-                   ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6", "mu7", "mu8"))
+    return DysonParamsE2(lam, rho=rt, tau=rt), (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9)
 
 
 def _hermitize_pt4(mu1, mu2, mu4, mu5, mu6, mu7, mu8):
-    if mu1 == 0:
-        raise DegenerateCouplings("mu1 must be nonzero")
     if mu5 * mu6 == 0:
         raise DegenerateCouplings("mu5*mu6 must be nonzero")
     K2 = (4.0 * mu1 * (mu8 - mu7) - mu5 ** 2 - mu6 ** 2) / (2.0 * mu5 * mu6)
@@ -191,15 +164,10 @@ def _hermitize_pt4(mu1, mu2, mu4, mu5, mu6, mu7, mu8):
     tau = lam * (mu5 * coth + mu6) / (2.0 * mu1)
     mu3 = ((mu1 * mu5 + mu2 * mu6 - 2.0 * mu1 * mu4) / (2.0 * mu1)) * math.tanh(lam) \
         + mu2 * mu5 / (2.0 * mu1) + mu6 / 2.0
-    params = DysonParamsE2(lam, rho=0.0, tau=tau)
-    mu = (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0)
-    return _finish("PT4", params, mu,
-                   ("mu1", "mu2", "mu4", "mu5", "mu6", "mu7", "mu8"))
+    return DysonParamsE2(lam, rho=0.0, tau=tau), (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0)
 
 
 def _hermitize_pt5(mu1, mu2, mu4, mu5, mu6, mu7, mu8):
-    if mu1 == 0:
-        raise DegenerateCouplings("mu1 must be nonzero")
     if mu5 * mu6 == 0:
         raise DegenerateCouplings("mu5*mu6 must be nonzero")
     K2 = (mu5 ** 2 + mu6 ** 2 - 4.0 * mu1 * mu7 + 4.0 * mu1 * mu8) / (2.0 * mu5 * mu6)
@@ -208,10 +176,7 @@ def _hermitize_pt5(mu1, mu2, mu4, mu5, mu6, mu7, mu8):
     rho = lam * (mu5 - mu6 * coth) / (2.0 * mu1)
     mu3 = ((2.0 * mu1 * mu4 + mu1 * mu5 - mu2 * mu6) * coth) / (2.0 * mu1) \
         + mu2 * mu5 / (2.0 * mu1) - mu6 / 2.0
-    params = DysonParamsE2(lam, rho=rho, tau=0.0)
-    mu = (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0)
-    return _finish("PT5", params, mu,
-                   ("mu1", "mu2", "mu4", "mu5", "mu6", "mu7", "mu8"))
+    return DysonParamsE2(lam, rho=rho, tau=0.0), (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0)
 
 
 _SOLVERS = {
@@ -250,13 +215,20 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     if symmetry == "PT3" and "mu9_target" in free:
         kwargs["mu9_target"] = float(free["mu9_target"])
     _check_finite(kwargs)
+    if kwargs["mu1"] == 0:
+        raise DegenerateCouplings("mu1 must be nonzero")
     try:
-        result = solver(**kwargs)
+        params, mu = solver(**kwargs)
+        H = build_hamiltonian(symmetry, mu)
+        h = similarity_transform(params, H)
+        residual = hermiticity_residual(h)
     except (OverflowError, ValueError):  # ValueError: DysonParamsE2 got an infinite exponent
         raise _overflow(symmetry + " hermitization", kwargs) from None
-    if not np.isfinite([*result.h.coeffs, *result.constrained_mu, result.residual]).all():
+    if not np.isfinite([*h.coeffs, *mu, residual]).all():
         raise _overflow(symmetry + " hermitization", kwargs)
-    return result
+    return HermitizationResult(symmetry=symmetry, params=params, constrained_mu=tuple(mu),
+                               h=h, free_parameter_names=names, residual=residual,
+                               input_hermitian=algebra.is_hermitian(H, 1e-12))
 
 
 def _check_finite(values):

@@ -57,9 +57,16 @@ def monomial_label(m):
     return "1" if not m else "*".join(GENERATORS[i] for i in m)
 
 
-# label -> basis index; a two-letter label names its word in either order
-_LABEL_INDEX = {monomial_label(order): k for k, m in enumerate(MONOMIALS)
-                for order in (m, m[::-1])}
+_LABEL_INDEX = {monomial_label(m): k for k, m in enumerate(MONOMIALS)}
+
+
+def _label_index(label):
+    """Basis index of a label; a reversed pair is rejected, as it differs by its bracket."""
+    try:
+        return _LABEL_INDEX[label]
+    except KeyError:
+        raise ValueError(f"unknown E3 monomial label {label!r}: a word is written in "
+                         f"the order {' '.join(GENERATORS)}") from None
 
 
 class E3Element(Element):
@@ -71,14 +78,14 @@ class E3Element(Element):
         """Build from {"Jp*Jp": coeff, "Pz": ..., "1": ...}."""
         c = np.zeros(DIM, dtype=complex)
         for label, value in terms.items():
-            c[_LABEL_INDEX[label]] += value
+            c[_label_index(label)] += value
         return cls(c)
 
     def _product(self, other):
         return multiply(self, other)
 
     def term(self, label):
-        return complex(self.coeffs[_LABEL_INDEX[label]])
+        return complex(self.coeffs[_label_index(label)])
 
 
 def generator(name: str) -> E3Element:

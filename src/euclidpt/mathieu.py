@@ -159,7 +159,7 @@ def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> 
     return _lowest_certified(q, cls, count, trunc, "characteristic values")
 
 
-def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60, tol: float = 1e-6):
+def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
     """Fourier coefficients of the periodic solution with characteristic value a.
 
     The symmetrization scaling on the k=0 cosine mode is undone, so the
@@ -170,7 +170,7 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60, tol: float = 1e
     m = recurrence_matrix(q, cls, trunc)
     w, vecs = scipy.linalg.eig(m)
     i = int(np.argmin(np.abs(w - a)))
-    if abs(w[i] - a) > tol * max(1.0, abs(a)):
+    if abs(w[i] - a) > 1e-6 * max(1.0, abs(a)):
         raise ValueError(f"{a} is not a characteristic value of class {cls.label} "
                          f"(nearest: {w[i]})")
     vec = vecs[:, i].copy()

@@ -24,6 +24,8 @@ from .errors import ConvergenceFailure, TrackingAmbiguity
 
 DEFAULT_TRUNCATION = 64
 REALITY_RTOL = 1e-8
+MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
+_NORM_GRID = 2048     # quadrature points normalizing a closed-form wavefunction
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,9 @@ def _real_form(matrix):
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: np.ndarray        # sorted by real part
-    reality_flags: np.ndarray      # |Im E| <= rtol*max(1, |Re E|)
+    reality_flags: np.ndarray      # |Im E| <= REALITY_RTOL*max(1, |Re E|)
     truncation: int
     sector: float
-    rtol: float = REALITY_RTOL
     trusted_count: int = 0
 
     def trusted(self, count=None):
@@ -208,34 +209,38 @@ def tridiagonal_matrix(diag, upper, lower):
     return m
 
 
-def eigen_spectrum(p: SpectralProblem, rtol: float = REALITY_RTOL) -> Spectrum:
+def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     """All eigenvalues of the truncated matrix, sorted by real part.
 
     Only the interior ~2N+1 - 4*sqrt(N) lowest levels are trusted; edge
     eigenvalues carry truncation artifacts.  Elements with a `hill_form`
     are solved on its two chains, Fourier modes of even and of odd index,
     each tridiagonal.  Other PT5-invariant elements are solved in the real
-    form of `_real_form`, the rest in complex arithmetic.
+    form of `_real_form`, the rest in complex arithmetic.  Couplings whose
+    matrix or chain products overflow raise ValueError.
     """
-    hill = hill_form(p.element)
     try:
-        if hill is None:
-            matrix = build_matrix(p)
-            real = _real_form(matrix)
-            w = scipy.linalg.eigvals(matrix if real is None else real)
-        else:
-            matrix = build_matrix(replace(p, element=hill))
-            w = np.concatenate([
-                tridiagonal_eigenvalues(*(np.diagonal(matrix[k::2, k::2], j) for j in (0, 1, -1)))
-                for k in (0, 1)])
+        with np.errstate(over="raise", invalid="raise"):
+            hill = hill_form(p.element)
+            if hill is None:
+                matrix = build_matrix(p)
+                real = _real_form(matrix)
+                w = scipy.linalg.eigvals(matrix if real is None else real)
+            else:
+                matrix = build_matrix(replace(p, element=hill))
+                w = np.concatenate([tridiagonal_eigenvalues(
+                    *(np.diagonal(matrix[k::2, k::2], j) for j in (0, 1, -1))) for k in (0, 1)])
+    except FloatingPointError:
+        raise ValueError(f"the circle-representation matrix at truncation {p.truncation} "
+                         "overflows floating point") from None
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(w.real, kind="stable")
     w = w[order]
-    flags = np.abs(w.imag) <= rtol * np.maximum(1.0, np.abs(w.real))
+    flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
     trusted = max(0, 2 * p.truncation + 1 - int(math.ceil(4.0 * math.sqrt(p.truncation))))
     return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation,
-                    sector=p.sector, rtol=rtol, trusted_count=trusted)
+                    sector=p.sector, trusted_count=trusted)
 
 
 def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "bosonic") -> float:
@@ -333,15 +338,14 @@ def _match(prev, new):
 
 
 def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
-          max_jump: float | None = None, max_halvings: int = 12,
           workers: int = 1) -> SweepResult:
     """Level curves over [lo, hi], matched by nearest-neighbor continuation.
 
     Labels are assigned by real-part order at the sweep start.  When the
-    best assignment between adjacent points jumps by more than max_jump
-    (default: half the median level spacing at the start), midpoints are
-    inserted internally until the match is unambiguous; TrackingAmbiguity
-    is raised at the halving floor.  With workers > 1 the grid-point
+    best assignment between adjacent points jumps by more than half the
+    median level spacing at the start, midpoints are inserted internally
+    until the match is unambiguous; TrackingAmbiguity is raised after
+    MAX_HALVINGS halvings.  With workers > 1 the grid-point
     eigensolves run on a thread pool (LAPACK releases the GIL); the
     continuation itself stays an ordered sequential reduction.
     """
@@ -364,10 +368,9 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
                 cache[float(x)] = lv
 
     first = levels(values[0])
-    if max_jump is None:
-        spacing = np.diff(np.sort(first.real))
-        scale = float(np.median(spacing)) if len(spacing) else 1.0
-        max_jump = max(0.5 * scale, 1e-6)
+    spacing = np.diff(np.sort(first.real))
+    scale = float(np.median(spacing)) if len(spacing) else 1.0
+    max_jump = max(0.5 * scale, 1e-6)
     curves = np.empty((template.track_levels, steps), dtype=complex)
     curves[:, 0] = first
     refined = 0
@@ -375,7 +378,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     def continue_to(prev_levels, x_prev, x_next, depth):
         nonlocal refined
         ordered, jump = _match(prev_levels, levels(x_next))
-        if jump <= max_jump or depth >= max_halvings:
+        if jump <= max_jump or depth >= MAX_HALVINGS:
             if jump > max_jump:
                 raise TrackingAmbiguity(
                     f"level matching jump {jump:.3g} > {max_jump:.3g} at {axis}={x_next:.6g} "
@@ -650,15 +653,15 @@ class WavefunctionSpec:
             return gauge * waves
         raise ValueError("wavefunction has neither coefficients nor a known closed form")
 
-    def normalized(self, grid_size=2048):
+    def normalized(self):
         """Rescale so the L^2 norm over [0, 2*pi) is 1."""
         if self.coeffs is not None:
             norm = math.sqrt(2.0 * math.pi * float(np.sum(np.abs(self.coeffs) ** 2)))
             return replace(self, coeffs=self.coeffs / norm)
-        theta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, _NORM_GRID, endpoint=False)
         values = self.evaluate(theta)
         # uniform periodic grid: the rectangle rule is spectrally accurate
-        norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * 2.0 * math.pi / grid_size)
+        norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * 2.0 * math.pi / _NORM_GRID)
         return replace(self, c1=self.c1 / norm, c2=self.c2 / norm)
 
 

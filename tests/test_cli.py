@@ -69,6 +69,12 @@ def test_intensity_sweep_surface(tmp_path, capsys):
     assert len({line.split(",")[0] for line in lines[1:]}) == 3
 
 
+def test_transform_zero_mu1_exit_2(capsys):
+    code, out, err = run(["transform", "--symmetry", "PT1", "--mu1", "0"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DegenerateCouplings", "detail": "mu1 must be nonzero"}
+
+
 def test_transform_pt1_defaults_notice(capsys):
     code, out, _ = run(["transform", "--symmetry", "PT1", "--lam", "0.4",
                         "--mu3", "0.5", "--mu4", "0.2"], capsys)
@@ -139,6 +145,17 @@ def test_intensity_csv(tmp_path, capsys):
     assert len(lines) == 37
 
 
+def test_intensity_plot_script(tmp_path, capsys):
+    out = tmp_path / "int.csv"
+    code = main(["intensity", "--mu3", "0.8", "--truncation", "16", "--grid", "8",
+                 "--out", str(out), "--plot-script"])
+    capsys.readouterr()
+    assert code == 0
+    script = (tmp_path / "int.csv.plot.py").read_text()
+    assert repr(str(out)) in script
+    assert "['i_even', 'i_odd', 'i_sum_ref']" in script
+
+
 def test_mathieu_csv(capsys):
     code, out, _ = run(["mathieu", "--q", "0,0", "--class", "even-pi",
                         "--count", "4"], capsys)
@@ -168,6 +185,14 @@ def test_mathieu_count_may_not_split_a_conjugate_pair(count, code, capsys):
         assert out == "" and len(err.splitlines()) == 1 and "conjugate" in err
     else:
         assert len(out.splitlines()) == count + 1
+
+
+def test_mathieu_truncation_doubling_failure_exit_3(capsys):
+    code, out, err = run(["mathieu", "--q", "300", "--class", "even-pi", "--count", "2",
+                          "--trunc", "10"], capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: ") and "under truncation doubling" in err
 
 
 def test_csv_lines_match_per_value_format():
@@ -339,6 +364,19 @@ def test_transform_bad_value_one_line_exit_1(args, flag, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
     assert flag in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--mu1", "1", "--mu7", "1e300", "--truncation", "8"],
+    ["--mu1", "1e307"],
+], ids=["chain-products", "diagonal"])
+def test_spectrum_overflow_one_line_exit_1(args, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["spectrum", *args, "--sweep", "s:0:1:2", "--levels", "2"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ") and "overflows" in err
 
 
 @pytest.mark.parametrize("q", ["1e200", "0,1e200"])

@@ -229,6 +229,12 @@ def test_hermitize_validates_free_parameters():
         hermitize("PT5", mu1=1.0, mu5=0.0, mu6=1.0, mu7=2.0)
 
 
+@pytest.mark.parametrize("symmetry", ["PT1", "PT2", "PT3", "PT4", "PT5"])
+def test_hermitize_rejects_zero_mu1(symmetry):
+    with pytest.raises(DegenerateCouplings, match="mu1 must be nonzero"):
+        hermitize(symmetry, mu1=0.0)
+
+
 def test_map_undefined_carries_rhs():
     with pytest.raises(MapUndefined) as err:
         hermitize("PT5", mu1=1.0, mu5=1.0, mu6=1.0, mu7=0.5, mu8=0.0)

@@ -64,6 +64,20 @@ def test_expected_nonvanishing_brackets():
     assert bracket("Jz", "Pz") == {}
 
 
+@pytest.mark.parametrize("label", ["Jp*Pz", "Jz*Pz", "Qz"])
+def test_reversed_or_unknown_label_raises(label):
+    with pytest.raises(ValueError, match=label.replace("*", r"\*")):
+        E3Element.from_terms({label: 1.0})
+    with pytest.raises(ValueError, match=label.replace("*", r"\*")):
+        generator("Jz").term(label)
+
+
+def test_product_of_reversed_generators_keeps_bracket():
+    product = generator("Jp") * generator("Pz")
+    assert product.allclose(E3Element.from_terms({"Pz*Jp": 1.0, "Pp": -1.0}))
+    assert product.term("Pz*Jp") == 1.0 and product.term("Pp") == -1.0
+
+
 def test_degree_overflow():
     with pytest.raises(DegreeOverflow):
         multiply(multiply(generator("Jp"), generator("Jm")), generator("Jz"))
