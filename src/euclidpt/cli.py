@@ -114,8 +114,8 @@ def _parse_sweep(text):
         lo, hi, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"bad --sweep value {text!r}: {exc}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"bad --sweep value {text!r}: LO and HI must be finite")
+    if not math.isfinite(hi - lo):   # also when LO or HI is not finite
+        raise ConfigError(f"bad --sweep value {text!r}: LO, HI and HI - LO must be finite")
     return axis, lo, hi, steps
 
 

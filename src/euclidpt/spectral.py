@@ -209,32 +209,66 @@ def tridiagonal_matrix(diag, upper, lower):
     return m
 
 
+def _solve_guard(solve):
+    """Decorate solve(p, ...): overflow raises ValueError, a LAPACK failure ConvergenceFailure."""
+    @functools.wraps(solve)
+    def guarded(p, *args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return solve(p, *args, **kwargs)
+        except FloatingPointError:
+            raise ValueError(f"the circle-representation matrix at truncation {p.truncation} "
+                             "overflows floating point") from None
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            raise ConvergenceFailure(str(exc)) from exc
+
+    return guarded
+
+
+def _blocks(p):
+    """(matrix, bands, to_modes) for each block whose levels together are those of p.
+
+    A `hill_form` gives its even- and odd-mode chains, each real unless it
+    has an imaginary part, with `bands` their three diagonals and
+    `to_modes` convolving a chain vector with the gauge `hill_form` removes.
+    Otherwise the one block, `bands` None, is the `_real_form` (vectors
+    times D) or the complex matrix (vectors as they are).
+    """
+    hill = hill_form(p.element)
+    if hill is None:
+        matrix = build_matrix(p)
+        real = _real_form(matrix)
+        if real is None:
+            return [(matrix, None, lambda v: v)]
+        return [(real, None, lambda v: v * _pt5_phases(p.truncation))]
+    matrix = build_matrix(replace(p, element=hill))
+    gauge = functools.cache(lambda: _gauge_coefficients(p))   # on first use, for both chains
+
+    def to_modes(k, v):
+        vec = np.zeros(len(matrix), dtype=complex)
+        vec[k::2] = v
+        # modes: vec -N..N, gauge -2N..2N-1, product -3N..3N-1
+        return np.convolve(vec, gauge())[2 * p.truncation:4 * p.truncation + 1]
+
+    blocks = []
+    for k in (0, 1):
+        chain = matrix[k::2, k::2]
+        bands = [np.diagonal(chain, j) for j in (0, 1, -1)]   # its only nonzero entries
+        real = not any(np.count_nonzero(band.imag) for band in bands)
+        blocks.append((chain.real if real else chain, bands, functools.partial(to_modes, k)))
+    return blocks
+
+
+@_solve_guard
 def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     """All eigenvalues of the truncated matrix, sorted by real part.
 
     Only the interior ~2N+1 - 4*sqrt(N) lowest levels are trusted; edge
-    eigenvalues carry truncation artifacts.  Elements with a `hill_form`
-    are solved on its two chains, Fourier modes of even and of odd index,
-    each tridiagonal.  Other PT5-invariant elements are solved in the real
-    form of `_real_form`, the rest in complex arithmetic.  Couplings whose
-    matrix or chain products overflow raise ValueError.
+    eigenvalues carry truncation artifacts.  Each of the `_blocks` is solved
+    alone, a chain from its `bands`; overflowing couplings raise ValueError.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            hill = hill_form(p.element)
-            if hill is None:
-                matrix = build_matrix(p)
-                real = _real_form(matrix)
-                w = scipy.linalg.eigvals(matrix if real is None else real)
-            else:
-                matrix = build_matrix(replace(p, element=hill))
-                w = np.concatenate([tridiagonal_eigenvalues(
-                    *(np.diagonal(matrix[k::2, k::2], j) for j in (0, 1, -1))) for k in (0, 1)])
-    except FloatingPointError:
-        raise ValueError(f"the circle-representation matrix at truncation {p.truncation} "
-                         "overflows floating point") from None
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
+    w = np.concatenate([tridiagonal_eigenvalues(*bands) if bands else scipy.linalg.eigvals(matrix)
+                        for matrix, bands, _ in _blocks(p)])
     order = np.argsort(w.real, kind="stable")
     w = w[order]
     flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
@@ -345,9 +379,12 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     best assignment between adjacent points jumps by more than half the
     median level spacing at the start, midpoints are inserted internally
     until the match is unambiguous; TrackingAmbiguity is raised after
-    MAX_HALVINGS halvings.  With workers > 1 the grid-point
-    eigensolves run on a thread pool (LAPACK releases the GIL); the
-    continuation itself stays an ordered sequential reduction.
+    MAX_HALVINGS halvings.  The median skips spacings at most
+    REALITY_RTOL*max(1, |E|): degenerate levels, such as the two Hill
+    chains give in the fermionic sector, and conjugate pairs.  With
+    workers > 1 the grid-point eigensolves run on a thread pool (LAPACK
+    releases the GIL); the continuation itself stays an ordered sequential
+    reduction.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -368,7 +405,9 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
                 cache[float(x)] = lv
 
     first = levels(values[0])
-    spacing = np.diff(np.sort(first.real))
+    start = np.sort(first.real)
+    spacing = np.diff(start)
+    spacing = spacing[spacing > REALITY_RTOL * np.maximum(1.0, np.abs(start[1:]))]
     scale = float(np.median(spacing)) if len(spacing) else 1.0
     max_jump = max(0.5 * scale, 1e-6)
     curves = np.empty((template.track_levels, steps), dtype=complex)
@@ -673,54 +712,27 @@ def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0
                             c1=c1, c2=c2)
 
 
-def _gauge_coefficients(a, b, truncation):
-    """Fourier coefficients of exp(-i(b sin - a cos)) for modes -2N..2N-1.
+def _gauge_coefficients(p):
+    """Fourier coefficients of the gauge that `hill_form` removes, modes -2N..2N-1.
 
     Taken by FFT on 4N points; the aliased tail is of the size of the
     coefficients of modes near +-2N, which decay like Bessel functions.
     """
-    size = 4 * truncation
+    c = p.element.term("J2")
+    a, b = p.element.term("uJ") / (2 * c), p.element.term("vJ") / (2 * c)
+    size = 4 * p.truncation
     theta = 2.0 * math.pi * np.arange(size) / size
     gauge = np.exp(-1j * (b * np.sin(theta) - a * np.cos(theta)))
     return np.fft.fftshift(np.fft.fft(gauge)) / size
 
 
-def _hill_vectors(p, hill, levels):
-    """Eigenvectors of the given levels from the chains of the Hill element.
-
-    Each chain vector of the Hill equation is multiplied by the gauge that
-    `hill_form` removes; in Fourier space that is a convolution, cropped
-    back to modes -N..N.
-    """
-    matrix = build_matrix(replace(p, element=hill))
-    chains = []
-    for k in (0, 1):
-        chain = matrix[k::2, k::2]
-        chains.append(scipy.linalg.eig(chain if chain.imag.any() else chain.real))
-    w = np.concatenate([chain_w for chain_w, _ in chains])
-    order = np.argsort(w.real, kind="stable")
-    c = p.element.term("J2")
-    gauge = _gauge_coefficients(p.element.term("uJ") / (2 * c),
-                                p.element.term("vJ") / (2 * c), p.truncation)
-    even = len(chains[0][0])
-    vectors = []
-    for level in levels:
-        idx = order[level]
-        k, col = (0, idx) if idx < even else (1, idx - even)
-        vec = np.zeros(len(matrix), dtype=complex)
-        vec[k::2] = chains[k][1][:, col]
-        # modes: vec -N..N, gauge -2N..2N-1, product -3N..3N-1
-        vectors.append(np.convolve(vec, gauge)[2 * p.truncation:4 * p.truncation + 1])
-    return vectors
-
-
+@_solve_guard
 def wavefunction(p: SpectralProblem, level) -> WavefunctionSpec | list[WavefunctionSpec]:
     """L^2-normalized eigenvector of the given level (real-part order).
 
     `level` may also be a sequence of levels; the result is then a list,
-    and one eigendecomposition serves them all.  Elements with a
-    `hill_form` are solved on its two chains (`_hill_vectors`), the rest
-    on the full matrix, in real form where `_real_form` applies.
+    and one eigendecomposition serves them all, of each of the `_blocks`;
+    only the requested vectors are mapped back to Fourier modes.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -728,19 +740,10 @@ def wavefunction(p: SpectralProblem, level) -> WavefunctionSpec | list[Wavefunct
     for lv in levels:
         if not 0 <= lv < dim:
             raise ValueError(f"level {lv} outside 0..{dim - 1}")
-    hill = hill_form(p.element)
-    if hill is not None:
-        vectors = _hill_vectors(p, hill, levels)
-    else:
-        matrix = build_matrix(p)
-        real = _real_form(matrix)
-        if real is None:
-            w, vecs = scipy.linalg.eig(matrix)
-        else:
-            w, vecs = scipy.linalg.eig(real)
-            vecs = vecs * _pt5_phases(p.truncation)[:, None]
-        order = np.argsort(w.real, kind="stable")
-        vectors = [vecs[:, order[lv]] for lv in levels]
+    solved = [(*scipy.linalg.eig(matrix), to_modes) for matrix, _, to_modes in _blocks(p)]
+    columns = [(vec, to_modes) for _, vecs, to_modes in solved for vec in vecs.T]
+    order = np.argsort(np.concatenate([w for w, _, _ in solved]).real, kind="stable")
+    vectors = [to_modes(vec) for vec, to_modes in (columns[order[lv]] for lv in levels)]
     specs = [WavefunctionSpec(sector=p.sector, coeffs=v).normalized() for v in vectors]
     return specs[0] if single else specs
 

@@ -69,6 +69,18 @@ def test_intensity_sweep_surface(tmp_path, capsys):
     assert len({line.split(",")[0] for line in lines[1:]}) == 3
 
 
+def test_transform_pt3_mu9_target(capsys):
+    # mu5 = 2 mu4, mu6 = 2 mu3, mu2 = 0: the coth equation is 0/0 and mu9 picks lam
+    code, out, _ = run(["transform", "--symmetry", "PT3", "--mu1", "1", "--mu2", "0",
+                        "--mu3", "0.5", "--mu4", "0.3", "--mu5", "0.6", "--mu6", "1",
+                        "--mu7", "0.2", "--mu8", "0.1", "--mu9-target", "3"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["free"]["mu9_target"] == 3.0
+    assert report["result"]["constrained_mu"][8] == 3.0
+    assert report["result"]["residual"] < 1e-12
+
+
 def test_transform_zero_mu1_exit_2(capsys):
     code, out, err = run(["transform", "--symmetry", "PT1", "--mu1", "0"], capsys)
     assert code == 2 and out == ""
@@ -377,6 +389,37 @@ def test_spectrum_overflow_one_line_exit_1(args, capsys):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--family", "pt5-three"],
+                                     ["ep", "--family", "pt5-three"], ["intensity"]],
+                         ids=["spectrum", "ep", "intensity"])
+def test_sweep_span_overflow_one_line_exit_1(command, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*command, "--sweep", "mu3:1e308:-1e308:3"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ") and "--sweep" in err
+
+
+@pytest.mark.parametrize("args, steps", [
+    (["--family", "pt5-three", "--mu3", "0.5", "--mu7", "0", "--sweep", "mu4:-3:3:200"], 200),
+    (["--sweep", "mu7:0:1:11"], 11),
+], ids=["real-family", "raw-mu7"])
+def test_fermionic_spectrum_sweep_exit_0(args, steps, capsys):
+    code, out, err = run(["spectrum", *args, "--sector", "1"], capsys)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 12 * steps
+
+
+def test_tracking_ambiguity_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "MAX_HALVINGS", 0)
+    code, out, err = run(["spectrum", "--family", "pt5-three", "--mu4", "1", "--mu7", "4",
+                          "--sweep", "mu3:-4:4:3"], capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: level matching jump")
 
 
 @pytest.mark.parametrize("q", ["1e200", "0,1e200"])

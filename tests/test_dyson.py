@@ -169,6 +169,23 @@ def test_hermitize_pt3_generic():
         done += 1
 
 
+@pytest.mark.parametrize("target", [3.0, -3.0])
+def test_hermitize_pt3_degenerate_takes_mu9_target(target):
+    # mu5 = 2 mu4, mu6 = 2 mu3, mu2 = 0: the coth equation is 0/0 for every
+    # lam, which then comes from the mu9 relation, coth(2 lam) = K2
+    free = dict(mu1=1.0, mu2=0.0, mu3=0.5, mu4=0.3, mu5=0.6, mu6=1.0, mu7=0.2, mu8=0.1)
+    r = hermitize("PT3", **free, mu9_target=target)
+    assert r.residual < 1e-12
+    assert r.constrained_mu == (*free.values(), target)
+    k2 = (2.0 * target - 0.6 ** 2 - 1.0 ** 2) / (2.0 * (0.6 * 1.0 + 2.0 * 0.2))
+    assert math.tanh(2.0 * r.params.lam) == pytest.approx(1.0 / k2, rel=1e-12)
+    H = build_hamiltonian("PT3", r.constrained_mu)
+    assert not is_hermitian(H, 1e-8)
+    a = oracles.lowest_levels(H, 10)
+    b = oracles.lowest_levels(r.h, 10)
+    assert np.max(np.abs(a - b)) < 1e-7
+
+
 def test_hermitize_pt3_mathieu_choice_raises():
     # mu1 = 1, mu7 = 2q, everything else zero: no real Dyson exponent exists
     with pytest.raises(MapUndefined) as err:

@@ -1,15 +1,17 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from euclidpt import algebra
+from euclidpt import algebra, spectral
 from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.cli import _select_pair
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
+from euclidpt.errors import TrackingAmbiguity
 from euclidpt.mathieu import pt5_complex_hamiltonian
 from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
                                _real_form, bisect_transition, build_matrix, eigen_spectrum,
@@ -410,6 +412,26 @@ def test_sweep_band_structure_sector():
     assert result.curves.shape == (6, 12)
 
 
+def test_fermionic_sweep_bound_skips_degenerate_spacings():
+    # in sector 1 the two Hill chains give each level twice, about 1e-13
+    # apart; a jump bound from those spacings would fail every step
+    template, axis, lo, hi, _ = README_SWEEPS["real-s1"]
+    result = sweep(template, axis, lo, hi, 21)
+    start = result.curves[:, 0].real
+    assert np.max(np.abs(start[1::2] - start[::2])) < 1e-9
+    assert result.refined_points == 0
+    for k, x in enumerate(result.values):
+        levels = eigen_spectrum(template.problem_at(axis, x)).eigenvalues[:12]
+        np.testing.assert_array_equal(np.sort(result.curves[:, k].real), levels.real)
+
+
+def test_tracking_ambiguity_after_max_halvings(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_HALVINGS", 0)
+    template, axis, lo, hi, _ = README_SWEEPS["window"]
+    with pytest.raises(TrackingAmbiguity, match=r"at mu3=0 after 0 refinements"):
+        sweep(template, axis, lo, hi, 3)
+
+
 def test_find_eps_mu3_sweep(fig2_eps):
     eps = fig2_eps
     found = sorted((round(p.parameter_value, 3), round(p.energy, 2)) for p in eps
@@ -681,6 +703,18 @@ def test_wavefunction_checks_levels_before_solving(monkeypatch):
         for level in (-1, 17, (0, 17)):
             with pytest.raises(ValueError, match="outside 0..16"):
                 wavefunction(problem, level)
+
+
+@pytest.mark.parametrize("mu", [(1e307,) + (0.0,) * 8,
+                                (1, 0.3, 0.2, 0.1, 0.4, 0.5, 1e308, 1e308, 0)],
+                         ids=["hill", "dense"])
+def test_wavefunction_overflow_one_value_error(mu):
+    problem = SpectralProblem(build_hamiltonian("PT5", mu))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (eigen_spectrum, lambda p: wavefunction(p, (0, 1))):
+            with pytest.raises(ValueError, match="at truncation 64 overflows floating point"):
+                solve(problem)
 
 
 @pytest.mark.parametrize("sector", [0.0, 0.37, 1.0])
