@@ -5,8 +5,8 @@ from .algebra import (E2Element, PT_SYMMETRIES, PTSymmetryE2, apply_pt,
                       is_hermitian, multiply)
 from .dyson import (DysonParamsE2, HermitizationResult, adjoint_generator,
                     ep_predictions_pt5, hermitize, optical_lattice_map,
-                    pt5_three_param_hamiltonian, reduce_pt5_three_param,
-                    similarity_transform)
+                    pt5_double_point_predictions, pt5_three_param_hamiltonian,
+                    reduce_pt5_three_param, similarity_transform)
 from .errors import (ConvergenceFailure, DegenerateCouplings, DegreeOverflow,
                      EuclidPTError, MapUndefined, TrackingAmbiguity)
 from .mathieu import (MathieuClass, characteristic_values, complex_mathieu_eps,

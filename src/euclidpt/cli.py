@@ -296,7 +296,7 @@ def _build_parser():
     p.add_argument("--lam", type=float, default=None, help="Dyson exponent (PT1/PT2)")
     _add_mu_flags(p, upto=8)
     p.add_argument("--mu9-target", type=float, default=None,
-                   help="PT3 degenerate-branch target for the mu9 constraint")
+                   help="PT3 mu9 when the coth equation is 0/0 (exit 1 otherwise)")
     p.add_argument("--three-param", action="store_true",
                    help="PT5 three-parameter family: report alpha/beta/gamma")
     _add_common(p)

@@ -129,7 +129,11 @@ def _hermitize_pt2(lam, mu1, mu3, mu4):
     return DysonParamsE2(lam, rho=mu3 * lc / mu1, tau=mu4 * lc / mu1), mu
 
 
-def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=0.0):
+class _UnusedTarget(ValueError):
+    """A PT3 mu9_target given where the coth equation fixes mu9 itself."""
+
+
+def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=None):
     num = mu2 * mu5 + mu1 * (mu6 - 2.0 * mu3)
     den = mu1 * (2.0 * mu4 - mu5) - mu2 * mu6
     scale = max(abs(mu1), abs(mu2), abs(mu3), abs(mu4), abs(mu5), abs(mu6), 1.0)
@@ -142,11 +146,14 @@ def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=0.0):
         den2 = 2.0 * (mu5 * mu6 + 2.0 * mu1 * mu7)
         if abs(den2) <= 1e-14 * scale:
             raise DegenerateCouplings("mu9 equation degenerates as well")
-        K2 = (2.0 * mu1 * mu9_target - mu5 ** 2 - mu6 ** 2) / den2
+        mu9 = 0.0 if mu9_target is None else mu9_target
+        K2 = (2.0 * mu1 * mu9 - mu5 ** 2 - mu6 ** 2) / den2
         lam = 0.5 * arcoth(K2)  # raises MapUndefined when |K2| <= 1
         K1 = 1.0 / math.tanh(lam)
-        mu9 = mu9_target
     else:
+        if mu9_target is not None:
+            raise _UnusedTarget(f"mu9_target applies only when the PT3 coth equation is 0/0; "
+                                f"here coth(lam) = {num / den!r} fixes mu9")
         K1 = num / den
         lam = arcoth(K1)  # raises MapUndefined when |K1| <= 1
         K2 = (K1 * K1 + 1.0) / (2.0 * K1)  # coth(2*lam)
@@ -196,7 +203,8 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     """Solve the closed-form hermitization constraints for one symmetry class.
 
     Free parameters: PT1/PT2 take (lam, mu1, mu3, mu4); PT3 takes mu1..mu8
-    (plus an optional mu9_target used only on the degenerate branch);
+    (plus an optional mu9_target, default 0, which picks lam when the coth
+    equation is 0/0 and raises ValueError otherwise);
     PT4/PT5 take (mu1, mu2, mu4, mu5, mu6, mu7, mu8).  Unspecified
     parameters default to zero except mu1, which defaults to 1.
 
@@ -222,6 +230,8 @@ def hermitize(symmetry, **free) -> HermitizationResult:
         H = build_hamiltonian(symmetry, mu)
         h = similarity_transform(params, H)
         residual = hermiticity_residual(h)
+    except _UnusedTarget:
+        raise
     except (OverflowError, ValueError):  # ValueError: DysonParamsE2 got an infinite exponent
         raise _overflow(symmetry + " hermitization", kwargs) from None
     if not np.isfinite([*h.coeffs, *mu, residual]).all():
@@ -300,6 +310,36 @@ def ep_predictions_pt5(mu3, mu4, mu7, sweep_axis) -> list:
     if sweep_axis == "mu7":
         return sorted([(mu3 - mu4) ** 2, (mu3 + mu4) ** 2])
     raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+
+
+def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
+    """Parameter values where two same-class levels of the three-parameter family merge.
+
+    The levels are c0 + a, a the Mathieu characteristic values at q = R/2,
+    R^2 = ((mu3^2 + mu4^2 - mu7)/2)^2 - mu3^2 mu4^2.  Two values of one
+    class merge where q = i*t_k, t_k an even-pi or odd-pi double point from
+    `mathieu.complex_mathieu_eps` (8 lowest values, Newton-placed), so where
+    R^2 = -4 t_k^2.  Sweeping mu7: mu7 = mu3^2 + mu4^2 -+ 2 sqrt(mu3^2 mu4^2
+    - 4 t_k^2).  Sweeping mu3 (mu4): mu3^2 = mu4^2 + mu7 -+ 2 sqrt(mu4^2 mu7
+    - 4 t_k^2) (mu3 and mu4 swapped), at either sign of mu3.  Every t_k that
+    the square roots reach is used; the list is sorted.
+    """
+    from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps   # mathieu imports spectral, dyson
+    if sweep_axis in ("mu3", "mu4"):
+        other = mu4 if sweep_axis == "mu3" else mu3
+        center, reach = other ** 2 + mu7, other ** 2 * mu7
+    elif sweep_axis == "mu7":
+        center, reach = mu3 ** 2 + mu4 ** 2, (mu3 * mu4) ** 2
+    else:
+        raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+    if reach <= 0:
+        return []
+    ts = [ep["q_imag"] for cls in (EVEN_PI, ODD_PI)
+          for ep in complex_mathieu_eps(math.sqrt(reach) / 2, cls)]
+    values = [center + sign * 2.0 * math.sqrt(reach - 4.0 * t * t) for t in ts for sign in (-1, 1)]
+    if sweep_axis != "mu7":
+        values = [sign * math.sqrt(x) for x in values for sign in (-1, 1)]
+    return sorted(values)
 
 
 def optical_lattice_map(mu7: float, mu8: float, mu9: float) -> dict:

@@ -20,8 +20,7 @@ import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
 from .errors import ConvergenceFailure
-from .spectral import (check_ep_tolerances, reality_transitions, tridiagonal_eigenvalues,
-                       tridiagonal_matrix)
+from .spectral import check_ep_tolerances, tridiagonal_eigenvalues, tridiagonal_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -231,28 +230,140 @@ def antiperiodic_characteristic_values(q, parity: str, count: int, trunc: int = 
 # exceptional points on the imaginary-q axis
 # ---------------------------------------------------------------------------
 
-def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
-                        trunc: int = 60, scan_steps: int = 400,
-                        param_tol: float = 1e-8, im_tol: float = 1e-8) -> list:
-    """Collisions of same-class characteristic values along q = i*t, t in (0, max_q].
+_NEWTON_STEPS = 30       # Newton steps one bracket allows before it is halved
+_FLOOR_ULPS = 2.0 ** 16   # a step this small (in ulps) that no longer halves is roundoff;
+                          # the roundoff floor is about 100 ulps at t = 95
 
-    The count lowest values are solved on scan_steps evenly spaced t, and
-    `spectral.reality_transitions` bisects every change in their number of
-    conjugate pairs (Im a > im_tol) to a bracket of width <= param_tol.
-    Returns [{"q_imag": t, "a_merge": Re a at the collision}, ...] in
-    increasing t, one entry per pair born or dying there.
+
+def _continuant(diag, coupling, a, s):
+    """(D, D_a, D_aa, D_s, D_as) for D = det(chain - a) at q = i*sqrt(s), times one factor > 0.
+
+    `diag` and `coupling` are the chain at q = i, whose link from mode k - 1
+    to mode k has the product -coupling[k].  At q = i*t that product is
+    -coupling[k]*s with s = t^2, so D_k = (diag[k] - a) D_{k-1} +
+    coupling[k] s D_{k-2} is real.  Each step divides every running value by
+    one power of two, which keeps them finite and exact; the factor cancels
+    from a Newton step.  Unscaled, D of the 120-mode chain at t = 100 is about 1e466.
+    """
+    d1, da1, daa1, ds1, das1 = 1.0, 0.0, 0.0, 0.0, 0.0      # D_{k-1} and derivatives
+    d2 = da2 = daa2 = ds2 = das2 = 0.0                        # D_{k-2}
+    for dk, ck in zip(diag, coupling):
+        e, cs = dk - a, ck * s
+        d0 = e * d1 + cs * d2
+        da0 = e * da1 - d1 + cs * da2
+        daa0 = e * daa1 - 2.0 * da1 + cs * daa2
+        ds0 = e * ds1 + cs * ds2 + ck * d2
+        das0 = e * das1 - ds1 + cs * das2 + ck * da2
+        f = math.ldexp(1.0, -math.frexp(abs(d0) + abs(da0) + abs(daa0) + abs(ds0)
+                                        + abs(das0))[1])
+        d2, da2, daa2, ds2, das2 = d1 * f, da1 * f, daa1 * f, ds1 * f, das1 * f
+        d1, da1, daa1, ds1, das1 = d0 * f, da0 * f, daa0 * f, ds0 * f, das0 * f
+    return d1, da1, daa1, ds1, das1
+
+
+def _double_point(cls, trunc, a, t, lo, hi):
+    """Newton from (a, t) to a double point D = D_a = 0 of the class chain, in (a, s = t^2).
+
+    Returns (t, a) once a step moves both to adjacent floats, or stops
+    shrinking at the roundoff floor; None when an iterate leaves lo <= t <= hi
+    or `_NEWTON_STEPS` steps do not converge.  The Jacobian's determinant is
+    D_a D_as - D_s D_aa, and D_a = 0 at a double point, so a non-degenerate
+    fold needs |D_aa D_s| > |D_a D_as| there; otherwise ConvergenceFailure.
+    """
+    diag, off = _chain(1j, cls, trunc)
+    diag, coupling = diag.real.tolist(), [0.0, *np.rint(-(off * off).real).tolist()]
+    s, s_lo, s_hi, last = t * t, lo * lo, hi * hi, math.inf
+    for _ in range(_NEWTON_STEPS):
+        d, d_a, d_aa, d_s, d_as = _continuant(diag, coupling, a, s)
+        det = d_a * d_as - d_s * d_aa
+        if not det:
+            return None
+        step_a, step_s = (d * d_as - d_s * d_a) / det, (d_a * d_a - d_aa * d) / det
+        a, s = a - step_a, s - step_s
+        if not s_lo <= s <= s_hi:
+            return None
+        ulps = max(abs(step_a) / math.ulp(a), abs(step_s) / math.ulp(s))
+        if ulps <= 1.0 or last / 2.0 <= ulps <= _FLOOR_ULPS:
+            if not abs(d_aa * d_s) > abs(d_a * d_as):
+                raise ConvergenceFailure(f"the double point at q = {math.sqrt(s)!r}i, "
+                                         f"a = {a!r} has a degenerate fold")
+            return math.sqrt(s), a
+        last = ulps
+    return None
+
+
+def _new_pair(fewer, more):
+    """The member of `more` left once each of `fewer` takes the one nearest in real part."""
+    more = list(more)
+    for z in fewer:
+        del more[min(range(len(more)), key=lambda i: abs(more[i].real - z.real))]
+    return more[0]
+
+
+def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
+                        trunc: int = 60, scan_steps: int | None = None,
+                        param_tol: float = 1e-8, im_tol: float = 1e-8) -> list:
+    """Double points of the even-pi or odd-pi class along q = i*t, t in (0, max_q].
+
+    There two values of the class merge (Blanch & Clemm, Math. Comp. 23
+    (1969) 97).  The count lowest values are solved on scan_steps evenly
+    spaced t (default 8 + int(max_q)), which only brackets the changes in
+    their number of conjugate pairs (Im a > im_tol).  Newton on the chain
+    continuant (`_double_point`) places each point, starting from the new
+    pair's real part at the bracket's broken end.  A bracket where the
+    number changes by more than one, or whose Newton iterate leaves it or
+    does not converge, is halved with one more solve.  Returns
+    [{"q_imag": t, "a_merge": a}, ...] in increasing t, one entry per pair
+    born or dying.  Raises ConvergenceFailure when a bracket narrower than
+    param_tol still holds no point, or when a scan interval does not hold
+    exactly as many points as its number of pairs changes by.
     """
     if not (math.isfinite(max_q) and max_q > 0):
         raise ValueError(f"max_q must be finite and positive, got {max_q}")
+    if cls not in (EVEN_PI, ODD_PI):
+        raise ValueError(f"imaginary-axis double points need the even-pi or odd-pi class, "
+                         f"got {cls!r}")
     _check_count(count, trunc)
+    if scan_steps is None:
+        scan_steps = 8 + int(max_q)
     if scan_steps < 2:
         raise ValueError(f"scan_steps must be at least 2, got {scan_steps}")
     check_ep_tolerances("param_tol", param_tol, im_tol)
-    ts = np.linspace(max_q / scan_steps, max_q, scan_steps)
-    return [{"q_imag": 0.5 * (lo + hi), "a_merge": float(z.real)}
-            for _, lo, hi, fresh in reality_transitions(
-                lambda t: _sorted_eigs(1j * t, cls, trunc)[:count], ts, param_tol, im_tol)
-            for z in fresh]
+    pairs = {}
+
+    def pairs_at(t):
+        if t not in pairs:
+            pairs[t] = [z for z in _sorted_eigs(1j * t, cls, trunc)[:count] if z.imag > im_tol]
+        return pairs[t]
+
+    ts = np.linspace(max_q / scan_steps, max_q, scan_steps).tolist()
+    found = []
+    for start, end in zip(ts, ts[1:]):
+        points, brackets = [], [(start, end)]
+        while brackets:
+            lo, hi = brackets.pop()
+            change = len(pairs_at(hi)) - len(pairs_at(lo))
+            if not change:
+                continue
+            if abs(change) == 1:
+                broken, real = (hi, lo) if change > 0 else (lo, hi)
+                seed = float(_new_pair(pairs_at(real), pairs_at(broken)).real)
+                point = _double_point(cls, trunc, seed, broken, lo, hi)
+                if point is not None:
+                    points.append(point)
+                    continue
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= param_tol or not lo < mid < hi:
+                raise ConvergenceFailure(f"no double point found in q = i*[{lo!r}, {hi!r}], "
+                                         f"where the number of conjugate pairs changes")
+            brackets += [(mid, hi), (lo, mid)]
+        change = len(pairs_at(end)) - len(pairs_at(start))
+        if len(points) != abs(change):
+            raise ConvergenceFailure(f"{len(points)} double points between q = {start!r}i and "
+                                     f"{end!r}i, where the number of conjugate pairs changes "
+                                     f"by {change}")
+        found += points
+    return [{"q_imag": t, "a_merge": a} for t, a in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -578,9 +578,10 @@ def _catalogue_eps(result, q2s, im_tol):
     crosses a threshold: every odd-n pair a_n, b_n meets at a = n^2 where
     q^2 changes sign, and two same-class values merge at a_k where q = i*t
     passes a double point t_k of the even-pi or odd-pi class (Mulholland &
-    Goldstein 1929; Blanch & Clemm, Math. Comp. 23 (1969) 97), which
-    `mathieu.complex_mathieu_eps` finds on its chains for the t the sweep
-    reaches.  Each crossing between grid values of q2s (q^2 at the grid) is
+    Goldstein 1929; Blanch & Clemm, Math. Comp. 23 (1969) 97).
+    `mathieu.complex_mathieu_eps`, with its default scan, places those the
+    sweep reaches by Newton on the class chain's continuant, to adjacent
+    floats.  Each crossing between grid values of q2s (q^2 at the grid) is
     bisected to adjacent floats on the sign of q^2 minus the threshold,
     without an eigensolve.  It is then certified by one solve on either
     side, a quarter grid interval (at most a third of the way to the next
@@ -608,7 +609,7 @@ def _catalogue_eps(result, q2s, im_tol):
         for cls in (EVEN_PI, ODD_PI):
             crossings += [(-ep["q_imag"] ** 2, ep["a_merge"]) for ep in complex_mathieu_eps(
                 t_max, cls, count=count, trunc=max(count + 8, template.truncation // 2 + 1),
-                scan_steps=8 + int(t_max), param_tol=1e-15, im_tol=0.0)]
+                im_tol=0.0)]
     points = []
     for threshold, a in crossings:
         for k in range(len(grid) - 1):

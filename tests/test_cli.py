@@ -81,6 +81,16 @@ def test_transform_pt3_mu9_target(capsys):
     assert report["result"]["residual"] < 1e-12
 
 
+def test_transform_pt3_unused_mu9_target_exit_1(capsys):
+    # mu2 = 0.1 makes the coth equation 1.25..., not 0/0, so it fixes mu9 itself
+    code, out, err = run(["transform", "--symmetry", "PT3", "--mu1", "1", "--mu2", "0.1",
+                          "--mu3", "0.2", "--mu4", "0.9", "--mu5", "0.3", "--mu6", "2",
+                          "--mu7", "0.2", "--mu8", "0.1", "--mu9-target", "3"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ") and "mu9_target" in err
+
+
 def test_transform_zero_mu1_exit_2(capsys):
     code, out, err = run(["transform", "--symmetry", "PT1", "--mu1", "0"], capsys)
     assert code == 2 and out == ""

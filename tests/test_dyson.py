@@ -6,7 +6,7 @@ import pytest
 from euclidpt.algebra import (E2Element, build_hamiltonian, casimir,
                               hermiticity_residual, is_hermitian)
 from euclidpt.dyson import (DysonParamsE2, adjoint_generator, ep_predictions_pt5,
-                            hermitize, optical_lattice_map,
+                            hermitize, optical_lattice_map, pt5_double_point_predictions,
                             pt5_reduced_element, pt5_three_param_hamiltonian,
                             reduce_pt5_three_param, similarity_transform)
 from euclidpt.errors import DegenerateCouplings, MapUndefined
@@ -186,6 +186,13 @@ def test_hermitize_pt3_degenerate_takes_mu9_target(target):
     assert np.max(np.abs(a - b)) < 1e-7
 
 
+def test_hermitize_pt3_rejects_unused_mu9_target():
+    free = dict(mu1=1.0, mu2=0.1, mu3=0.2, mu4=0.9, mu5=0.3, mu6=2.0, mu7=0.2, mu8=0.1)
+    with pytest.raises(ValueError, match="mu9_target applies only when"):
+        hermitize("PT3", **free, mu9_target=3.0)
+    assert hermitize("PT3", **free).constrained_mu[8] == pytest.approx(3.070696083058046)
+
+
 def test_hermitize_pt3_mathieu_choice_raises():
     # mu1 = 1, mu7 = 2q, everything else zero: no real Dyson exponent exists
     with pytest.raises(MapUndefined) as err:
@@ -312,6 +319,29 @@ def test_ep_predictions():
     assert ep_predictions_pt5(1.0, 3.0, 0.0, "mu7") == pytest.approx([4, 16])
     collapsed = ep_predictions_pt5(0.0, 1.5, 0.0, "mu3")
     assert collapsed == pytest.approx([-1.5, -1.5, 1.5, 1.5])
+
+
+def test_double_point_predictions():
+    # the README mu7 recipe: |R|/2 reaches the first even-pi double point
+    assert pt5_double_point_predictions(1.0, 3.0, 0.0, "mu7") == pytest.approx(
+        [10.0 - 1.2179902079, 10.0 + 1.2179902079], abs=1e-10)
+    # the README mu3 recipe never gets there: |R|/2 <= 1 < 1.4688
+    assert pt5_double_point_predictions(0.0, 1.0, 4.0, "mu3") == []
+    # swapping the roles of mu3 and mu4 swaps the axes
+    assert pt5_double_point_predictions(0.0, 3.0, 4.0, "mu3") == \
+        pt5_double_point_predictions(3.0, 0.0, 4.0, "mu4")
+    double_points = {1.4687686, 6.9289548, 16.4711659}
+    # |R|/2 reaches up to 3, 9 and 18: one, two and three double points
+    for mu3, mu4, mu7, axis, count in ((0.0, 3.0, 4.0, "mu3", 4), (2.0, 9.0, 0.0, "mu7", 4),
+                                       (4.0, 9.0, 0.0, "mu7", 6)):
+        values = pt5_double_point_predictions(mu3, mu4, mu7, axis)
+        assert len(values) == count
+        for x in values:
+            m3, m4, m7 = {"mu3": (x, mu4, mu7), "mu7": (mu3, mu4, x)}[axis]
+            r2 = ((m3 ** 2 + m4 ** 2 - m7) / 2) ** 2 - m3 ** 2 * m4 ** 2
+            assert min(abs(math.sqrt(-r2) / 2 - t) for t in double_points) < 1e-6
+    with pytest.raises(ValueError, match="sweep_axis"):
+        pt5_double_point_predictions(1.0, 3.0, 0.0, "mu8")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from euclidpt import spectral
+from euclidpt.dyson import ep_predictions_pt5, pt5_double_point_predictions
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.spectral import (SweepTemplate, _mathieu_form, bisect_transition,
                                find_exceptional_points, sweep)
@@ -70,6 +71,21 @@ def test_mu7_recipe_reports_the_double_points(readme_sweeps, double_point):
         c0 = (1.0 + p.parameter_value - 9.0) / 2
         assert p.energy == pytest.approx(c0 + a1, abs=1e-6)
     assert half == pytest.approx(1.21799, abs=1e-5)
+
+
+def test_predictions_are_the_positions_of_the_readme_recipes(readme_sweeps):
+    # the R^2 = 0 points and the double points together, as (mu3, mu4, mu7)
+    recipes = {"mu3": (0.0, 1.0, 4.0), "mu7": (1.0, 3.0, 0.0)}
+    reported = 0
+    for axis, mu in recipes.items():
+        predicted = ep_predictions_pt5(*mu, axis) + pt5_double_point_predictions(*mu, axis)
+        positions = [p.parameter_value for p in find_exceptional_points(readme_sweeps[axis])]
+        reported += len(positions)
+        for x in positions:
+            assert min(abs(x - y) for y in predicted) <= 1e-9
+        for y in predicted:
+            assert min(abs(x - y) for x in positions) <= 1e-9
+    assert reported == 14
 
 
 def test_positions_do_not_depend_on_im_tol(readme_sweeps):

@@ -6,6 +6,7 @@ import pytest
 
 from euclidpt import mathieu
 from euclidpt.dyson import pt5_three_param_hamiltonian, reduce_pt5_three_param
+from euclidpt.errors import ConvergenceFailure
 from euclidpt.mathieu import (CLASSES, EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
                               antiperiodic_characteristic_values,
                               antiperiodic_matrix, characteristic_values,
@@ -253,6 +254,116 @@ def test_third_even_ep():
     assert third
     assert third[0]["q_imag"] == pytest.approx(47.805966, abs=1e-3)
     assert third[0]["a_merge"] / 4 == pytest.approx(20.1646, abs=1e-3)
+    t, a = oracles.mathieu_even_pi_double_point(47.8, 80.6)
+    assert third[0]["q_imag"] == pytest.approx(t, rel=1e-9)
+    assert third[0]["a_merge"] == pytest.approx(a, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed, bracket", [((2.0, 1.5), (1.4, 1.5)), ((27.0, 16.0), (15.8, 16.5)),
+                                           ((80.6, 47.8), (47.7, 47.9))])
+def test_newton_double_points_against_continued_fraction(seed, bracket):
+    a0, t0 = seed
+    t, a = mathieu._double_point(EVEN_PI, 60, a0, t0, *bracket)
+    t_ref, a_ref = oracles.mathieu_even_pi_double_point(t0, a0)
+    assert t == pytest.approx(t_ref, rel=1e-12)
+    assert a == pytest.approx(a_ref, rel=1e-12)
+
+
+def test_newton_stops_when_it_leaves_the_bracket():
+    # from a = 100 the unguarded iteration reaches the double point at t = 95.48
+    t, _ = mathieu._double_point(EVEN_PI, 60, 100.0, 48.0, 0.0, 200.0)
+    assert t == pytest.approx(95.47527, abs=1e-5)
+    assert mathieu._double_point(EVEN_PI, 60, 100.0, 48.0, 47.1, 48.0) is None
+
+
+def test_degenerate_fold_raises(monkeypatch):
+    # D = 0, D_a ~ 0 and D_aa = 0: Newton stops at once on a fold with no D_aa term
+    monkeypatch.setattr(mathieu, "_continuant", lambda *args: (0.0, 1e-200, 0.0, 1e-200, 1.0))
+    with pytest.raises(ConvergenceFailure, match="degenerate fold"):
+        mathieu._double_point(EVEN_PI, 20, 2.0, 1.5, 1.4, 1.6)
+
+
+def _fake_pairs(births, deaths):
+    """A `_sorted_eigs` stand-in whose pair count rises at each birth and falls at each death."""
+    def eigs(q, cls, size):
+        n = sum(q.imag >= t for t in births) - sum(q.imag >= t for t in deaths)
+        return np.array([k + 1j for k in range(n)] + [k - 1j for k in range(n)] + [50.0] * 8)
+    return eigs
+
+
+def test_eps_certificates_raise(monkeypatch):
+    # Newton never converges: the bracket is halved down to param_tol
+    monkeypatch.setattr(mathieu, "_sorted_eigs", _fake_pairs([0.93], []))
+    monkeypatch.setattr(mathieu, "_double_point", lambda *args: None)
+    with pytest.raises(ConvergenceFailure, match="no double point found"):
+        complex_mathieu_eps(2.0, EVEN_PI, trunc=20, scan_steps=20)
+    # two births and a death inside the scan interval [0.9, 1.0]: three points
+    # for a change of one pair
+    monkeypatch.setattr(mathieu, "_sorted_eigs", _fake_pairs([0.93, 0.94], [0.97]))
+    monkeypatch.setattr(mathieu, "_double_point",
+                        lambda cls, trunc, a, t, lo, hi: None if hi - lo > 0.05 else (t, a))
+    with pytest.raises(ConvergenceFailure, match="3 double points .* changes by 1"):
+        complex_mathieu_eps(2.0, EVEN_PI, trunc=20, scan_steps=20)
+
+
+def test_odd_double_points_certified_by_one_solve_on_either_side():
+    eps = complex_mathieu_eps(31.0, ODD_PI)
+    assert [e["q_imag"] for e in eps] == pytest.approx([6.92895, 30.09677], abs=1e-5)
+    for ep in eps:
+        t, a = ep["q_imag"], ep["a_merge"]
+        for factor, pair in ((1 - 1e-6, False), (1 + 1e-6, True)):
+            w = mathieu._sorted_eigs(1j * t * factor, ODD_PI, 60)
+            near = w[np.argsort(np.abs(w - a))[:2]]
+            assert np.all(near.imag != 0) == pair and np.all(near.imag == 0) != pair
+            if pair:
+                assert near[0] == near[1].conjugate()
+            assert np.max(np.abs(near - a)) < 1e-2 * max(1.0, a)
+
+
+def test_continuant_stays_finite_at_large_q():
+    # unscaled, the determinant of the 120-mode chain at t = 100, a = 150 is about 1e466
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps = complex_mathieu_eps(100.0, EVEN_PI, trunc=120)
+        diag, off = mathieu._chain(1j, EVEN_PI, 120)
+        coupling = [0.0, *np.rint(-(off * off).real)]
+        values = mathieu._continuant(diag.real.tolist(), coupling, 150.0, 1e4)
+    assert np.all(np.isfinite(values)) and values[0] != 0
+    assert [e["q_imag"] for e in eps] == pytest.approx([1.46877, 16.47117, 47.80597, 95.47527],
+                                                        abs=1e-5)
+
+
+def test_eps_solve_budget(monkeypatch):
+    solved = []
+    sorted_eigs = mathieu._sorted_eigs
+
+    def counted(q, cls, size):
+        solved.append(q)
+        return sorted_eigs(q, cls, size)
+
+    monkeypatch.setattr(mathieu, "_sorted_eigs", counted)
+    assert len(complex_mathieu_eps(20.0, EVEN_PI)) == 2
+    assert len(solved) <= 40
+
+
+@pytest.mark.parametrize("cls", [EVEN_PI, ODD_PI])
+@pytest.mark.parametrize("max_q, kwargs", [(2.0, {"trunc": 20}), (17.0, {"count": 8}), (20.0, {}),
+                                           (55.0, {"count": 10, "trunc": 80})])
+def test_default_scan_finds_what_a_fine_scan_finds(max_q, kwargs, cls):
+    coarse = complex_mathieu_eps(max_q, cls, **kwargs)
+    fine = complex_mathieu_eps(max_q, cls, scan_steps=400, **kwargs)
+    assert len(coarse) == len(fine)
+    for got, ref in zip(coarse, fine):
+        assert got["q_imag"] == pytest.approx(ref["q_imag"], rel=1e-12)
+        assert got["a_merge"] == pytest.approx(ref["a_merge"], rel=1e-12)
+
+
+@pytest.mark.parametrize("cls", [EVEN_2PI, ODD_2PI])
+def test_eps_reject_2pi_classes(cls):
+    # a_n(it) and b_n(it) of odd n are a conjugate pair across two classes,
+    # so neither 2pi class has a same-class double point on the axis
+    with pytest.raises(ValueError, match="even-pi or odd-pi"):
+        complex_mathieu_eps(2.0, cls)
 
 
 # ---------------------------------------------------------------------------
