@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -34,7 +35,16 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports bad flags as configuration errors."""
+    """argparse variant that reports bad flags as configuration errors.
+
+    An argument that starts with '-' and a digit, such as -5e-1 or -2,0.5,
+    is a value: argparse's own pattern knows only plain decimals and takes
+    anything else that starts with '-' for a flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)
@@ -334,7 +344,9 @@ def _build_parser():
     p.add_argument("--class", dest="cls", required=True,
                    help="even-pi | odd-pi | even-2pi | odd-2pi")
     p.add_argument("--count", type=int, default=8)
-    p.add_argument("--trunc", type=int, default=60)
+    p.add_argument("--trunc", type=int, default=60,
+                   help="modes per chain: real q is certified by its residual bound at "
+                        "--trunc, complex q by doubling --trunc")
     _add_common(p)
     p.set_defaults(func=_cmd_mathieu)
 

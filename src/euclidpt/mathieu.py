@@ -4,10 +4,12 @@ Convention: y''(z) + (a - 2 q cos 2z) y = 0.  The truncated Fourier
 recurrence of each parity/periodicity class is a tridiagonal chain (DLMF
 28.4), and characteristic values are its eigenvalues, which handles real
 and complex q uniformly and makes eigenvalue collisions (exceptional points
-on the imaginary-q axis) directly observable.  `spectral.tridiagonal_eigenvalues`
-solves each chain: real q with the symmetric tridiagonal solver (DLMF
-28.2(vi)), imaginary q on the real form of the even-pi, odd-pi and
-antiperiodic chains, any other q in complex arithmetic.
+on the imaginary-q axis) directly observable.  Real q gives a real
+symmetric chain (DLMF 28.2(vi)): one solve at the truncation gives the
+values, and its residual bounds their truncation error (`_ritz_certified`).
+Any other q is certified by doubling the truncation, each chain solved by
+`spectral.tridiagonal_eigenvalues`: imaginary q on the real form of the
+even-pi, odd-pi and antiperiodic chains, any other q in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -117,10 +119,83 @@ def _check_count(count, trunc):
         raise ValueError(f"trunc must be at least count + 8, got trunc {trunc} with count {count}")
 
 
-def _lowest_certified(q, cls, count, trunc, what):
-    """The `count` lowest values at 2*trunc, certified against those at trunc.
+def _ritz_certified(q, cls, count, trunc, what):
+    """The `count` lowest values of a real-q chain at `trunc`, and a bound on each one's error.
 
-    Raises ConvergenceFailure if doubling the truncation moves a value by
+    The chain T (n = trunc modes) is the leading block of its class's
+    infinite symmetric operator A, which is bounded below.  B couples T to
+    the tail R of A through entries q at the cut end (both ends of an
+    antiperiodic chain); P projects onto the cut-end modes.  One solve
+    gives the count + 1 lowest eigenpairs (theta_j, y_j) of T.  Three facts
+    bound the j-th eigenvalue lambda_j of A:
+
+    - min-max: lambda_j <= theta_j.
+    - Tail inertia: every tail diagonal entry is at least the first one
+      beyond the truncation, so R >= c = that entry - 2|q| (Gershgorin).
+      For x < c, A - x has as many negative eigenvalues as the Schur
+      complement S(x) = T - x - B (R - x)^-1 B^T (Haynsworth), and
+      S(x) >= T - x - q^2/(c - x) P.  With c > theta_{count+1} and
+      delta = q^2/(c - theta_{count+1}), A has no more eigenvalues below
+      x <= theta_{count+1} than T' = T - delta P has.  That fixes the index,
+      with no ordering check: lambda_j >= mu_j, the j-th eigenvalue of T',
+      and mu_j >= theta_j - delta (Weyl).
+    - Kato-Temple: in T', y_j has the Rayleigh quotient theta_j - delta p_j,
+      with p_j = |P y_j|^2, and a residual of norm at most delta sqrt(p_j).
+      Where theta_j < theta_{j+1} - delta <= mu_{j+1}, every eigenvalue m of
+      T' has (m - mu_j)(m - theta_{j+1} + delta) >= 0.  Applied to y_j, that
+      gives mu_j >= theta_j - delta p_j (theta_{j+1} - theta_j) /
+      (theta_{j+1} - theta_j - delta).  The plain residual of y_j in A,
+      r_j = |q| sqrt(p_j), would give r_j^2/(theta_{j+1} - delta - theta_j),
+      which is larger whenever c - theta_{count+1} > theta_{j+1} - theta_j.
+
+    Each bound is the smaller of the last two, infinite when c <=
+    theta_{count+1}.  It covers the exact eigenvalues of T; the solve's
+    roundoff comes on top.  Raises ConvergenceFailure when a bound exceeds
+    1e-10.  The message names the largest bound or, where it is infinite,
+    the largest r_j, the distance from theta_j to some eigenvalue of A.
+    Returns (values, bounds).
+    """
+    diag, off = _chain(q, cls, trunc)
+    diag, off, q = diag.real, off.real, float(abs(q))
+    upper = np.zeros(trunc)    # dstemr takes a workspace entry past the end, and overwrites it
+    upper[:-1] = off
+    _, _, y, info = scipy.linalg.lapack.dstemr(diag, upper, 2, 0.0, 0.0, 1, count + 1)
+    if info:
+        raise ConvergenceFailure(f"dstemr failed with info {info} on the {what}")
+    y = y[:, :count + 1]
+    # the Rayleigh quotients: dstemr's own values may be off by some ulps of the
+    # largest diagonal entry, these by some ulps of the entries where y_j lives
+    theta = diag @ (y * y) + 2.0 * (off @ (y[:-1] * y[1:]))
+    ends = y[trunc - 1, :count] ** 2
+    if isinstance(cls, MathieuClass):
+        first = float(_modes(cls, trunc + 1)[-1]) ** 2
+    else:
+        first = (trunc + 0.5) ** 2
+        ends += y[0, :count] ** 2
+    values = theta[:count].astype(complex)
+    theta, ends = theta.tolist(), ends.tolist()
+    room = first - 2.0 * q - theta[count]
+    delta = q * q / room if room > 0 else math.inf
+    bounds = []
+    for j, p in enumerate(ends):
+        gap = theta[j + 1] - theta[j]
+        bounds.append(min(delta, delta * p * gap / (gap - delta)) if gap > delta else delta)
+    worst = max(bounds)
+    if not worst <= 1e-10:
+        moved = worst if math.isfinite(worst) else q * math.sqrt(max(ends))
+        raise ConvergenceFailure(f"{what} may have moved by {moved:.3e} under truncation "
+                                 f"to {trunc} modes")
+    return values, bounds
+
+
+def _lowest_certified(q, cls, count, trunc, what):
+    """The `count` lowest values, certified; real q by `_ritz_certified`, others by doubling.
+
+    Real q gives a real symmetric chain, whose values at `trunc` come with
+    a residual bound (`_ritz_certified`).  A complex symmetric chain's
+    residual does not bound its eigenvalue error, so any other q returns
+    the values at 2*trunc, certified against those at trunc: it raises
+    ConvergenceFailure if doubling the truncation moves a value by
     more than 1e-10 * max(1, max(1, |q|)/gap), gap being its distance to
     the nearest other value, or, when it moves by more than 1e-10, moves
     its mean with that value by more than 1e-10.  Near a double point
@@ -130,6 +205,8 @@ def _lowest_certified(q, cls, count, trunc, what):
     conjugate pair, which `count` would cut in half.
     """
     _check_count(count, trunc)
+    if not complex(q).imag:
+        return _ritz_certified(q, cls, count, trunc, what)[0]
     w1 = _sorted_eigs(q, cls, trunc)[:count + 1]
     w2 = _sorted_eigs(q, cls, 2 * trunc)[:count + 1]
     if w2[count - 1].imag and w2[count] == w2[count - 1].conjugate():
@@ -151,9 +228,11 @@ def _lowest_certified(q, cls, count, trunc, what):
 def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> np.ndarray:
     """First `count` characteristic values by real part, convergence-checked.
 
-    Raises ConvergenceFailure if doubling the truncation moves any reported
-    value by more than 1e-10, and ValueError if `count` ends between the two
-    members of a conjugate pair.
+    Real q returns the values at `trunc`, certified by their residual bound;
+    any other q the values at 2*trunc, certified against those at `trunc`
+    (`_lowest_certified`).  Raises ConvergenceFailure if a value's bound, or
+    its move under doubling, exceeds 1e-10, and ValueError if `count` ends
+    between the two members of a conjugate pair.
     """
     return _lowest_certified(q, cls, count, trunc, "characteristic values")
 
@@ -222,7 +301,11 @@ def antiperiodic_matrix(q, parity: str, size: int) -> np.ndarray:
 
 
 def antiperiodic_characteristic_values(q, parity: str, count: int, trunc: int = 60):
-    """First `count` values of one antiperiodic class, as `characteristic_values`."""
+    """First `count` values of one antiperiodic class, certified as `characteristic_values`.
+
+    Real q returns the values at `trunc`, certified by their residual bound;
+    any other q the values at 2*trunc, certified by doubling.
+    """
     return _lowest_certified(q, parity, count, trunc, f"antiperiodic {parity} values")
 
 

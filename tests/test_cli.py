@@ -210,11 +210,27 @@ def test_mathieu_count_may_not_split_a_conjugate_pair(count, code, capsys):
 
 
 def test_mathieu_truncation_doubling_failure_exit_3(capsys):
-    code, out, err = run(["mathieu", "--q", "300", "--class", "even-pi", "--count", "2",
-                          "--trunc", "10"], capsys)
-    assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("numerical failure: ") and "under truncation doubling" in err
+    # real q is certified by its residual bound at --trunc, complex q by doubling it
+    for q, wording in (("300", "under truncation to 10 modes"),
+                       ("300,1", "under truncation doubling")):
+        code, out, err = run(["mathieu", "--q", q, "--class", "even-pi", "--count", "2",
+                              "--trunc", "10"], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: ") and wording in err
+
+
+@pytest.mark.parametrize("argv, i", [
+    (["mathieu", "--q", "-2,0.5", "--class", "even-pi"], 1),
+    (["transform", "--symmetry", "PT5", "--three-param", "--mu3", "1", "--mu4", "-5e-1",
+      "--mu7", "0"], 6),
+], ids=["mathieu-complex-q", "transform-exponent"])
+def test_negative_value_is_not_a_flag(argv, i, capsys):
+    # argparse itself takes only plain decimals such as -0.5 for values
+    joined = [*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2:]]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == run(joined, capsys)[1]
 
 
 def test_csv_lines_match_per_value_format():

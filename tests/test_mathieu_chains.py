@@ -99,6 +99,39 @@ def test_real_q_makes_no_dense_solve(monkeypatch):
     assert calls.dtypes == []
 
 
+class _CountingSolves:
+    """Counts the symmetric real-q solves and the general chain solves."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"dstemr": 0, "chain": 0}
+        for module, name, key in ((scipy.linalg.lapack, "dstemr", "dstemr"),
+                                  (mathieu, "tridiagonal_eigenvalues", "chain")):
+            monkeypatch.setattr(module, name, self._counting(getattr(module, name), key))
+
+    def _counting(self, solve, key):
+        def counted(*args, **kwargs):
+            self.counts[key] += 1
+            return solve(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("q, counts", [(0.0, {"dstemr": 1, "chain": 0}),
+                                       (-6.0, {"dstemr": 1, "chain": 0}),
+                                       (2.5 + 0j, {"dstemr": 1, "chain": 0}),
+                                       (0.9 + 1.4j, {"dstemr": 0, "chain": 2}),
+                                       (1.8j, {"dstemr": 0, "chain": 2})],
+                         ids=["zero", "negative", "real-as-complex", "complex", "imaginary"])
+@pytest.mark.parametrize("cls", SIX_CLASSES, ids=CLASS_IDS)
+def test_real_q_solves_its_chain_once(cls, q, counts, monkeypatch):
+    # real q: one symmetric solve at trunc; any other q: trunc and 2*trunc
+    solves = _CountingSolves(monkeypatch)
+    if isinstance(cls, str):
+        antiperiodic_characteristic_values(q, cls, 4, trunc=20)
+    else:
+        characteristic_values(q, cls, 4, trunc=20)
+    assert solves.counts == counts
+
+
 @pytest.mark.parametrize("cls, dtype", zip(SIX_CLASSES, [float, float, complex, complex,
                                                       float, float]), ids=CLASS_IDS)
 def test_imaginary_q_real_form_where_the_diagonal_is_real(cls, dtype, monkeypatch):
@@ -145,6 +178,27 @@ def test_nonpositive_count_rejected(count):
 def test_convergence_failure_reports_drift(solve):
     with pytest.raises(ConvergenceFailure, match=r"moved by \d\.\d{3}e[+-]\d+ under"):
         solve()
+
+
+# every value certifies at trunc = count + 8, where the largest |q| put the bounds
+# between 1e-14 and 1e-10, well above roundoff
+@pytest.mark.parametrize("cls, qs", [(cls, (-27.0, -6.5, 0.0, 0.7, 12.0, 25.0))
+                                     for cls in SIX_CLASSES[:4]] +
+                         [(cls, (-3.25, -1.5, 0.0, 0.6, 2.0, 3.0)) for cls in SIX_CLASSES[4:]],
+                         ids=CLASS_IDS)
+def test_real_q_bound_holds_against_a_longer_chain(cls, qs):
+    count = 4
+    for q in qs:
+        for trunc in (count + 8, 40, 60):
+            values, bounds = mathieu._ritz_certified(q, cls, count, trunc, "values")
+            assert max(bounds) <= 1e-10
+            # bisection to full precision on the 4*trunc chain
+            diag, off = mathieu._chain(q, cls, 4 * trunc)
+            ref = scipy.linalg.eigh_tridiagonal(diag.real, off.real, select="i",
+                                                select_range=(0, count - 1), eigvals_only=True,
+                                                tol=np.finfo(float).tiny)
+            roundoff = 64 * np.finfo(float).eps * np.maximum(1.0, np.maximum(abs(q), np.abs(ref)))
+            assert np.all(np.abs(values - ref) <= np.array(bounds) + roundoff), (q, trunc)
 
 
 @pytest.mark.parametrize("t", [1.4687686, 1.46876861, 1.4687687, 16.471166])
