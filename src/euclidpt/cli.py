@@ -241,10 +241,8 @@ def _cmd_intensity(args):
         if spec.trusted_count < 2:
             raise ConfigError(f"--truncation {args.truncation} leaves {spec.trusted_count} "
                               "trusted level; intensity needs two")
-        i, j = _select_pair(spec, args.near_energy)
-        wf_a, wf_b = spectral.wavefunction(problem, (i, j))
-        int_a = spectral.intensity(wf_a, theta)
-        int_b = spectral.intensity(wf_b, theta)
+        int_a, int_b = (spectral.intensity(wave, theta) for wave in spectral.wavefunction(
+            problem, _select_pair(spec, args.near_energy), spec))
         lines += _csv_lines("%.12e,%.12e,%.12e,%.12e,%.12e", np.full(len(theta), m3),
                             theta, int_a, int_b, int_a + int_b - int_a[0])
     out = "\n".join(lines) + "\n"
@@ -400,6 +398,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        flag = "--trunc" if argv[:1] == ["mathieu"] else "--truncation"
+        print(f"configuration error: out of memory; {flag} is too large", file=sys.stderr)
         return EXIT_CONFIG
     except MapUndefined as exc:
         print(json.dumps({"error": "MapUndefined", "rhs": exc.rhs}), file=sys.stderr)

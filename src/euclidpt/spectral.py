@@ -161,10 +161,13 @@ def _real_form(matrix):
 
 @dataclass(frozen=True)
 class Spectrum:
+    """Levels of a problem; `order` and `block_sizes` name each one's block for `wavefunction`."""
     eigenvalues: np.ndarray        # sorted by real part
     reality_flags: np.ndarray      # |Im E| <= REALITY_RTOL*max(1, |Re E|)
     truncation: int
     sector: float
+    order: np.ndarray              # level i is entry order[i] of the `_blocks`' levels in turn
+    block_sizes: tuple             # how many levels each of the `_blocks` gave
     trusted_count: int = 0
 
     def trusted(self, count=None):
@@ -267,14 +270,15 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     eigenvalues carry truncation artifacts.  Each of the `_blocks` is solved
     alone, a chain from its `bands`; overflowing couplings raise ValueError.
     """
-    w = np.concatenate([tridiagonal_eigenvalues(*bands) if bands else scipy.linalg.eigvals(matrix)
-                        for matrix, bands, _ in _blocks(p)])
+    solved = [tridiagonal_eigenvalues(*bands) if bands else scipy.linalg.eigvals(matrix)
+              for matrix, bands, _ in _blocks(p)]
+    w = np.concatenate(solved)
     order = np.argsort(w.real, kind="stable")
     w = w[order]
     flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
     trusted = max(0, 2 * p.truncation + 1 - int(math.ceil(4.0 * math.sqrt(p.truncation))))
-    return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation,
-                    sector=p.sector, trusted_count=trusted)
+    return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation, sector=p.sector,
+                    order=order, block_sizes=tuple(map(len, solved)), trusted_count=trusted)
 
 
 def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "bosonic") -> float:
@@ -727,13 +731,31 @@ def _gauge_coefficients(p):
     return np.fft.fftshift(np.fft.fft(gauge)) / size
 
 
-@_solve_guard
-def wavefunction(p: SpectralProblem, level) -> WavefunctionSpec | list[WavefunctionSpec]:
-    """L^2-normalized eigenvector of the given level (real-part order).
+def _inverse_iteration(chain, energy):
+    """Unit eigenvector of a real tridiagonal chain at `energy`, or None on a zero pivot or a
+    product of off-diagonals <= 0.  Two steps of raw `dgttrf`/`dgttrs` (`solve_banded`'s
+    checks cost more than the solve) from a ramp, orthogonal to neither parity of a
+    symmetric chain."""
+    lower, diag, upper = (np.diagonal(chain, j) for j in (-1, 0, 1))
+    *lu, info = scipy.linalg.lapack.dgttrf(lower, diag - energy, upper)
+    ok = info == 0 and np.all(lower * upper > 0)
+    x = np.linspace(1.0, 2.0, len(diag))
+    for _ in range(2 if ok else 0):
+        x = scipy.linalg.lapack.dgttrs(*lu, x)[0]
+        x /= np.linalg.norm(x)
+    return x if ok else None
 
-    `level` may also be a sequence of levels; the result is then a list,
-    and one eigendecomposition serves them all, of each of the `_blocks`;
-    only the requested vectors are mapped back to Fourier modes.
+
+@_solve_guard
+def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
+    """L^2-normalized eigenvector of the given level of `spectrum` (real-part order).
+
+    `spectrum` defaults to `eigen_spectrum(p)`; one of another truncation or
+    sector raises ValueError.  A sequence of levels gives a list.  Each level
+    is solved on its own one of the `_blocks`, B: by `_inverse_iteration` on a
+    real chain with all off-diagonal products > 0 and no other level within
+    1e-6 max|B|, else by one `scipy.linalg.eig` of B, the column of the level's
+    rank in B by real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -741,11 +763,27 @@ def wavefunction(p: SpectralProblem, level) -> WavefunctionSpec | list[Wavefunct
     for lv in levels:
         if not 0 <= lv < dim:
             raise ValueError(f"level {lv} outside 0..{dim - 1}")
-    solved = [(*scipy.linalg.eig(matrix), to_modes) for matrix, _, to_modes in _blocks(p)]
-    columns = [(vec, to_modes) for _, vecs, to_modes in solved for vec in vecs.T]
-    order = np.argsort(np.concatenate([w for w, _, _ in solved]).real, kind="stable")
-    vectors = [to_modes(vec) for vec, to_modes in (columns[order[lv]] for lv in levels)]
-    specs = [WavefunctionSpec(sector=p.sector, coeffs=v).normalized() for v in vectors]
+    spectrum = spectrum or eigen_spectrum(p)
+    want = (p.truncation, p.sector, dim)
+    if (spectrum.truncation, spectrum.sector, len(spectrum.eigenvalues)) != want:
+        raise ValueError(f"spectrum is not that of (truncation, sector, levels) {want}")
+    blocks, dense, specs = _blocks(p), {}, []
+    block_of = np.searchsorted(np.cumsum(spectrum.block_sizes), spectrum.order, side="right")
+    for lv in levels:
+        b, energy = block_of[lv], spectrum.eigenvalues[lv]
+        (matrix, bands, to_modes), scale = blocks[b], np.max(np.abs(blocks[b][0]))
+        close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
+        vec = _inverse_iteration(matrix, energy.real) \
+            if bands and matrix.dtype == float and np.count_nonzero(close) == 1 else None
+        if vec is None:
+            if b not in dense:
+                w, vecs = scipy.linalg.eig(matrix)
+                dense[b] = vecs[:, np.argsort(w.real, kind="stable")]
+            vec = dense[b][:, np.count_nonzero(block_of[:lv] == b)]   # the level's rank in B
+        if not (residual := np.linalg.norm(matrix @ vec - energy * vec)) <= 1e-9 * scale:
+            raise ConvergenceFailure(f"level {lv} ({energy:.12g}): eigenvector residual "
+                                     f"{residual:.3e} > 1e-9 max|B| = {1e-9 * scale:.3e}")
+        specs.append(WavefunctionSpec(sector=p.sector, coeffs=to_modes(vec)).normalized())
     return specs[0] if single else specs
 
 

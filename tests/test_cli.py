@@ -353,6 +353,20 @@ def test_bad_value_one_line_exit_1(args, capsys):
     assert "Traceback" not in err
 
 
+# sizes whose arrays (576 TB for the circle matrix, 1.6 PB for a Mathieu
+# chain) exceed a 48-bit address space, so numpy refuses them at once
+@pytest.mark.parametrize("args, flag", [
+    (["intensity", "--mu3", "0.8", "--truncation", "3000000"], "--truncation"),
+    (["spectrum", "--family", "pt5-three", "--sweep", "mu3:0:1:3", "--truncation", "3000000"],
+     "--truncation"),
+    (["mathieu", "--q", "1", "--class", "even-pi", "--trunc", "100000000000000"], "--trunc")],
+    ids=["intensity", "spectrum", "mathieu"])
+def test_too_large_a_truncation_one_line_exit_1(args, flag, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 1 and out == ""
+    assert err == f"configuration error: out of memory; {flag} is too large\n"
+
+
 @pytest.mark.parametrize("args, flag", [(["--q", "1", "--count", "0"], "--count"),
                                         (["--q", "1,2,3"], "--q"), (["--q", "nan"], "--q"),
                                         (["--q", "1", "--count", "80"], "--count"),

@@ -1,6 +1,7 @@
 import math
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from euclidpt import algebra, spectral
 from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.cli import _select_pair
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
-from euclidpt.errors import TrackingAmbiguity
+from euclidpt.errors import ConvergenceFailure, TrackingAmbiguity
 from euclidpt.mathieu import pt5_complex_hamiltonian
 from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
                                _real_form, bisect_transition, build_matrix, eigen_spectrum,
@@ -691,6 +692,112 @@ def test_wavefunction_sequence_matches_single_calls(element):
     assert isinstance(pair, list) and len(pair) == 2
     for level, wave in zip((3, 4), pair):
         np.testing.assert_array_equal(wave.coeffs, wavefunction(problem, level).coeffs)
+
+
+class _CountingEigensolves:
+    """Counts the chain and dense eigensolves `wavefunction` could make."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"tridiagonal_eigenvalues": 0, "eigvals": 0, "eig": 0, "eigen_spectrum": 0}
+        for module, name in ((spectral, "tridiagonal_eigenvalues"), (scipy.linalg, "eigvals"),
+                             (scipy.linalg, "eig"), (spectral, "eigen_spectrum")):
+            monkeypatch.setattr(module, name, self._counting(getattr(module, name), name))
+
+    def _counting(self, solve, name):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return solve(*args, **kwargs)
+        return counted
+
+
+def _block_of(spectrum):
+    """Index of the `_blocks` entry that gave each level of the spectrum."""
+    return np.searchsorted(np.cumsum(spectrum.block_sizes), spectrum.order, side="right")
+
+
+def test_unbroken_pair_makes_no_eigensolve(monkeypatch):
+    # README --mu3 0.8: both chains are real with products > 0
+    problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0))
+    spectrum = eigen_spectrum(problem)
+    pair = _select_pair(spectrum, 3.0)
+    solves = _CountingEigensolves(monkeypatch)
+    waves = wavefunction(problem, pair, spectrum)
+    assert solves.counts == {"tridiagonal_eigenvalues": 0, "eigvals": 0, "eig": 0,
+                             "eigen_spectrum": 0}
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
+
+
+def test_broken_pair_makes_one_eig_per_block(monkeypatch):
+    # README --mu3 1.2: the pair is complex, so its chain takes the dense path
+    problem = SpectralProblem(pt5_three_param_hamiltonian(1.2, 1.0, 4.0))
+    spectrum = eigen_spectrum(problem)
+    pair = _select_pair(spectrum, 3.0)
+    assert spectrum.eigenvalues[pair[0]].imag != 0
+    solves = _CountingEigensolves(monkeypatch)
+    waves = wavefunction(problem, pair, spectrum)
+    assert solves.counts["tridiagonal_eigenvalues"] == solves.counts["eigvals"] == 0
+    assert 1 <= solves.counts["eig"] <= len(set(_block_of(spectrum)[list(pair)]))
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
+
+
+def test_wavefunction_solves_the_spectrum_it_is_not_given(monkeypatch):
+    problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), sector=1.0)
+    given = wavefunction(problem, (2, 3), eigen_spectrum(problem))
+    solves = _CountingEigensolves(monkeypatch)
+    for wave, own in zip(given, wavefunction(problem, (2, 3))):
+        np.testing.assert_array_equal(wave.coeffs, own.coeffs)
+    assert solves.counts["eigen_spectrum"] == 1
+
+
+@pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(0.8, 1.0, 4.0),
+                                     pt5_three_param_hamiltonian(1.2, 1.0, 4.0),
+                                     pt5_three_param_hamiltonian(3.0, 1.0, 4.0), RAW_PT5],
+                         ids=["unbroken", "broken", "r2-zero", "dense"])
+@pytest.mark.parametrize("sector", [0.0, 1.0])
+def test_trusted_vectors_certified_against_their_spectrum(element, sector):
+    problem = SpectralProblem(element, sector=sector)
+    spectrum = eigen_spectrum(problem)
+    levels = list(range(spectrum.trusted_count))
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, levels,
+                         wavefunction(problem, levels, spectrum))
+
+
+@pytest.mark.parametrize("sector, pair", [(1.0, (2, 3)), (0.0, (63, 64))],
+                         ids=["two-chains", "one-chain"])
+def test_degenerate_levels_give_independent_vectors(sector, pair):
+    # sector 1: each level twice, once per chain; sector 0: modes +-n of one
+    # chain split by far less than roundoff at levels near 1026
+    problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), sector=sector)
+    spectrum = eigen_spectrum(problem)
+    energies = spectrum.eigenvalues[list(pair)]
+    assert abs(energies[0] - energies[1]) < 1e-9 * abs(energies[0])
+    if sector == 0.0:
+        assert len(set(_block_of(spectrum)[list(pair)])) == 1
+    waves = wavefunction(problem, pair, spectrum)
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
+    a, b = (wave.coeffs / np.linalg.norm(wave.coeffs) for wave in waves)
+    assert abs(np.vdot(a, b)) < 0.5
+
+
+@pytest.mark.parametrize("other", [{"truncation": 32}, {"sector": 1.0}])
+def test_spectrum_of_another_problem_rejected(other):
+    problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0))
+    spectrum = eigen_spectrum(replace(problem, **other))
+    with pytest.raises(ValueError, match="spectrum is not that of"):
+        wavefunction(problem, 0, spectrum)
+
+
+@pytest.mark.parametrize("element, level", [(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), 3),
+                                            (pt5_three_param_hamiltonian(1.2, 1.0, 4.0), 0),
+                                            (RAW_PT5, 3)],
+                         ids=["inverse-iteration", "chain-eig", "dense-eig"])
+def test_wrong_eigenvalue_fails_the_certificate(element, level):
+    problem = SpectralProblem(element)
+    spectrum = eigen_spectrum(problem)
+    energies = spectrum.eigenvalues.copy()
+    energies[level] += 0.5
+    with pytest.raises(ConvergenceFailure, match=f"level {level} .* residual"):
+        wavefunction(problem, level, replace(spectrum, eigenvalues=energies))
 
 
 def test_wavefunction_checks_levels_before_solving(monkeypatch):
