@@ -40,8 +40,14 @@ ENVELOPE = Envelope([(_U,) * a + (_V,) * b + (_J,) * c for a, b, c in MONOMIALS]
 _DAGGER = ENVELOPE.map_table({g: [(1.0, g)] for g in range(3)}, reverse=True)
 
 
+_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)} | {"one": 0}
+
+
 def _index(label):
-    return BASIS_LABELS.index("1" if label == "one" else label)
+    try:
+        return _INDEX[label]
+    except KeyError:
+        raise ValueError(f"unknown basis label {label!r}") from None
 
 
 class E2Element(Element):
@@ -53,7 +59,7 @@ class E2Element(Element):
     @classmethod
     def from_terms(cls, **terms):
         """Build from coefficients keyed by basis label, e.g. from_terms(J2=1, v=1j)."""
-        c = np.zeros(DIM, dtype=complex)
+        c = [0j] * DIM
         for label, value in terms.items():
             c[_index(label)] += value
         return cls(c)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from . import dyson
 from .algebra import E2Element, build_hamiltonian
@@ -36,7 +35,7 @@ class SpectralProblem:
 
     def __post_init__(self):
         _check_truncation(self.truncation)
-        if not np.all(np.isfinite(self.element.coeffs)):
+        if not np.isfinite(self.element.coeffs).all():
             raise ValueError("element coefficients must be finite")
         if not 0.0 <= self.sector < 2.0:
             raise ValueError(f"sector must lie in [0, 2), got {self.sector}")
@@ -85,6 +84,18 @@ def build_matrix(p: SpectralProblem) -> np.ndarray:
     return m
 
 
+def _completed_square(element):
+    """Coefficients (1, J, u2, v2, uv, J2) of the `hill_form` of the element, or None."""
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c = (complex(x) for x in element.coeffs)
+    if c == 0:
+        return None
+    a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)
+    if cu - c * (1j * b + 2 * a * d) != 0 or cv - c * (-1j * a + 2 * b * d) != 0:
+        return None
+    square = c1, cj, cu2 - c * a * a, cv2 - c * b * b, cuv - 2 * c * a * b, c
+    return tuple(0j + x for x in square)   # as `from_terms` stores them: -0.0 parts become 0.0
+
+
 def hill_form(element: E2Element) -> E2Element | None:
     """The Hill equation c(J + d)^2 + V isospectral to the element, or None.
 
@@ -96,14 +107,11 @@ def hill_form(element: E2Element) -> E2Element | None:
     Fourier mode n only to n +- 2; otherwise (or when c = 0) this returns
     None.
     """
-    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c = (complex(x) for x in element.coeffs)
-    if c == 0:
+    square = _completed_square(element)
+    if square is None:
         return None
-    a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)
-    if cu - c * (1j * b + 2 * a * d) != 0 or cv - c * (-1j * a + 2 * b * d) != 0:
-        return None
-    return E2Element.from_terms(one=c1, J=cj, u2=cu2 - c * a * a, v2=cv2 - c * b * b,
-                                uv=cuv - 2 * c * a * b, J2=c)
+    v0, cj, alpha, beta, gamma, c = square
+    return E2Element.from_terms(one=v0, J=cj, u2=alpha, v2=beta, uv=gamma, J2=c)
 
 
 def _mathieu_form(p: SpectralProblem):
@@ -118,14 +126,13 @@ def _mathieu_form(p: SpectralProblem):
     an integer, relabelling n + shift as n makes them the Mathieu chains.
     Only real c > 0, e0 and q2 qualify.
     """
-    hill = hill_form(p.element)
-    if hill is None:
+    square = _completed_square(p.element)
+    if square is None:
         return None
-    c = hill.term("J2")
-    d = hill.term("J") / (2 * c)
+    v0, cj, alpha, beta, gamma, c = square
+    d = cj / (2 * c)
     shift = d + p.sector / 2.0
-    alpha, beta, gamma = hill.term("u2"), hill.term("v2"), hill.term("uv")
-    e0 = hill.term("one") - c * d * d + (alpha + beta) / 2
+    e0 = v0 - c * d * d + (alpha + beta) / 2
     q2 = ((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)
     if c.imag or c.real <= 0 or e0.imag or q2.imag or shift.imag \
             or shift.real != round(shift.real):
@@ -185,17 +192,21 @@ def tridiagonal_eigenvalues(diag, upper, lower):
     diagonal similarity rescales the off-diagonals and keeps their products.
     So when the diagonal and every product are real, the chain is solved in
     real arithmetic: with all products >= 0 it is similar to the symmetric
-    tridiagonal with off-diagonals sqrt(product), which goes to
-    `eigh_tridiagonal`; otherwise real off-diagonals stay as they are and
-    complex ones become upper sqrt|p|, lower sign(p) sqrt|p|, for the dense
-    real solver.  Every other chain takes the dense complex solver.
+    tridiagonal with off-diagonals sqrt(product), which goes to raw LAPACK
+    `dstevd` (the driver `eigh_tridiagonal` picks, without its checks; a
+    failure raises LinAlgError); otherwise real off-diagonals stay as they
+    are and complex ones become upper sqrt|p|, lower sign(p) sqrt|p|, for
+    the dense real solver.  Every other chain takes the dense complex
+    solver.  The chain must be finite and at least 2 long.
     """
     products = upper * lower
     if diag.imag.any() or products.imag.any():
         return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper, lower))
     diag, products = diag.real, products.real
-    if np.all(products >= 0):
-        w = scipy.linalg.eigh_tridiagonal(diag, np.sqrt(products), eigvals_only=True)
+    if (products >= 0).all():
+        w, _, info = scipy.linalg.lapack.dstevd(diag, np.sqrt(products), compute_v=0)
+        if info:
+            raise scipy.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
         return w.astype(complex)
     if upper.imag.any() or lower.imag.any():
         upper = np.sqrt(np.abs(products))
@@ -222,7 +233,7 @@ def _solve_guard(solve):
         except FloatingPointError:
             raise ValueError(f"the circle-representation matrix at truncation {p.truncation} "
                              "overflows floating point") from None
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        except scipy.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
 
     return guarded
@@ -366,22 +377,88 @@ def _levels_at(template, axis, value):
     return spectrum.eigenvalues[:template.track_levels]
 
 
+def _assignment(cost):
+    """Column of each row in a minimal-cost assignment; `cost` is a finite square list of rows.
+
+    A scalar port of scipy's `linear_sum_assignment`, the shortest augmenting
+    path solver of Crouse (IEEE Trans. Aerosp. Electron. Syst. 52 (2016)
+    1679), that returns exactly its columns: rows are added in order, the
+    columns left to scan are kept in reverse order with swap-removal, and of
+    equal reduced costs a free column wins.  Each row's first scan, over all
+    columns, is done on the whole row at once; when it ends at a free column
+    the row takes it, as the search would, and needs no path.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col = [-1] * n, [-1] * n
+    searched = False   # v is all zero until a row needs the path search
+    for cur in range(n):
+        first = [c - w for c, w in zip(cost[cur], v)] if searched else cost[cur]
+        low = min(first)
+        j = first.index(low)
+        if row4col[j] >= 0 and first.count(low) > 1:
+            # scanning down, the first tie is kept, then each free one
+            tied = [k for k, r in enumerate(first) if r == low]
+            j = next((k for k in tied if row4col[k] < 0), tied[-1])
+        if row4col[j] < 0:
+            u[cur] += low
+            col4row[cur], row4col[j] = j, cur
+            continue
+        searched = True
+        shortest, path = list(first), [cur] * n
+        remaining = list(range(n - 1, 0, -1))
+        if j:
+            remaining[n - 1 - j] = 0   # swap-removal of j from n-1..0
+        rows, cols = [cur], [j]   # rows and columns the search reached
+        while row4col[j] >= 0:
+            i = row4col[j]
+            rows.append(i)
+            ci, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = low + ci[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    lowest, index = shortest[j], it
+            low, j = lowest, remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += low
+        for i in rows[1:]:
+            u[i] += low - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= low - shortest[j]
+        while True:   # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _match(prev, new):
-    """Order `new` against `prev` by minimal total |dE|; returns (ordered, cost)."""
-    cost = np.abs(prev[:, None] - new[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    ordered = np.empty_like(new)
-    ordered[rows] = new[cols]
-    return ordered, float(cost[rows, cols].max())
+    """Order `new` against `prev` by minimal total |dE|; returns (ordered, cost).
+
+    The assignment is `_assignment`'s, which is exactly scipy's `linear_sum_assignment`.
+    """
+    cost = np.abs(prev[:, None] - new[None, :]).tolist()
+    cols = _assignment(cost)
+    return new[cols], max([row[j] for row, j in zip(cost, cols)])
 
 
 def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
           workers: int = 1) -> SweepResult:
     """Level curves over [lo, hi], matched by nearest-neighbor continuation.
 
-    Labels are assigned by real-part order at the sweep start.  When the
-    best assignment between adjacent points jumps by more than half the
-    median level spacing at the start, midpoints are inserted internally
+    Labels are assigned by real-part order at the sweep start.  Adjacent
+    points are matched by `_match`, a minimal-cost assignment solved by
+    `_assignment`, an exact port of the shortest augmenting path solver
+    behind scipy's `linear_sum_assignment` (Crouse 2016).  When the best
+    assignment between adjacent points jumps by more than half the median
+    level spacing at the start, midpoints are inserted internally
     until the match is unambiguous; TrackingAmbiguity is raised after
     MAX_HALVINGS halvings.  The median skips spacings at most
     REALITY_RTOL*max(1, |E|): degenerate levels, such as the two Hill
@@ -733,12 +810,12 @@ def _gauge_coefficients(p):
 
 def _inverse_iteration(chain, energy):
     """Unit eigenvector of a real tridiagonal chain at `energy`, or None on a zero pivot or a
-    product of off-diagonals <= 0.  Two steps of raw `dgttrf`/`dgttrs` (`solve_banded`'s
+    zero product of off-diagonals.  Two steps of raw `dgttrf`/`dgttrs` (`solve_banded`'s
     checks cost more than the solve) from a ramp, orthogonal to neither parity of a
     symmetric chain."""
     lower, diag, upper = (np.diagonal(chain, j) for j in (-1, 0, 1))
     *lu, info = scipy.linalg.lapack.dgttrf(lower, diag - energy, upper)
-    ok = info == 0 and np.all(lower * upper > 0)
+    ok = info == 0 and np.all(lower * upper != 0)
     x = np.linspace(1.0, 2.0, len(diag))
     for _ in range(2 if ok else 0):
         x = scipy.linalg.lapack.dgttrs(*lu, x)[0]
@@ -752,10 +829,11 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
 
     `spectrum` defaults to `eigen_spectrum(p)`; one of another truncation or
     sector raises ValueError.  A sequence of levels gives a list.  Each level
-    is solved on its own one of the `_blocks`, B: by `_inverse_iteration` on a
-    real chain with all off-diagonal products > 0 and no other level within
-    1e-6 max|B|, else by one `scipy.linalg.eig` of B, the column of the level's
-    rank in B by real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.
+    is solved on its own one of the `_blocks`, B: an exactly real level with
+    no other level of B within 1e-6 max|B|, on a real chain whose
+    off-diagonal products are all nonzero, by `_inverse_iteration`; any other
+    by one `scipy.linalg.eig` of B, the column of the level's rank in B by
+    real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -773,8 +851,8 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
         (matrix, bands, to_modes), scale = blocks[b], np.max(np.abs(blocks[b][0]))
         close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
-        vec = _inverse_iteration(matrix, energy.real) \
-            if bands and matrix.dtype == float and np.count_nonzero(close) == 1 else None
+        vec = _inverse_iteration(matrix, energy.real) if bands and matrix.dtype == float \
+            and energy.imag == 0 and np.count_nonzero(close) == 1 else None
         if vec is None:
             if b not in dense:
                 w, vecs = scipy.linalg.eig(matrix)

@@ -740,6 +740,53 @@ def test_broken_pair_makes_one_eig_per_block(monkeypatch):
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
 
 
+def test_real_levels_of_a_broken_chain_make_no_eig(monkeypatch):
+    # README --mu3 1.2 in sector 1: the pair is two real levels, one per chain,
+    # and every off-diagonal product of both chains is negative
+    problem = SpectralProblem(pt5_three_param_hamiltonian(1.2, 1.0, 4.0), sector=1.0)
+    spectrum = eigen_spectrum(problem)
+    pair = _select_pair(spectrum, 3.0)
+    assert all(spectrum.eigenvalues[level].imag == 0 for level in pair)
+    for _, (diag, upper, lower), _ in spectral._blocks(problem):
+        assert np.all((upper * lower).real < 0)
+    solves = _CountingEigensolves(monkeypatch)
+    waves = wavefunction(problem, pair, spectrum)
+    assert solves.counts == {"tridiagonal_eigenvalues": 0, "eigvals": 0, "eig": 0,
+                             "eigen_spectrum": 0}
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
+
+
+def test_complex_level_of_a_real_chain_needs_eig():
+    # README --mu3 1.2, sector 0: the pair is complex, on a real chain whose products are
+    # all nonzero.  Inverse iteration at the real part of a level gives a vector that
+    # fails the certificate, so `wavefunction` keeps it to exactly real levels.
+    problem = SpectralProblem(pt5_three_param_hamiltonian(1.2, 1.0, 4.0))
+    spectrum = eigen_spectrum(problem)
+    level = _select_pair(spectrum, 3.0)[0]
+    energy = spectrum.eigenvalues[level]
+    chain, (diag, upper, lower), _ = spectral._blocks(problem)[_block_of(spectrum)[level]]
+    assert energy.imag != 0 and chain.dtype == float and np.all(upper * lower != 0)
+    vec = spectral._inverse_iteration(chain, energy.real)
+    assert vec is not None
+    assert np.linalg.norm(chain @ vec - energy * vec) > 1e-9 * np.max(np.abs(chain))
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, [level],
+                         [wavefunction(problem, level, spectrum)])
+
+
+def test_sector_one_intensity_surface_eig_count(monkeypatch):
+    # the README intensity points in sector 1: the broken window's pairs are real and
+    # take inverse iteration; `eig` is left for the 12 points where the pair is complex
+    # (mu3 in [1.95, 2.5], one chain) and the two where R^2 = 0 (mu3 = 1, 3; both chains)
+    solves = _CountingEigensolves(monkeypatch)
+    for mu3 in README_INTENSITY_MU3:
+        problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0), sector=1.0)
+        spectrum = eigen_spectrum(problem)
+        pair = _select_pair(spectrum, 3.0)
+        _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair,
+                             wavefunction(problem, pair, spectrum))
+    assert solves.counts["eig"] == 16
+
+
 def test_wavefunction_solves_the_spectrum_it_is_not_given(monkeypatch):
     problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), sector=1.0)
     given = wavefunction(problem, (2, 3), eigen_spectrum(problem))
@@ -810,6 +857,15 @@ def test_wavefunction_checks_levels_before_solving(monkeypatch):
         for level in (-1, 17, (0, 17)):
             with pytest.raises(ValueError, match="outside 0..16"):
                 wavefunction(problem, level)
+
+
+def test_dstevd_failure_is_a_convergence_failure(monkeypatch):
+    def failing(diag, off, compute_v=0):
+        return np.zeros_like(diag), np.zeros((1, 1)), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+    with pytest.raises(ConvergenceFailure, match=r"dstevd failed to converge \(info 3\)"):
+        eigen_spectrum(SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0)))
 
 
 @pytest.mark.parametrize("mu", [(1e307,) + (0.0,) * 8,
