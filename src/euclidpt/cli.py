@@ -359,13 +359,17 @@ def _build_parser():
 
 
 def _apply_config_file(parser, argv):
-    """Load --config JSON as defaults for the chosen subcommand; flags override."""
-    if "--config" not in argv:
+    """Put the --config JSON's values after the subcommand, as --flag=value arguments.
+
+    argparse then converts and checks each one as it does the flag, and a flag
+    given on the command line comes later and overrides it.  A switch such as
+    --plot-script takes true (the bare flag) or false (nothing).
+    """
+    probe = _Parser(add_help=False)
+    probe.add_argument("--config")        # as the subcommand parses it: --config PATH or =PATH
+    path = probe.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config requires a path")
-    path = argv[idx + 1]
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -377,16 +381,20 @@ def _apply_config_file(parser, argv):
                        if isinstance(a, argparse._SubParsersAction))
     if not argv or argv[0] not in sub_actions.choices:
         raise ConfigError("config file requires a subcommand")
-    sub = sub_actions.choices[argv[0]]
-    known = {a.dest for a in sub._actions}
-    unknown = set(data) - known
+    actions = {a.dest: a for a in sub_actions.choices[argv[0]]._actions}
+    unknown = set(data) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    sub.set_defaults(**data)
-    for action in sub._actions:
-        if action.dest in data:
-            action.required = False
-    return argv
+    flags = []
+    for key, value in data.items():
+        flag = actions[key].option_strings[-1]
+        if actions[key].nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+        elif value:
+            flags.append(flag)
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,10 @@ values, and its residual bounds their truncation error (`_ritz_certified`).
 Any other q is certified by doubling the truncation, each chain solved by
 `spectral.tridiagonal_eigenvalues`: imaginary q on the real form of the
 even-pi, odd-pi and antiperiodic chains, any other q in complex arithmetic.
+A periodic Mathieu function takes its Fourier coefficients from the same
+chain, by inverse iteration at the characteristic value, certified by its
+residual (`coefficient_vector`).  No chain is solved as a dense matrix here:
+`recurrence_matrix` and `antiperiodic_matrix` are the tests' dense references.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
 from .errors import ConvergenceFailure
-from .spectral import check_ep_tolerances, tridiagonal_eigenvalues, tridiagonal_matrix
+from .spectral import (_certify, _inverse_iteration, check_ep_tolerances,
+                       tridiagonal_eigenvalues, tridiagonal_matrix)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,7 +100,8 @@ def _chain(q, cls, size):
 
 
 def recurrence_matrix(q, cls: MathieuClass, size: int) -> np.ndarray:
-    """Truncated (symmetrized) Fourier recurrence matrix of one class."""
+    """Truncated (symmetrized) Fourier recurrence matrix of one class: the dense form of
+    `_chain`, which the library does not solve; the tests' dense reference."""
     diag, off = _chain(q, cls, size)
     return tridiagonal_matrix(diag, off, off)
 
@@ -240,18 +246,24 @@ def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> 
 def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
     """Fourier coefficients of the periodic solution with characteristic value a.
 
-    The symmetrization scaling on the k=0 cosine mode is undone, so the
+    a must lie within 1e-6 max(1, |a|) of the nearest value of the class
+    chain T (`_sorted_eigs`), or ValueError is raised.  The vector is
+    inverse iteration on T at that value (`spectral._inverse_iteration`);
+    ||(T - a)x|| > 1e-9 max|T| raises ConvergenceFailure.  The
+    symmetrization scaling on the k=0 cosine mode is undone, so the
     returned vector multiplies cos(2kz), sin(2(k+1)z), cos((2k+1)z) or
     sin((2k+1)z) directly.  Gauge: unit 2-norm with the largest-magnitude
     coefficient rotated to the positive real axis.
     """
-    m = recurrence_matrix(q, cls, trunc)
-    w, vecs = scipy.linalg.eig(m)
+    w = _sorted_eigs(q, cls, trunc)
     i = int(np.argmin(np.abs(w - a)))
     if abs(w[i] - a) > 1e-6 * max(1.0, abs(a)):
         raise ValueError(f"{a} is not a characteristic value of class {cls.label} "
                          f"(nearest: {w[i]})")
-    vec = vecs[:, i].copy()
+    diag, off = _chain(q, cls, trunc)
+    vec = _inverse_iteration((diag, off, off), w[i])
+    tx = diag * vec + np.append(off * vec[1:], 0) + np.insert(off * vec[:-1], 0, 0)
+    _certify(tx - w[i] * vec, np.max(np.abs(np.r_[diag, off])), f"{cls.label} value {w[i]:.12g}")
     if cls == EVEN_PI:
         vec[0] /= _SQRT2
     top = vec[int(np.argmax(np.abs(vec)))]
@@ -291,7 +303,10 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
 # ---------------------------------------------------------------------------
 
 def antiperiodic_matrix(q, parity: str, size: int) -> np.ndarray:
-    """Recurrence over cos((k+1/2) theta) (even) or sin((k+1/2) theta) (odd)."""
+    """Recurrence over cos((k+1/2) theta) (even) or sin((k+1/2) theta) (odd).
+
+    The antiperiodic `_chain` as a dense matrix in increasing k, which the
+    library does not solve; the tests' dense reference."""
     diag, off = _chain(q, parity, size)
     chain = tridiagonal_matrix(diag, off, off)
     order = _antiperiodic_order(size)

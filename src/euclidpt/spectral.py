@@ -809,18 +809,28 @@ def _gauge_coefficients(p):
 
 
 def _inverse_iteration(chain, energy):
-    """Unit eigenvector of a real tridiagonal chain at `energy`, or None on a zero pivot or a
-    zero product of off-diagonals.  Two steps of raw `dgttrf`/`dgttrs` (`solve_banded`'s
-    checks cost more than the solve) from a ramp, orthogonal to neither parity of a
-    symmetric chain."""
-    lower, diag, upper = (np.diagonal(chain, j) for j in (-1, 0, 1))
-    *lu, info = scipy.linalg.lapack.dgttrf(lower, diag - energy, upper)
-    ok = info == 0 and np.all(lower * upper != 0)
-    x = np.linspace(1.0, 2.0, len(diag))
-    for _ in range(2 if ok else 0):
-        x = scipy.linalg.lapack.dgttrs(*lu, x)[0]
+    """Unit eigenvector of a real or complex tridiagonal chain, dense or (diag, upper, lower),
+    at `energy`: two steps of raw `?gttrf`/`?gttrs` for its dtype (`solve_banded`'s checks cost
+    more than the solve) from a ramp, orthogonal to neither parity of a symmetric chain.  An
+    exact zero pivot (a level of a decoupled chain) becomes eps max|chain|, as in `?stein`."""
+    bands = [np.diagonal(chain, j) for j in (0, 1, -1)] if isinstance(chain, np.ndarray) else chain
+    gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), bands)
+    *lu, info = gttrf(bands[2], bands[0] - energy, bands[1])
+    if info:   # the first zero pivot; there may be more
+        lu[1][lu[1] == 0] = np.finfo(float).eps * max(np.max(np.abs(band)) for band in bands)
+    x = np.linspace(1.0, 2.0, len(bands[0]))
+    for _ in range(2):
+        x = gttrs(*lu, x)[0]
         x /= np.linalg.norm(x)
-    return x if ok else None
+    return x
+
+
+def _certify(residual, scale, what):
+    """Raise ConvergenceFailure unless an eigenvector's residual (T - E)x has norm
+    <= 1e-9 max|T|, `scale` being max|T|."""
+    if not (norm := np.linalg.norm(residual)) <= 1e-9 * scale:
+        raise ConvergenceFailure(f"{what}: eigenvector residual {norm:.3e} > 1e-9 max|T| = "
+                                 f"{1e-9 * scale:.3e}")
 
 
 @_solve_guard
@@ -851,16 +861,15 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
         (matrix, bands, to_modes), scale = blocks[b], np.max(np.abs(blocks[b][0]))
         close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
-        vec = _inverse_iteration(matrix, energy.real) if bands and matrix.dtype == float \
-            and energy.imag == 0 and np.count_nonzero(close) == 1 else None
-        if vec is None:
+        if bands and matrix.dtype == float and energy.imag == 0 \
+                and np.count_nonzero(close) == 1 and np.all(bands[1] * bands[2] != 0):
+            vec = _inverse_iteration(matrix, energy.real)
+        else:
             if b not in dense:
                 w, vecs = scipy.linalg.eig(matrix)
                 dense[b] = vecs[:, np.argsort(w.real, kind="stable")]
             vec = dense[b][:, np.count_nonzero(block_of[:lv] == b)]   # the level's rank in B
-        if not (residual := np.linalg.norm(matrix @ vec - energy * vec)) <= 1e-9 * scale:
-            raise ConvergenceFailure(f"level {lv} ({energy:.12g}): eigenvector residual "
-                                     f"{residual:.3e} > 1e-9 max|B| = {1e-9 * scale:.3e}")
+        _certify(matrix @ vec - energy * vec, scale, f"level {lv} ({energy:.12g})")
         specs.append(WavefunctionSpec(sector=p.sector, coeffs=to_modes(vec)).normalized())
     return specs[0] if single else specs
 

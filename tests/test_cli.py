@@ -273,6 +273,41 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["spectrum"], {"sweep": 5}),
+    (["intensity"], {"grid": 2.5}),
+    (["spectrum", "--sweep", "mu3:0:1:3"], {"truncation": None}),
+    (["spectrum", "--sweep", "mu3:0:1:3"], {"levels": 2.5}),
+    (["mathieu"], {"q": "1", "cls": "even-pi", "count": 2.5}),
+    (["intensity"], {"plot_script": 1}),
+], ids=["sweep-int", "grid-float", "truncation-null", "levels-float", "count-float",
+        "switch-int"])
+def test_config_values_checked_like_flags(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_config_switch_true_is_the_bare_flag(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "int.csv"
+    cfg.write_text(json.dumps({"plot_script": True, "truncation": 12, "grid": 4}))
+    code, _, _ = run(["intensity", "--mu3", "0.8", "--out", str(out), "--config", str(cfg)],
+                     capsys)
+    assert code == 0 and len(out.read_text().splitlines()) == 5
+    assert (tmp_path / "int.csv.plot.py").exists()
+
+
+def test_config_equals_form_loads_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 3}))
+    base = ["mathieu", "--q", "0,0", "--class", "even-pi"]
+    spaced = run(base + ["--config", str(cfg)], capsys)
+    joined = run(base + [f"--config={cfg}"], capsys)
+    assert joined == spaced and spaced[0] == 0 and len(spaced[1].splitlines()) == 4
+
+
 def test_bad_flag_exit_1(capsys):
     code, _, err = run(["mathieu", "--q", "0,0", "--class", "no-such"], capsys)
     assert code == 1

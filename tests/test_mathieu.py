@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from euclidpt import mathieu
 from euclidpt.dyson import pt5_three_param_hamiltonian, reduce_pt5_three_param
@@ -107,6 +108,52 @@ def test_function_parity():
 def test_function_rejects_non_characteristic():
     with pytest.raises(ValueError):
         mathieu_function(1.0, 2.345, "even", np.array([0.0]))
+
+
+def test_function_rejects_non_characteristic_complex_q():
+    with pytest.raises(ValueError, match="no even class has characteristic value 2.345: "
+                                         "2.345 is not a characteristic value of class even-2pi"):
+        mathieu_function(1.2j, 2.345, "even", np.array([0.0]))
+
+
+def _dense_coefficient_vector(q, cls, a, trunc=60):
+    """The gauge-fixed vector of the eigenvalue nearest a, from a dense eig of the class."""
+    w, vecs = scipy.linalg.eig(mathieu.recurrence_matrix(q, cls, trunc))
+    vec = vecs[:, int(np.argmin(np.abs(w - a)))].copy()
+    if cls == EVEN_PI:
+        vec[0] /= math.sqrt(2.0)
+    top = vec[int(np.argmax(np.abs(vec)))]
+    vec *= abs(top) / top
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0, 2.5, 10.0, 25.0, 1.2j, 3j, 6j, 0.3 + 0.7j, 2 - 1j,
+                               1.4687686j])
+def test_coefficient_vector_matches_dense_eig(q):
+    # q = 1.4687686i lies 1e-7 from the first even-pi double point, where the two
+    # merging vectors are ill-conditioned
+    bound = 1e-10 if q == 1.4687686j else 1e-13
+    for cls in CLASSES.values():
+        for a in mathieu._sorted_eigs(q, cls, 60)[:8]:
+            vec = mathieu.coefficient_vector(q, cls, a)
+            assert np.max(np.abs(vec - _dense_coefficient_vector(q, cls, a))) <= bound
+
+
+def test_functions_make_no_dense_eig(monkeypatch):
+    calls = []
+    eig = scipy.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted)
+    z = np.linspace(0.0, 3.0, 7)
+    for q in (0.0, 0.8, 1.2j, 0.3 + 0.7j):
+        for cls, parity in ((EVEN_PI, "even"), (ODD_2PI, "odd")):
+            mathieu_function(q, characteristic_values(q, cls, 2)[1], parity, z)
+    pt5_complex_solution(0.9, 0.4, complex(characteristic_values(0.9j, EVEN_PI, 1)[0]) / 4.0, z)
+    assert calls == []
 
 
 def test_gauge_dressed_solution_satisfies_reduced_problem():

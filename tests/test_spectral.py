@@ -891,3 +891,26 @@ def test_plane_wave_table_matches_direct_sum(sector):
         direct = np.exp(1j * np.outer(theta, k)) @ coeffs
         np.testing.assert_array_equal(wave.evaluate(theta), direct)
         np.testing.assert_array_equal(wave.evaluate(list(theta)), direct)   # cached
+
+
+def test_inverse_iteration_on_a_complex_chain():
+    rng = np.random.default_rng(7)
+    diag, upper, lower = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                          for n in (12, 11, 11))
+    chain = spectral.tridiagonal_matrix(diag, upper, lower)
+    scale = np.max(np.abs(chain))
+    for energy in scipy.linalg.eigvals(chain):
+        vec = spectral._inverse_iteration((diag, upper, lower), energy)
+        np.testing.assert_array_equal(vec, spectral._inverse_iteration(chain, energy))
+        spectral._certify(chain @ vec - energy * vec, scale, "complex chain")
+
+
+def test_inverse_iteration_at_a_level_of_a_decoupled_chain():
+    # an exact zero pivot: the level 4 of the diagonal chain diag(0, 4, 16, 36)
+    diag = np.array([0.0, 4.0, 16.0, 36.0])
+    off = np.zeros(3)
+    vec = spectral._inverse_iteration((diag, off, off), 4.0)
+    np.testing.assert_allclose(np.abs(vec), [0.0, 1.0, 0.0, 0.0], atol=1e-15)
+    spectral._certify(diag * vec - 4.0 * vec, 36.0, "decoupled chain")
+    with pytest.raises(ConvergenceFailure, match="decoupled chain: eigenvector residual"):
+        spectral._certify(diag * vec - 16.0 * vec, 36.0, "decoupled chain")
