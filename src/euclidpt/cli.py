@@ -8,6 +8,7 @@ JSON output Python's round-trip float repr; equal configurations give equal byte
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -25,9 +26,33 @@ EXIT_MAP_UNDEFINED = 2
 EXIT_NUMERICAL = 3
 
 
-def _csv_lines(template, *columns):
-    """`template % row` per row of the arrays; Python numbers format like numpy scalars."""
-    return [template % row for row in zip(*(c.tolist() for c in columns))]
+def _csv_rows(texts, *columns):
+    """CSV rows: the preformatted `texts` columns, then `columns` as %.12e.
+
+    Each text column is an iterable of str, so a value repeated down a
+    column is formatted once.  Python floats (`.tolist()`) format like numpy
+    scalars.
+    """
+    template = ",".join(["%s"] * len(texts) + ["%.12e"] * len(columns))
+    return list(map(template.__mod__, zip(*texts, *(c.tolist() for c in columns))))
+
+
+def _csv(header, rows):
+    """The CSV text: header and rows, each ended by a newline, joined once."""
+    return "\n".join([header, *rows, ""])
+
+
+def _spectrum_rows(values, curves):
+    """`spectrum` rows, point-major: axis_value, level_index, re_E, im_E."""
+    levels, z = len(curves), curves.T.ravel()
+    axis = [text for text in map("%.12e".__mod__, values.tolist()) for _ in range(levels)]
+    return _csv_rows([axis, [str(k) for k in range(levels)] * len(values)], z.real, z.imag)
+
+
+def _intensity_rows(mu3, theta_text, int_a, int_b):
+    """One `intensity` point's rows: mu3, theta (`theta_text`), i_even, i_odd, i_sum_ref."""
+    return _csv_rows([itertools.repeat("%.12e" % mu3), theta_text],
+                     int_a, int_b, int_a + int_b - int_a[0])
 
 
 class ConfigError(Exception):
@@ -186,12 +211,8 @@ def _cmd_transform(args):
 
 def _cmd_spectrum(args):
     result = _run_sweep(args)
-    levels, z = len(result.curves), result.curves.T.ravel()   # point-major rows
-    lines = ["axis_value,level_index,re_E,im_E"] + _csv_lines(
-        "%.12e,%d,%.12e,%.12e", np.repeat(result.values, levels),
-        np.arange(len(z)) % levels, z.real, z.imag)
-    out = "\n".join(lines) + "\n"
-    _write(args.out, out)
+    _write(args.out, _csv("axis_value,level_index,re_E,im_E",
+                          _spectrum_rows(result.values, result.curves)))
     if args.plot_script and args.out not in (None, "-"):
         _emit_plot_script(args.out, ["axis_value", "re_E"], "spectrum")
     return EXIT_OK
@@ -232,7 +253,8 @@ def _cmd_intensity(args):
         if steps < 1:
             raise ConfigError(f"--sweep needs at least one step, got {steps}")
         mu3s = list(np.linspace(lo, hi, steps))
-    lines = ["mu3,theta,i_even,i_odd,i_sum_ref"]
+    theta_text = list(map("%.12e".__mod__, theta.tolist()))
+    rows = []
     for m3 in mu3s:
         element = dyson.pt5_three_param_hamiltonian(m3, args.mu4, args.mu7)
         problem = spectral.SpectralProblem(element, sector=args.sector,
@@ -243,10 +265,8 @@ def _cmd_intensity(args):
                               "trusted level; intensity needs two")
         int_a, int_b = (spectral.intensity(wave, theta) for wave in spectral.wavefunction(
             problem, _select_pair(spec, args.near_energy), spec))
-        lines += _csv_lines("%.12e,%.12e,%.12e,%.12e,%.12e", np.full(len(theta), m3),
-                            theta, int_a, int_b, int_a + int_b - int_a[0])
-    out = "\n".join(lines) + "\n"
-    _write(args.out, out)
+        rows += _intensity_rows(m3, theta_text, int_a, int_b)
+    _write(args.out, _csv("mu3,theta,i_even,i_odd,i_sum_ref", rows))
     if args.plot_script and args.out not in (None, "-"):
         _emit_plot_script(args.out, ["theta", "i_even", "i_odd", "i_sum_ref"],
                           "intensity")
@@ -272,9 +292,8 @@ def _cmd_mathieu(args):
         raise ConfigError(f"--trunc must be at least --count + 8, got --trunc {args.trunc} "
                           f"with --count {args.count}")
     values = mathieu.characteristic_values(q, cls, args.count, args.trunc)
-    lines = ["order,re_a,im_a"] + _csv_lines("%d,%.12e,%.12e", np.arange(len(values)),
-                                             values.real, values.imag)
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, _csv("order,re_a,im_a", _csv_rows([map(str, range(len(values)))],
+                                                       values.real, values.imag)))
     return EXIT_OK
 
 
@@ -293,12 +312,7 @@ def _cmd_e3_adjoint(args):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    parser = _Parser(prog="euclidpt",
-                     description="PT-symmetric Euclidean-algebra Hamiltonian toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transform", parents=[], help="hermitize a PT-invariant family")
+def _transform_flags(p):
     p.add_argument("--symmetry", required=True,
                    choices=["PT1", "PT2", "PT3", "PT4", "PT5"])
     p.add_argument("--lam", type=float, default=None, help="Dyson exponent (PT1/PT2)")
@@ -307,23 +321,15 @@ def _build_parser():
                    help="PT3 mu9 when the coth equation is 0/0 (exit 1 otherwise)")
     p.add_argument("--three-param", action="store_true",
                    help="PT5 three-parameter family: report alpha/beta/gamma")
-    _add_common(p)
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("spectrum", help="level curves along a parameter sweep (CSV)")
-    _add_sweep_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("ep", help="locate exceptional points along a sweep (JSON)")
+def _ep_flags(p):
     _add_sweep_flags(p)
     p.add_argument("--ep-tol", type=float, default=1e-6)
     p.add_argument("--im-tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ep)
 
-    p = sub.add_parser("intensity",
-                       help="pair intensities of the three-parameter PT5 family (CSV)")
+
+def _intensity_flags(p):
     p.add_argument("--mu3", type=float, default=None)
     p.add_argument("--mu4", type=float, default=1.0)
     p.add_argument("--mu7", type=float, default=4.0)
@@ -334,10 +340,9 @@ def _build_parser():
     p.add_argument("--truncation", type=int, default=spectral.DEFAULT_TRUNCATION)
     p.add_argument("--grid", type=int, default=360)
     p.add_argument("--plot-script", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_intensity)
 
-    p = sub.add_parser("mathieu", help="Mathieu characteristic values (CSV)")
+
+def _mathieu_flags(p):
     p.add_argument("--q", required=True, metavar="RE[,IM]")
     p.add_argument("--class", dest="cls", required=True,
                    help="even-pi | odd-pi | even-2pi | odd-2pi")
@@ -345,16 +350,55 @@ def _build_parser():
     p.add_argument("--trunc", type=int, default=60,
                    help="modes per chain: real q is certified by its residual bound at "
                         "--trunc, complex q by doubling --trunc")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mathieu)
 
-    p = sub.add_parser("e3-adjoint", help="closed-form E3 adjoint table (JSON)")
+
+def _e3_adjoint_flags(p):
     for flag in ("lambda-z", "lambda-plus", "lambda-minus",
                  "kappa-z", "kappa-plus", "kappa-minus"):
         p.add_argument(f"--{flag}", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_e3_adjoint)
 
+
+_SUBCOMMANDS = {   # name: (help, flags, command)
+    "transform": ("hermitize a PT-invariant family", _transform_flags, _cmd_transform),
+    "spectrum": ("level curves along a parameter sweep (CSV)", _add_sweep_flags, _cmd_spectrum),
+    "ep": ("locate exceptional points along a sweep (JSON)", _ep_flags, _cmd_ep),
+    "intensity": ("pair intensities of the three-parameter PT5 family (CSV)",
+                  _intensity_flags, _cmd_intensity),
+    "mathieu": ("Mathieu characteristic values (CSV)", _mathieu_flags, _cmd_mathieu),
+    "e3-adjoint": ("closed-form E3 adjoint table (JSON)", _e3_adjoint_flags, _cmd_e3_adjoint),
+}
+
+
+class _Subcommand(_Parser):
+    """A subcommand's parser, whose flags are added when it first parses.
+
+    So a run builds the flags of the subcommand it invokes only; the
+    top-level parser and its help need each subcommand's name and help alone.
+    """
+
+    def __init__(self, *args, flags, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def actions(self):
+        """The subcommand's actions, its flags added on first use."""
+        if self._flags is not None:
+            flags, self._flags = self._flags, None
+            flags(self)
+            _add_common(self)
+        return self._actions
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.actions()
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser():
+    parser = _Parser(prog="euclidpt",
+                     description="PT-symmetric Euclidean-algebra Hamiltonian toolkit")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, (help_text, flags, command) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, flags=flags).set_defaults(func=command)
     return parser
 
 
@@ -381,7 +425,7 @@ def _apply_config_file(parser, argv):
                        if isinstance(a, argparse._SubParsersAction))
     if not argv or argv[0] not in sub_actions.choices:
         raise ConfigError("config file requires a subcommand")
-    actions = {a.dest: a for a in sub_actions.choices[argv[0]]._actions}
+    actions = {a.dest: a for a in sub_actions.choices[argv[0]].actions()}
     unknown = set(data) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

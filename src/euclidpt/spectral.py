@@ -243,8 +243,9 @@ def _blocks(p):
     """(matrix, bands, to_modes) for each block whose levels together are those of p.
 
     A `hill_form` gives its even- and odd-mode chains, each real unless it
-    has an imaginary part, with `bands` their three diagonals and
-    `to_modes` convolving a chain vector with the gauge `hill_form` removes.
+    has an imaginary part, with `bands` their three diagonals, real or
+    complex as the chain is, and `to_modes` convolving a chain vector with
+    the gauge `hill_form` removes.
     Otherwise the one block, `bands` None, is the `_real_form` (vectors
     times D) or the complex matrix (vectors as they are).
     """
@@ -268,8 +269,9 @@ def _blocks(p):
     for k in (0, 1):
         chain = matrix[k::2, k::2]
         bands = [np.diagonal(chain, j) for j in (0, 1, -1)]   # its only nonzero entries
-        real = not any(np.count_nonzero(band.imag) for band in bands)
-        blocks.append((chain.real if real else chain, bands, functools.partial(to_modes, k)))
+        if not any(np.count_nonzero(band.imag) for band in bands):
+            chain, bands = chain.real, [band.real for band in bands]
+        blocks.append((chain, bands, functools.partial(to_modes, k)))
     return blocks
 
 
@@ -511,6 +513,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
 
     for k in range(1, steps):
         curves[:, k] = continue_to(curves[:, k - 1], values[k - 1], values[k], 0)
+    del continue_to   # a recursive closure is a reference cycle: free the level cache now
     return SweepResult(template=template, axis=axis, values=values, curves=curves,
                        refined_points=refined)
 
@@ -808,13 +811,17 @@ def _gauge_coefficients(p):
     return np.fft.fftshift(np.fft.fft(gauge)) / size
 
 
-def _inverse_iteration(chain, energy):
-    """Unit eigenvector of a real or complex tridiagonal chain, dense or (diag, upper, lower),
-    at `energy`: two steps of raw `?gttrf`/`?gttrs` for its dtype (`solve_banded`'s checks cost
-    more than the solve) from a ramp, orthogonal to neither parity of a symmetric chain.  An
-    exact zero pivot (a level of a decoupled chain) becomes eps max|chain|, as in `?stein`."""
-    bands = [np.diagonal(chain, j) for j in (0, 1, -1)] if isinstance(chain, np.ndarray) else chain
-    gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), bands)
+_GTTR = {False: (scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs),
+         True: (scipy.linalg.lapack.zgttrf, scipy.linalg.lapack.zgttrs)}   # by: a band is complex
+
+
+def _inverse_iteration(bands, energy):
+    """Unit eigenvector of the real or complex tridiagonal chain (diag, upper, lower) at
+    `energy`: two steps of raw `dgttrf`/`dgttrs`, or `zgttrf`/`zgttrs` if a band is complex
+    (`solve_banded`'s checks cost more than the solve), from a ramp, orthogonal to neither
+    parity of a symmetric chain.  An exact zero pivot (a level of a decoupled chain) becomes
+    eps max|chain|, as in `?stein`."""
+    gttrf, gttrs = _GTTR[any(map(np.iscomplexobj, bands))]
     *lu, info = gttrf(bands[2], bands[0] - energy, bands[1])
     if info:   # the first zero pivot; there may be more
         lu[1][lu[1] == 0] = np.finfo(float).eps * max(np.max(np.abs(band)) for band in bands)
@@ -863,7 +870,7 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
         close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
         if bands and matrix.dtype == float and energy.imag == 0 \
                 and np.count_nonzero(close) == 1 and np.all(bands[1] * bands[2] != 0):
-            vec = _inverse_iteration(matrix, energy.real)
+            vec = _inverse_iteration(bands, energy.real)
         else:
             if b not in dense:
                 w, vecs = scipy.linalg.eig(matrix)

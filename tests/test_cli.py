@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,8 @@ import pytest
 
 import euclidpt
 from euclidpt import mathieu, spectral
-from euclidpt.cli import _csv_lines, main
+from euclidpt import cli
+from euclidpt.cli import main
 
 
 def run(args, capsys):
@@ -234,11 +236,32 @@ def test_negative_value_is_not_a_flag(argv, i, capsys):
 
 
 def test_csv_lines_match_per_value_format():
+    # the row builders against the per-row templates they replace, over -0.0,
+    # subnormals, three-digit exponents, inf and nan, with negative i_sum_ref values
     edge = np.array([-0.0, 0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
                      3.0, -17.0, 2.0 ** 53, 1 / 3, np.inf, -np.inf, np.nan])
     back = edge[::-1].copy()
-    expected = [f"{x:.12e},{k},{y:.12e}" for k, (x, y) in enumerate(zip(edge, back))]
-    assert _csv_lines("%.12e,%d,%.12e", edge, np.arange(len(edge)), back) == expected
+    expected = [f"{k},{x:.12e},{y:.12e}" for k, (x, y) in enumerate(zip(edge, back))]
+    assert cli._csv_rows([map(str, range(len(edge)))], edge, back) == expected
+
+    theta_text = list(map("%.12e".__mod__, edge.tolist()))
+    int_a, int_b = edge, back
+    i_sum_ref = int_a + int_b - int_a[0]
+    assert np.any(i_sum_ref < 0) and np.isnan(i_sum_ref).any() and np.isinf(i_sum_ref).any()
+    for mu3 in [*edge, *np.linspace(0.0, 4.0, 3)]:    # numpy scalars, as the sweep gives
+        old = ["%.12e,%.12e,%.12e,%.12e,%.12e" % row for row in zip(
+            *(c.tolist() for c in (np.full(len(edge), mu3), edge, int_a, int_b, i_sum_ref)))]
+        assert cli._intensity_rows(mu3, theta_text, int_a, int_b) == old
+        assert cli._intensity_rows(float(mu3), theta_text, int_a, int_b) == old
+
+    curves = np.empty((2, 7), dtype=complex)          # 2 levels at 7 points
+    curves.real, curves.imag = edge.reshape(2, 7), back.reshape(2, 7)
+    values = edge[3:10]
+    levels, z = len(curves), curves.T.ravel()
+    old = ["%.12e,%d,%.12e,%.12e" % row for row in zip(
+        *(c.tolist() for c in (np.repeat(values, levels), np.arange(len(z)) % levels,
+                               z.real, z.imag)))]
+    assert cli._spectrum_rows(values, curves) == old
 
 
 def test_e3_adjoint_identity(capsys):
@@ -247,6 +270,83 @@ def test_e3_adjoint_identity(capsys):
     table = json.loads(out)["table"]
     assert table["columns"]["Pp"]["Pp"] == pytest.approx(1.0)
     assert table["columns"]["Pp"].get("Pz", 0.0) == pytest.approx(0.0)
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+SUBCOMMAND_FLAGS = {
+    "transform": ["--symmetry", "--lam", *(f"--mu{i}" for i in range(1, 9)), "--mu9-target",
+                  "--three-param"],
+    "spectrum": ["--symmetry", *(f"--mu{i}" for i in range(1, 10)), "--family", "--sector",
+                 "--truncation", "--sweep", "--levels", "--workers", "--plot-script"],
+    "ep": ["--symmetry", *(f"--mu{i}" for i in range(1, 10)), "--family", "--sector",
+           "--truncation", "--sweep", "--levels", "--workers", "--plot-script", "--ep-tol",
+           "--im-tol"],
+    "intensity": ["--mu3", "--mu4", "--mu7", "--sweep", "--near-energy", "--sector",
+                  "--truncation", "--grid", "--plot-script"],
+    "mathieu": ["--q", "--class", "--count", "--trunc"],
+    "e3-adjoint": ["--lambda-z", "--lambda-plus", "--lambda-minus", "--kappa-z",
+                   "--kappa-plus", "--kappa-minus"],
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    return captured.out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    out = _help(["--help"], capsys)
+    assert out.startswith("usage: euclidpt [-h] {" + ",".join(SUBCOMMAND_FLAGS) + "} ...")
+    listed = " ".join(out.split())            # help lines rewrap with the terminal width
+    for name, (help_text, _, _) in cli._SUBCOMMANDS.items():
+        assert f" {name} {help_text} " in listed
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_FLAGS))
+def test_subcommand_help_lists_its_flags(name, capsys):
+    out = _help([name, "--help"], capsys)
+    assert out.startswith(f"usage: euclidpt {name} [-h] ")
+    usage = out.split("\n\n")[0]
+    assert re.findall(r"--[a-z0-9][a-z0-9-]*", usage) == [*SUBCOMMAND_FLAGS[name], "--config",
+                                                          "--out"]
+
+
+def test_unknown_subcommand_is_one_line(capsys):
+    code, out, err = run(["bogus", "--sweep", "mu3:0:1:3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error: argument command: invalid choice: 'bogus'")
+    assert err.count("\n") == 1 and all(name in err for name in SUBCOMMAND_FLAGS)
+
+
+def test_a_run_builds_only_its_subcommands_flags(monkeypatch, capsys):
+    built = []
+    for name, (help_text, flags, command) in list(cli._SUBCOMMANDS.items()):
+        def recorded(parser, name=name, flags=flags):
+            built.append(name)
+            flags(parser)
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recorded, command))
+    code, _, err = run(["ep", "--sweep", "mu3:0:1:1"], capsys)
+    assert (code, err) == (1, "configuration error: steps must be at least 2\n")
+    assert built == ["ep"]
+    _help(["--help"], capsys)
+    assert built == ["ep"]
+
+
+def test_config_file_gives_the_flags_bytes(tmp_path, capsys):
+    flags = ["--family", "pt5-three", "--mu4", "1", "--mu7", "4", "--sweep", "mu3:-1:1:5",
+             "--levels", "3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "pt5-three", "mu4": 1, "mu7": 4,
+                               "sweep": "mu3:-1:1:5", "levels": 3}))
+    code, out, err = run(["spectrum", *flags], capsys)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 16
+    assert run(["spectrum", "--config", str(cfg)], capsys) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------
