@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import dyson, e3, mathieu, spectral
+from . import chains, dyson, e3, mathieu, spectral
 from .errors import (ConvergenceFailure, DegenerateCouplings, MapUndefined,
                      TrackingAmbiguity)
 
@@ -219,7 +219,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_ep(args):
-    spectral.check_ep_tolerances("--ep-tol", args.ep_tol, args.im_tol, "--im-tol")
+    chains.check_ep_tolerances("--ep-tol", args.ep_tol, args.im_tol, "--im-tol")
     result = _run_sweep(args)
     points = spectral.find_exceptional_points(result, tol=args.ep_tol,
                                               im_tol=args.im_tol)

@@ -15,6 +15,7 @@ import numpy as np
 from . import algebra
 from .algebra import E2Element, build_hamiltonian, hermiticity_residual
 from .errors import DegenerateCouplings, MapUndefined
+from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
 # which keeps the lambda -> 0 limit exact to machine precision
@@ -324,7 +325,6 @@ def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
     - 4 t_k^2) (mu3 and mu4 swapped), at either sign of mu3.  Every t_k that
     the square roots reach is used; the list is sorted.
     """
-    from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps   # mathieu imports spectral, dyson
     if sweep_axis in ("mu3", "mu4"):
         other = mu4 if sweep_axis == "mu3" else mu3
         center, reach = other ** 2 + mu7, other ** 2 * mu7

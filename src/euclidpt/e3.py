@@ -125,6 +125,8 @@ def hermiticity_residual(a: E3Element) -> float:
 
 
 def is_hermitian(a: E3Element, tol: float = 1e-12) -> bool:
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     return hermiticity_residual(a) <= tol
 
 

@@ -8,12 +8,11 @@ on the imaginary-q axis) directly observable.  Real q gives a real
 symmetric chain (DLMF 28.2(vi)): one solve at the truncation gives the
 values, and its residual bounds their truncation error (`_ritz_certified`).
 Any other q is certified by doubling the truncation, each chain solved by
-`spectral.tridiagonal_eigenvalues`: imaginary q on the real form of the
+`chains.tridiagonal_eigenvalues`: imaginary q on the real form of the
 even-pi, odd-pi and antiperiodic chains, any other q in complex arithmetic.
 A periodic Mathieu function takes its Fourier coefficients from the same
 chain, by inverse iteration at the characteristic value, certified by its
-residual (`coefficient_vector`).  No chain is solved as a dense matrix here:
-`recurrence_matrix` and `antiperiodic_matrix` are the tests' dense references.
+residual (`coefficient_vector`).
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
+from .chains import (certify, check_ep_tolerances, inverse_iteration,
+                     tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import ConvergenceFailure
-from .spectral import (_certify, _inverse_iteration, check_ep_tolerances,
-                       tridiagonal_eigenvalues, tridiagonal_matrix)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -97,13 +96,6 @@ def _chain(q, cls, size):
     # basis): the middle link of the chain
     off[(size - 1) // 2] = q if cls == "even" else -q
     return (_antiperiodic_order(size) + 0.5) ** 2 + 0j, off
-
-
-def recurrence_matrix(q, cls: MathieuClass, size: int) -> np.ndarray:
-    """Truncated (symmetrized) Fourier recurrence matrix of one class: the dense form of
-    `_chain`, which the library does not solve; the tests' dense reference."""
-    diag, off = _chain(q, cls, size)
-    return tridiagonal_matrix(diag, off, off)
 
 
 def _canonical(w):
@@ -248,9 +240,9 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
 
     a must lie within 1e-6 max(1, |a|) of the nearest value of the class
     chain T (`_sorted_eigs`), or ValueError is raised.  The vector is
-    inverse iteration on T at that value (`spectral._inverse_iteration`);
-    ||(T - a)x|| > 1e-9 max|T| raises ConvergenceFailure.  The
-    symmetrization scaling on the k=0 cosine mode is undone, so the
+    inverse iteration on T at that value (`chains.inverse_iteration`);
+    ||(T - a)x|| > 1e-9 max|T| raises ConvergenceFailure (`chains.certify`).
+    The symmetrization scaling on the k=0 cosine mode is undone, so the
     returned vector multiplies cos(2kz), sin(2(k+1)z), cos((2k+1)z) or
     sin((2k+1)z) directly.  Gauge: unit 2-norm with the largest-magnitude
     coefficient rotated to the positive real axis.
@@ -261,9 +253,8 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
         raise ValueError(f"{a} is not a characteristic value of class {cls.label} "
                          f"(nearest: {w[i]})")
     diag, off = _chain(q, cls, trunc)
-    vec = _inverse_iteration((diag, off, off), w[i])
-    tx = diag * vec + np.append(off * vec[1:], 0) + np.insert(off * vec[:-1], 0, 0)
-    _certify(tx - w[i] * vec, np.max(np.abs(np.r_[diag, off])), f"{cls.label} value {w[i]:.12g}")
+    vec = inverse_iteration((diag, off, off), w[i])
+    certify(tridiagonal_matrix(diag, off, off), vec, w[i], f"{cls.label} value {w[i]:.12g}")
     if cls == EVEN_PI:
         vec[0] /= _SQRT2
     top = vec[int(np.argmax(np.abs(vec)))]
@@ -301,19 +292,6 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
 # the circle representation: 2*pi-antiperiodic solutions in theta of
 # y'' + (a - 2 q cos 2theta) y = 0, split by parity in theta
 # ---------------------------------------------------------------------------
-
-def antiperiodic_matrix(q, parity: str, size: int) -> np.ndarray:
-    """Recurrence over cos((k+1/2) theta) (even) or sin((k+1/2) theta) (odd).
-
-    The antiperiodic `_chain` as a dense matrix in increasing k, which the
-    library does not solve; the tests' dense reference."""
-    diag, off = _chain(q, parity, size)
-    chain = tridiagonal_matrix(diag, off, off)
-    order = _antiperiodic_order(size)
-    m = np.empty_like(chain)
-    m[np.ix_(order, order)] = chain
-    return m
-
 
 def antiperiodic_characteristic_values(q, parity: str, count: int, trunc: int = 60):
     """First `count` values of one antiperiodic class, certified as `characteristic_values`.

@@ -19,7 +19,9 @@ import scipy.linalg
 
 from . import dyson
 from .algebra import E2Element, build_hamiltonian
+from .chains import certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues
 from .errors import ConvergenceFailure, TrackingAmbiguity
+from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
 REALITY_RTOL = 1e-8
@@ -46,18 +48,6 @@ def _check_truncation(truncation):
         raise ValueError(f"truncation must be at least 4, got {truncation}")
 
 
-def generator_matrices(truncation, sector=0.0):
-    """Truncated matrices of u, v, J on modes exp(i(n + s/2) theta)."""
-    dim = 2 * truncation + 1
-    n = np.arange(-truncation, truncation + 1)
-    shift_up = np.eye(dim, k=-1, dtype=complex)   # mode n -> n + 1
-    shift_dn = np.eye(dim, k=+1, dtype=complex)
-    mat_u = (shift_up - shift_dn) / 2j
-    mat_v = (shift_up + shift_dn) / 2.0
-    mat_j = np.diag((n + sector / 2.0).astype(complex))
-    return mat_u, mat_v, mat_j
-
-
 def build_matrix(p: SpectralProblem) -> np.ndarray:
     """(2N+1)x(2N+1) matrix of the element, from its five diagonals in closed form.
 
@@ -65,9 +55,9 @@ def build_matrix(p: SpectralProblem) -> np.ndarray:
       [n, n]        c_1 + c_J k + c_J2 k^2 + (c_u2 + c_v2)/2
       [n -+ 1, n]   (+-i c_u + c_v)/2 + (+-i c_uJ + c_vJ) k/2
       [n -+ 2, n]   (c_v2 - c_u2)/4 +- i c_uv/4
-    These are the products of the truncated `generator_matrices`, so the
-    corners n = -+N, which lack the neighbour outside the truncation, add
-    -(c_u2 + c_v2)/4 +- i c_uv/4.
+    These are the products of the truncated generator matrices (the oracle
+    `tests/oracles.py::generator_matrices`), so the corners n = -+N, which
+    lack the neighbour outside the truncation, add -(c_u2 + c_v2)/4 +- i c_uv/4.
     """
     c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = (complex(x) for x in p.element.coeffs)
     dim = 2 * p.truncation + 1
@@ -183,44 +173,6 @@ class Spectrum:
 
     def broken(self):
         return bool(np.any(~self.reality_flags[:self.trusted_count]))
-
-
-def tridiagonal_eigenvalues(diag, upper, lower):
-    """Complex eigenvalues of the tridiagonal matrix with these three diagonals.
-
-    Only the diagonal and the products upper*lower fix the spectrum: a
-    diagonal similarity rescales the off-diagonals and keeps their products.
-    So when the diagonal and every product are real, the chain is solved in
-    real arithmetic: with all products >= 0 it is similar to the symmetric
-    tridiagonal with off-diagonals sqrt(product), which goes to raw LAPACK
-    `dstevd` (the driver `eigh_tridiagonal` picks, without its checks; a
-    failure raises LinAlgError); otherwise real off-diagonals stay as they
-    are and complex ones become upper sqrt|p|, lower sign(p) sqrt|p|, for
-    the dense real solver.  Every other chain takes the dense complex
-    solver.  The chain must be finite and at least 2 long.
-    """
-    products = upper * lower
-    if diag.imag.any() or products.imag.any():
-        return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper, lower))
-    diag, products = diag.real, products.real
-    if (products >= 0).all():
-        w, _, info = scipy.linalg.lapack.dstevd(diag, np.sqrt(products), compute_v=0)
-        if info:
-            raise scipy.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
-        return w.astype(complex)
-    if upper.imag.any() or lower.imag.any():
-        upper = np.sqrt(np.abs(products))
-        lower = np.sign(products) * upper
-    return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper.real, lower.real))
-
-
-def tridiagonal_matrix(diag, upper, lower):
-    """Dense matrix with the given diagonal, super- and sub-diagonal."""
-    n = len(diag)
-    m = np.zeros((n, n), dtype=np.result_type(diag, upper, lower))
-    flat = m.reshape(-1)
-    flat[::n + 1], flat[1::n + 1], flat[n::n + 1] = diag, upper, lower
-    return m
 
 
 def _solve_guard(solve):
@@ -536,14 +488,6 @@ class ExceptionalPoint:
                 "bracket_width": self.bracket_width}
 
 
-def check_ep_tolerances(tol_name, tol, im_tol, im_tol_name="im_tol"):
-    """Require a finite positive bisection tolerance and a finite non-negative im_tol."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{tol_name} must be finite and positive, got {tol}")
-    if not (math.isfinite(im_tol) and im_tol >= 0):
-        raise ValueError(f"{im_tol_name} must be finite and non-negative, got {im_tol}")
-
-
 def bisect_transition(changed, lo, hi, tol):
     """Narrow the bracket between lo and hi (in either order), where
     changed(lo) is false and changed(hi) true, to a width <= tol, or to
@@ -688,7 +632,6 @@ def _catalogue_eps(result, q2s, im_tol):
     crossings = [(0.0, None)]   # (threshold of q^2, merge value a or None for n^2)
     t_max = math.sqrt(max(0.0, -min(q2s)))
     if t_max > 0:
-        from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps   # mathieu imports spectral
         count = template.track_levels
         for cls in (EVEN_PI, ODD_PI):
             crossings += [(-ep["q_imag"] ** 2, ep["a_merge"]) for ep in complex_mathieu_eps(
@@ -811,35 +754,6 @@ def _gauge_coefficients(p):
     return np.fft.fftshift(np.fft.fft(gauge)) / size
 
 
-_GTTR = {False: (scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs),
-         True: (scipy.linalg.lapack.zgttrf, scipy.linalg.lapack.zgttrs)}   # by: a band is complex
-
-
-def _inverse_iteration(bands, energy):
-    """Unit eigenvector of the real or complex tridiagonal chain (diag, upper, lower) at
-    `energy`: two steps of raw `dgttrf`/`dgttrs`, or `zgttrf`/`zgttrs` if a band is complex
-    (`solve_banded`'s checks cost more than the solve), from a ramp, orthogonal to neither
-    parity of a symmetric chain.  An exact zero pivot (a level of a decoupled chain) becomes
-    eps max|chain|, as in `?stein`."""
-    gttrf, gttrs = _GTTR[any(map(np.iscomplexobj, bands))]
-    *lu, info = gttrf(bands[2], bands[0] - energy, bands[1])
-    if info:   # the first zero pivot; there may be more
-        lu[1][lu[1] == 0] = np.finfo(float).eps * max(np.max(np.abs(band)) for band in bands)
-    x = np.linspace(1.0, 2.0, len(bands[0]))
-    for _ in range(2):
-        x = gttrs(*lu, x)[0]
-        x /= np.linalg.norm(x)
-    return x
-
-
-def _certify(residual, scale, what):
-    """Raise ConvergenceFailure unless an eigenvector's residual (T - E)x has norm
-    <= 1e-9 max|T|, `scale` being max|T|."""
-    if not (norm := np.linalg.norm(residual)) <= 1e-9 * scale:
-        raise ConvergenceFailure(f"{what}: eigenvector residual {norm:.3e} > 1e-9 max|T| = "
-                                 f"{1e-9 * scale:.3e}")
-
-
 @_solve_guard
 def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
     """L^2-normalized eigenvector of the given level of `spectrum` (real-part order).
@@ -848,7 +762,7 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
     sector raises ValueError.  A sequence of levels gives a list.  Each level
     is solved on its own one of the `_blocks`, B: an exactly real level with
     no other level of B within 1e-6 max|B|, on a real chain whose
-    off-diagonal products are all nonzero, by `_inverse_iteration`; any other
+    off-diagonal products are all nonzero, by `inverse_iteration`; any other
     by one `scipy.linalg.eig` of B, the column of the level's rank in B by
     real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.
     """
@@ -870,13 +784,13 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
         close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
         if bands and matrix.dtype == float and energy.imag == 0 \
                 and np.count_nonzero(close) == 1 and np.all(bands[1] * bands[2] != 0):
-            vec = _inverse_iteration(bands, energy.real)
+            vec = inverse_iteration(bands, energy.real)
         else:
             if b not in dense:
                 w, vecs = scipy.linalg.eig(matrix)
                 dense[b] = vecs[:, np.argsort(w.real, kind="stable")]
             vec = dense[b][:, np.count_nonzero(block_of[:lv] == b)]   # the level's rank in B
-        _certify(matrix @ vec - energy * vec, scale, f"level {lv} ({energy:.12g})")
+        certify(matrix, vec, energy, f"level {lv} ({energy:.12g})")
         specs.append(WavefunctionSpec(sector=p.sector, coeffs=to_modes(vec)).normalized())
     return specs[0] if single else specs
 

@@ -10,7 +10,19 @@ import numpy as np
 from scipy.linalg import expm
 
 from euclidpt import algebra
-from euclidpt.spectral import SpectralProblem, build_matrix, generator_matrices
+from euclidpt.spectral import SpectralProblem, build_matrix
+
+
+def generator_matrices(truncation, sector=0.0):
+    """Truncated matrices of u, v, J on modes exp(i(n + s/2) theta)."""
+    dim = 2 * truncation + 1
+    n = np.arange(-truncation, truncation + 1)
+    shift_up = np.eye(dim, k=-1, dtype=complex)   # mode n -> n + 1
+    shift_dn = np.eye(dim, k=+1, dtype=complex)
+    mat_u = (shift_up - shift_dn) / 2j
+    mat_v = (shift_up + shift_dn) / 2.0
+    mat_j = np.diag((n + sector / 2.0).astype(complex))
+    return mat_u, mat_v, mat_j
 
 
 def element_matrix(element, truncation=32, sector=0.0):

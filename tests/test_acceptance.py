@@ -21,9 +21,8 @@ from euclidpt.mathieu import (EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
                               antiperiodic_characteristic_values,
                               characteristic_values, complex_mathieu_eps)
 from euclidpt.spectral import (SpectralProblem, SweepTemplate, eigen_spectrum,
-                               find_exceptional_points, generator_matrices,
-                               intensity, pt1_closed_spectrum, sweep,
-                               wavefunction)
+                               find_exceptional_points, intensity, pt1_closed_spectrum,
+                               sweep, wavefunction)
 
 import oracles
 from test_e3 import oracle_table
@@ -261,7 +260,7 @@ def test_criterion_8_oracle_equivalence():
     random draws each (circle-representation for E2, 4x4 for E3)."""
     rng = np.random.default_rng(303)
     n = 32
-    mat_u, mat_v, mat_j = generator_matrices(n)
+    mat_u, mat_v, mat_j = oracles.generator_matrices(n)
     gen_mats = {"u": mat_u, "v": mat_v, "J": mat_j}
     worst_e2 = 0.0
     for _ in range(100):

@@ -98,3 +98,11 @@ def test_substitute_identity_images_return_the_element(name):
 def test_words_must_run_by_degree():
     with pytest.raises(ValueError):
         type(algebra.ENVELOPE)([(), (0, 0), (0,)], {})
+
+
+@pytest.mark.parametrize("module, one", [(algebra, algebra.ONE), (e3, e3.ONE_E3)],
+                         ids=list(ALGEBRAS))
+def test_is_hermitian_rejects_a_negative_tol(module, one):
+    assert module.is_hermitian(one, 0.0)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        module.is_hermitian(one, -1.0)

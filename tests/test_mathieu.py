@@ -9,13 +9,13 @@ from euclidpt import mathieu
 from euclidpt.dyson import pt5_three_param_hamiltonian, reduce_pt5_three_param
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.mathieu import (CLASSES, EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
-                              antiperiodic_characteristic_values,
-                              antiperiodic_matrix, characteristic_values,
+                              antiperiodic_characteristic_values, characteristic_values,
                               complex_mathieu_eps, mathieu_function,
                               pt5_complex_hamiltonian, pt5_complex_solution)
 from euclidpt.spectral import SpectralProblem, eigen_spectrum
 
 import oracles
+from test_mathieu_chains import loop_recurrence_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_function_rejects_non_characteristic_complex_q():
 
 def _dense_coefficient_vector(q, cls, a, trunc=60):
     """The gauge-fixed vector of the eigenvalue nearest a, from a dense eig of the class."""
-    w, vecs = scipy.linalg.eig(mathieu.recurrence_matrix(q, cls, trunc))
+    w, vecs = scipy.linalg.eig(loop_recurrence_matrix(q, cls, trunc))
     vec = vecs[:, int(np.argmin(np.abs(w - a)))].copy()
     if cls == EVEN_PI:
         vec[0] /= math.sqrt(2.0)

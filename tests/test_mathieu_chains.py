@@ -8,9 +8,8 @@ from scipy.optimize import linear_sum_assignment
 from euclidpt import mathieu
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.mathieu import (EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
-                              antiperiodic_characteristic_values,
-                              antiperiodic_matrix, characteristic_values,
-                              mathieu_function, recurrence_matrix)
+                              antiperiodic_characteristic_values, characteristic_values,
+                              mathieu_function)
 
 SQRT2 = np.sqrt(2.0)
 # the four periodic classes, and the antiperiodic ones by parity
@@ -19,7 +18,7 @@ CLASS_IDS = ["even-pi", "odd-pi", "even-2pi", "odd-2pi", "anti-even", "anti-odd"
 
 
 def loop_recurrence_matrix(q, cls, size):
-    """Entry-by-entry reference for `recurrence_matrix`."""
+    """Entry-by-entry recurrence matrix of a class over cos(m z) or sin(m z), increasing m."""
     m = np.zeros((size, size), dtype=complex)
     for k in range(size):
         m[k, k] = {EVEN_PI: 2 * k, ODD_PI: 2 * k + 2}.get(cls, 2 * k + 1) ** 2
@@ -35,7 +34,7 @@ def loop_recurrence_matrix(q, cls, size):
 
 
 def loop_antiperiodic_matrix(q, parity, size):
-    """Entry-by-entry reference for `antiperiodic_matrix`."""
+    """Entry-by-entry recurrence over cos((k+1/2) theta) (even) or sin (odd), increasing k."""
     m = np.zeros((size, size), dtype=complex)
     for k in range(size):
         m[k, k] = (k + 0.5) ** 2
@@ -49,20 +48,20 @@ def loop_antiperiodic_matrix(q, parity, size):
 
 def dense_matrix(q, cls, size):
     if isinstance(cls, str):
-        return antiperiodic_matrix(q, cls, size)
-    return recurrence_matrix(q, cls, size)
+        return loop_antiperiodic_matrix(q, cls, size)
+    return loop_recurrence_matrix(q, cls, size)
 
 
 @pytest.mark.parametrize("size", [2, 3, 12, 41])
 @pytest.mark.parametrize("q", [0.0, -1.3, 0.7j, 2.0 + 0.5j])
 def test_matrices_match_loop_reference(q, size):
+    # `_chain`'s bands; an antiperiodic chain runs in the mode order of `_antiperiodic_order`
     q = complex(q)
-    for cls in (EVEN_PI, ODD_PI, EVEN_2PI, ODD_2PI):
-        assert np.array_equal(recurrence_matrix(q, cls, size),
-                              loop_recurrence_matrix(q, cls, size))
-    for parity in ("even", "odd"):
-        assert np.array_equal(antiperiodic_matrix(q, parity, size),
-                              loop_antiperiodic_matrix(q, parity, size))
+    for cls in SIX_CLASSES:
+        diag, off = mathieu._chain(q, cls, size)
+        order = mathieu._antiperiodic_order(size) if isinstance(cls, str) else np.arange(size)
+        reference = dense_matrix(q, cls, size)[np.ix_(order, order)]
+        assert np.array_equal(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), reference), cls
 
 
 @pytest.mark.parametrize("size", [24, 60])
@@ -154,10 +153,9 @@ def test_generic_q_solves_in_complex_arithmetic(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("call", [
-    lambda: antiperiodic_matrix(0.5, "bogus", 3),
     lambda: antiperiodic_characteristic_values(0.5, "bogus", 3),
     lambda: mathieu_function(1.0, 0.0, "bogus", np.array([0.0])),
-], ids=["antiperiodic_matrix", "antiperiodic_characteristic_values", "mathieu_function"])
+], ids=["antiperiodic_characteristic_values", "mathieu_function"])
 def test_unknown_parity_rejected(call):
     with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
         call()
