@@ -133,7 +133,8 @@ def _add_sweep_flags(parser):
     _add_mu_flags(parser)
     parser.add_argument("--family", default="raw", choices=["raw", "pt5-three"])
     parser.add_argument("--sector", type=float, default=0.0)
-    parser.add_argument("--truncation", type=int, default=spectral.DEFAULT_TRUNCATION)
+    parser.add_argument("--truncation", type=int, default=spectral.DEFAULT_TRUNCATION,
+                        help="sweeps solve at the smallest certified truncation <= this")
     parser.add_argument("--sweep", required=True, metavar="AXIS:LO:HI:STEPS")
     parser.add_argument("--levels", type=int, default=12, help="levels to track")
     parser.add_argument("--workers", type=int, default=1)

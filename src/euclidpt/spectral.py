@@ -26,6 +26,7 @@ from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 DEFAULT_TRUNCATION = 64
 REALITY_RTOL = 1e-8
 MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
+DRIFT_RTOL = 1e-10    # how far `sweep`'s working truncation may move a probe's levels from N's
 _NORM_GRID = 2048     # quadrature points normalizing a closed-form wavefunction
 
 
@@ -46,6 +47,11 @@ class SpectralProblem:
 def _check_truncation(truncation):
     if truncation < 4:
         raise ValueError(f"truncation must be at least 4, got {truncation}")
+
+
+def _trusted_count(truncation):
+    """Interior levels of the truncation that `eigen_spectrum` trusts, 2N+1 - 4 sqrt(N)."""
+    return max(0, 2 * truncation + 1 - int(math.ceil(4.0 * math.sqrt(truncation))))
 
 
 def build_matrix(p: SpectralProblem) -> np.ndarray:
@@ -104,7 +110,7 @@ def hill_form(element: E2Element) -> E2Element | None:
     return E2Element.from_terms(one=v0, J=cj, u2=alpha, v2=beta, uv=gamma, J2=c)
 
 
-def _mathieu_form(p: SpectralProblem):
+def _mathieu_form(element: E2Element, sector: float):
     """(c, e0, q2, shift) when the levels are e0 + c*a, else None.
 
     Here a runs over the Mathieu characteristic values of all four classes
@@ -116,12 +122,12 @@ def _mathieu_form(p: SpectralProblem):
     an integer, relabelling n + shift as n makes them the Mathieu chains.
     Only real c > 0, e0 and q2 qualify.
     """
-    square = _completed_square(p.element)
+    square = _completed_square(element)
     if square is None:
         return None
     v0, cj, alpha, beta, gamma, c = square
     d = cj / (2 * c)
-    shift = d + p.sector / 2.0
+    shift = d + sector / 2.0
     e0 = v0 - c * d * d + (alpha + beta) / 2
     q2 = ((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)
     if c.imag or c.real <= 0 or e0.imag or q2.imag or shift.imag \
@@ -241,7 +247,7 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     order = np.argsort(w.real, kind="stable")
     w = w[order]
     flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
-    trusted = max(0, 2 * p.truncation + 1 - int(math.ceil(4.0 * math.sqrt(p.truncation))))
+    trusted = _trusted_count(p.truncation)
     return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation, sector=p.sector,
                     order=order, block_sizes=tuple(map(len, solved)), trusted_count=trusted)
 
@@ -300,6 +306,10 @@ class SweepTemplate:
                              f"(2*truncation+1 levels at truncation {self.truncation})")
 
     def problem_at(self, axis: str, value: float) -> SpectralProblem:
+        return SpectralProblem(*self.element_at(axis, value), truncation=self.truncation)
+
+    def element_at(self, axis: str, value: float):
+        """(element, sector) at axis = value, without the checks of a SpectralProblem."""
         if axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
         sector = self.sector
@@ -314,7 +324,7 @@ class SweepTemplate:
             element = dyson.pt5_three_param_hamiltonian(mu[2], mu[3], mu[6])
         else:
             element = build_hamiltonian(self.symmetry, mu)
-        return SpectralProblem(element=element, sector=sector, truncation=self.truncation)
+        return element, sector
 
 
 @dataclass(frozen=True)
@@ -323,12 +333,37 @@ class SweepResult:
     axis: str
     values: np.ndarray
     curves: np.ndarray          # (track_levels, npoints), tracked by continuation
+    truncation: int             # the working truncation every level was solved at
+    drift: float                # largest relative change of a probe's levels from those at N
     refined_points: int = 0
 
 
 def _levels_at(template, axis, value):
     spectrum = eigen_spectrum(template.problem_at(axis, value))
     return spectrum.eigenvalues[:template.track_levels]
+
+
+@_solve_guard
+def _working_truncation(template, axis, values):
+    """(template at n, drift, {x: levels at n}) for `sweep`: n is the smallest of 16 and 32
+    below N that trusts the tracked levels and keeps them, paired by `_match`, within
+    DRIFT_RTOL*max(1, |E|) of those at N at both ends and where the `hill_form`'s |q^2|
+    peaks; else n is N.  An overflowing q^2 raises ValueError."""
+    sizes = [n for n in (16, 32)
+             if n < template.truncation and _trusted_count(n) >= template.track_levels]
+    if not sizes or None in (squares := [_completed_square(template.element_at(axis, x)[0])
+                                         for x in values]):
+        return template, 0.0, {}
+    alpha, beta, gamma, c = np.array(squares)[:, 2:].T
+    peak = values[np.argmax(np.abs(((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)))]
+    exact = {x: _levels_at(template, axis, x) for x in map(float, (values[0], values[-1], peak))}
+    for work in (replace(template, truncation=n) for n in sizes):
+        cut = {x: _levels_at(work, axis, x) for x in exact}
+        drift = float(max(np.max(np.abs(_match(ref, cut[x])[0] - ref) / np.maximum(1, np.abs(ref)))
+                          for x, ref in exact.items()))
+        if drift <= DRIFT_RTOL:
+            return work, drift, cut
+    return template, 0.0, exact
 
 
 def _assignment(cost):
@@ -419,25 +454,26 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     chains give in the fermionic sector, and conjugate pairs.  With
     workers > 1 the grid-point eigensolves run on a thread pool (LAPACK
     releases the GIL); the continuation itself stays an ordered sequential
-    reduction.
+    reduction.  Every level is solved at the smallest certified truncation
+    <= template.truncation (`_working_truncation`), recorded in
+    `SweepResult.truncation` and `.drift`.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     values = np.linspace(lo, hi, steps)
-    cache = {}
+    work, drift, cache = _working_truncation(template, axis, values)
 
     def levels(x):
         x = float(x)
         if x not in cache:
-            cache[x] = _levels_at(template, axis, x)
+            cache[x] = _levels_at(work, axis, x)
         return cache[x]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
+        todo = [float(x) for x in values if float(x) not in cache]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for x, lv in zip(values, pool.map(lambda v: _levels_at(template, axis, v),
-                                              values)):
-                cache[float(x)] = lv
+            cache.update(zip(todo, pool.map(lambda v: _levels_at(work, axis, v), todo)))
 
     first = levels(values[0])
     start = np.sort(first.real)
@@ -467,7 +503,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
         curves[:, k] = continue_to(curves[:, k - 1], values[k - 1], values[k], 0)
     del continue_to   # a recursive closure is a reference cycle: free the level cache now
     return SweepResult(template=template, axis=axis, values=values, curves=curves,
-                       refined_points=refined)
+                       truncation=work.truncation, drift=drift, refined_points=refined)
 
 
 # ---------------------------------------------------------------------------
@@ -553,26 +589,28 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
     a bracket <= tol, and a point is reported for each conjugate pair born
     (or dying) across it; its energy is the real part of that pair at the
     broken end of the final bracket.  Grid points reuse the sweep's own
-    levels; only bisection points are solved.  Either way the level pair is
-    the two tracked levels at the start of the grid interval nearest the
-    energy.  Returns an empty list when the sweep has no transitions.
+    levels; only bisection points are solved.  Either way every solve is at
+    the sweep's working truncation, and the level pair is the two tracked
+    levels at the start of the grid interval nearest the energy.  Returns an
+    empty list when the sweep has no transitions.
     """
     check_ep_tolerances("tol", tol, im_tol)
-    forms = [_mathieu_form(result.template.problem_at(result.axis, x)) for x in result.values]
+    forms = [_mathieu_form(*result.template.element_at(result.axis, x)) for x in result.values]
+    work = replace(result.template, truncation=result.truncation)
     if all(forms) and len({f[3] for f in forms}) == 1:
-        eps = _catalogue_eps(result, [f[2] for f in forms], im_tol)
+        eps = _catalogue_eps(result, work, [f[2] for f in forms], im_tol)
     else:
-        eps = _bisected_eps(result, tol, im_tol)
+        eps = _bisected_eps(result, work, tol, im_tol)
     return sorted(eps, key=lambda p: (p.parameter_value, p.energy))
 
 
-def _bisected_eps(result, tol, im_tol):
+def _bisected_eps(result, work, tol, im_tol):
     on_grid = {float(x): result.curves[:, k] for k, x in enumerate(result.values)}
 
     def levels_at(x):
         if x in on_grid:
             return on_grid[x]
-        return _levels_at(result.template, result.axis, x)
+        return _levels_at(work, result.axis, x)
 
     return [_exceptional_point(result, k, 0.5 * (lo + hi), float(z.real), abs(hi - lo))
             for k, lo, hi, fresh in reality_transitions(levels_at, result.values, tol, im_tol)
@@ -599,7 +637,7 @@ def _conjugate_pairs(levels, im_tol):
     return found
 
 
-def _catalogue_eps(result, q2s, im_tol):
+def _catalogue_eps(result, work, q2s, im_tol):
     """Exceptional points of a sweep of Mathieu forms, from their closed-form catalogue.
 
     With levels e0 + c*a(q) (`_mathieu_form`), pairs coalesce where q^2
@@ -624,7 +662,7 @@ def _catalogue_eps(result, q2s, im_tol):
     grid = [float(x) for x in result.values]
 
     def form(x):
-        found = _mathieu_form(template.problem_at(axis, x))
+        found = _mathieu_form(*template.element_at(axis, x))
         if found is None:
             raise ConvergenceFailure(f"{axis}={x!r} leaves the Mathieu form of the sweep")
         return found
@@ -653,7 +691,7 @@ def _catalogue_eps(result, q2s, im_tol):
         if [side for side, _ in sides] != [False, True]:
             raise ConvergenceFailure(f"the crossing at {axis}={x!r} has no resolved sides")
         (_, above), (_, below) = sides
-        real, broken = _levels_at(template, axis, above), _levels_at(template, axis, below)
+        real, broken = _levels_at(work, axis, above), _levels_at(work, axis, below)
         flips = [i for i in _conjugate_pairs(broken, im_tol)
                  if max(abs(real[i].imag), abs(real[i + 1].imag)) <= im_tol]
         wrong = [i for i in _conjugate_pairs(real, im_tol)

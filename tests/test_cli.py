@@ -555,8 +555,9 @@ def test_transform_bad_value_one_line_exit_1(args, flag, capsys):
 
 @pytest.mark.parametrize("args", [
     ["--mu1", "1", "--mu7", "1e300", "--truncation", "8"],
+    ["--mu1", "1", "--mu7", "1e300"],   # overflows the working truncation's |q^2| scan
     ["--mu1", "1e307"],
-], ids=["chain-products", "diagonal"])
+], ids=["chain-products", "q2-scan", "diagonal"])
 def test_spectrum_overflow_one_line_exit_1(args, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

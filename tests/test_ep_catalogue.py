@@ -43,7 +43,7 @@ def _assert_positions(eps, expected, tol=1e-8):
 
 def test_readme_sweeps_take_the_catalogue(readme_sweeps):
     for result in readme_sweeps.values():
-        forms = [_mathieu_form(result.template.problem_at(result.axis, x))
+        forms = [_mathieu_form(*result.template.element_at(result.axis, x))
                  for x in result.values]
         assert all(forms) and {f[3] for f in forms} == {0.0}
 
@@ -111,6 +111,24 @@ def test_at_most_four_eigensolves_per_ep(readme_sweeps, monkeypatch):
         calls.clear()
         eps = find_exceptional_points(result)
         assert eps and len(calls) <= 4 * len(eps)
+
+
+def test_eps_solve_at_the_sweeps_truncation(readme_sweeps, monkeypatch):
+    truncations = []
+    solve = spectral.eigen_spectrum
+
+    def recorded(p):
+        truncations.append(p.truncation)
+        return solve(p)
+
+    monkeypatch.setattr(spectral, "eigen_spectrum", recorded)
+    # the README sweeps take the catalogue; sector 1 has no integer shift and bisects
+    results = [*readme_sweeps.values(), sweep(_pt5_three(mu3=1.0, mu4=3.0, sector=1.0),
+                                               "mu7", 0.0, 20.0, 41)]
+    for result in results:
+        truncations.clear()
+        assert result.truncation == 16 and find_exceptional_points(result)
+        assert truncations and set(truncations) == {16}
 
 
 def test_contradicting_certificate_raises(monkeypatch):
@@ -187,7 +205,7 @@ GENERIC_CASES = {
 def test_templates_without_a_mathieu_form_keep_the_bisection(case):
     template, expected = GENERIC_CASES[case]
     result = sweep(template, "mu4", 0.0, 1.5, 13)
-    assert _mathieu_form(template.problem_at("mu4", 0.7)) is None
+    assert _mathieu_form(*template.element_at("mu4", 0.7)) is None
     assert [p.as_dict() for p in find_exceptional_points(result)] == expected
 
 
@@ -195,5 +213,5 @@ def test_pt1_test_template_keeps_the_bisection():
     template = SweepTemplate(family="raw", symmetry="PT1",
                              mu=(1.0, 0, 0.4, 0.2, -0.4, 0.8, -0.16 + 0.04, 0, -0.16),
                              truncation=32, track_levels=8)
-    assert _mathieu_form(template.problem_at("mu3", 0.5)) is None
+    assert _mathieu_form(*template.element_at("mu3", 0.5)) is None
     assert find_exceptional_points(sweep(template, "mu3", 0.0, 1.0, 6)) == []

@@ -15,7 +15,7 @@ from euclidpt.cli import _select_pair
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
 from euclidpt.errors import ConvergenceFailure, TrackingAmbiguity
 from euclidpt.mathieu import pt5_complex_hamiltonian
-from euclidpt.spectral import (SpectralProblem, SweepTemplate, WavefunctionSpec,
+from euclidpt.spectral import (DRIFT_RTOL, SpectralProblem, SweepTemplate, WavefunctionSpec,
                                _real_form, bisect_transition, build_matrix, eigen_spectrum,
                                find_exceptional_points, hill_form,
                                intensity,
@@ -438,9 +438,124 @@ def test_fermionic_sweep_bound_skips_degenerate_spacings():
     start = result.curves[:, 0].real
     assert np.max(np.abs(start[1::2] - start[::2])) < 1e-9
     assert result.refined_points == 0
+    work = replace(template, truncation=result.truncation)
     for k, x in enumerate(result.values):
-        levels = eigen_spectrum(template.problem_at(axis, x)).eigenvalues[:12]
+        levels = eigen_spectrum(work.problem_at(axis, x)).eigenvalues[:12]
         np.testing.assert_array_equal(np.sort(result.curves[:, k].real), levels.real)
+        exact = eigen_spectrum(template.problem_at(axis, x)).eigenvalues[:12]
+        assert _drift(result.curves[:, k], exact) <= DRIFT_RTOL
+
+
+def _drift(levels, exact):
+    """Largest |E - E_exact|/max(1, |E_exact|), the levels paired with the exact ones by _match."""
+    paired, _ = spectral._match(exact, levels)
+    return float(np.max(np.abs(paired - exact) / np.maximum(1.0, np.abs(exact))))
+
+
+def _assert_solved_at(result, truncation):
+    """Each point's curves are, bit for bit, the tracked levels of one solve at `truncation`."""
+    work = replace(result.template, truncation=truncation)
+    for k, x in enumerate(result.values):
+        levels = eigen_spectrum(work.problem_at(result.axis, x)).eigenvalues
+        np.testing.assert_array_equal(np.sort_complex(result.curves[:, k]),
+                                      np.sort_complex(levels[:work.track_levels]))
+
+
+@pytest.mark.parametrize("recipe", sorted(README_SWEEPS))
+def test_readme_sweeps_solve_at_a_certified_truncation(recipe):
+    template, axis, lo, hi, steps = README_SWEEPS[recipe]
+    result = sweep(template, axis, lo, hi, steps)
+    assert (result.template, result.truncation) == (template, 16)
+    assert 0 <= result.drift <= DRIFT_RTOL
+    _assert_solved_at(result, 16)
+    for k, x in enumerate(result.values):   # every grid point, not only the probes
+        exact = eigen_spectrum(template.problem_at(axis, x)).eigenvalues[:template.track_levels]
+        assert _drift(result.curves[:, k], exact) <= DRIFT_RTOL, f"{axis}={x}"
+
+
+def _parent_sweep(monkeypatch, *args):
+    """The sweep as it ran before the working truncation: every solve at N, none cached."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_working_truncation", lambda t, axis, values: (t, 0.0, {}))
+        return sweep(*args)
+
+
+UNCERTIFIED_SWEEPS = {
+    # probes off by more than DRIFT_RTOL at 16 and at 32
+    "large-coupling": (SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5, mu7=1000.0)),
+                       "mu4", -3, 3, 11),
+    # first harmonics: no hill_form
+    "raw-no-hill-form": (SweepTemplate(mu=_mu(mu3=0.3, mu7=0.5), track_levels=6),
+                         "mu4", 0, 1.5, 13),
+    "truncation-16": (SweepTemplate(family="pt5-three", mu=_mu(mu4=1, mu7=4), truncation=16),
+                      "mu3", -4, 4, 21),
+}
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED_SWEEPS)
+def test_uncertified_sweeps_run_at_the_requested_truncation(case, monkeypatch):
+    args = UNCERTIFIED_SWEEPS[case]
+    result = sweep(*args)
+    assert (result.truncation, result.drift) == (args[0].truncation, 0.0)
+    parent = _parent_sweep(monkeypatch, *args)
+    np.testing.assert_array_equal(result.curves, parent.curves)
+    assert result.refined_points == parent.refined_points
+    _assert_solved_at(result, args[0].truncation)
+
+
+def test_the_largest_coupling_decides_the_truncation():
+    # |q^2| peaks at mu4 = 0: both ends are certified at 16, the peak only at 32
+    template = SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5, mu7=100.0), track_levels=7)
+    result = sweep(template, "mu4", -10, 10, 9)
+    assert result.truncation == 32 and result.drift <= DRIFT_RTOL
+    _assert_solved_at(result, 32)
+    at_16 = replace(template, truncation=16)
+    for k, x in enumerate(result.values):
+        exact = eigen_spectrum(template.problem_at("mu4", x)).eigenvalues[:7]
+        assert _drift(result.curves[:, k], exact) <= DRIFT_RTOL
+        if k in (0, 4, 8):
+            cut = eigen_spectrum(at_16.problem_at("mu4", x)).eigenvalues[:7]
+            assert (_drift(cut, exact) <= DRIFT_RTOL) == (k != 4), f"mu4={x}"
+
+
+def test_sweep_workers_give_the_same_curves():
+    template, axis, lo, hi, steps = README_SWEEPS["window"]
+    one = sweep(template, axis, lo, hi, steps)
+    two = sweep(template, axis, lo, hi, steps, workers=2)
+    np.testing.assert_array_equal(one.curves, two.curves)
+    assert (one.truncation, one.drift, one.refined_points) == \
+        (two.truncation, two.drift, two.refined_points)
+
+
+def test_the_certificate_pairs_levels_by_assignment(monkeypatch):
+    # a conjugate pair that two truncations return in either order is the same pair
+    def levels_at(template, axis, x):
+        pair = [1 + 1j, 1 - 1j] if template.truncation == 64 else [1 - 1j, 1 + 1j]
+        return np.array([0.5, *pair])
+
+    monkeypatch.setattr(spectral, "_levels_at", levels_at)
+    template = SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5), track_levels=3)
+    work, drift, _ = spectral._working_truncation(template, "mu4", np.linspace(-1, 1, 5))
+    assert (work.truncation, drift) == (16, 0.0)
+
+
+@pytest.mark.parametrize("sector", [0.0, 1.0])
+def test_real_family_sweep_levels_match_bisection(sector):
+    # the README real-family grid: the 7 lowest levels of every solve against a
+    # full-precision bisection of the symmetrized N = 64 chains
+    template = SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5), sector=sector, track_levels=7)
+    result = sweep(template, "mu4", -3, 3, 200)
+    for k, x in enumerate(result.values):
+        exact = []
+        for _, (diag, upper, lower), _ in spectral._blocks(template.problem_at("mu4", x)):
+            assert np.all(upper * lower >= 0)
+            exact += list(scipy.linalg.eigh_tridiagonal(
+                diag, np.sqrt(upper * lower), eigvals_only=True, select="i",
+                select_range=(0, 6), tol=np.finfo(float).tiny))
+        exact = np.sort(exact)[:7]
+        assert np.max(result.curves[:, k].imag) == 0
+        err = np.abs(np.sort(result.curves[:, k].real) - exact) / np.maximum(1.0, np.abs(exact))
+        assert np.max(err) <= 5e-13, f"mu4={x}"
 
 
 def test_tracking_ambiguity_after_max_halvings(monkeypatch):
