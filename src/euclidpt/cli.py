@@ -230,21 +230,11 @@ def _cmd_ep(args):
     return EXIT_OK
 
 
-def _select_pair(spectrum, near_energy):
-    w = spectrum.eigenvalues[:spectrum.trusted_count]
-    cplx = np.where(np.abs(w.imag) > 1e-6)[0]
-    if len(cplx) >= 2:
-        return int(cplx[0]), int(cplx[1])
-    order = np.argsort(np.abs(w.real - near_energy))
-    return int(order[0]), int(order[1])
-
-
 def _cmd_intensity(args):
     if args.grid < 1:
         raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     if not math.isfinite(args.near_energy):
         raise ConfigError(f"--near-energy must be finite, got {args.near_energy}")
-    theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
     mu3s = [args.mu3 if args.mu3 is not None else 1.0]
     sweep_spec = getattr(args, "sweep", None)
     if sweep_spec:
@@ -253,20 +243,20 @@ def _cmd_intensity(args):
             raise ConfigError("intensity sweeps support axis mu3 only")
         if steps < 1:
             raise ConfigError(f"--sweep needs at least one step, got {steps}")
-        mu3s = list(np.linspace(lo, hi, steps))
+        mu3s = np.linspace(lo, hi, steps)
+    template = spectral.SweepTemplate(family="pt5-three", mu=(1.0, 0.0, 0.0, args.mu4, 0.0, 0.0,
+                                                              args.mu7, 0.0, 0.0),
+                                      sector=args.sector, truncation=args.truncation,
+                                      track_levels=2)
+    if (trusted := spectral.trusted_count(args.truncation)) < 2:
+        raise ConfigError(f"--truncation {args.truncation} leaves {trusted} trusted level; "
+                          "intensity needs two")
+    theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
+    result = spectral.intensity_sweep(template, "mu3", mu3s, args.near_energy, theta)
     theta_text = list(map("%.12e".__mod__, theta.tolist()))
-    rows = []
-    for m3 in mu3s:
-        element = dyson.pt5_three_param_hamiltonian(m3, args.mu4, args.mu7)
-        problem = spectral.SpectralProblem(element, sector=args.sector,
-                                           truncation=args.truncation)
-        spec = spectral.eigen_spectrum(problem)
-        if spec.trusted_count < 2:
-            raise ConfigError(f"--truncation {args.truncation} leaves {spec.trusted_count} "
-                              "trusted level; intensity needs two")
-        int_a, int_b = (spectral.intensity(wave, theta) for wave in spectral.wavefunction(
-            problem, _select_pair(spec, args.near_energy), spec))
-        rows += _intensity_rows(m3, theta_text, int_a, int_b)
+    rows = [row for m3, point in zip(result.values.tolist(), result.points)
+            for row in _intensity_rows(m3, theta_text, point.i_even, point.i_odd)]
+    del result   # free the intensities before the rows are joined
     _write(args.out, _csv("mu3,theta,i_even,i_odd,i_sum_ref", rows))
     if args.plot_script and args.out not in (None, "-"):
         _emit_plot_script(args.out, ["theta", "i_even", "i_odd", "i_sum_ref"],
@@ -338,7 +328,8 @@ def _intensity_flags(p):
     p.add_argument("--near-energy", type=float, default=3.0,
                    help="pair selector when the spectrum is entirely real")
     p.add_argument("--sector", type=float, default=0.0)
-    p.add_argument("--truncation", type=int, default=spectral.DEFAULT_TRUNCATION)
+    p.add_argument("--truncation", type=int, default=spectral.DEFAULT_TRUNCATION,
+                   help="sweeps solve at the smallest certified truncation <= this")
     p.add_argument("--grid", type=int, default=360)
     p.add_argument("--plot-script", action="store_true")
 

@@ -49,7 +49,7 @@ def _check_truncation(truncation):
         raise ValueError(f"truncation must be at least 4, got {truncation}")
 
 
-def _trusted_count(truncation):
+def trusted_count(truncation):
     """Interior levels of the truncation that `eigen_spectrum` trusts, 2N+1 - 4 sqrt(N)."""
     return max(0, 2 * truncation + 1 - int(math.ceil(4.0 * math.sqrt(truncation))))
 
@@ -180,6 +180,10 @@ class Spectrum:
     def broken(self):
         return bool(np.any(~self.reality_flags[:self.trusted_count]))
 
+    def block_of(self):
+        """Index of the `_blocks` entry that gave each level."""
+        return np.searchsorted(np.cumsum(self.block_sizes), self.order, side="right")
+
 
 def _solve_guard(solve):
     """Decorate solve(p, ...): overflow raises ValueError, a LAPACK failure ConvergenceFailure."""
@@ -247,7 +251,7 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     order = np.argsort(w.real, kind="stable")
     w = w[order]
     flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
-    trusted = _trusted_count(p.truncation)
+    trusted = trusted_count(p.truncation)
     return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation, sector=p.sector,
                     order=order, block_sizes=tuple(map(len, solved)), trusted_count=trusted)
 
@@ -339,31 +343,58 @@ class SweepResult:
 
 
 def _levels_at(template, axis, value):
-    spectrum = eigen_spectrum(template.problem_at(axis, value))
-    return spectrum.eigenvalues[:template.track_levels]
+    return _tracked_levels(template)(template.problem_at(axis, value))
+
+
+def _tracked_levels(template):
+    """What `sweep` measures at a SpectralProblem: its template.track_levels lowest levels."""
+    return lambda p: eigen_spectrum(p).eigenvalues[:template.track_levels]
+
+
+def _level_drift(exact, cut):
+    """Largest |E - E_exact|/max(1, |E_exact|), the levels paired by `_match`."""
+    return float(np.max(np.abs(_match(exact, cut)[0] - exact) / np.maximum(1, np.abs(exact))))
 
 
 @_solve_guard
-def _working_truncation(template, axis, values):
-    """(template at n, drift, {x: levels at n}) for `sweep`: n is the smallest of 16 and 32
-    below N that trusts the tracked levels and keeps them, paired by `_match`, within
-    DRIFT_RTOL*max(1, |E|) of those at N at both ends and where the `hill_form`'s |q^2|
-    peaks; else n is N.  An overflowing q^2 raises ValueError."""
+def _solve_grid(template, axis, values, measure, drift, workers=1):
+    """(n, drift, {x: measure(problem at x, truncation n)}) for each distinct x of `values`.
+
+    measure(p) is what a sweep reports at the SpectralProblem p; drift(exact, cut) is how
+    far `cut`, measured at n, lies from `exact`, measured at N = template.truncation, in the
+    units of DRIFT_RTOL.  n is the smallest of 16 and 32 below N that trusts the tracked
+    levels and keeps the drift <= DRIFT_RTOL at both ends and where the `hill_form`'s |q^2|
+    peaks; else n is N.  Each grid element is built once, for the |q^2| scan and the solves
+    alike.  With workers > 1 the points the probes left are solved on a thread pool (LAPACK
+    releases the GIL).  An overflowing q^2 raises ValueError.
+    """
+    points = {x: template.element_at(axis, x) for x in map(float, values)}
+
+    def solve(x, truncation):
+        return measure(SpectralProblem(*points[x], truncation=truncation))
+
     sizes = [n for n in (16, 32)
-             if n < template.truncation and _trusted_count(n) >= template.track_levels]
-    if not sizes or None in (squares := [_completed_square(template.element_at(axis, x)[0])
-                                         for x in values]):
-        return template, 0.0, {}
-    alpha, beta, gamma, c = np.array(squares)[:, 2:].T
-    peak = values[np.argmax(np.abs(((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)))]
-    exact = {x: _levels_at(template, axis, x) for x in map(float, (values[0], values[-1], peak))}
-    for work in (replace(template, truncation=n) for n in sizes):
-        cut = {x: _levels_at(work, axis, x) for x in exact}
-        drift = float(max(np.max(np.abs(_match(ref, cut[x])[0] - ref) / np.maximum(1, np.abs(ref)))
-                          for x, ref in exact.items()))
-        if drift <= DRIFT_RTOL:
-            return work, drift, cut
-    return template, 0.0, exact
+             if n < template.truncation and trusted_count(n) >= template.track_levels]
+    n, worst, solved = template.truncation, 0.0, {}
+    if sizes and None not in (squares := [_completed_square(e) for e, _ in points.values()]):
+        alpha, beta, gamma, c = np.array(squares)[:, 2:].T
+        xs = list(points)
+        peak = xs[np.argmax(np.abs(((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)))]
+        probes = dict.fromkeys((xs[0], xs[-1], peak))
+        solved = exact = {x: solve(x, n) for x in probes}
+        for size in sizes:
+            cut = {x: solve(x, size) for x in probes}
+            if (gap := max(drift(exact[x], cut[x]) for x in probes)) <= DRIFT_RTOL:
+                n, worst, solved = size, gap, cut
+                break
+    todo = [x for x in points if x not in solved]
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            solved.update(zip(todo, pool.map(lambda x: solve(x, n), todo)))
+    else:
+        solved.update((x, solve(x, n)) for x in todo)
+    return n, float(worst), solved
 
 
 def _assignment(cost):
@@ -452,28 +483,23 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     MAX_HALVINGS halvings.  The median skips spacings at most
     REALITY_RTOL*max(1, |E|): degenerate levels, such as the two Hill
     chains give in the fermionic sector, and conjugate pairs.  With
-    workers > 1 the grid-point eigensolves run on a thread pool (LAPACK
-    releases the GIL); the continuation itself stays an ordered sequential
-    reduction.  Every level is solved at the smallest certified truncation
-    <= template.truncation (`_working_truncation`), recorded in
-    `SweepResult.truncation` and `.drift`.
+    workers > 1 the grid-point eigensolves run on a thread pool; the
+    continuation itself stays an ordered sequential reduction.  Every level
+    is solved at the smallest certified truncation <= template.truncation
+    (`_solve_grid`), recorded in `SweepResult.truncation` and `.drift`.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     values = np.linspace(lo, hi, steps)
-    work, drift, cache = _working_truncation(template, axis, values)
+    n, drift, cache = _solve_grid(template, axis, values, _tracked_levels(template),
+                                  _level_drift, workers)
+    work = replace(template, truncation=n)
 
     def levels(x):
         x = float(x)
         if x not in cache:
             cache[x] = _levels_at(work, axis, x)
         return cache[x]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        todo = [float(x) for x in values if float(x) not in cache]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cache.update(zip(todo, pool.map(lambda v: _levels_at(work, axis, v), todo)))
 
     first = levels(values[0])
     start = np.sort(first.real)
@@ -503,7 +529,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
         curves[:, k] = continue_to(curves[:, k - 1], values[k - 1], values[k], 0)
     del continue_to   # a recursive closure is a reference cycle: free the level cache now
     return SweepResult(template=template, axis=axis, values=values, curves=curves,
-                       truncation=work.truncation, drift=drift, refined_points=refined)
+                       truncation=n, drift=drift, refined_points=refined)
 
 
 # ---------------------------------------------------------------------------
@@ -711,18 +737,28 @@ def _catalogue_eps(result, work, q2s, im_tol):
 # wavefunctions and intensities
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
+_PLANE_WAVES = {}   # (theta bytes, sector): the widest table asked for, at most four grids
+
+
 def _plane_waves(theta_bytes, modes, sector):
     """exp(i(n + s/2) theta), rows theta (float64 bytes), columns n = -(modes-1)/2...
 
-    Cached because an intensity sweep evaluates every wavefunction on one
-    grid; read-only because callers share it.
+    An intensity sweep evaluates every wavefunction on one grid, at a
+    working truncation and at the probes' others, so each grid and sector
+    keeps one read-only table, built for the most modes asked of it.  Fewer
+    modes take its middle columns, equal entry for entry to their own table.
     """
-    theta = np.frombuffer(theta_bytes)
-    k = np.arange(modes) - (modes - 1) // 2 + sector / 2.0
-    table = np.exp(1j * np.outer(theta, k))
-    table.flags.writeable = False
-    return table
+    table = _PLANE_WAVES.get((theta_bytes, sector))
+    if table is None or table.shape[1] < modes:
+        k = np.arange(modes) - (modes - 1) // 2 + sector / 2.0
+        table = np.exp(1j * np.outer(np.frombuffer(theta_bytes), k))
+        table.flags.writeable = False
+        _PLANE_WAVES.pop((theta_bytes, sector), None)
+        if len(_PLANE_WAVES) == 4:
+            del _PLANE_WAVES[next(iter(_PLANE_WAVES))]
+        _PLANE_WAVES[theta_bytes, sector] = table
+    cut = (table.shape[1] - 1) // 2 - (modes - 1) // 2
+    return table[:, cut:cut + modes]
 
 
 @dataclass(frozen=True)
@@ -815,7 +851,7 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
     if (spectrum.truncation, spectrum.sector, len(spectrum.eigenvalues)) != want:
         raise ValueError(f"spectrum is not that of (truncation, sector, levels) {want}")
     blocks, dense, specs = _blocks(p), {}, []
-    block_of = np.searchsorted(np.cumsum(spectrum.block_sizes), spectrum.order, side="right")
+    block_of = spectrum.block_of()
     for lv in levels:
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
         (matrix, bands, to_modes), scale = blocks[b], np.max(np.abs(blocks[b][0]))
@@ -836,6 +872,98 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
 def intensity(w: WavefunctionSpec, grid) -> np.ndarray:
     values = w.evaluate(np.asarray(grid, dtype=float))
     return np.abs(values) ** 2
+
+
+def select_pair(spectrum: Spectrum, near_energy: float) -> tuple:
+    """The two trusted levels whose intensities `pair_intensities` gives.
+
+    The first two levels with |Im E| > 1e-6, else the two nearest
+    near_energy in real part, nearest first.  Levels whose real parts agree
+    to REALITY_RTOL*max(1, |E|) rank by block index, then by position, not
+    by roundoff: the two Hill chains of a fermionic sector give each level
+    twice, and a conjugate pair's members tie, so a complex pair is a
+    conjugate pair of one chain.
+    """
+    w = spectrum.eigenvalues[:spectrum.trusted_count]
+    if len(w) < 2:
+        raise ValueError(f"truncation {spectrum.truncation} trusts {len(w)} level; a pair "
+                         "needs two")
+    starts = np.diff(w.real) > REALITY_RTOL * np.maximum(1.0, np.abs(w[1:]))
+    group = np.concatenate(([0], np.cumsum(starts)))   # w is sorted by real part
+    rank = np.lexsort((spectrum.block_of()[:len(w)], group))
+    cplx = rank[np.abs(w.imag[rank]) > 1e-6]
+    if len(cplx) >= 2:
+        return int(cplx[0]), int(cplx[1])
+    lowest = w.real[np.flatnonzero(np.concatenate(([True], starts)))]   # of each group
+    order = rank[np.argsort(np.abs(lowest[group[rank]] - near_energy), kind="stable")]
+    return int(order[0]), int(order[1])
+
+
+@dataclass(frozen=True)
+class PairIntensities:
+    """The pair `select_pair` takes at one point, its two levels and their intensities."""
+    pair: tuple                 # the levels' indices in the spectrum
+    blocks: tuple               # the `_blocks` entry that gave each level
+    levels: np.ndarray
+    i_even: np.ndarray
+    i_odd: np.ndarray
+
+
+def pair_intensities(p: SpectralProblem, near_energy: float, theta) -> PairIntensities:
+    """`select_pair` of p's spectrum, and the intensities of its two wavefunctions on theta."""
+    spectrum = eigen_spectrum(p)
+    pair = select_pair(spectrum, near_energy)
+    i_even, i_odd = (intensity(w, theta) for w in wavefunction(p, pair, spectrum))
+    return PairIntensities(pair, tuple(spectrum.block_of()[list(pair)].tolist()),
+                           spectrum.eigenvalues[list(pair)], i_even, i_odd)
+
+
+def _pair_drift(exact, cut):
+    """How far `cut` lies from `exact`: inf for a pair from other blocks, else the largest
+    relative change of a level (by max(1, |E|)) or of an intensity (by the largest exact
+    one).  Indices are not compared: they order a fermionic sector's twin levels by
+    roundoff, where `select_pair` orders them by block."""
+    if cut.blocks != exact.blocks:
+        return math.inf
+    scale = max(np.max(exact.i_even), np.max(exact.i_odd))
+    return max(np.max(np.abs(cut.levels - exact.levels) / np.maximum(1, np.abs(exact.levels))),
+               np.max(np.abs(cut.i_even - exact.i_even)) / scale,
+               np.max(np.abs(cut.i_odd - exact.i_odd)) / scale)
+
+
+@dataclass(frozen=True)
+class IntensitySweep:
+    values: np.ndarray
+    points: list                # PairIntensities at each value
+    truncation: int             # the working truncation every point was solved at
+    drift: float                # largest `_pair_drift` of a probe from the solve at N
+
+
+def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: float,
+                    theta) -> IntensitySweep:
+    """`pair_intensities` at each value of the axis, on the grid theta.
+
+    A single value is solved at template.truncation.  More are solved at the
+    smallest certified truncation <= template.truncation (`_solve_grid`),
+    whose probes must give the same pair, and its levels and both
+    intensities within DRIFT_RTOL, as the solve at template.truncation:
+    levels alone do not show the gauge `to_modes` crops at a small
+    truncation, which moves the intensities.
+    """
+    values = np.asarray(values, dtype=float)
+    if len(values) == 0:
+        raise ValueError("an intensity sweep needs at least one value")
+
+    def measure(p):
+        return pair_intensities(p, near_energy, theta)
+
+    if len(values) == 1:
+        n, drift = template.truncation, 0.0
+        solved = {float(values[0]): measure(template.problem_at(axis, values[0]))}
+    else:
+        n, drift, solved = _solve_grid(template, axis, values, measure, _pair_drift)
+    return IntensitySweep(values=values, points=[solved[x] for x in values.tolist()],
+                          truncation=n, drift=drift)
 
 
 # circle realizations of the antilinear symmetries: psi -> conj(psi(map(theta)))

@@ -11,7 +11,6 @@ from scipy.optimize import linear_sum_assignment
 
 from euclidpt import algebra, chains, spectral
 from euclidpt.algebra import E2Element, build_hamiltonian
-from euclidpt.cli import _select_pair
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
 from euclidpt.errors import ConvergenceFailure, TrackingAmbiguity
 from euclidpt.mathieu import pt5_complex_hamiltonian
@@ -20,8 +19,8 @@ from euclidpt.spectral import (DRIFT_RTOL, SpectralProblem, SweepTemplate, Wavef
                                find_exceptional_points, hill_form,
                                intensity,
                                pt1_closed_spectrum, pt1_closed_wavefunction,
-                               pt_eigenstate_check, pt_image, reality_transitions, sweep,
-                               wavefunction)
+                               pt_eigenstate_check, pt_image, reality_transitions,
+                               select_pair, sweep, wavefunction)
 
 from oracles import generator_matrices
 
@@ -476,7 +475,7 @@ def test_readme_sweeps_solve_at_a_certified_truncation(recipe):
 def _parent_sweep(monkeypatch, *args):
     """The sweep as it ran before the working truncation: every solve at N, none cached."""
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_working_truncation", lambda t, axis, values: (t, 0.0, {}))
+        m.setattr(spectral, "_solve_grid", lambda t, *args: (t.truncation, 0.0, {}))
         return sweep(*args)
 
 
@@ -529,14 +528,14 @@ def test_sweep_workers_give_the_same_curves():
 
 def test_the_certificate_pairs_levels_by_assignment(monkeypatch):
     # a conjugate pair that two truncations return in either order is the same pair
-    def levels_at(template, axis, x):
-        pair = [1 + 1j, 1 - 1j] if template.truncation == 64 else [1 - 1j, 1 + 1j]
+    def levels(p):
+        pair = [1 + 1j, 1 - 1j] if p.truncation == 64 else [1 - 1j, 1 + 1j]
         return np.array([0.5, *pair])
 
-    monkeypatch.setattr(spectral, "_levels_at", levels_at)
     template = SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5), track_levels=3)
-    work, drift, _ = spectral._working_truncation(template, "mu4", np.linspace(-1, 1, 5))
-    assert (work.truncation, drift) == (16, 0.0)
+    n, drift, _ = spectral._solve_grid(template, "mu4", np.linspace(-1, 1, 5), levels,
+                                       spectral._level_drift)
+    assert (n, drift) == (16, 0.0)
 
 
 @pytest.mark.parametrize("sector", [0.0, 1.0])
@@ -681,6 +680,23 @@ def test_wavefunction_normalized():
     assert norm == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("sector", [0.0, 1.0, 0.37])
+def test_wavefunction_values_do_not_depend_on_the_cached_table(sector, monkeypatch):
+    # a table kept for more modes serves fewer by its middle columns, with the same bits
+    theta = np.linspace(0, 2 * math.pi, 360, endpoint=False)
+    rng = np.random.default_rng(7)
+    waves = [WavefunctionSpec(sector=sector, coeffs=rng.normal(size=m) + 1j * rng.normal(size=m))
+             for m in (33, 65, 4, 129)]
+    monkeypatch.setattr(spectral, "_PLANE_WAVES", {})
+    alone = [w.evaluate(theta) for w in waves]   # each widens the table as it goes
+    for w, values in zip(waves, alone):   # now all from the 129-mode table
+        m = len(w.coeffs)
+        k = np.arange(m) - (m - 1) // 2 + sector / 2.0
+        np.testing.assert_array_equal(spectral._plane_waves(theta.tobytes(), m, sector),
+                                      np.exp(1j * np.outer(theta, k)))
+        np.testing.assert_array_equal(w.evaluate(theta), values)
+
+
 def test_pt1_closed_intensity_constant():
     w = pt1_closed_wavefunction(1.0, 0.4, -0.3, n=2).normalized()
     theta = np.linspace(0, 2 * math.pi, 512, endpoint=False)
@@ -776,7 +792,7 @@ def test_chain_intensities_certified_on_readme_recipes():
         hill = hill_form(problem.element)
         assert hill is not None
         spectrum = eigen_spectrum(problem)
-        pair = _select_pair(spectrum, 3.0)
+        pair = select_pair(spectrum, 3.0)
         waves = wavefunction(problem, pair)
         matrix = build_matrix(problem)
         _assert_eigenvectors(matrix, spectrum.eigenvalues, pair, waves)
@@ -851,7 +867,7 @@ def test_unbroken_pair_makes_no_eigensolve(monkeypatch):
     # README --mu3 0.8: both chains are real with products > 0
     problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0))
     spectrum = eigen_spectrum(problem)
-    pair = _select_pair(spectrum, 3.0)
+    pair = select_pair(spectrum, 3.0)
     solves = _CountingEigensolves(monkeypatch)
     waves = wavefunction(problem, pair, spectrum)
     assert solves.counts == {"tridiagonal_eigenvalues": 0, "eigvals": 0, "eig": 0,
@@ -863,7 +879,7 @@ def test_broken_pair_makes_one_eig_per_block(monkeypatch):
     # README --mu3 1.2: the pair is complex, so its chain takes the dense path
     problem = SpectralProblem(pt5_three_param_hamiltonian(1.2, 1.0, 4.0))
     spectrum = eigen_spectrum(problem)
-    pair = _select_pair(spectrum, 3.0)
+    pair = select_pair(spectrum, 3.0)
     assert spectrum.eigenvalues[pair[0]].imag != 0
     solves = _CountingEigensolves(monkeypatch)
     waves = wavefunction(problem, pair, spectrum)
@@ -877,7 +893,7 @@ def test_real_levels_of_a_broken_chain_make_no_eig(monkeypatch):
     # and every off-diagonal product of both chains is negative
     problem = SpectralProblem(pt5_three_param_hamiltonian(1.2, 1.0, 4.0), sector=1.0)
     spectrum = eigen_spectrum(problem)
-    pair = _select_pair(spectrum, 3.0)
+    pair = select_pair(spectrum, 3.0)
     assert all(spectrum.eigenvalues[level].imag == 0 for level in pair)
     for _, (diag, upper, lower), _ in spectral._blocks(problem):
         assert np.all((upper * lower).real < 0)
@@ -894,7 +910,7 @@ def test_complex_level_of_a_real_chain_needs_eig():
     # fails the certificate, so `wavefunction` keeps it to exactly real levels.
     problem = SpectralProblem(pt5_three_param_hamiltonian(1.2, 1.0, 4.0))
     spectrum = eigen_spectrum(problem)
-    level = _select_pair(spectrum, 3.0)[0]
+    level = select_pair(spectrum, 3.0)[0]
     energy = spectrum.eigenvalues[level]
     chain, bands, _ = spectral._blocks(problem)[_block_of(spectrum)[level]]
     assert energy.imag != 0 and chain.dtype == float and np.all(bands[1] * bands[2] != 0)
@@ -916,10 +932,106 @@ def test_sector_one_intensity_surface_eig_count(monkeypatch):
     for mu3 in README_INTENSITY_MU3:
         problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0), sector=1.0)
         spectrum = eigen_spectrum(problem)
-        pair = _select_pair(spectrum, 3.0)
+        pair = select_pair(spectrum, 3.0)
         _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair,
                              wavefunction(problem, pair, spectrum))
     assert solves.counts["eig"] == 16
+
+
+# the README surface (--mu4 1 --mu7 4) and perfbench's seed-1 couplings
+INTENSITY_SURFACES = {"readme": (1.0, 4.0), "seed-1": (1.0007092974820153, 4.108111287118224)}
+THETA = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+
+
+def _intensity_template(mu4, mu7, **kwargs):
+    return SweepTemplate(family="pt5-three", mu=_mu(mu4=mu4, mu7=mu7), track_levels=2, **kwargs)
+
+
+def _assert_pairs_match(cut, exact, tol, where):
+    """The same pair of blocks, its levels within tol*max(1, |E|), both intensities within
+    tol*max I."""
+    assert cut.blocks == exact.blocks, where
+    scale = max(np.max(exact.i_even), np.max(exact.i_odd))
+    assert np.all(np.abs(cut.levels - exact.levels) <= tol * np.maximum(1, np.abs(exact.levels)))
+    for a, b in ((cut.i_even, exact.i_even), (cut.i_odd, exact.i_odd)):
+        assert np.max(np.abs(a - b)) <= tol * scale, f"{where}: {np.max(np.abs(a - b)):.2e}"
+
+
+@pytest.mark.parametrize("sector", [0.0, 1.0])
+@pytest.mark.parametrize("couplings", sorted(INTENSITY_SURFACES))
+def test_intensity_surface_solves_at_32_within_1e_10_of_64(couplings, sector):
+    template = _intensity_template(*INTENSITY_SURFACES[couplings], sector=sector)
+    result = spectral.intensity_sweep(template, "mu3", np.linspace(0.0, 4.0, 81), 3.0, THETA)
+    assert (result.truncation, len(result.points)) == (32, 81)
+    assert result.drift <= DRIFT_RTOL
+    for x, point in zip(result.values, result.points):
+        exact = spectral.pair_intensities(template.problem_at("mu3", x), 3.0, THETA)
+        _assert_pairs_match(point, exact, 1e-10, f"mu3={x}")
+
+
+def test_levels_alone_would_certify_16_on_the_readme_surface():
+    # at N = 16 the mu3 = 4 end keeps its levels but not its intensities: `to_modes` crops
+    # the gauge, whose coefficients grow like I_k(mu3), to modes -16..16
+    template = _intensity_template(*INTENSITY_SURFACES["readme"])
+    at_16 = replace(template, truncation=16)
+    for mu3 in (0.0, 4.0):
+        exact = spectral.pair_intensities(template.problem_at("mu3", mu3), 3.0, THETA)
+        cut = spectral.pair_intensities(at_16.problem_at("mu3", mu3), 3.0, THETA)
+        assert cut.blocks == exact.blocks
+        assert np.all(np.abs(cut.levels - exact.levels)
+                      <= DRIFT_RTOL * np.maximum(1, np.abs(exact.levels)))
+        moved = spectral._pair_drift(exact, cut)
+        assert (moved > 1e-6) == (mu3 == 4.0), f"mu3={mu3}: {moved:.2e}"
+
+
+@pytest.mark.parametrize("args", [["--mu3", "0.8"], ["--mu3", "1.2"], ["--sweep", "mu3:1.2:2:1"]],
+                         ids=["unbroken", "broken", "one-step-sweep"])
+def test_single_intensity_point_is_one_solve_at_n(args, monkeypatch, capsys):
+    from euclidpt import cli
+    mu3 = 0.8 if "0.8" in args else 1.2
+    problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0))
+    spectrum = eigen_spectrum(problem)
+    waves = wavefunction(problem, select_pair(spectrum, 3.0), spectrum)
+    rows = cli._intensity_rows(mu3, ["%.12e" % t for t in THETA],
+                               *(intensity(wave, THETA) for wave in waves))
+    solved = []
+    monkeypatch.setattr(spectral, "eigen_spectrum",
+                        lambda p, solve=eigen_spectrum: solved.append(p.truncation) or solve(p))
+    assert cli.main(["intensity", *args, "--mu4", "1", "--mu7", "4"]) == 0
+    assert capsys.readouterr().out == "\n".join(["mu3,theta,i_even,i_odd,i_sum_ref", *rows, ""])
+    assert solved == [64]
+
+
+@pytest.mark.parametrize("job", ["window", "real-s1", "intensity"])
+def test_sweeps_build_each_grid_element_once(job, monkeypatch):
+    built = []
+    element_at = SweepTemplate.element_at
+    monkeypatch.setattr(SweepTemplate, "element_at",
+                        lambda self, axis, x: built.append(x) or element_at(self, axis, x))
+    if job == "intensity":
+        values = np.linspace(0.0, 4.0, 81)
+        spectral.intensity_sweep(_intensity_template(1.0, 4.0), "mu3", values, 3.0, THETA)
+        assert sorted(built) == sorted(values)
+    else:
+        template, axis, lo, hi, steps = README_SWEEPS[job]
+        result = sweep(template, axis, lo, hi, steps)
+        assert len(built) == len(set(built)) == steps + result.refined_points
+
+
+@pytest.mark.parametrize("mu3", [0.8, 2.05, 3.0])
+def test_fermionic_pair_is_chosen_by_block_not_roundoff(mu3):
+    # sector 1: the two chains give each level twice, in an order roundoff decides
+    picked = {}
+    for n in (32, 64):
+        problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0), sector=1.0,
+                                  truncation=n)
+        picked[n] = spectral.pair_intensities(problem, 3.0, THETA)
+    levels = picked[64].levels
+    if levels[0].imag:   # the broken window: a conjugate pair of the first chain
+        assert picked[64].blocks == (0, 0) and levels[1] == np.conj(levels[0])
+    else:                # the twin levels of the two chains, the first chain's first
+        assert picked[64].blocks == (0, 1)
+    _assert_pairs_match(picked[32], picked[64], 1e-10, f"mu3={mu3}")
 
 
 def test_wavefunction_solves_the_spectrum_it_is_not_given(monkeypatch):
