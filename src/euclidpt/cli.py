@@ -166,8 +166,17 @@ def _mu_vector(args):
 
 def _run_sweep(args):
     axis, lo, hi, steps = _parse_sweep(args.sweep)
+    if steps < 2:
+        raise ConfigError(f"--sweep STEPS must be at least 2, got {steps}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.truncation < spectral.MIN_TRUNCATION:
+        raise ConfigError(f"--truncation must be at least {spectral.MIN_TRUNCATION}, "
+                          f"got {args.truncation}")
+    dim = 2 * args.truncation + 1
+    if not 1 <= args.levels <= dim:
+        raise ConfigError(f"--levels must lie in 1..{dim} (2*--truncation+1 levels at "
+                          f"--truncation {args.truncation}), got {args.levels}")
     template = spectral.SweepTemplate(symmetry=args.symmetry, mu=_mu_vector(args),
                                       family=args.family, sector=args.sector,
                                       truncation=args.truncation, track_levels=args.levels)
@@ -340,8 +349,9 @@ def _mathieu_flags(p):
                    help="even-pi | odd-pi | even-2pi | odd-2pi")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--trunc", type=int, default=60,
-                   help="modes per chain: real q is certified by its residual bound at "
-                        "--trunc, complex q by doubling --trunc")
+                   help="modes per chain, at most: real q is solved on a shorter chain "
+                        "where its residual bound certifies it, else at --trunc; complex q "
+                        "at --trunc and twice --trunc, certified by doubling")
 
 
 def _e3_adjoint_flags(p):

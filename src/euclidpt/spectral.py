@@ -24,6 +24,7 @@ from .errors import ConvergenceFailure, TrackingAmbiguity
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
+MIN_TRUNCATION = 4
 REALITY_RTOL = 1e-8
 MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
 DRIFT_RTOL = 1e-10    # how far `sweep`'s working truncation may move a probe's levels from N's
@@ -45,8 +46,8 @@ class SpectralProblem:
 
 
 def _check_truncation(truncation):
-    if truncation < 4:
-        raise ValueError(f"truncation must be at least 4, got {truncation}")
+    if truncation < MIN_TRUNCATION:
+        raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {truncation}")
 
 
 def trusted_count(truncation):
@@ -338,7 +339,9 @@ class SweepResult:
     values: np.ndarray
     curves: np.ndarray          # (track_levels, npoints), tracked by continuation
     truncation: int             # the working truncation every level was solved at
-    drift: float                # largest relative change of a probe's levels from those at N
+    drift: float                # largest relative change of a probe's levels from those at N;
+                                # the three probes only: next to an EP a grid point can move
+                                # further (seed-1 window: 1.3e-10 at mu3 = -3.0, drift 3.2e-13)
     refined_points: int = 0
 
 
@@ -936,7 +939,9 @@ class IntensitySweep:
     values: np.ndarray
     points: list                # PairIntensities at each value
     truncation: int             # the working truncation every point was solved at
-    drift: float                # largest `_pair_drift` of a probe from the solve at N
+    drift: float                # largest `_pair_drift` of a probe from the solve at N; the
+                                # three probes only, as `SweepResult.drift`: next to an EP a
+                                # grid point can move further
 
 
 def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: float,

@@ -212,7 +212,8 @@ def test_mathieu_count_may_not_split_a_conjugate_pair(count, code, capsys):
 
 
 def test_mathieu_truncation_doubling_failure_exit_3(capsys):
-    # real q is certified by its residual bound at --trunc, complex q by doubling it
+    # real q reports its residual bound at --trunc, the longest chain it tries; complex q
+    # its move under doubling --trunc
     for q, wording in (("300", "under truncation to 10 modes"),
                        ("300,1", "under truncation doubling")):
         code, out, err = run(["mathieu", "--q", q, "--class", "even-pi", "--count", "2",
@@ -332,7 +333,7 @@ def test_a_run_builds_only_its_subcommands_flags(monkeypatch, capsys):
             flags(parser)
         monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recorded, command))
     code, _, err = run(["ep", "--sweep", "mu3:0:1:1"], capsys)
-    assert (code, err) == (1, "configuration error: steps must be at least 2\n")
+    assert (code, err) == (1, "configuration error: --sweep STEPS must be at least 2, got 1\n")
     assert built == ["ep"]
     _help(["--help"], capsys)
     assert built == ["ep"]
@@ -447,45 +448,52 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     assert flag in err
 
 
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--sweep", "mu10:0:1:3"],
-    ["spectrum", "--sweep", "mu3:0:1:1"],
-    ["spectrum", "--truncation", "2", "--sweep", "mu3:0:1:3"],
-    ["spectrum", "--sector", "3", "--sweep", "mu3:0:1:3"],
-    ["spectrum", "--mu3", "nan", "--sweep", "mu4:0:1:3"],
-    ["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"],
-    ["mathieu", "--q", "1", "--class", "even-pi", "--count", "80"],
-    ["mathieu", "--q", "1", "--class", "even-pi", "--count", "0"],
-    ["mathieu", "--q", "1", "--class", "even-pi", "--count", "-2"],
-    ["mathieu", "--q", "1,2,3", "--class", "even-pi"],
-    ["mathieu", "--q", "1,inf", "--class", "even-pi"],
-    ["spectrum", "--levels", "500", "--truncation", "8", "--sweep", "mu3:0:1:3"],
-    EP_SMALL + ["--ep-tol", "0"],
-    EP_SMALL + ["--ep-tol", "nan"],
-    EP_SMALL + ["--im-tol", "-1"],
-    ["intensity", "--grid", "0", "--truncation", "8"],
-    ["intensity", "--mu3", "0.8", "--truncation", "4"],
-    ["intensity", "--sweep", "mu3:0:4:0", "--truncation", "8"],
-    ["intensity", "--sweep", "mu3:0:4:-3", "--truncation", "8"],
-    ["intensity", "--near-energy", "nan", "--truncation", "8"],
-    ["intensity", "--near-energy", "inf", "--truncation", "8"],
-    ["e3-adjoint", "--lambda-z", "nan"],
-    ["spectrum", "--workers", "0", "--sweep", "mu3:0:1:3"],
-    EP_SMALL + ["--workers", "-3"],
-    ["spectrum", "--sweep", "mu3:0:inf:5"],
-    ["mathieu", "--q", "1", "--class", "even-pi", "--trunc", "3"],
+@pytest.mark.parametrize("args, flags", [
+    (["spectrum", "--sweep", "mu10:0:1:3"], ()),
+    (["spectrum", "--sweep", "mu3:0:1:1"], ("--sweep STEPS",)),
+    (["spectrum", "--truncation", "2", "--sweep", "mu3:0:1:3"], ("--truncation",)),
+    (["spectrum", "--sector", "3", "--sweep", "mu3:0:1:3"], ()),
+    (["spectrum", "--mu3", "nan", "--sweep", "mu4:0:1:3"], ()),
+    (["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"], ()),
+    (["mathieu", "--q", "1", "--class", "even-pi", "--count", "80"], ("--count",)),
+    (["mathieu", "--q", "1", "--class", "even-pi", "--count", "0"], ("--count",)),
+    (["mathieu", "--q", "1", "--class", "even-pi", "--count", "-2"], ("--count",)),
+    (["mathieu", "--q", "1,2,3", "--class", "even-pi"], ("--q",)),
+    (["mathieu", "--q", "1,inf", "--class", "even-pi"], ("--q",)),
+    (["spectrum", "--levels", "500", "--truncation", "8", "--sweep", "mu3:0:1:3"], ("--levels",)),
+    (EP_SMALL + ["--ep-tol", "0"], ("--ep-tol",)),
+    (EP_SMALL + ["--ep-tol", "nan"], ("--ep-tol",)),
+    (EP_SMALL + ["--im-tol", "-1"], ("--im-tol",)),
+    (["intensity", "--grid", "0", "--truncation", "8"], ("--grid",)),
+    (["intensity", "--mu3", "0.8", "--truncation", "4"], ("--truncation",)),
+    (["intensity", "--sweep", "mu3:0:4:0", "--truncation", "8"], ("--sweep",)),
+    (["intensity", "--sweep", "mu3:0:4:-3", "--truncation", "8"], ("--sweep",)),
+    (["intensity", "--near-energy", "nan", "--truncation", "8"], ("--near-energy",)),
+    (["intensity", "--near-energy", "inf", "--truncation", "8"], ("--near-energy",)),
+    (["e3-adjoint", "--lambda-z", "nan"], ()),
+    (["spectrum", "--workers", "0", "--sweep", "mu3:0:1:3"], ("--workers",)),
+    (EP_SMALL + ["--workers", "-3"], ("--workers",)),
+    (["spectrum", "--sweep", "mu3:0:inf:5"], ("--sweep",)),
+    (["mathieu", "--q", "1", "--class", "even-pi", "--trunc", "3"], ("--trunc",)),
+    (["spectrum", "--sweep", "mu3:-4:4:5", "--truncation", "4"], ("--levels", "--truncation 4")),
+    (["spectrum", "--levels", "0", "--sweep", "mu3:0:1:3"], ("--levels",)),
+    (EP_SMALL[:-2] + ["--levels", "0"], ("--levels",)),
+    (["ep", "--sweep", "mu3:-4:4:1"], ("--sweep STEPS",)),
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
         "mathieu-count", "mathieu-count-zero", "mathieu-count-negative", "mathieu-q-parts",
         "mathieu-q-inf", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
         "grid", "intensity-trusted", "intensity-steps-zero", "intensity-steps-negative",
         "near-energy-nan", "near-energy-inf", "e3-lambda-nan", "workers-zero",
-        "ep-workers-negative", "sweep-inf", "mathieu-trunc"])
-def test_bad_value_one_line_exit_1(args, capsys):
+        "ep-workers-negative", "sweep-inf", "mathieu-trunc", "levels-default-at-truncation-4",
+        "levels-zero", "ep-levels-zero", "ep-steps"])
+def test_bad_value_one_line_exit_1(args, flags, capsys):
+    # flags: what the message must name, the flags at fault
     code, _, err = run(args, capsys)
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+    assert all(flag in err for flag in flags)
 
 
 # sizes whose arrays (576 TB for the circle matrix, 1.6 PB for a Mathieu
@@ -494,12 +502,21 @@ def test_bad_value_one_line_exit_1(args, capsys):
     (["intensity", "--mu3", "0.8", "--truncation", "3000000"], "--truncation"),
     (["spectrum", "--family", "pt5-three", "--sweep", "mu3:0:1:3", "--truncation", "3000000"],
      "--truncation"),
-    (["mathieu", "--q", "1", "--class", "even-pi", "--trunc", "100000000000000"], "--trunc")],
+    (["mathieu", "--q", "0,1", "--class", "even-pi", "--trunc", "100000000000000"], "--trunc")],
     ids=["intensity", "spectrum", "mathieu"])
 def test_too_large_a_truncation_one_line_exit_1(args, flag, capsys):
     code, out, err = run(args, capsys)
     assert code == 1 and out == ""
     assert err == f"configuration error: out of memory; {flag} is too large\n"
+
+
+@pytest.mark.parametrize("q", ["1", "-6", "25"])
+def test_real_q_trunc_is_an_upper_bound(q, capsys):
+    # real q certifies on a short chain, so a --trunc too large to allocate is never built
+    args = ["mathieu", "--q", q, "--class", "even-pi"]
+    code, out, err = run(args + ["--trunc", "100000000000000"], capsys)
+    assert (code, err) == (0, "")
+    assert run(args, capsys) == (code, out, err)
 
 
 @pytest.mark.parametrize("args, flag", [(["--q", "1", "--count", "0"], "--count"),

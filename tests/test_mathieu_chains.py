@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from euclidpt import mathieu
+from euclidpt.dyson import reduce_pt5_three_param
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.mathieu import (EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
                               antiperiodic_characteristic_values, characteristic_values,
@@ -99,36 +100,89 @@ def test_real_q_makes_no_dense_solve(monkeypatch):
 
 
 class _CountingSolves:
-    """Counts the symmetric real-q solves and the general chain solves."""
+    """The chain length of each symmetric real-q solve and of each general chain solve."""
 
     def __init__(self, monkeypatch):
-        self.counts = {"dstemr": 0, "chain": 0}
+        self.counts = {"dstemr": [], "chain": []}
         for module, name, key in ((scipy.linalg.lapack, "dstemr", "dstemr"),
                                   (mathieu, "tridiagonal_eigenvalues", "chain")):
             monkeypatch.setattr(module, name, self._counting(getattr(module, name), key))
 
     def _counting(self, solve, key):
-        def counted(*args, **kwargs):
-            self.counts[key] += 1
-            return solve(*args, **kwargs)
+        def counted(diag, *args, **kwargs):
+            self.counts[key].append(len(diag))
+            return solve(diag, *args, **kwargs)
         return counted
 
 
-@pytest.mark.parametrize("q, counts", [(0.0, {"dstemr": 1, "chain": 0}),
-                                       (-6.0, {"dstemr": 1, "chain": 0}),
-                                       (2.5 + 0j, {"dstemr": 1, "chain": 0}),
-                                       (0.9 + 1.4j, {"dstemr": 0, "chain": 2}),
-                                       (1.8j, {"dstemr": 0, "chain": 2})],
-                         ids=["zero", "negative", "real-as-complex", "complex", "imaginary"])
+# real q: one symmetric solve on the first rung's chain, count 4 + 8 = 12 modes or more
+# where |q| asks (an antiperiodic chain reaches half the frequency a periodic one does),
+# or at trunc = 20 when the rung would take more than 3/4 of it (17 modes at q = -6);
+# any other q: trunc and 2*trunc
+@pytest.mark.parametrize("q, periodic, antiperiodic", [
+    (0.0, {"dstemr": [12], "chain": []}, {"dstemr": [12], "chain": []}),
+    (-6.0, {"dstemr": [12], "chain": []}, {"dstemr": [20], "chain": []}),
+    (2.5 + 0j, {"dstemr": [12], "chain": []}, {"dstemr": [14], "chain": []}),
+    (0.9 + 1.4j, {"dstemr": [], "chain": [20, 40]}, {"dstemr": [], "chain": [20, 40]}),
+    (1.8j, {"dstemr": [], "chain": [20, 40]}, {"dstemr": [], "chain": [20, 40]})],
+    ids=["zero", "negative", "real-as-complex", "complex", "imaginary"])
 @pytest.mark.parametrize("cls", SIX_CLASSES, ids=CLASS_IDS)
-def test_real_q_solves_its_chain_once(cls, q, counts, monkeypatch):
-    # real q: one symmetric solve at trunc; any other q: trunc and 2*trunc
+def test_real_q_solves_its_chain_once(cls, q, periodic, antiperiodic, monkeypatch):
     solves = _CountingSolves(monkeypatch)
     if isinstance(cls, str):
         antiperiodic_characteristic_values(q, cls, 4, trunc=20)
+        assert solves.counts == antiperiodic
     else:
         characteristic_values(q, cls, 4, trunc=20)
-    assert solves.counts == counts
+        assert solves.counts == periodic
+
+
+# acceptance criterion 4's panels (`perfbench` closed_forms mathieu_grid) at the README
+# mu3 = 1/2 and at seed 1's
+@pytest.mark.parametrize("mu3", [0.5, 0.5004728649880102], ids=["seed-0", "seed-1"])
+def test_criterion_4_grid_certifies_at_the_first_rung(mu3, monkeypatch):
+    solves = _CountingSolves(monkeypatch)
+    for mu4 in (float(x) for x in np.linspace(-3.0, 3.0, 200) if abs(x - mu3) >= 0.05):
+        red = reduce_pt5_three_param(mu3, mu4, 0.0)
+        q = (red["alpha"] ** 2 - red["beta"]) / 4.0
+        for cls, count in [(EVEN_PI, 4), (ODD_PI, 4), (EVEN_2PI, 4), (ODD_2PI, 4),
+                           ("even", 7), ("odd", 7)]:
+            solves.counts["dstemr"].clear()
+            if isinstance(cls, str):
+                values = antiperiodic_characteristic_values(q, cls, count, trunc=40)
+            else:
+                values = characteristic_values(q, cls, count, trunc=40)
+            assert solves.counts["dstemr"] == [mathieu._first_rung(q, cls, count)]
+            ref = mathieu._ritz_certified(q, cls, count, 40, "values")[0]
+            assert np.all(np.abs(values - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref))), (q, cls)
+
+
+@pytest.mark.parametrize("q, cls, count, trunc, rung", [
+    (400.0, "even", 4, 60, 44), (-400.0, "odd", 4, 60, 44), (1000.0, EVEN_PI, 4, 60, 31)],
+    ids=["antiperiodic", "antiperiodic-negative", "periodic"])
+def test_a_rung_that_does_not_certify_falls_back_to_trunc(q, cls, count, trunc, rung,
+                                                          monkeypatch):
+    # the first rung's bounds exceed 1e-10 here; trunc's certify
+    assert mathieu._first_rung(q, cls, count) == rung
+    with pytest.raises(ConvergenceFailure):
+        mathieu._ritz_certified(q, cls, count, rung, "values")
+    values, bounds = mathieu._ritz_certified(q, cls, count, trunc, "values")
+    solves = _CountingSolves(monkeypatch)
+    if isinstance(cls, str):
+        got = antiperiodic_characteristic_values(q, cls, count, trunc=trunc)
+    else:
+        got = characteristic_values(q, cls, count, trunc=trunc)
+    assert solves.counts["dstemr"] == [rung, trunc]
+    assert np.all(np.abs(got - values) <= bounds)
+
+
+def test_no_rung_certifies_reports_trunc(monkeypatch):
+    # the rung (57 modes) and trunc both fail; the message is trunc's
+    solves = _CountingSolves(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match=r"antiperiodic even values may have moved by "
+                                                 r"\d\.\d{3}e[+-]\d+ under truncation to 80 modes"):
+        antiperiodic_characteristic_values(1000.0, "even", 4, trunc=80)
+    assert solves.counts["dstemr"] == [57, 80]
 
 
 @pytest.mark.parametrize("cls, dtype", zip(SIX_CLASSES, [float, float, complex, complex,
