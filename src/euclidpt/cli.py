@@ -3,12 +3,18 @@
 Exit codes: 0 success, 1 configuration error, 2 Dyson map undefined
 (broken-PT parameter region), 3 numerical failure.  CSV output uses %.12e and
 JSON output Python's round-trip float repr; equal configurations give equal bytes.
+
+Every CSV goes through one writer, `_csv_chunks`, in chunks of rows.  Its float
+columns are formatted by `_e12` in numpy, byte for byte as '%.12e' % v: a
+value whose 13-digit mantissa one exact power of ten and rint give provably
+is written from digit tables, and every other value (nan, inf, subnormals,
+three-digit exponents, near-ties) by '%.12e' itself.  A value that repeats
+down a column is formatted once and gathered by index.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -26,33 +32,99 @@ EXIT_MAP_UNDEFINED = 2
 EXIT_NUMERICAL = 3
 
 
-def _csv_rows(texts, *columns):
-    """CSV rows: the preformatted `texts` columns, then `columns` as %.12e.
+# The %.12e kernel.  A finite |x| with decimal exponent e in [-10, 34] is
+# scaled to s = |x| * 10^(12 - e) by one exact power 10^k, |k| <= 22, so s is
+# the exact product rounded once, at most 2^-10 (half an ulp below 1e13) away.
+# Where s also lies in [1e12, 1e13) and more than _TIE_GUARD from a
+# half-integer, rint(s) is the correctly rounded 13-digit mantissa that
+# '%.12e' prints.  Every other value (nan, inf, subnormals, three-digit
+# exponents, near-ties) goes through '%.12e' itself; +-0.0 is vectorized.
+# The text is five 4-byte words looked up in tables: _HEAD [sign or NUL, lead
+# digit, '.', digit], indexed by 100 * negative + the two digits; _QUAD [4
+# digits] twice; _TRIPLE_E [3 digits, 'e']; _EXP [exponent sign, 2 digits,
+# NUL], indexed by e + 10.
+_E12_WIDTH = 20                 # '-1.000000000000e+300', the widest %.12e text
+_EXPONENTS = np.arange(-10, 35)
+_POW10 = np.concatenate([[1.0], np.cumprod(np.full(22, 10.0))])   # 10^0..10^22, exact
+_SCALE_MUL = _POW10[np.clip(12 - _EXPONENTS, 0, None)]            # 10^(12-e) for e <= 12
+_SCALE_DIV = _POW10[np.clip(_EXPONENTS - 12, 0, None)]            # 10^(e-12) for e > 12
+_TIE_GUARD = 4e-3
 
-    Each text column is an iterable of str, so a value repeated down a
-    column is formatted once.  Python floats (`.tolist()`) format like numpy
-    scalars.
+
+def _words(*columns):
+    """Four byte columns as one uint32 column whose memory holds those bytes in order."""
+    return np.stack(columns, axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digits(values, width):
+    """The ASCII digit columns of `width`-digit integers, most significant first."""
+    return [values // 10 ** p % 10 + ord("0") for p in range(width - 1, -1, -1)]
+
+
+_LEAD, _NEXT = _digits(np.arange(200) % 100, 2)
+_HEAD = _words(np.arange(200) // 100 * ord("-"), _LEAD, np.full(200, ord(".")), _NEXT)
+_QUAD = _words(*_digits(np.arange(10000), 4))
+_TRIPLE_E = _words(*_digits(np.arange(1000), 3), np.full(1000, ord("e")))
+_EXP = _words(np.where(_EXPONENTS < 0, ord("-"), ord("+")), *_digits(abs(_EXPONENTS), 2),
+              np.zeros(len(_EXPONENTS)))
+_E12 = "%.12e".__mod__
+_CHUNK_ROWS = 4096              # rows formatted per CSV chunk, bounding its arrays
+
+
+def _e12(x):
+    """'%.12e' % v of each float v of x, as a NUL-padded (len(x), 20) uint8 array."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # 0, nan, inf
+        e = np.floor(np.log10(a))                      # -inf at 0, nan at nan
+        in_range = (e >= _EXPONENTS[0]) & (e <= _EXPONENTS[-1])
+        i = np.where(in_range, e, 0.0).astype(np.intp) - _EXPONENTS[0]   # e = 0 out of range
+        s = a * np.take(_SCALE_MUL, i) / np.take(_SCALE_DIV, i)
+        m = np.rint(s)
+        fast = in_range & (s >= 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - _TIE_GUARD)
+    fast |= a == 0.0                                    # e = 0 and m = 0 there
+    m = np.where(fast, m, 0.0).astype(np.int64)
+    head = m // 10 ** 11                                # lead digit and the next one
+    rest = m - head * 10 ** 11
+    quad1 = rest // 10 ** 7
+    rest -= quad1 * 10 ** 7
+    quad2 = rest // 1000
+    out = np.stack([np.take(_HEAD, head + 100 * np.signbit(x)), np.take(_QUAD, quad1),
+                    np.take(_QUAD, quad2), np.take(_TRIPLE_E, rest - quad2 * 1000),
+                    np.take(_EXP, i)], axis=1).view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = np.array(list(map(_E12, x[slow].tolist())), dtype=f"S{_E12_WIDTH}")
+        out[slow] = texts.view(np.uint8).reshape(-1, _E12_WIDTH)
+    return out
+
+
+def _int_texts(n):
+    """The decimal text of 0..n-1 as a NUL-padded (n, 20) uint8 array."""
+    return np.arange(n).astype(f"S{_E12_WIDTH}").view(np.uint8).reshape(n, _E12_WIDTH)
+
+
+def _csv_chunks(header, texts, floats):
+    """Yield the CSV text in chunks: the header line, then one line per row.
+
+    Each row holds the `texts` columns, then the `floats` columns as %.12e.
+    A text column is a pair (table, index): a NUL-padded (k, 20) uint8 array
+    such as `_e12` returns and each row's index into it, so a value repeated
+    down a column is formatted once.  A chunk's fields and separators are laid
+    out as NUL-padded rows, and the NULs are stripped once per chunk.
     """
-    template = ",".join(["%s"] * len(texts) + ["%.12e"] * len(columns))
-    return list(map(template.__mod__, zip(*texts, *(c.tolist() for c in columns))))
-
-
-def _csv(header, rows):
-    """The CSV text: header and rows, each ended by a newline, joined once."""
-    return "\n".join([header, *rows, ""])
-
-
-def _spectrum_rows(values, curves):
-    """`spectrum` rows, point-major: axis_value, level_index, re_E, im_E."""
-    levels, z = len(curves), curves.T.ravel()
-    axis = [text for text in map("%.12e".__mod__, values.tolist()) for _ in range(levels)]
-    return _csv_rows([axis, [str(k) for k in range(levels)] * len(values)], z.real, z.imag)
-
-
-def _intensity_rows(mu3, theta_text, int_a, int_b):
-    """One `intensity` point's rows: mu3, theta (`theta_text`), i_even, i_odd, i_sum_ref."""
-    return _csv_rows([itertools.repeat("%.12e" % mu3), theta_text],
-                     int_a, int_b, int_a + int_b - int_a[0])
+    yield header + "\n"
+    ncols, nrows = len(texts) + len(floats), len(floats[0])
+    for lo in range(0, nrows, _CHUNK_ROWS):
+        rows = slice(lo, min(lo + _CHUNK_ROWS, nrows))
+        block = np.empty((rows.stop - lo, ncols, _E12_WIDTH + 1), np.uint8)
+        block[:, :, -1] = ord(",")
+        block[:, -1, -1] = ord("\n")
+        for k, (table, index) in enumerate(texts):
+            block[:, k, :-1] = table[index[rows]]
+        values = np.stack([column[rows] for column in floats], axis=1)
+        block[:, len(texts):, :-1] = _e12(values.ravel()).reshape(*values.shape, -1)
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class ConfigError(Exception):
@@ -75,12 +147,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write(path, text):
+def _write(path, texts):
+    """Write the strings `texts` in order to `path`, or to stdout for None or '-'."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _emit_plot_script(out_path, columns, kind):
@@ -155,6 +228,20 @@ def _parse_sweep(text):
     return axis, lo, hi, steps
 
 
+def _check_finite(args, *flags):
+    """Reject a value of any of `flags` that is not finite; an unset flag (None) passes."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+
+
+def _check_sector(sector, axis):
+    """--sector as the solves see it: an `s` sweep sets the sector from its axis instead."""
+    if not math.isfinite(sector) or (axis != "s" and not 0.0 <= sector < 2.0):
+        raise ConfigError(f"--sector must lie in [0, 2), got {sector}")
+
+
 def _mu_vector(args):
     mu = [1.0] + [0.0] * 8
     for i in range(1, 10):
@@ -166,6 +253,14 @@ def _mu_vector(args):
 
 def _run_sweep(args):
     axis, lo, hi, steps = _parse_sweep(args.sweep)
+    if axis not in spectral.SWEEP_AXES:
+        raise ConfigError(f"--sweep AXIS must be one of {', '.join(spectral.SWEEP_AXES)}, "
+                          f"got {axis!r}")
+    if args.family == "pt5-three" and axis not in spectral.PT5_THREE_AXES:
+        raise ConfigError(f"--family pt5-three sweeps {', '.join(spectral.PT5_THREE_AXES)} "
+                          f"only, got --sweep axis {axis!r}")
+    _check_finite(args, *(f"--mu{i}" for i in range(1, 10)))
+    _check_sector(args.sector, axis)
     if steps < 2:
         raise ConfigError(f"--sweep STEPS must be at least 2, got {steps}")
     if args.workers < 1:
@@ -215,14 +310,17 @@ def _cmd_transform(args):
         report["notice"] = ("constraints leave the input Hamiltonian already "
                             "Hermitian; the transform is spectrum- and "
                             "form-preserving here")
-    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
 def _cmd_spectrum(args):
     result = _run_sweep(args)
-    _write(args.out, _csv("axis_value,level_index,re_E,im_E",
-                          _spectrum_rows(result.values, result.curves)))
+    (levels, points), z = result.curves.shape, result.curves.T.ravel()
+    _write(args.out, _csv_chunks("axis_value,level_index,re_E,im_E",
+                                 [(_e12(result.values), np.repeat(np.arange(points), levels)),
+                                  (_int_texts(levels), np.tile(np.arange(levels), points))],
+                                 [z.real, z.imag]))
     if args.plot_script and args.out not in (None, "-"):
         _emit_plot_script(args.out, ["axis_value", "re_E"], "spectrum")
     return EXIT_OK
@@ -235,24 +333,26 @@ def _cmd_ep(args):
                                               im_tol=args.im_tol)
     report = {"command": "ep", "config": _config_echo(args),
               "exceptional_points": [p.as_dict() for p in points]}
-    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
 def _cmd_intensity(args):
     if args.grid < 1:
         raise ConfigError(f"--grid must be at least 1, got {args.grid}")
-    if not math.isfinite(args.near_energy):
-        raise ConfigError(f"--near-energy must be finite, got {args.near_energy}")
-    mu3s = [args.mu3 if args.mu3 is not None else 1.0]
+    _check_finite(args, "--near-energy", "--mu4", "--mu7")
+    _check_sector(args.sector, "mu3")
     sweep_spec = getattr(args, "sweep", None)
     if sweep_spec:
         axis, lo, hi, steps = _parse_sweep(sweep_spec)
         if axis != "mu3":
-            raise ConfigError("intensity sweeps support axis mu3 only")
+            raise ConfigError(f"intensity --sweep supports axis mu3 only, got {axis!r}")
         if steps < 1:
             raise ConfigError(f"--sweep needs at least one step, got {steps}")
         mu3s = np.linspace(lo, hi, steps)
+    else:
+        _check_finite(args, "--mu3")
+        mu3s = [args.mu3 if args.mu3 is not None else 1.0]
     template = spectral.SweepTemplate(family="pt5-three", mu=(1.0, 0.0, 0.0, args.mu4, 0.0, 0.0,
                                                               args.mu7, 0.0, 0.0),
                                       sector=args.sector, truncation=args.truncation,
@@ -260,13 +360,19 @@ def _cmd_intensity(args):
     if (trusted := spectral.trusted_count(args.truncation)) < 2:
         raise ConfigError(f"--truncation {args.truncation} leaves {trusted} trusted level; "
                           "intensity needs two")
-    theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
+    try:
+        theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
+    except MemoryError:
+        raise ConfigError("out of memory; --grid is too large") from None
     result = spectral.intensity_sweep(template, "mu3", mu3s, args.near_energy, theta)
-    theta_text = list(map("%.12e".__mod__, theta.tolist()))
-    rows = [row for m3, point in zip(result.values.tolist(), result.points)
-            for row in _intensity_rows(m3, theta_text, point.i_even, point.i_odd)]
-    del result   # free the intensities before the rows are joined
-    _write(args.out, _csv("mu3,theta,i_even,i_odd,i_sum_ref", rows))
+    i_even = np.array([point.i_even for point in result.points])   # (points, grid)
+    i_odd = np.array([point.i_odd for point in result.points])
+    points = np.arange(len(i_even))
+    _write(args.out, _csv_chunks("mu3,theta,i_even,i_odd,i_sum_ref",
+                                 [(_e12(result.values), np.repeat(points, args.grid)),
+                                  (_e12(theta), np.tile(np.arange(args.grid), len(points)))],
+                                 [i_even.ravel(), i_odd.ravel(),
+                                  (i_even + i_odd - i_even[:, :1]).ravel()]))
     if args.plot_script and args.out not in (None, "-"):
         _emit_plot_script(args.out, ["theta", "i_even", "i_odd", "i_sum_ref"],
                           "intensity")
@@ -292,19 +398,21 @@ def _cmd_mathieu(args):
         raise ConfigError(f"--trunc must be at least --count + 8, got --trunc {args.trunc} "
                           f"with --count {args.count}")
     values = mathieu.characteristic_values(q, cls, args.count, args.trunc)
-    _write(args.out, _csv("order,re_a,im_a", _csv_rows([map(str, range(len(values)))],
-                                                       values.real, values.imag)))
+    order = np.arange(len(values))
+    _write(args.out, _csv_chunks("order,re_a,im_a", [(_int_texts(len(values)), order)],
+                                 [values.real, values.imag]))
     return EXIT_OK
 
 
 def _cmd_e3_adjoint(args):
+    _check_finite(args, *_E3_FLAGS)
     params = e3.DysonParamsE3(lambda_z=args.lambda_z, lambda_plus=args.lambda_plus,
                               lambda_minus=args.lambda_minus, kappa_z=args.kappa_z,
                               kappa_plus=args.kappa_plus, kappa_minus=args.kappa_minus)
     table = e3.e3_adjoint(params)
     report = {"command": "e3-adjoint", "config": _config_echo(args),
               "table": json.loads(table.to_json())}
-    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
@@ -354,10 +462,13 @@ def _mathieu_flags(p):
                         "at --trunc and twice --trunc, certified by doubling")
 
 
+_E3_FLAGS = ("--lambda-z", "--lambda-plus", "--lambda-minus",
+             "--kappa-z", "--kappa-plus", "--kappa-minus")
+
+
 def _e3_adjoint_flags(p):
-    for flag in ("lambda-z", "lambda-plus", "lambda-minus",
-                 "kappa-z", "kappa-plus", "kappa-minus"):
-        p.add_argument(f"--{flag}", type=float, default=0.0)
+    for flag in _E3_FLAGS:
+        p.add_argument(flag, type=float, default=0.0)
 
 
 _SUBCOMMANDS = {   # name: (help, flags, command)

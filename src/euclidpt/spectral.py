@@ -277,6 +277,7 @@ def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "boson
 # ---------------------------------------------------------------------------
 
 SWEEP_AXES = tuple(f"mu{i}" for i in range(1, 10)) + ("s",)
+PT5_THREE_AXES = ("mu3", "mu4", "mu7", "s")
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ class SweepTemplate:
         else:
             mu[int(axis[2]) - 1] = float(value)
         if self.family == "pt5-three":
-            if axis not in ("mu3", "mu4", "mu7", "s"):
+            if axis not in PT5_THREE_AXES:
                 raise ValueError("pt5-three family sweeps mu3, mu4, mu7 or s only")
             element = dyson.pt5_three_param_hamiltonian(mu[2], mu[3], mu[6])
         else:

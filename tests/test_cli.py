@@ -236,33 +236,113 @@ def test_negative_value_is_not_a_flag(argv, i, capsys):
     assert out == run(joined, capsys)[1]
 
 
-def test_csv_lines_match_per_value_format():
-    # the row builders against the per-row templates they replace, over -0.0,
-    # subnormals, three-digit exponents, inf and nan, with negative i_sum_ref values
+def test_csv_lines_match_per_value_format(monkeypatch):
+    # the writer against per-value %.12e rows over -0.0, subnormals, three-digit exponents
+    # (-1e300 the widest, 20 bytes), inf and nan, with negative i_sum_ref values; in one
+    # chunk and split across chunks of 7 rows
+    for chunk_rows in (cli._CHUNK_ROWS, 7):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        _check_csv_lines()
+
+
+def _check_csv_lines():
     edge = np.array([-0.0, 0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
-                     3.0, -17.0, 2.0 ** 53, 1 / 3, np.inf, -np.inf, np.nan])
+                     3.0, -17.0, 2.0 ** 53, 1 / 3, np.inf, -np.inf, -1e300, np.nan])
     back = edge[::-1].copy()
+
+    def text(header, texts, floats):
+        return "".join(cli._csv_chunks(header, texts, floats))
+
     expected = [f"{k},{x:.12e},{y:.12e}" for k, (x, y) in enumerate(zip(edge, back))]
-    assert cli._csv_rows([map(str, range(len(edge)))], edge, back) == expected
+    order = np.arange(len(edge))
+    assert text("k,x,y", [(cli._int_texts(len(edge)), order)], [edge, back]) == \
+        "\n".join(["k,x,y", *expected, ""])
 
-    theta_text = list(map("%.12e".__mod__, edge.tolist()))
-    int_a, int_b = edge, back
-    i_sum_ref = int_a + int_b - int_a[0]
+    # intensity rows: mu3 per point and theta per grid value formatted once, gathered
+    mu3s = np.array([*edge, *np.linspace(0.0, 4.0, 3)])
+    int_a, int_b = np.tile(edge, (len(mu3s), 1)), np.tile(back, (len(mu3s), 1))
+    i_sum_ref = int_a + int_b - int_a[:, :1]
     assert np.any(i_sum_ref < 0) and np.isnan(i_sum_ref).any() and np.isinf(i_sum_ref).any()
-    for mu3 in [*edge, *np.linspace(0.0, 4.0, 3)]:    # numpy scalars, as the sweep gives
-        old = ["%.12e,%.12e,%.12e,%.12e,%.12e" % row for row in zip(
-            *(c.tolist() for c in (np.full(len(edge), mu3), edge, int_a, int_b, i_sum_ref)))]
-        assert cli._intensity_rows(mu3, theta_text, int_a, int_b) == old
-        assert cli._intensity_rows(float(mu3), theta_text, int_a, int_b) == old
+    old = ["%.12e,%.12e,%.12e,%.12e,%.12e" % row for row in zip(
+        *(c.ravel().tolist() for c in (np.repeat(mu3s, len(edge)), np.tile(edge, len(mu3s)),
+                                       int_a, int_b, i_sum_ref)))]
+    points, grid = np.arange(len(mu3s)), np.arange(len(edge))
+    assert text("h", [(cli._e12(mu3s), np.repeat(points, len(edge))),
+                      (cli._e12(edge), np.tile(grid, len(mu3s)))],
+                [int_a.ravel(), int_b.ravel(), i_sum_ref.ravel()]) == "\n".join(["h", *old, ""])
 
-    curves = np.empty((2, 7), dtype=complex)          # 2 levels at 7 points
-    curves.real, curves.imag = edge.reshape(2, 7), back.reshape(2, 7)
-    values = edge[3:10]
+    # spectrum rows: point-major, the axis value per point and the level index per level
+    curves = np.empty((3, 5), dtype=complex)          # 3 levels at 5 points
+    curves.real, curves.imag = edge.reshape(3, 5), back.reshape(3, 5)
+    values = edge[3:8]
     levels, z = len(curves), curves.T.ravel()
     old = ["%.12e,%d,%.12e,%.12e" % row for row in zip(
         *(c.tolist() for c in (np.repeat(values, levels), np.arange(len(z)) % levels,
                                z.real, z.imag)))]
-    assert cli._spectrum_rows(values, curves) == old
+    assert text("h", [(cli._e12(values), np.repeat(np.arange(5), levels)),
+                      (cli._int_texts(levels), np.tile(np.arange(levels), 5))],
+                [z.real, z.imag]) == "\n".join(["h", *old, ""])
+
+
+def _e12_cases(rng, k):
+    """Doubles for the %.12e kernel, k random ones of each kind, and its hard cases."""
+    decades = rng.uniform(1.0, 10.0, 2 * k) * 10.0 ** np.concatenate(
+        [rng.integers(-320, 308, k), rng.integers(-10, 35, k)])   # all, and the fast path's
+    powers = np.array([float(f"1e{e}") for e in range(-320, 309)])
+    near_ties = np.array([float(f"9.9999999999995e{e}") for e in range(-320, 309)]
+                         + [float(f"{m}5e{e}") for m, e in zip(
+                             rng.integers(10 ** 12, 10 ** 13, k // 4).tolist(),
+                             rng.integers(-22, 23, k // 4).tolist())])
+    binary_ties = 2.0 ** -np.arange(20, 61)
+    # scaled values 1 ulp either side of the tie guard, at every fast-path exponent
+    e = rng.integers(-10, 35, k // 4)
+    mantissa = rng.integers(10 ** 12, 10 ** 13 - 1, len(e)) + 0.5
+    index = e - cli._EXPONENTS[0]
+    guard = np.concatenate([(mantissa + side * cli._TIE_GUARD) * cli._SCALE_DIV[index]
+                            / cli._SCALE_MUL[index] for side in (-1, 1)])
+    special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308])
+    x = np.concatenate([decades, powers, near_ties, binary_ties, guard, special])
+    with np.errstate(over="ignore"):     # the largest double's neighbour is inf
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                            np.nextafter(np.nextafter(x, np.inf), np.inf)])
+    bits = rng.integers(0, 2 ** 63, k, dtype=np.int64).view(np.float64)  # any exponent, nan
+    x = np.concatenate([x, bits])
+    return np.concatenate([x, -x])
+
+
+def _assert_e12_matches_percent(x):
+    got = "".join(cli._csv_chunks("x", [], [x])).split("\n")[1:-1]
+    want = list(map("%.12e".__mod__, x.tolist()))
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def test_e12_matches_percent_format():
+    x = _e12_cases(np.random.default_rng(25), 8_000)
+    assert len(x) >= 100_000
+    _assert_e12_matches_percent(x)
+
+
+@pytest.mark.slow
+def test_e12_matches_percent_format_on_a_million_values():
+    x = _e12_cases(np.random.default_rng(2025), 70_000)
+    assert len(x) >= 1_000_000
+    _assert_e12_matches_percent(x)
+
+
+def test_e12_fast_path_takes_only_values_it_formats_exactly(monkeypatch):
+    # the fast path's byte-identity rests on exact powers of ten and the tie guard
+    assert [int(p) for p in cli._POW10] == [10 ** k for k in range(23)]
+    formatted = []
+    monkeypatch.setattr(cli, "_E12", lambda v: formatted.append(v) or "%.12e" % v)
+    fast = [1e-10, -1.5e-10, 2e34, -9.8e34, 3.0, 123.456, 0.0, -0.0]
+    slow = [9.9e-11, -1.234e-11, 2e35, -1e300, 5e-324, 2.0 ** -20, 9.5367431640625e-07,
+            float("9.9999999999995e5"), np.nan, np.inf, -np.inf]
+    x = np.array(fast + slow)
+    assert cli._e12(x).tobytes().translate(None, b"\0").decode() == \
+        "".join(map("%.12e".__mod__, x.tolist()))
+    assert np.array_equal(formatted, slow, equal_nan=True)
 
 
 def test_e3_adjoint_identity(capsys):
@@ -449,12 +529,12 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args, flags", [
-    (["spectrum", "--sweep", "mu10:0:1:3"], ()),
+    (["spectrum", "--sweep", "mu10:0:1:3"], ("--sweep",)),
     (["spectrum", "--sweep", "mu3:0:1:1"], ("--sweep STEPS",)),
     (["spectrum", "--truncation", "2", "--sweep", "mu3:0:1:3"], ("--truncation",)),
-    (["spectrum", "--sector", "3", "--sweep", "mu3:0:1:3"], ()),
-    (["spectrum", "--mu3", "nan", "--sweep", "mu4:0:1:3"], ()),
-    (["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"], ()),
+    (["spectrum", "--sector", "3", "--sweep", "mu3:0:1:3"], ("--sector",)),
+    (["spectrum", "--mu3", "nan", "--sweep", "mu4:0:1:3"], ("--mu3",)),
+    (["spectrum", "--family", "pt5-three", "--sweep", "mu1:0:1:3"], ("--family", "--sweep")),
     (["mathieu", "--q", "1", "--class", "even-pi", "--count", "80"], ("--count",)),
     (["mathieu", "--q", "1", "--class", "even-pi", "--count", "0"], ("--count",)),
     (["mathieu", "--q", "1", "--class", "even-pi", "--count", "-2"], ("--count",)),
@@ -470,7 +550,7 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     (["intensity", "--sweep", "mu3:0:4:-3", "--truncation", "8"], ("--sweep",)),
     (["intensity", "--near-energy", "nan", "--truncation", "8"], ("--near-energy",)),
     (["intensity", "--near-energy", "inf", "--truncation", "8"], ("--near-energy",)),
-    (["e3-adjoint", "--lambda-z", "nan"], ()),
+    (["e3-adjoint", "--lambda-z", "nan"], ("--lambda-z",)),
     (["spectrum", "--workers", "0", "--sweep", "mu3:0:1:3"], ("--workers",)),
     (EP_SMALL + ["--workers", "-3"], ("--workers",)),
     (["spectrum", "--sweep", "mu3:0:inf:5"], ("--sweep",)),
@@ -508,6 +588,14 @@ def test_too_large_a_truncation_one_line_exit_1(args, flag, capsys):
     code, out, err = run(args, capsys)
     assert code == 1 and out == ""
     assert err == f"configuration error: out of memory; {flag} is too large\n"
+
+
+def test_too_large_a_grid_one_line_exit_1(monkeypatch, capsys):
+    # 8 PB of theta values: refused at once, before any solve
+    monkeypatch.setattr(spectral, "intensity_sweep", lambda *args: pytest.fail("solved"))
+    code, out, err = run(["intensity", "--mu3", "0.8", "--grid", "1000000000000000"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "configuration error: out of memory; --grid is too large\n"
 
 
 @pytest.mark.parametrize("q", ["1", "-6", "25"])

@@ -992,8 +992,10 @@ def test_single_intensity_point_is_one_solve_at_n(args, monkeypatch, capsys):
     problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0))
     spectrum = eigen_spectrum(problem)
     waves = wavefunction(problem, select_pair(spectrum, 3.0), spectrum)
-    rows = cli._intensity_rows(mu3, ["%.12e" % t for t in THETA],
-                               *(intensity(wave, THETA) for wave in waves))
+    i_even, i_odd = (intensity(wave, THETA) for wave in waves)
+    rows = ["%.12e,%.12e,%.12e,%.12e,%.12e" % row for row in zip(
+        [mu3] * len(THETA), THETA.tolist(), i_even.tolist(), i_odd.tolist(),
+        (i_even + i_odd - i_even[0]).tolist())]
     solved = []
     monkeypatch.setattr(spectral, "eigen_spectrum",
                         lambda p, solve=eigen_spectrum: solved.append(p.truncation) or solve(p))
