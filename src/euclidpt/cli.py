@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -147,13 +148,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write(path, texts):
-    """Write the strings `texts` in order to `path`, or to stdout for None or '-'."""
-    if path in (None, "-"):
-        sys.stdout.writelines(texts)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(texts)
+def _check_out(path):
+    """Before any solve: --out must be '-' or a file in a directory that exists."""
+    if path != "-" and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"--out {path!r} is not a file in a directory that exists")
+
+
+def _write(path, texts, flag="--out"):
+    """Write the strings `texts` in order to `path`, the value of `flag`, or stdout for '-'."""
+    try:
+        if path == "-":
+            sys.stdout.writelines(texts)
+        else:
+            with open(path, "w") as fh:
+                fh.writelines(texts)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {flag} {path!r}: {exc.strerror}") from None
 
 
 def _emit_plot_script(out_path, columns, kind):
@@ -182,8 +192,7 @@ def _emit_plot_script(out_path, columns, kind):
             f"plt.xlabel({columns[0]!r}); plt.legend()",
         ]
     lines += ["plt.tight_layout()", "plt.show()", ""]
-    with open(script, "w") as fh:
-        fh.write("\n".join(lines))
+    _write(script, ["\n".join(lines)], "--plot-script")
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +569,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ MIN_TRUNCATION = 4
 REALITY_RTOL = 1e-8
 MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
 DRIFT_RTOL = 1e-10    # how far `sweep`'s working truncation may move a probe's levels from N's
-_NORM_GRID = 2048     # quadrature points normalizing a closed-form wavefunction
 
 
 @dataclass(frozen=True)
@@ -203,38 +202,34 @@ def _solve_guard(solve):
 
 
 def _blocks(p):
-    """(matrix, bands, to_modes) for each block whose levels together are those of p.
+    """(matrix, bands, wave) for each block whose levels together are those of p.
 
-    A `hill_form` gives its even- and odd-mode chains, each real unless it
+    wave(v) is the `WavefunctionSpec` of a vector v of the block.  A
+    `hill_form` gives its even- and odd-mode chains, each real unless it
     has an imaginary part, with `bands` their three diagonals, real or
-    complex as the chain is, and `to_modes` convolving a chain vector with
-    the gauge `hill_form` removes.
+    complex as the chain is; a chain vector is a series on the chain's own
+    modes, every other one of -N..N, times the gauge `hill_form` removes.
     Otherwise the one block, `bands` None, is the `_real_form` (vectors
-    times D) or the complex matrix (vectors as they are).
+    times D) or the complex matrix (vectors as they are), on modes -N..N.
     """
     hill = hill_form(p.element)
     if hill is None:
         matrix = build_matrix(p)
         real = _real_form(matrix)
         if real is None:
-            return [(matrix, None, lambda v: v)]
-        return [(real, None, lambda v: v * _pt5_phases(p.truncation))]
+            return [(matrix, None, lambda v: WavefunctionSpec(v, p.sector))]
+        return [(real, None, lambda v: WavefunctionSpec(v * _pt5_phases(p.truncation), p.sector))]
     matrix = build_matrix(replace(p, element=hill))
-    gauge = functools.cache(lambda: _gauge_coefficients(p))   # on first use, for both chains
-
-    def to_modes(k, v):
-        vec = np.zeros(len(matrix), dtype=complex)
-        vec[k::2] = v
-        # modes: vec -N..N, gauge -2N..2N-1, product -3N..3N-1
-        return np.convolve(vec, gauge())[2 * p.truncation:4 * p.truncation + 1]
-
+    c = p.element.term("J2")
+    gauge = p.element.term("uJ") / (2 * c), p.element.term("vJ") / (2 * c)
     blocks = []
     for k in (0, 1):
         chain = matrix[k::2, k::2]
         bands = [np.diagonal(chain, j) for j in (0, 1, -1)]   # its only nonzero entries
         if not any(np.count_nonzero(band.imag) for band in bands):
             chain, bands = chain.real, [band.real for band in bands]
-        blocks.append((chain, bands, functools.partial(to_modes, k)))
+        blocks.append((chain, bands, functools.partial(
+            WavefunctionSpec, sector=p.sector, first=k - p.truncation, step=2, gauge=gauge)))
     return blocks
 
 
@@ -262,14 +257,20 @@ def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "boson
 
     k = n for bosonic boundary conditions, k = n + 1/2 for fermionic.
     """
+    kappa, _ = _pt1_kappa(mu1, n, statistics)
+    return mu1 * (kappa * kappa - (mu3 / mu1) ** 2)
+
+
+def _pt1_kappa(mu1, n, statistics):
+    """(|k|, sector) of level n of the PT1 family: (|n|, 0) bosonic, (|n + 1/2|, 1) fermionic."""
     if mu1 == 0:
         raise ValueError("mu1 must be nonzero")
-    shift = (mu3 / mu1) ** 2
-    if statistics == "bosonic":
-        return mu1 * (n * n - shift)
-    if statistics == "fermionic":
-        return mu1 * (n * n + n + 0.25 - shift)
-    raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
+    if statistics not in ("bosonic", "fermionic"):
+        raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
+    if not float(n).is_integer():
+        raise ValueError(f"n must be an integer, got {n!r}")
+    sector = 0.0 if statistics == "bosonic" else 1.0
+    return abs(n + sector / 2), sector
 
 
 # ---------------------------------------------------------------------------
@@ -741,95 +742,83 @@ def _catalogue_eps(result, work, q2s, im_tol):
 # wavefunctions and intensities
 # ---------------------------------------------------------------------------
 
-_PLANE_WAVES = {}   # (theta bytes, sector): the widest table asked for, at most four grids
+_PLANE_WAVES = {}   # (theta bytes, sector, step, first % step): the widest table, at most 16
 
 
-def _plane_waves(theta_bytes, modes, sector):
-    """exp(i(n + s/2) theta), rows theta (float64 bytes), columns n = -(modes-1)/2...
+def _plane_waves(theta_bytes, sector, first, step, count):
+    """exp(i(m + s/2) theta), rows theta (float64 bytes), columns m = first + j*step, j < count.
 
     An intensity sweep evaluates every wavefunction on one grid, at a
-    working truncation and at the probes' others, so each grid and sector
-    keeps one read-only table, built for the most modes asked of it.  Fewer
-    modes take its middle columns, equal entry for entry to their own table.
+    working truncation and at the probes' others, so each grid, sector and
+    lattice of modes keeps one read-only table, built for the widest run of
+    modes asked of it.  A narrower run takes its columns, equal entry for
+    entry to its own table.
     """
-    table = _PLANE_WAVES.get((theta_bytes, sector))
-    if table is None or table.shape[1] < modes:
-        k = np.arange(modes) - (modes - 1) // 2 + sector / 2.0
+    key = theta_bytes, sector, step, first % step
+    last = first + step * (count - 1)
+    lo, hi, table = _PLANE_WAVES.get(key, (first, last, None))
+    if table is None or first < lo or last > hi:
+        lo, hi = min(lo, first), max(hi, last)
+        k = np.arange(lo, hi + 1, step) + sector / 2.0
         table = np.exp(1j * np.outer(np.frombuffer(theta_bytes), k))
         table.flags.writeable = False
-        _PLANE_WAVES.pop((theta_bytes, sector), None)
-        if len(_PLANE_WAVES) == 4:
+        _PLANE_WAVES.pop(key, None)
+        if len(_PLANE_WAVES) == 16:
             del _PLANE_WAVES[next(iter(_PLANE_WAVES))]
-        _PLANE_WAVES[theta_bytes, sector] = table
-    cut = (table.shape[1] - 1) // 2 - (modes - 1) // 2
-    return table[:, cut:cut + modes]
+        _PLANE_WAVES[key] = lo, hi, table
+    start = (first - lo) // step
+    return table[:, start:start + count]
 
 
 @dataclass(frozen=True)
 class WavefunctionSpec:
-    """Either a Fourier coefficient vector or a tagged closed form.
+    """psi(theta) = gauge(theta) * sum_j coeffs[j] exp(i(first + j*step + s/2) theta).
 
-    Fourier: psi(theta) = sum_n coeffs[n] exp(i(n + s/2) theta).
-    Closed form "pt1": the gauge-dressed plane-wave pair
-    exp(-i(mu4 cos + mu3 sin)/mu1) * [c1 e^{-i k theta} + (i/(2k)) c2 e^{i k theta}].
+    gauge(theta) = exp(-i(b sin(theta) - a cos(theta))), (a, b) = `gauge`,
+    as `hill_form` removes it.  By default `first` is the middle mode and
+    there is no gauge, so WavefunctionSpec(coeffs, s) is a Fourier vector.
     """
 
+    coeffs: np.ndarray
     sector: float = 0.0
-    coeffs: np.ndarray | None = None
-    closed_form: str | None = None
-    params: dict = field(default_factory=dict)
-    c1: complex = 1.0
-    c2: complex = 0.0
+    first: int | None = None
+    step: int = 1
+    gauge: tuple = (0.0, 0.0)
+
+    def __post_init__(self):
+        if self.first is None:
+            object.__setattr__(self, "first", -((len(self.coeffs) - 1) // 2))
 
     def evaluate(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.coeffs is not None:
-            table = _plane_waves(theta.tobytes(), len(self.coeffs), self.sector)
-            return table @ self.coeffs
-        if self.closed_form == "pt1":
-            mu1 = self.params["mu1"]
-            mu3 = self.params.get("mu3", 0.0)
-            mu4 = self.params.get("mu4", 0.0)
-            kappa = self.params["kappa"]
-            gauge = np.exp(-1j * (mu4 * np.cos(theta) + mu3 * np.sin(theta)) / mu1)
-            waves = self.c1 * np.exp(-1j * kappa * theta)
-            if self.c2 != 0:
-                waves = waves + (1j / (2.0 * kappa)) * self.c2 * np.exp(1j * kappa * theta)
-            return gauge * waves
-        raise ValueError("wavefunction has neither coefficients nor a known closed form")
+        grid = np.asarray(theta, dtype=float).tobytes()
+        waves = _plane_waves(grid, self.sector, self.first, self.step, len(self.coeffs))
+        turn = _plane_waves(grid, 0.0, 1, 1, 1)[:, 0]   # exp(i theta): cos and sin, cached
+        a, b = self.gauge
+        return np.exp((1j * a) * turn.real - (1j * b) * turn.imag) * (waves @ self.coeffs)
 
     def normalized(self):
-        """Rescale so the L^2 norm over [0, 2*pi) is 1."""
-        if self.coeffs is not None:
-            norm = math.sqrt(2.0 * math.pi * float(np.sum(np.abs(self.coeffs) ** 2)))
-            return replace(self, coeffs=self.coeffs / norm)
-        theta = np.linspace(0.0, 2.0 * math.pi, _NORM_GRID, endpoint=False)
-        values = self.evaluate(theta)
-        # uniform periodic grid: the rectangle rule is spectrally accurate
-        norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * 2.0 * math.pi / _NORM_GRID)
-        return replace(self, c1=self.c1 / norm, c2=self.c2 / norm)
+        """Rescale so the L^2 norm over [0, 2*pi) is 1, by the rectangle rule on M points.
+
+        It is exact for |psi|^2 of degree below M: the modes' span, plus 4 rho + 32 for
+        |gauge|^2 = exp(2(Im b sin - Im a cos)), rho = |(Im a, Im b)|, whose coefficients
+        fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.
+        """
+        rho = math.hypot(*np.imag(self.gauge))
+        size = 1 << int(self.step * (len(self.coeffs) - 1) + 4 * rho + 32).bit_length()
+        values = self.evaluate(2.0 * math.pi / size * np.arange(size))
+        norm = math.sqrt(2.0 * math.pi / size * np.vdot(values, values).real)
+        return replace(self, coeffs=self.coeffs / norm)
 
 
 def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0.0):
-    kappa = abs(n) if statistics == "bosonic" else abs(n + 0.5)
-    sector = 0.0 if statistics == "bosonic" else 1.0
-    return WavefunctionSpec(sector=sector, closed_form="pt1",
-                            params={"mu1": mu1, "mu3": mu3, "mu4": mu4, "kappa": kappa},
-                            c1=c1, c2=c2)
-
-
-def _gauge_coefficients(p):
-    """Fourier coefficients of the gauge that `hill_form` removes, modes -2N..2N-1.
-
-    Taken by FFT on 4N points; the aliased tail is of the size of the
-    coefficients of modes near +-2N, which decay like Bessel functions.
-    """
-    c = p.element.term("J2")
-    a, b = p.element.term("uJ") / (2 * c), p.element.term("vJ") / (2 * c)
-    size = 4 * p.truncation
-    theta = 2.0 * math.pi * np.arange(size) / size
-    gauge = np.exp(-1j * (b * np.sin(theta) - a * np.cos(theta)))
-    return np.fft.fftshift(np.fft.fft(gauge)) / size
+    """exp(-i(mu4 cos + mu3 sin)/mu1) [c1 e^{-i k theta} + (i/(2k)) c2 e^{i k theta}], k = |n|
+    (bosonic) or |n + 1/2| (fermionic): level n of `pt1_closed_spectrum`, on modes -+k."""
+    kappa, sector = _pt1_kappa(mu1, n, statistics)
+    if kappa == 0 and c2 != 0:
+        raise ValueError(f"level n = 0 has the one mode k = 0: c2 must be 0, got {c2!r}")
+    coeffs = np.array([c1, 1j / (2.0 * kappa) * c2] if kappa else [c1], dtype=complex)
+    return WavefunctionSpec(coeffs, sector, first=int(-kappa - sector / 2),
+                            step=max(1, int(2 * kappa)), gauge=(-mu4 / mu1, mu3 / mu1))
 
 
 @_solve_guard
@@ -842,7 +831,8 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
     no other level of B within 1e-6 max|B|, on a real chain whose
     off-diagonal products are all nonzero, by `inverse_iteration`; any other
     by one `scipy.linalg.eig` of B, the column of the level's rank in B by
-    real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.
+    real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.  x is
+    B's `WavefunctionSpec` as it is, on B's own modes and with its gauge.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -858,7 +848,7 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
     block_of = spectrum.block_of()
     for lv in levels:
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
-        (matrix, bands, to_modes), scale = blocks[b], np.max(np.abs(blocks[b][0]))
+        (matrix, bands, wave), scale = blocks[b], np.max(np.abs(blocks[b][0]))
         close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
         if bands and matrix.dtype == float and energy.imag == 0 \
                 and np.count_nonzero(close) == 1 and np.all(bands[1] * bands[2] != 0):
@@ -869,13 +859,12 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
                 dense[b] = vecs[:, np.argsort(w.real, kind="stable")]
             vec = dense[b][:, np.count_nonzero(block_of[:lv] == b)]   # the level's rank in B
         certify(matrix, vec, energy, f"level {lv} ({energy:.12g})")
-        specs.append(WavefunctionSpec(sector=p.sector, coeffs=to_modes(vec)).normalized())
+        specs.append(wave(vec).normalized())
     return specs[0] if single else specs
 
 
 def intensity(w: WavefunctionSpec, grid) -> np.ndarray:
-    values = w.evaluate(np.asarray(grid, dtype=float))
-    return np.abs(values) ** 2
+    return np.abs(w.evaluate(grid)) ** 2
 
 
 def select_pair(spectrum: Spectrum, near_energy: float) -> tuple:
@@ -953,8 +942,8 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
     smallest certified truncation <= template.truncation (`_solve_grid`),
     whose probes must give the same pair, and its levels and both
     intensities within DRIFT_RTOL, as the solve at template.truncation:
-    levels alone do not show the gauge `to_modes` crops at a small
-    truncation, which moves the intensities.
+    levels alone do not certify the vectors (at 16 the README surface keeps
+    its mu3 = 4 levels within DRIFT_RTOL but moves its intensities 3.2e-10).
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:

@@ -136,3 +136,15 @@ def fd_apply(element, psi, theta):
         part = part * sin ** a * cos ** b
         out = out + coeff * part
     return out
+
+
+def fourier_modes(wave, truncation, size=1024):
+    """Coefficients of the wavefunction on the modes exp(i(n + s/2) theta), n = -N..N.
+
+    An FFT of `wave.evaluate` on `size` uniform points, the Floquet phase
+    exp(i s theta/2) divided out, cropped to -N..N: so a vector built from a
+    chain, its gauge and its plane waves is checked through its values.
+    """
+    theta = 2.0 * np.pi * np.arange(size) / size
+    values = wave.evaluate(theta) * np.exp(-0.5j * wave.sector * theta)
+    return (np.fft.fft(values) / size)[np.arange(-truncation, truncation + 1) % size]

@@ -13,6 +13,7 @@ import euclidpt
 from euclidpt import mathieu, spectral
 from euclidpt import cli
 from euclidpt.cli import main
+from euclidpt.errors import ConvergenceFailure
 
 
 def run(args, capsys):
@@ -221,6 +222,49 @@ def test_mathieu_truncation_doubling_failure_exit_3(capsys):
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("numerical failure: ") and wording in err
+
+
+_OUT_COMMANDS = {"mathieu": (["mathieu", "--q", "1", "--class", "even-pi"],
+                             mathieu, "characteristic_values"),
+                 "intensity": (["intensity", "--sweep", "mu3:0:4:3", "--grid", "8"],
+                               spectral, "intensity_sweep")}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_unwritable_out_one_line_exit_1_before_the_solve(command, where, tmp_path,
+                                                         monkeypatch, capsys):
+    argv, module, solve = _OUT_COMMANDS[command]
+    monkeypatch.setattr(module, solve, lambda *args: pytest.fail("solved"))
+    out = {"missing-directory": tmp_path / "missing" / "x.csv", "directory": tmp_path}[where]
+    code, stdout, err = run([*argv, "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert len(err.splitlines()) == 1 and "--out" in err
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_failed_solve_leaves_an_existing_out_untouched(command, tmp_path, monkeypatch, capsys):
+    argv, module, solve = _OUT_COMMANDS[command]
+
+    def fail(*args):
+        raise ConvergenceFailure("no solve")
+
+    monkeypatch.setattr(module, solve, fail)
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    code, stdout, err = run([*argv, "--out", str(out)], capsys)
+    assert (code, stdout, err) == (3, "", "numerical failure: no solve\n")
+    assert out.read_text() == "kept\n"
+
+
+def test_out_open_error_one_line_exit_1(tmp_path, monkeypatch, capsys):
+    # a path the directory check passes but open refuses: the error names --out
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    code, out, err = run(["mathieu", "--q", "1", "--class", "even-pi", "--out",
+                          str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: cannot write --out {str(tmp_path)!r}")
 
 
 @pytest.mark.parametrize("argv, i", [
