@@ -15,6 +15,7 @@ normal-ordered with the rewrite rules Ju = uJ - iv and Jv = vJ + iu.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import Element, Envelope
+from .errors import overflow_error
 
 # generator codes; the ordering fixes the normal form (u, v powers before J)
 GENERATORS = ("u", "v", "J")
@@ -168,31 +170,55 @@ def apply_pt(sym, a: E2Element) -> E2Element:
 
 
 def build_hamiltonian(sym, mu) -> E2Element:
-    """Most general PT-invariant bilinear for the given symmetry and nine real couplings.
+    """Most general PT-invariant bilinear for the given symmetry and nine real couplings."""
+    return E2Element(hamiltonian_coeffs(sym, mu))
+
+
+def hamiltonian_coeffs(sym, mu) -> list:
+    """The coefficients of `build_hamiltonian(sym, mu)` as ten Python complex numbers.
 
     The i-placements per symmetry make every term invariant under
-    apply_pt(sym, .) for real mu.
+    apply_pt(sym, .) for real mu.  Each coefficient is 0j + its term, as
+    `E2Element.from_terms` stores it, so no part is -0.0.
     """
     tag = _resolve(sym).tag
-    m1, m2, m3, m4, m5, m6, m7, m8, m9 = [float(x) for x in mu]
+    m1, m2, m3, m4, m5, m6, m7, m8, m9 = map(float, mu)
+    # basis order 1, u, v, J, u2, v2, uv, uJ, vJ, J2
     if tag == "PT1":
-        return E2Element.from_terms(J2=m1, J=1j * m2, u=1j * m3, v=1j * m4,
-                                    uJ=m5, vJ=m6, u2=m7, v2=m8, uv=m9)
-    if tag == "PT2":
-        return E2Element.from_terms(J2=m1, J=1j * m2, u=m3, v=m4,
-                                    uJ=1j * m5, vJ=1j * m6, u2=m7, v2=m8, uv=m9)
-    if tag == "PT3":
-        return (E2Element.from_terms(J2=m1, J=m2)
-                + E2Element.from_terms(u=m3 + 1j * m4, v=m3 - 1j * m4)
-                + E2Element.from_terms(uJ=m5 + 1j * m6, vJ=m5 - 1j * m6)
-                + E2Element.from_terms(v2=1j * m7 + m8, u2=-1j * m7 + m8, uv=m9))
-    if tag == "PT4":
-        return E2Element.from_terms(J2=m1, J=m2, u=1j * m3, v=m4,
-                                    uJ=1j * m5, vJ=m6, u2=m7, v2=m8, uv=1j * m9)
-    if tag == "PT5":
-        return E2Element.from_terms(J2=m1, J=m2, u=m3, v=1j * m4,
-                                    uJ=m5, vJ=1j * m6, u2=m7, v2=m8, uv=1j * m9)
-    raise ValueError(f"unknown symmetry tag {tag!r}")
+        terms = 0, 1j * m3, 1j * m4, 1j * m2, m7, m8, m9, m5, m6, m1
+    elif tag == "PT2":
+        terms = 0, m3, m4, 1j * m2, m7, m8, m9, 1j * m5, 1j * m6, m1
+    elif tag == "PT3":
+        terms = (0, m3 + 1j * m4, m3 - 1j * m4, m2, -1j * m7 + m8, 1j * m7 + m8, m9,
+                 m5 + 1j * m6, m5 - 1j * m6, m1)
+    elif tag == "PT4":
+        terms = 0, 1j * m3, m4, m2, m7, m8, 1j * m9, 1j * m5, m6, m1
+    elif tag == "PT5":
+        terms = 0, m3, 1j * m4, m2, m7, m8, 1j * m9, m5, 1j * m6, m1
+    else:
+        raise ValueError(f"unknown symmetry tag {tag!r}")
+    return [0j + term for term in terms]
+
+
+def completed_square(coeffs):
+    """Coefficients (1, J, u2, v2, uv, J2) of `spectral.hill_form` of ten coefficients, or None.
+
+    The coefficients are Python complex numbers, as `hamiltonian_coeffs` or
+    an element's `coeffs.tolist()` give them; a square that overflows
+    raises ValueError.
+    """
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c = coeffs
+    if c == 0:
+        return None
+    a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)
+    if cu - c * (1j * b + 2 * a * d) != 0 or cv - c * (-1j * a + 2 * b * d) != 0:
+        return None
+    # 0j + x, as `from_terms` stores a term: -0.0 parts become 0.0
+    square = (0j + c1, 0j + cj, 0j + (cu2 - c * a * a), 0j + (cv2 - c * b * b),
+              0j + (cuv - 2 * c * a * b), 0j + c)
+    if not all(map(cmath.isfinite, square)):
+        raise overflow_error("the completed square", dict(zip(BASIS_LABELS, coeffs)))
+    return square
 
 
 def commutator(a: E2Element, b: E2Element) -> E2Element:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import E2Element, build_hamiltonian, hermiticity_residual
-from .errors import DegenerateCouplings, MapUndefined
+from .errors import DegenerateCouplings, MapUndefined, overflow_error
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
@@ -234,9 +234,9 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     except _UnusedTarget:
         raise
     except (OverflowError, ValueError):  # ValueError: DysonParamsE2 got an infinite exponent
-        raise _overflow(symmetry + " hermitization", kwargs) from None
+        raise overflow_error(symmetry + " hermitization", kwargs) from None
     if not np.isfinite([*h.coeffs, *mu, residual]).all():
-        raise _overflow(symmetry + " hermitization", kwargs)
+        raise overflow_error(symmetry + " hermitization", kwargs)
     return HermitizationResult(symmetry=symmetry, params=params, constrained_mu=tuple(mu),
                                h=h, free_parameter_names=names, residual=residual,
                                input_hermitian=algebra.is_hermitian(H, 1e-12))
@@ -248,18 +248,17 @@ def _check_finite(values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _overflow(what, values):
-    given = ", ".join(f"{name}={value!r}" for name, value in values.items() if value)
-    return ValueError(f"{what} overflows floating point at {given}")
-
-
 # ---------------------------------------------------------------------------
 # the three-parameter PT5 family  H = J^2 - i mu3 {v,J} - mu4 {u,J} + mu7 u^2
 # ---------------------------------------------------------------------------
 
+def pt5_three_param_couplings(mu3, mu4, mu7) -> tuple:
+    """The nine PT5 couplings of the family, the tied ones co-varying."""
+    return 1.0, 0.0, mu3, mu4, -2.0 * mu4, -2.0 * mu3, mu7, 0.0, 0.0
+
+
 def pt5_three_param_hamiltonian(mu3, mu4, mu7) -> E2Element:
-    return build_hamiltonian("PT5", (1.0, 0.0, mu3, mu4, -2.0 * mu4, -2.0 * mu3,
-                                     mu7, 0.0, 0.0))
+    return build_hamiltonian("PT5", pt5_three_param_couplings(mu3, mu4, mu7))
 
 
 def reduce_pt5_three_param(mu3: float, mu4: float, mu7: float) -> dict:
@@ -281,10 +280,10 @@ def reduce_pt5_three_param(mu3: float, mu4: float, mu7: float) -> dict:
         gamma = (mu3 * ch - mu4 * sh) ** 2 - mu7 * sh ** 2
         beta = 2.0 * mu3 * (mu3 * ch - mu4 * sh) / (1.0 + ch) + mu7 - 2.0 * gamma
     except OverflowError:
-        raise _overflow("the three-parameter reduction", couplings) from None
+        raise overflow_error("the three-parameter reduction", couplings) from None
     out = {"alpha": alpha, "beta": beta, "gamma": gamma, "lambda": lam, "rho": rho}
     if not all(map(math.isfinite, out.values())):
-        raise _overflow("the three-parameter reduction", couplings)
+        raise overflow_error("the three-parameter reduction", couplings)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one ValueError for an overflow."""
 
 
 class EuclidPTError(Exception):
@@ -31,3 +31,9 @@ class ConvergenceFailure(EuclidPTError):
 
 class TrackingAmbiguity(EuclidPTError):
     """Level continuation could not be disambiguated even after step refinement."""
+
+
+def overflow_error(what, values):
+    """The ValueError for `what` overflowing at the nonzero ones of {name: value}."""
+    given = ", ".join(f"{name}={value!r}" for name, value in values.items() if value)
+    return ValueError(f"{what} overflows floating point at {given}")

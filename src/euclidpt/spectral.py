@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import dyson
-from .algebra import E2Element, build_hamiltonian
+from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
 from .chains import certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues
 from .errors import ConvergenceFailure, TrackingAmbiguity
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
@@ -80,18 +80,6 @@ def build_matrix(p: SpectralProblem) -> np.ndarray:
     return m
 
 
-def _completed_square(element):
-    """Coefficients (1, J, u2, v2, uv, J2) of the `hill_form` of the element, or None."""
-    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c = (complex(x) for x in element.coeffs)
-    if c == 0:
-        return None
-    a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)
-    if cu - c * (1j * b + 2 * a * d) != 0 or cv - c * (-1j * a + 2 * b * d) != 0:
-        return None
-    square = c1, cj, cu2 - c * a * a, cv2 - c * b * b, cuv - 2 * c * a * b, c
-    return tuple(0j + x for x in square)   # as `from_terms` stores them: -0.0 parts become 0.0
-
-
 def hill_form(element: E2Element) -> E2Element | None:
     """The Hill equation c(J + d)^2 + V isospectral to the element, or None.
 
@@ -103,33 +91,35 @@ def hill_form(element: E2Element) -> E2Element | None:
     Fourier mode n only to n +- 2; otherwise (or when c = 0) this returns
     None.
     """
-    square = _completed_square(element)
+    square = completed_square(element.coeffs.tolist())
     if square is None:
         return None
     v0, cj, alpha, beta, gamma, c = square
     return E2Element.from_terms(one=v0, J=cj, u2=alpha, v2=beta, uv=gamma, J2=c)
 
 
-def _mathieu_form(element: E2Element, sector: float):
+def _mathieu_form(square, sector: float):
     """(c, e0, q2, shift) when the levels are e0 + c*a, else None.
 
     Here a runs over the Mathieu characteristic values of all four classes
-    at q^2 = q2 (y'' + (a - 2q cos 2z) y = 0).  The `hill_form`
+    at q^2 = q2 (y'' + (a - 2q cos 2z) y = 0).  The `completed_square`
     c(J + d)^2 + v0 + alpha u^2 + beta v^2 + gamma uv has, in sector s,
     chains with diagonal c(n + shift)^2 + e0, shift = d + s/2,
     e0 = v0 - c d^2 + (alpha + beta)/2, and constant off-diagonals whose
     product is c^2 q2 = ((beta - alpha)^2 + gamma^2)/16.  When the shift is
     an integer, relabelling n + shift as n makes them the Mathieu chains.
-    Only real c > 0, e0 and q2 qualify.
+    Only real c > 0, e0 and q2 qualify, of a square that is not None.
     """
-    square = _completed_square(element)
     if square is None:
         return None
     v0, cj, alpha, beta, gamma, c = square
     d = cj / (2 * c)
     shift = d + sector / 2.0
     e0 = v0 - c * d * d + (alpha + beta) / 2
-    q2 = ((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)
+    try:
+        q2 = ((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)
+    except ArithmeticError:   # q2 overflows, or c^2 underflows to 0
+        return None
     if c.imag or c.real <= 0 or e0.imag or q2.imag or shift.imag \
             or shift.real != round(shift.real):
         return None
@@ -317,6 +307,16 @@ class SweepTemplate:
 
     def element_at(self, axis: str, value: float):
         """(element, sector) at axis = value, without the checks of a SpectralProblem."""
+        symmetry, mu, sector = self._couplings_at(axis, value)
+        return build_hamiltonian(symmetry, mu), sector
+
+    def form_at(self, axis: str, value: float):
+        """`_mathieu_form` at axis = value from the couplings, in Python scalars, no element."""
+        symmetry, mu, sector = self._couplings_at(axis, value)
+        return _mathieu_form(completed_square(hamiltonian_coeffs(symmetry, mu)), sector)
+
+    def _couplings_at(self, axis, value):
+        """(symmetry, mu, sector) of `build_hamiltonian` at axis = value."""
         if axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
         sector = self.sector
@@ -328,14 +328,13 @@ class SweepTemplate:
         if self.family == "pt5-three":
             if axis not in PT5_THREE_AXES:
                 raise ValueError("pt5-three family sweeps mu3, mu4, mu7 or s only")
-            element = dyson.pt5_three_param_hamiltonian(mu[2], mu[3], mu[6])
-        else:
-            element = build_hamiltonian(self.symmetry, mu)
-        return element, sector
+            return "PT5", dyson.pt5_three_param_couplings(mu[2], mu[3], mu[6]), sector
+        return self.symmetry, mu, sector
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Tracked level curves, and the `_mathieu_form` of each grid point for the EP search."""
     template: SweepTemplate
     axis: str
     values: np.ndarray
@@ -344,6 +343,7 @@ class SweepResult:
     drift: float                # largest relative change of a probe's levels from those at N;
                                 # the three probes only: next to an EP a grid point can move
                                 # further (seed-1 window: 1.3e-10 at mu3 = -3.0, drift 3.2e-13)
+    forms: tuple                # `_mathieu_form` at each value, of the elements the grid solved
     refined_points: int = 0
 
 
@@ -363,17 +363,20 @@ def _level_drift(exact, cut):
 
 @_solve_guard
 def _solve_grid(template, axis, values, measure, drift, workers=1):
-    """(n, drift, {x: measure(problem at x, truncation n)}) for each distinct x of `values`.
+    """(n, drift, {x: measure(problem at x, truncation n)}, forms) for the x of `values`.
 
     measure(p) is what a sweep reports at the SpectralProblem p; drift(exact, cut) is how
     far `cut`, measured at n, lies from `exact`, measured at N = template.truncation, in the
     units of DRIFT_RTOL.  n is the smallest of 16 and 32 below N that trusts the tracked
     levels and keeps the drift <= DRIFT_RTOL at both ends and where the `hill_form`'s |q^2|
-    peaks; else n is N.  Each grid element is built once, for the |q^2| scan and the solves
-    alike.  With workers > 1 the points the probes left are solved on a thread pool (LAPACK
-    releases the GIL).  An overflowing q^2 raises ValueError.
+    peaks; else n is N.  Each grid element is built once, for the solves and for its
+    `completed_square`, which gives the |q^2| scan and `forms`, the `_mathieu_form` at each
+    of `values`.  With workers > 1 the points the probes left are solved on a thread pool
+    (LAPACK releases the GIL).  An overflowing square or q^2 raises ValueError.
     """
     points = {x: template.element_at(axis, x) for x in map(float, values)}
+    squares = {x: completed_square(e.coeffs.tolist()) for x, (e, _) in points.items()}
+    forms = tuple(_mathieu_form(squares[x], points[x][1]) for x in map(float, values))
 
     def solve(x, truncation):
         return measure(SpectralProblem(*points[x], truncation=truncation))
@@ -381,8 +384,8 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
     sizes = [n for n in (16, 32)
              if n < template.truncation and trusted_count(n) >= template.track_levels]
     n, worst, solved = template.truncation, 0.0, {}
-    if sizes and None not in (squares := [_completed_square(e) for e, _ in points.values()]):
-        alpha, beta, gamma, c = np.array(squares)[:, 2:].T
+    if sizes and None not in squares.values():
+        alpha, beta, gamma, c = np.array(list(squares.values()))[:, 2:].T
         xs = list(points)
         peak = xs[np.argmax(np.abs(((beta - alpha) ** 2 + gamma ** 2) / (16 * c * c)))]
         probes = dict.fromkeys((xs[0], xs[-1], peak))
@@ -399,7 +402,7 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
             solved.update(zip(todo, pool.map(lambda x: solve(x, n), todo)))
     else:
         solved.update((x, solve(x, n)) for x in todo)
-    return n, float(worst), solved
+    return n, float(worst), solved, forms
 
 
 def _assignment(cost):
@@ -465,10 +468,7 @@ def _assignment(cost):
 
 
 def _match(prev, new):
-    """Order `new` against `prev` by minimal total |dE|; returns (ordered, cost).
-
-    The assignment is `_assignment`'s, which is exactly scipy's `linear_sum_assignment`.
-    """
+    """Order `new` against `prev` by minimal total |dE| (`_assignment`); returns (ordered, cost)."""
     cost = np.abs(prev[:, None] - new[None, :]).tolist()
     cols = _assignment(cost)
     return new[cols], max([row[j] for row, j in zip(cost, cols)])
@@ -479,9 +479,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     """Level curves over [lo, hi], matched by nearest-neighbor continuation.
 
     Labels are assigned by real-part order at the sweep start.  Adjacent
-    points are matched by `_match`, a minimal-cost assignment solved by
-    `_assignment`, an exact port of the shortest augmenting path solver
-    behind scipy's `linear_sum_assignment` (Crouse 2016).  When the best
+    points are matched by `_match`, a minimal-cost assignment.  When the best
     assignment between adjacent points jumps by more than half the median
     level spacing at the start, midpoints are inserted internally
     until the match is unambiguous; TrackingAmbiguity is raised after
@@ -491,13 +489,14 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     workers > 1 the grid-point eigensolves run on a thread pool; the
     continuation itself stays an ordered sequential reduction.  Every level
     is solved at the smallest certified truncation <= template.truncation
-    (`_solve_grid`), recorded in `SweepResult.truncation` and `.drift`.
+    (`_solve_grid`), recorded in `SweepResult.truncation` and `.drift`; the
+    grid's `forms` go with them to `find_exceptional_points`.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     values = np.linspace(lo, hi, steps)
-    n, drift, cache = _solve_grid(template, axis, values, _tracked_levels(template),
-                                  _level_drift, workers)
+    n, drift, cache, forms = _solve_grid(template, axis, values, _tracked_levels(template),
+                                         _level_drift, workers)
     work = replace(template, truncation=n)
 
     def levels(x):
@@ -534,7 +533,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
         curves[:, k] = continue_to(curves[:, k - 1], values[k - 1], values[k], 0)
     del continue_to   # a recursive closure is a reference cycle: free the level cache now
     return SweepResult(template=template, axis=axis, values=values, curves=curves,
-                       truncation=n, drift=drift, refined_points=refined)
+                       truncation=n, drift=drift, forms=forms, refined_points=refined)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +613,7 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
                             im_tol: float = 1e-6) -> list:
     """Exceptional points of the sweep, sorted by parameter value and energy.
 
-    When every grid point has a `_mathieu_form` with one shift, the points
+    When the sweep's `forms` all exist and share one shift, the points
     come from the closed-form catalogue of `_catalogue_eps`.  Otherwise
     every reality transition found by `reality_transitions` is bisected to
     a bracket <= tol, and a point is reported for each conjugate pair born
@@ -626,7 +625,7 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
     empty list when the sweep has no transitions.
     """
     check_ep_tolerances("tol", tol, im_tol)
-    forms = [_mathieu_form(*result.template.element_at(result.axis, x)) for x in result.values]
+    forms = result.forms
     work = replace(result.template, truncation=result.truncation)
     if all(forms) and len({f[3] for f in forms}) == 1:
         eps = _catalogue_eps(result, work, [f[2] for f in forms], im_tol)
@@ -679,8 +678,9 @@ def _catalogue_eps(result, work, q2s, im_tol):
     `mathieu.complex_mathieu_eps`, with its default scan, places those the
     sweep reaches by Newton on the class chain's continuant, to adjacent
     floats.  Each crossing between grid values of q2s (q^2 at the grid) is
-    bisected to adjacent floats on the sign of q^2 minus the threshold,
-    without an eigensolve.  It is then certified by one solve on either
+    bisected to adjacent floats on the sign of q^2 minus the threshold, with
+    no eigensolve and no element: `SweepTemplate.form_at` gives every form
+    after the grid's.  It is then certified by one solve on either
     side, a quarter grid interval (at most a third of the way to the next
     crossing) away: every tracked pair real on the side above the threshold
     and conjugate (|Im| > im_tol) below it is reported.  At q^2 = 0 these
@@ -693,7 +693,7 @@ def _catalogue_eps(result, work, q2s, im_tol):
     grid = [float(x) for x in result.values]
 
     def form(x):
-        found = _mathieu_form(*template.element_at(axis, x))
+        found = template.form_at(axis, x)
         if found is None:
             raise ConvergenceFailure(f"{axis}={x!r} leaves the Mathieu form of the sweep")
         return found
@@ -956,7 +956,7 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
         n, drift = template.truncation, 0.0
         solved = {float(values[0]): measure(template.problem_at(axis, values[0]))}
     else:
-        n, drift, solved = _solve_grid(template, axis, values, measure, _pair_drift)
+        n, drift, solved, _ = _solve_grid(template, axis, values, measure, _pair_drift)
     return IntensitySweep(values=values, points=[solved[x] for x in values.tolist()],
                           truncation=n, drift=drift)
 

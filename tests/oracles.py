@@ -10,7 +10,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from euclidpt import algebra
-from euclidpt.spectral import SpectralProblem, build_matrix
+from euclidpt.algebra import E2Element, completed_square
+from euclidpt.spectral import SpectralProblem, _mathieu_form, build_matrix
 
 
 def generator_matrices(truncation, sector=0.0):
@@ -23,6 +24,30 @@ def generator_matrices(truncation, sector=0.0):
     mat_v = (shift_up + shift_dn) / 2.0
     mat_j = np.diag((n + sector / 2.0).astype(complex))
     return mat_u, mat_v, mat_j
+
+
+def from_terms_hamiltonian(sym, mu):
+    """`algebra.build_hamiltonian` term by term through `E2Element.from_terms`, with
+    PT3 summed from four elements, as the invariant bilinears are written out."""
+    m1, m2, m3, m4, m5, m6, m7, m8, m9 = [float(x) for x in mu]
+    terms = E2Element.from_terms
+    if sym == "PT1":
+        return terms(J2=m1, J=1j * m2, u=1j * m3, v=1j * m4, uJ=m5, vJ=m6, u2=m7, v2=m8, uv=m9)
+    if sym == "PT2":
+        return terms(J2=m1, J=1j * m2, u=m3, v=m4, uJ=1j * m5, vJ=1j * m6, u2=m7, v2=m8, uv=m9)
+    if sym == "PT3":
+        return (terms(J2=m1, J=m2) + terms(u=m3 + 1j * m4, v=m3 - 1j * m4)
+                + terms(uJ=m5 + 1j * m6, vJ=m5 - 1j * m6)
+                + terms(v2=1j * m7 + m8, u2=-1j * m7 + m8, uv=m9))
+    if sym == "PT4":
+        return terms(J2=m1, J=m2, u=1j * m3, v=m4, uJ=1j * m5, vJ=m6, u2=m7, v2=m8, uv=1j * m9)
+    return terms(J2=m1, J=m2, u=m3, v=1j * m4, uJ=m5, vJ=1j * m6, u2=m7, v2=m8, uv=1j * m9)
+
+
+def element_mathieu_form(template, axis, x):
+    """The `_mathieu_form` at axis = x of the E2Element a solve builds there."""
+    element, sector = template.element_at(axis, x)
+    return _mathieu_form(completed_square(element.coeffs.tolist()), sector)
 
 
 def element_matrix(element, truncation=32, sector=0.0):

@@ -211,6 +211,17 @@ def test_build_hamiltonian_invariance():
             assert apply_pt(tag, h).allclose(h, 1e-12), tag
 
 
+@pytest.mark.parametrize("symmetry", ["PT1", "PT2", "PT3", "PT4", "PT5"])
+def test_build_hamiltonian_is_the_from_terms_element_bit_for_bit(symmetry):
+    rng = np.random.default_rng(sum(map(ord, symmetry)))
+    draws = [rng.uniform(-3, 3, 9), -rng.uniform(0, 3, 9), np.zeros(9), -np.zeros(9),
+             rng.integers(-2, 3, 9).astype(float)]
+    for mu in draws:
+        built = build_hamiltonian(symmetry, mu).coeffs
+        expected = oracles.from_terms_hamiltonian(symmetry, mu).coeffs
+        assert built.tobytes() == expected.tobytes()
+
+
 def test_build_hamiltonian_examples():
     assert build_hamiltonian("PT1", (1, 0, 0, 1, 0, 0, 0, 0, 0)).allclose(
         EL(J2=1, v=1j))

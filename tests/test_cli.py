@@ -572,6 +572,10 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     assert flag in err
 
 
+SQUARE_OVERFLOW = ["spectrum", "--family", "pt5-three", "--mu3", "1e200", "--sweep", "mu4:0:1:3",
+                   "--truncation", "8", "--levels", "3"]
+
+
 @pytest.mark.parametrize("args, flags", [
     (["spectrum", "--sweep", "mu10:0:1:3"], ("--sweep",)),
     (["spectrum", "--sweep", "mu3:0:1:1"], ("--sweep STEPS",)),
@@ -603,13 +607,20 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     (["spectrum", "--levels", "0", "--sweep", "mu3:0:1:3"], ("--levels",)),
     (EP_SMALL[:-2] + ["--levels", "0"], ("--levels",)),
     (["ep", "--sweep", "mu3:-4:4:1"], ("--sweep STEPS",)),
+    # finite couplings whose Hill square overflows: named by their coefficients
+    (["intensity", "--mu3", "1e200"], ("completed square overflows", "vJ=-2e+200j")),
+    (["intensity", "--mu4", "1e160"], ("completed square overflows", "uJ=(-2e+160+0j)")),
+    (["intensity", "--sweep", "mu3:0:1e200:3"], ("completed square overflows", "vJ=-1e+200j")),
+    (SQUARE_OVERFLOW, ("completed square overflows", "vJ=-2e+200j")),
+    (["ep", *SQUARE_OVERFLOW[1:]], ("completed square overflows", "vJ=-2e+200j")),
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
         "mathieu-count", "mathieu-count-zero", "mathieu-count-negative", "mathieu-q-parts",
         "mathieu-q-inf", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
         "grid", "intensity-trusted", "intensity-steps-zero", "intensity-steps-negative",
         "near-energy-nan", "near-energy-inf", "e3-lambda-nan", "workers-zero",
         "ep-workers-negative", "sweep-inf", "mathieu-trunc", "levels-default-at-truncation-4",
-        "levels-zero", "ep-levels-zero", "ep-steps"])
+        "levels-zero", "ep-levels-zero", "ep-steps", "square-mu3", "square-mu4",
+        "square-mu3-sweep", "square-spectrum", "square-ep"])
 def test_bad_value_one_line_exit_1(args, flags, capsys):
     # flags: what the message must name, the flags at fault
     code, _, err = run(args, capsys)

@@ -9,8 +9,8 @@ import oracles
 from euclidpt import spectral
 from euclidpt.dyson import ep_predictions_pt5, pt5_double_point_predictions
 from euclidpt.errors import ConvergenceFailure
-from euclidpt.spectral import (SweepTemplate, _mathieu_form, bisect_transition,
-                               find_exceptional_points, sweep)
+from euclidpt.spectral import (SWEEP_AXES, SweepTemplate, bisect_transition,
+                               eigen_spectrum, find_exceptional_points, sweep)
 
 
 def _pt5_three(mu3=0.0, mu4=0.0, mu7=0.0, **kwargs):
@@ -43,9 +43,94 @@ def _assert_positions(eps, expected, tol=1e-8):
 
 def test_readme_sweeps_take_the_catalogue(readme_sweeps):
     for result in readme_sweeps.values():
-        forms = [_mathieu_form(*result.template.element_at(result.axis, x))
-                 for x in result.values]
-        assert all(forms) and {f[3] for f in forms} == {0.0}
+        assert len(result.forms) == len(result.values)
+        assert all(result.forms) and {f[3] for f in result.forms} == {0.0}
+
+
+def _bits(form):
+    """A `_mathieu_form` with each float as its hex, so -0.0 differs from 0.0."""
+    return None if form is None else tuple(float(x).hex() for x in form)
+
+
+# the perfbench `ep` couplings, (mu4, mu7) of the mu3 sweep and (mu3, mu4) of the mu7 sweep;
+# seed 0 is the README recipes
+EP_SEEDS = {0: ((1.0, 4.0), (1.0, 3.0)),
+            1: ((1.0007092974820153, 4.108111287118224), (0.978649576763178, 3.0807569004847037)),
+            2: ((0.985696728054959, 3.9516378744193896), (1.0188535444356568, 2.9265448695843173)),
+            3: ((0.9751389500286175, 3.936834521583064), (1.0180764679123837, 3.0147891664915862))}
+
+
+@pytest.mark.parametrize("seed", sorted(EP_SEEDS))
+def test_scalar_form_is_the_element_form_on_every_ep_point(seed, monkeypatch):
+    # every form the catalogue reads: bisection steps, certificate sides, positions
+    (mu4_a, mu7_a), (mu3_b, mu4_b) = EP_SEEDS[seed]
+    read, form_at = [], SweepTemplate.form_at
+
+    def recorded(self, axis, x):
+        form = form_at(self, axis, x)
+        read.append((x, form))
+        return form
+
+    monkeypatch.setattr(SweepTemplate, "form_at", recorded)
+    for template, axis, lo, hi in ((_pt5_three(mu4=mu4_a, mu7=mu7_a), "mu3", -4.0, 4.0),
+                                   (_pt5_three(mu3=mu3_b, mu4=mu4_b), "mu7", 0.0, 20.0)):
+        result = sweep(template, axis, lo, hi, 41)
+        read.clear()
+        assert find_exceptional_points(result) and len(read) > 100
+        for x, form in [*zip(result.values.tolist(), result.forms), *read]:
+            assert _bits(form) == _bits(oracles.element_mathieu_form(template, axis, x)), \
+                f"{axis}={x!r}"
+
+
+def _hill_couplings(symmetry, rng):
+    """Random couplings of the symmetry whose element has a `hill_form`, J2 = 1/2, 1 or 2."""
+    m = rng.integers(-16, 17, 9) / 8.0
+    m[0], m[1] = rng.choice([0.5, 1.0, 2.0]), 0.0
+    half5, half6 = m[4] / 2, m[5] / 2
+    m[2], m[3] = {"PT1": (half6, -half5), "PT2": (-half6, half5), "PT3": (half6, half5),
+                  "PT4": (half6, half5), "PT5": (-half6, -half5)}[symmetry]
+    return tuple(m.tolist())
+
+
+@pytest.mark.parametrize("family", ["PT1", "PT2", "PT3", "PT4", "PT5", "pt5-three"])
+def test_scalar_form_is_the_element_form_on_random_couplings(family):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    checked = reduced = 0
+    for draw in range(12):
+        if family == "pt5-three":
+            mu, axes = (1.0, 0.0, *rng.uniform(-3, 3, 2), 0.0, 0.0, rng.uniform(-3, 6), 0, 0), \
+                ("mu3", "mu4", "mu7", "s")
+        else:
+            mu = _hill_couplings(family, rng) if draw % 2 else tuple(rng.uniform(-2, 2, 9))
+            axes = SWEEP_AXES
+        for sector in (0.0, 0.5, 1.0):
+            template = SweepTemplate(symmetry="PT5" if family == "pt5-three" else family,
+                                     family="pt5-three" if family == "pt5-three" else "raw",
+                                     mu=mu, sector=sector)
+            for axis in axes:
+                here = sector if axis == "s" else template.mu[int(axis[2]) - 1]
+                for x in (here, float(rng.uniform(-3, 3)), -0.0):
+                    form = template.form_at(axis, x)
+                    assert _bits(form) == _bits(oracles.element_mathieu_form(template, axis, x))
+                    checked += 1
+                    reduced += form is not None
+            for axis in set(SWEEP_AXES) - set(axes):   # pt5-three's tied couplings
+                for at in (template.form_at, template.element_at):
+                    with pytest.raises(ValueError, match="pt5-three family sweeps"):
+                        at(axis, 1.0)
+    assert reduced >= checked // 10   # sector 0 gives the Hill draws an integer shift
+
+
+@pytest.mark.parametrize("axis, value", [("mu3", 1e200), ("mu4", 1e160)])
+def test_an_overflowing_square_raises_one_value_error(axis, value):
+    template = _pt5_three(mu4=1.0, mu7=4.0)
+    coupling = "vJ" if axis == "mu3" else "uJ"
+    with pytest.raises(ValueError, match=f"completed square overflows .*{coupling}="):
+        template.form_at(axis, value)
+    with pytest.raises(ValueError, match=f"completed square overflows .*{coupling}="):
+        eigen_spectrum(template.problem_at(axis, value))
+    with pytest.raises(ValueError, match=f"completed square overflows .*{coupling}="):
+        sweep(template, axis, 0.0, value, 3)
 
 
 def test_mu3_recipe_reports_the_r2_zeros_only(readme_sweeps):
@@ -205,7 +290,7 @@ GENERIC_CASES = {
 def test_templates_without_a_mathieu_form_keep_the_bisection(case):
     template, expected = GENERIC_CASES[case]
     result = sweep(template, "mu4", 0.0, 1.5, 13)
-    assert _mathieu_form(*template.element_at("mu4", 0.7)) is None
+    assert oracles.element_mathieu_form(template, "mu4", 0.7) is None
     assert [p.as_dict() for p in find_exceptional_points(result)] == expected
 
 
@@ -213,5 +298,14 @@ def test_pt1_test_template_keeps_the_bisection():
     template = SweepTemplate(family="raw", symmetry="PT1",
                              mu=(1.0, 0, 0.4, 0.2, -0.4, 0.8, -0.16 + 0.04, 0, -0.16),
                              truncation=32, track_levels=8)
-    assert _mathieu_form(*template.element_at("mu3", 0.5)) is None
+    assert oracles.element_mathieu_form(template, "mu3", 0.5) is None
     assert find_exceptional_points(sweep(template, "mu3", 0.0, 1.0, 6)) == []
+
+
+def test_a_q2_that_floats_cannot_hold_keeps_the_bisection():
+    # c = 1e-200: 16 c^2 underflows to 0, so q^2 has no float and the sweep has no form
+    template = SweepTemplate(mu=(1e-200, 0, 0, 0, 0, 0, 1.0, 0, 0), truncation=8, track_levels=3)
+    result = sweep(template, "mu3", 0.0, 1.0, 3)
+    assert result.forms == (None, None, None)
+    assert template.form_at("mu3", 0.5) is None
+    assert isinstance(find_exceptional_points(result), list)

@@ -475,7 +475,7 @@ def test_readme_sweeps_solve_at_a_certified_truncation(recipe):
 def _parent_sweep(monkeypatch, *args):
     """The sweep as it ran before the working truncation: every solve at N, none cached."""
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_solve_grid", lambda t, *args: (t.truncation, 0.0, {}))
+        m.setattr(spectral, "_solve_grid", lambda t, *args: (t.truncation, 0.0, {}, ()))
         return sweep(*args)
 
 
@@ -533,8 +533,8 @@ def test_the_certificate_pairs_levels_by_assignment(monkeypatch):
         return np.array([0.5, *pair])
 
     template = SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5), track_levels=3)
-    n, drift, _ = spectral._solve_grid(template, "mu4", np.linspace(-1, 1, 5), levels,
-                                       spectral._level_drift)
+    n, drift, _, _ = spectral._solve_grid(template, "mu4", np.linspace(-1, 1, 5), levels,
+                                          spectral._level_drift)
     assert (n, drift) == (16, 0.0)
 
 
@@ -1052,20 +1052,36 @@ def test_single_intensity_point_is_one_solve_at_n(args, monkeypatch, capsys):
     assert solved == [64]
 
 
-@pytest.mark.parametrize("job", ["window", "real-s1", "intensity"])
+@pytest.mark.parametrize("job", ["window", "real-s1", "intensity", "ep-mu3", "ep-mu7"])
 def test_sweeps_build_each_grid_element_once(job, monkeypatch):
-    built = []
+    built, bisecting, crossings = [], [], []
     element_at = SweepTemplate.element_at
     monkeypatch.setattr(SweepTemplate, "element_at",
-                        lambda self, axis, x: built.append(x) or element_at(self, axis, x))
+                        lambda self, axis, x: built.append((x, bool(bisecting)))
+                        or element_at(self, axis, x))
+
+    def bisect(changed, lo, hi, tol, bisect=spectral.bisect_transition):
+        crossings.append(lo)
+        bisecting.append(True)
+        try:
+            return bisect(changed, lo, hi, tol)
+        finally:
+            bisecting.pop()
+
+    monkeypatch.setattr(spectral, "bisect_transition", bisect)
     if job == "intensity":
         values = np.linspace(0.0, 4.0, 81)
         spectral.intensity_sweep(_intensity_template(1.0, 4.0), "mu3", values, 3.0, THETA)
-        assert sorted(built) == sorted(values)
-    else:
-        template, axis, lo, hi, steps = README_SWEEPS[job]
-        result = sweep(template, axis, lo, hi, steps)
-        assert len(built) == len(set(built)) == steps + result.refined_points
+        assert sorted(x for x, _ in built) == sorted(values)
+        return
+    template, axis, lo, hi, steps = README_SWEEPS[job]
+    result = sweep(template, axis, lo, hi, steps)
+    assert len(built) == len(set(built)) == steps + result.refined_points
+    if job.startswith("ep-"):
+        # the catalogue bisects on the sweep's forms and builds one element per certificate side
+        assert find_exceptional_points(result) and len(crossings) == 4
+        assert not any(inside for _, inside in built)
+        assert len(built) == steps + result.refined_points + 2 * len(crossings)
 
 
 @pytest.mark.parametrize("mu3", [0.8, 2.05, 3.0])
