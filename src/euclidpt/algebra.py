@@ -38,10 +38,6 @@ DIM = len(MONOMIALS)
 ENVELOPE = Envelope([(_U,) * a + (_V,) * b + (_J,) * c for a, b, c in MONOMIALS],
                     {(_J, _U): {_V: -1j}, (_J, _V): {_U: 1j}})
 
-# hermitian conjugation: u, v and J are self-adjoint, factors reverse
-_DAGGER = ENVELOPE.map_table({g: [(1.0, g)] for g in range(3)}, reverse=True)
-
-
 _INDEX = {label: i for i, label in enumerate(BASIS_LABELS)} | {"one": 0}
 
 
@@ -71,9 +67,6 @@ class E2Element(Element):
 
     def term(self, label):
         return complex(self.coeffs[_index(label)])
-
-    def conjugate(self):
-        return hermitian_conjugate(self)
 
     # -- serialization ---------------------------------------------------
     # schema: {"basis": "u,v,J-normal", "coeffs": [[re, im] x 10]}; exact round-trip
@@ -116,20 +109,12 @@ def multiply(a: E2Element, b: E2Element) -> E2Element:
     return E2Element(ENVELOPE.multiply(a.coeffs, b.coeffs))
 
 
-def hermitian_conjugate(a: E2Element) -> E2Element:
-    """Adjoint under J† = J, u† = u, v† = v: conjugate coefficients, reverse factors."""
-    return E2Element(ENVELOPE.apply_antilinear(_DAGGER, a.coeffs))
-
-
-def is_hermitian(a: E2Element, tol: float = 1e-12) -> bool:
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return bool(np.max(np.abs(a.coeffs - hermitian_conjugate(a).coeffs)) <= tol)
-
-
-def hermiticity_residual(a: E2Element) -> float:
-    """max |coeff(a - a†)|, the quantitative version of is_hermitian."""
-    return float(np.max(np.abs(a.coeffs - hermitian_conjugate(a).coeffs)))
+# hermitian conjugation: u, v and J are self-adjoint, factors reverse
+E2Element.dagger_table = ENVELOPE.map_table((U, V, J), reverse=True)
+hermitian_conjugate = E2Element.hermitian_conjugate
+hermiticity_residual = E2Element.hermiticity_residual
+is_hermitian = E2Element.is_hermitian
+commutator = E2Element.commutator
 
 
 @dataclass(frozen=True)
@@ -142,7 +127,8 @@ class PTSymmetryE2:
     @functools.cached_property
     def table(self):
         """Normal-ordered image of each basis monomial, coefficients not yet conjugated."""
-        return ENVELOPE.map_table({g: [image] for g, image in self.action.items()})
+        return ENVELOPE.map_table([sign * (U, V, J)[h]
+                                   for sign, h in map(self.action.get, range(3))])
 
 
 # the five antilinear symmetries; each row is (u, v, J) images
@@ -166,7 +152,7 @@ def _resolve(sym) -> PTSymmetryE2:
 
 def apply_pt(sym, a: E2Element) -> E2Element:
     """Apply the antilinear map: conjugate coefficients, map generators, re-order."""
-    return E2Element(ENVELOPE.apply_antilinear(_resolve(sym).table, a.coeffs))
+    return a.antilinear_image(_resolve(sym).table)
 
 
 def build_hamiltonian(sym, mu) -> E2Element:
@@ -219,7 +205,3 @@ def completed_square(coeffs):
     if not all(map(cmath.isfinite, square)):
         raise overflow_error("the completed square", dict(zip(BASIS_LABELS, coeffs)))
     return square
-
-
-def commutator(a: E2Element, b: E2Element) -> E2Element:
-    return multiply(a, b) - multiply(b, a)

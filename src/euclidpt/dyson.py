@@ -197,6 +197,8 @@ _SOLVERS = {
 
 
 def free_parameter_names(symmetry):
+    if symmetry not in _SOLVERS:
+        raise ValueError(f"unknown symmetry tag {symmetry!r}; E2 has {', '.join(_SOLVERS)}")
     return _SOLVERS[symmetry][1]
 
 

@@ -99,35 +99,21 @@ def multiply(a: E3Element, b: E3Element) -> E3Element:
     return E3Element(ENVELOPE.multiply(a.coeffs, b.coeffs))
 
 
-def commutator(a: E3Element, b: E3Element) -> E3Element:
-    return multiply(a, b) - multiply(b, a)
-
-
 def _table(action, reverse=False):
     """Basis-word images under a generator map given as name -> [(coeff, name)]."""
-    return ENVELOPE.map_table({_G[g]: [(c, _G[h]) for c, h in terms]
-                               for g, terms in action.items()}, reverse)
+    return ENVELOPE.map_table([sum((c * generator(h) for c, h in action[g]), E3Element.zero())
+                               for g in GENERATORS], reverse)
 
 
 # adjoint convention induced by Hermitian J_i, P_i:
 # Jz+ = Jz, (J+-)+ = J-+, Pz+ = Pz, (P+-)+ = -P-+
-_DAGGER = _table({"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
-                  "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]},
-                 reverse=True)
-
-
-def hermitian_conjugate(a: E3Element) -> E3Element:
-    return E3Element(ENVELOPE.apply_antilinear(_DAGGER, a.coeffs))
-
-
-def hermiticity_residual(a: E3Element) -> float:
-    return float(np.max(np.abs(a.coeffs - hermitian_conjugate(a).coeffs)))
-
-
-def is_hermitian(a: E3Element, tol: float = 1e-12) -> bool:
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return hermiticity_residual(a) <= tol
+E3Element.dagger_table = _table({"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
+                                 "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]},
+                                reverse=True)
+hermitian_conjugate = E3Element.hermitian_conjugate
+hermiticity_residual = E3Element.hermiticity_residual
+is_hermitian = E3Element.is_hermitian
+commutator = E3Element.commutator
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +141,12 @@ _PT_TABLES = {tag: _table(action) for tag, action in PT_ACTIONS_E3.items()}
 def apply_pt_e3(tag: str, a: E3Element) -> E3Element:
     """Antilinear image: conjugate the element's coefficients, substitute the
     tabulated generator images, re-normal-order."""
-    return E3Element(ENVELOPE.apply_antilinear(_PT_TABLES[tag], a.coeffs))
+    try:
+        table = _PT_TABLES[tag]
+    except KeyError:
+        raise ValueError(f"unknown symmetry tag {tag!r}; E3 has "
+                         f"{', '.join(_PT_TABLES)}") from None
+    return a.antilinear_image(table)
 
 
 # ---------------------------------------------------------------------------

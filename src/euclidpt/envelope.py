@@ -1,7 +1,9 @@
 """Degree-2 truncated enveloping algebras (E2 and E3) over sorted generator words.
 
 Words are normal-ordered by bubble-sorting out-of-order neighbours, each swap
-spawning their bracket; products and antilinear maps use arrays built once.
+spawning their bracket, only to build the products of the unit and the letters.
+Every generator map, linear or antilinear, is `Envelope.substitute`: a letter
+becomes its image and a pair the product of two images.
 """
 
 from __future__ import annotations
@@ -69,30 +71,21 @@ class Envelope:
         return terms.sum(axis=0, initial=0.0)
 
     def map_table(self, images, reverse=False):
-        """Matrix whose column i is the normal-ordered image of word i when
-        generator g maps to the sum of the (coefficient, code) terms ``images[g]``;
-        ``reverse`` reverses the factors, for an anti-homomorphism."""
-        columns = []
-        for word in self.words:
-            terms = [((), 1.0 + 0j)]
-            for g in (word[::-1] if reverse else word):
-                terms = [(w + (h,), c * ch) for w, c in terms for ch, h in images[g]]
-            columns.append(sum(self.straighten(w, c) for w, c in terms))
-        return np.array(columns).T
+        """Matrix whose column i is the `substitute` image of basis word i."""
+        return np.array([self.substitute(images, unit, reverse)
+                         for unit in np.eye(self.dim, dtype=complex)]).T
 
-    def apply_antilinear(self, table, coeffs):
-        """Conjugate the coefficients, then map each basis word through ``table``."""
-        return table @ np.conj(coeffs)
-
-    def substitute(self, images, coeffs):
+    def substitute(self, images, coeffs, reverse=False):
         """Coefficients of sum_i coeffs[i] word_i with generator g replaced by the
         element images[g]: a letter is its image, a pair the product of its letters'
-        images.  The scaled words are summed in index order, from +0."""
+        images, taken in reverse order if ``reverse`` (an anti-homomorphism).  The
+        scaled words are summed in index order, from +0."""
         support = np.asarray(coeffs).nonzero()[0]
         rows = []
         for word in map(self.words.__getitem__, support.tolist()):
             if len(word) == 2:
-                rows.append((images[word[0]] * images[word[1]]).coeffs)
+                first, second = word[::-1] if reverse else word
+                rows.append((images[first] * images[second]).coeffs)
             else:
                 rows.append(images[word[0]].coeffs if word else self.low_product[0])  # 1 * 1
         terms = coeffs[support, None] * np.reshape(rows, (-1, self.dim))
@@ -102,10 +95,12 @@ class Envelope:
 @dataclass(frozen=True)
 class Element:
     """Immutable coefficient vector; subclasses set ``envelope``, ``labels``
-    (one per basis word) and ``_product``, the product of two elements."""
+    (one per basis word), ``_product``, the product of two elements, and
+    ``dagger_table``, the `Envelope.map_table` of hermitian conjugation."""
 
     envelope: ClassVar[Envelope]
     labels: ClassVar[tuple]
+    dagger_table: ClassVar[np.ndarray]
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -137,6 +132,26 @@ class Element:
 
     def degree(self):
         return self.envelope.degree(self.coeffs)
+
+    def antilinear_image(self, table):
+        """Conjugate the coefficients, then map each basis word through ``table``."""
+        return type(self)(table @ np.conj(self.coeffs))
+
+    def hermitian_conjugate(self):
+        """The adjoint: the antilinear image under ``dagger_table``."""
+        return self.antilinear_image(self.dagger_table)
+
+    def hermiticity_residual(self):
+        """max |coeff(a - a†)|, the quantitative version of `is_hermitian`."""
+        return float(np.max(np.abs(self.coeffs - self.hermitian_conjugate().coeffs)))
+
+    def is_hermitian(self, tol=1e-12):
+        if not tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {tol!r}")
+        return self.hermiticity_residual() <= tol
+
+    def commutator(self, other):
+        return self * other - other * self
 
     def allclose(self, other, tol=1e-12):
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)

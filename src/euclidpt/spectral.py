@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -154,13 +154,14 @@ def _real_form(matrix):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Levels of a problem; `order` and `block_sizes` name each one's block for `wavefunction`."""
+    """Levels of a problem, with the `_blocks` they were solved on for `wavefunction`."""
     eigenvalues: np.ndarray        # sorted by real part
     reality_flags: np.ndarray      # |Im E| <= REALITY_RTOL*max(1, |Re E|)
     truncation: int
     sector: float
-    order: np.ndarray              # level i is entry order[i] of the `_blocks`' levels in turn
-    block_sizes: tuple             # how many levels each of the `_blocks` gave
+    element: E2Element = field(repr=False)
+    blocks: list = field(repr=False)   # the problem's `_blocks`
+    block_index: np.ndarray = field(repr=False)   # the entry of `blocks` that gave each level
     trusted_count: int = 0
 
     def trusted(self, count=None):
@@ -169,10 +170,6 @@ class Spectrum:
 
     def broken(self):
         return bool(np.any(~self.reality_flags[:self.trusted_count]))
-
-    def block_of(self):
-        """Index of the `_blocks` entry that gave each level."""
-        return np.searchsorted(np.cumsum(self.block_sizes), self.order, side="right")
 
 
 def _solve_guard(solve):
@@ -231,15 +228,17 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     eigenvalues carry truncation artifacts.  Each of the `_blocks` is solved
     alone, a chain from its `bands`; overflowing couplings raise ValueError.
     """
+    blocks = _blocks(p)
     solved = [tridiagonal_eigenvalues(*bands) if bands else scipy.linalg.eigvals(matrix)
-              for matrix, bands, _ in _blocks(p)]
+              for matrix, bands, _ in blocks]
     w = np.concatenate(solved)
     order = np.argsort(w.real, kind="stable")
     w = w[order]
     flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
-    trusted = trusted_count(p.truncation)
+    block_index = np.repeat(np.arange(len(solved)), list(map(len, solved)))[order]
     return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation, sector=p.sector,
-                    order=order, block_sizes=tuple(map(len, solved)), trusted_count=trusted)
+                    element=p.element, blocks=blocks, block_index=block_index,
+                    trusted_count=trusted_count(p.truncation))
 
 
 def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "bosonic") -> float:
@@ -825,14 +824,15 @@ def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0
 def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
     """L^2-normalized eigenvector of the given level of `spectrum` (real-part order).
 
-    `spectrum` defaults to `eigen_spectrum(p)`; one of another truncation or
-    sector raises ValueError.  A sequence of levels gives a list.  Each level
-    is solved on its own one of the `_blocks`, B: an exactly real level with
-    no other level of B within 1e-6 max|B|, on a real chain whose
-    off-diagonal products are all nonzero, by `inverse_iteration`; any other
-    by one `scipy.linalg.eig` of B, the column of the level's rank in B by
-    real part.  ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.  x is
-    B's `WavefunctionSpec` as it is, on B's own modes and with its gauge.
+    `spectrum` defaults to `eigen_spectrum(p)`; one of another element,
+    truncation or sector raises ValueError.  A sequence of levels gives a list.  Each level
+    is solved on the one of the spectrum's `blocks` that gave it, B, so no
+    matrix is built again: an exactly real level with no other level of B
+    within 1e-6 max|B|, on a real chain whose off-diagonal products are all
+    nonzero, by `inverse_iteration`; any other by one `scipy.linalg.eig` of
+    B, the column of the level's rank in B by real part.  ||(B - E)x|| >
+    1e-9 max|B| raises ConvergenceFailure.  x is B's `WavefunctionSpec` as
+    it is, on B's own modes and with its gauge.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -842,10 +842,11 @@ def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
             raise ValueError(f"level {lv} outside 0..{dim - 1}")
     spectrum = spectrum or eigen_spectrum(p)
     want = (p.truncation, p.sector, dim)
-    if (spectrum.truncation, spectrum.sector, len(spectrum.eigenvalues)) != want:
-        raise ValueError(f"spectrum is not that of (truncation, sector, levels) {want}")
-    blocks, dense, specs = _blocks(p), {}, []
-    block_of = spectrum.block_of()
+    if (spectrum.truncation, spectrum.sector, len(spectrum.eigenvalues)) != want \
+            or not np.array_equal(spectrum.element.coeffs, p.element.coeffs):
+        raise ValueError(f"spectrum is not that of the element at (truncation, sector, levels) "
+                         f"{want}")
+    blocks, block_of, dense, specs = spectrum.blocks, spectrum.block_index, {}, []
     for lv in levels:
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
         (matrix, bands, wave), scale = blocks[b], np.max(np.abs(blocks[b][0]))
@@ -883,7 +884,7 @@ def select_pair(spectrum: Spectrum, near_energy: float) -> tuple:
                          "needs two")
     starts = np.diff(w.real) > REALITY_RTOL * np.maximum(1.0, np.abs(w[1:]))
     group = np.concatenate(([0], np.cumsum(starts)))   # w is sorted by real part
-    rank = np.lexsort((spectrum.block_of()[:len(w)], group))
+    rank = np.lexsort((spectrum.block_index[:len(w)], group))
     cplx = rank[np.abs(w.imag[rank]) > 1e-6]
     if len(cplx) >= 2:
         return int(cplx[0]), int(cplx[1])
@@ -907,7 +908,7 @@ def pair_intensities(p: SpectralProblem, near_energy: float, theta) -> PairInten
     spectrum = eigen_spectrum(p)
     pair = select_pair(spectrum, near_energy)
     i_even, i_odd = (intensity(w, theta) for w in wavefunction(p, pair, spectrum))
-    return PairIntensities(pair, tuple(spectrum.block_of()[list(pair)].tolist()),
+    return PairIntensities(pair, tuple(spectrum.block_index[list(pair)].tolist()),
                            spectrum.eigenvalues[list(pair)], i_even, i_odd)
 
 

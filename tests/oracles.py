@@ -26,6 +26,19 @@ def generator_matrices(truncation, sector=0.0):
     return mat_u, mat_v, mat_j
 
 
+def generator_map_table(envelope, images, reverse=False):
+    """`Envelope.map_table` without products: generator g maps to the sum of the
+    (coefficient, code) terms images[g], each basis word's letters (reversed if
+    ``reverse``) are expanded into image words, and each word is straightened."""
+    columns = []
+    for word in envelope.words:
+        terms = [((), 1.0 + 0j)]
+        for g in (word[::-1] if reverse else word):
+            terms = [(w + (h,), c * ch) for w, c in terms for ch, h in images[g]]
+        columns.append(sum(envelope.straighten(w, c) for w, c in terms))
+    return np.array(columns).T
+
+
 def from_terms_hamiltonian(sym, mu):
     """`algebra.build_hamiltonian` term by term through `E2Element.from_terms`, with
     PT3 summed from four elements, as the invariant bilinears are written out."""

@@ -6,9 +6,10 @@ import pytest
 from euclidpt.algebra import (E2Element, build_hamiltonian, casimir,
                               hermiticity_residual, is_hermitian)
 from euclidpt.dyson import (DysonParamsE2, adjoint_generator, ep_predictions_pt5,
-                            hermitize, optical_lattice_map, pt5_double_point_predictions,
-                            pt5_reduced_element, pt5_three_param_hamiltonian,
-                            reduce_pt5_three_param, similarity_transform)
+                            free_parameter_names, hermitize, optical_lattice_map,
+                            pt5_double_point_predictions, pt5_reduced_element,
+                            pt5_three_param_hamiltonian, reduce_pt5_three_param,
+                            similarity_transform)
 from euclidpt.errors import DegenerateCouplings, MapUndefined
 
 import oracles
@@ -251,6 +252,13 @@ def test_hermitize_validates_free_parameters():
         hermitize("PT9")
     with pytest.raises(DegenerateCouplings):
         hermitize("PT5", mu1=1.0, mu5=0.0, mu6=1.0, mu7=2.0)
+
+
+def test_free_parameter_names_rejects_an_unknown_tag():
+    assert free_parameter_names("PT1") == ("lam", "mu1", "mu3", "mu4")
+    with pytest.raises(ValueError,
+                       match=r"^unknown symmetry tag 'PT6'; E2 has PT1, PT2, PT3, PT4, PT5$"):
+        free_parameter_names("PT6")
 
 
 @pytest.mark.parametrize("symmetry", ["PT1", "PT2", "PT3", "PT4", "PT5"])

@@ -173,6 +173,12 @@ def test_pt2_generator_images():
     assert apply_pt_e3("PT2", generator("Pz")).allclose(generator("Pz"))
 
 
+def test_unknown_symmetry_tag_is_one_value_error():
+    with pytest.raises(ValueError,
+                       match=r"^unknown symmetry tag 'PT5'; E3 has PT1, PT2, PT3, PT4$"):
+        apply_pt_e3("PT5", generator("Jz"))
+
+
 def test_pt3_translations_map_within_plus_minus_span():
     img_p = apply_pt_e3("PT3", generator("Pp"))
     img_m = apply_pt_e3("PT3", generator("Pm"))

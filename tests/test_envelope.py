@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from euclidpt import algebra, e3
+from euclidpt.envelope import Element
 from euclidpt.errors import DegreeOverflow
+
+import oracles
 
 ALGEBRAS = {"E2": (algebra.ENVELOPE, algebra.E2Element),
             "E3": (e3.ENVELOPE, e3.E3Element)}
@@ -104,5 +107,41 @@ def test_words_must_run_by_degree():
                          ids=list(ALGEBRAS))
 def test_is_hermitian_rejects_a_negative_tol(module, one):
     assert module.is_hermitian(one, 0.0)
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        module.is_hermitian(one, -1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            module.is_hermitian(one, bad)
+
+
+def test_both_algebras_share_one_conjugation():
+    for name in ("hermitian_conjugate", "hermiticity_residual", "is_hermitian", "commutator"):
+        assert getattr(algebra, name) is getattr(e3, name) is getattr(Element, name), name
+
+
+# hermitian conjugation of E3 on its generators: factors reverse
+E3_DAGGER = {"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
+             "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]}
+
+
+def _e3_codes(action):
+    code = e3.GENERATORS.index
+    return {code(g): [(c, code(h)) for c, h in terms] for g, terms in action.items()}
+
+
+TABLES = {
+    "E2-dagger": (algebra.E2Element.dagger_table, algebra.ENVELOPE,
+                  {g: [(1.0, g)] for g in range(3)}, True),
+    **{f"E2-{tag}": (sym.table, algebra.ENVELOPE,
+                     {g: [image] for g, image in sym.action.items()}, False)
+       for tag, sym in algebra.PT_SYMMETRIES.items()},
+    "E3-dagger": (e3.E3Element.dagger_table, e3.ENVELOPE, _e3_codes(E3_DAGGER), True),
+    **{f"E3-{tag}": (e3._PT_TABLES[tag], e3.ENVELOPE, _e3_codes(action), False)
+       for tag, action in e3.PT_ACTIONS_E3.items()},
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_generator_map_tables_match_the_straightened_words_bit_for_bit(name):
+    table, env, images, reverse = TABLES[name]
+    oracle = oracles.generator_map_table(env, images, reverse)
+    assert table.dtype == oracle.dtype and table.shape == oracle.shape
+    assert table.tobytes() == oracle.tobytes()

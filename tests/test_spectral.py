@@ -909,11 +909,6 @@ class _CountingEigensolves:
         return counted
 
 
-def _block_of(spectrum):
-    """Index of the `_blocks` entry that gave each level of the spectrum."""
-    return np.searchsorted(np.cumsum(spectrum.block_sizes), spectrum.order, side="right")
-
-
 def test_unbroken_pair_makes_no_eigensolve(monkeypatch):
     # README --mu3 0.8: both chains are real with products > 0
     problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0))
@@ -935,7 +930,7 @@ def test_broken_pair_makes_one_eig_per_block(monkeypatch):
     solves = _CountingEigensolves(monkeypatch)
     waves = wavefunction(problem, pair, spectrum)
     assert solves.counts["tridiagonal_eigenvalues"] == solves.counts["eigvals"] == 0
-    assert 1 <= solves.counts["eig"] <= len(set(_block_of(spectrum)[list(pair)]))
+    assert 1 <= solves.counts["eig"] <= len(set(spectrum.block_index[list(pair)]))
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
 
 
@@ -946,7 +941,7 @@ def test_real_levels_of_a_broken_chain_make_no_eig(monkeypatch):
     spectrum = eigen_spectrum(problem)
     pair = select_pair(spectrum, 3.0)
     assert all(spectrum.eigenvalues[level].imag == 0 for level in pair)
-    for _, (diag, upper, lower), _ in spectral._blocks(problem):
+    for _, (diag, upper, lower), _ in spectrum.blocks:
         assert np.all((upper * lower).real < 0)
     solves = _CountingEigensolves(monkeypatch)
     waves = wavefunction(problem, pair, spectrum)
@@ -963,7 +958,7 @@ def test_complex_level_of_a_real_chain_needs_eig():
     spectrum = eigen_spectrum(problem)
     level = select_pair(spectrum, 3.0)[0]
     energy = spectrum.eigenvalues[level]
-    chain, bands, _ = spectral._blocks(problem)[_block_of(spectrum)[level]]
+    chain, bands, _ = spectrum.blocks[spectrum.block_index[level]]
     assert energy.imag != 0 and chain.dtype == float and np.all(bands[1] * bands[2] != 0)
     for band, j in zip(bands, (0, 1, -1)):   # a real chain's bands are real
         assert band.dtype == float
@@ -1109,6 +1104,22 @@ def test_wavefunction_solves_the_spectrum_it_is_not_given(monkeypatch):
     assert solves.counts["eigen_spectrum"] == 1
 
 
+@pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(1.2, 1.0, 4.0), RAW_PT5],
+                         ids=["chains", "dense"])
+def test_wavefunction_builds_each_matrix_once(element, monkeypatch):
+    # the vectors come from the blocks the spectrum solved, not from a second build
+    problem = SpectralProblem(element)
+    builds = []
+    monkeypatch.setattr(spectral, "build_matrix",
+                        lambda p, _build=spectral.build_matrix: builds.append(p) or _build(p))
+    spectrum = eigen_spectrum(problem)
+    assert len(builds) == 1
+    wavefunction(problem, (0, 1, 2), spectrum)
+    assert len(builds) == 1
+    wavefunction(problem, (0, 1, 2))
+    assert len(builds) == 2
+
+
 @pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(0.8, 1.0, 4.0),
                                      pt5_three_param_hamiltonian(1.2, 1.0, 4.0),
                                      pt5_three_param_hamiltonian(3.0, 1.0, 4.0), RAW_PT5],
@@ -1132,14 +1143,15 @@ def test_degenerate_levels_give_independent_vectors(sector, pair):
     energies = spectrum.eigenvalues[list(pair)]
     assert abs(energies[0] - energies[1]) < 1e-9 * abs(energies[0])
     if sector == 0.0:
-        assert len(set(_block_of(spectrum)[list(pair)])) == 1
+        assert len(set(spectrum.block_index[list(pair)])) == 1
     waves = wavefunction(problem, pair, spectrum)
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
     a, b = (v / np.linalg.norm(v) for v in (fourier_modes(wave, 64) for wave in waves))
     assert abs(np.vdot(a, b)) < 0.5
 
 
-@pytest.mark.parametrize("other", [{"truncation": 32}, {"sector": 1.0}])
+@pytest.mark.parametrize("other", [{"truncation": 32}, {"sector": 1.0},
+                                   {"element": pt5_three_param_hamiltonian(0.8, 1.0, 4.5)}])
 def test_spectrum_of_another_problem_rejected(other):
     problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0))
     spectrum = eigen_spectrum(replace(problem, **other))
