@@ -1,8 +1,7 @@
 """PT-symmetric Euclidean-algebra Hamiltonians: Dyson maps, spectra, Mathieu tools."""
 
-from .algebra import (E2Element, PT_SYMMETRIES, PTSymmetryE2, apply_pt,
-                      build_hamiltonian, casimir, hermitian_conjugate,
-                      is_hermitian, multiply)
+from .algebra import (E2Element, PT_SYMMETRIES, apply_pt, build_hamiltonian,
+                      casimir, hermitian_conjugate, is_hermitian, multiply)
 from .dyson import (DysonParamsE2, HermitizationResult, adjoint_generator,
                     ep_predictions_pt5, hermitize, optical_lattice_map,
                     pt5_double_point_predictions, pt5_three_param_hamiltonian,

@@ -16,14 +16,12 @@ normal-ordered with the rewrite rules Ju = uJ - iv and Jv = vJ + iu.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import Element, Envelope
-from .errors import overflow_error
+from .errors import overflow_error, unknown_tag
 
 # generator codes; the ordering fixes the normal form (u, v powers before J)
 GENERATORS = ("u", "v", "J")
@@ -117,42 +115,14 @@ is_hermitian = E2Element.is_hermitian
 commutator = E2Element.commutator
 
 
-@dataclass(frozen=True)
-class PTSymmetryE2:
-    """An antilinear symmetry: signed permutation of (u, v, J) plus conjugation."""
-
-    tag: str
-    action: dict  # generator code -> (sign, generator code)
-
-    @functools.cached_property
-    def table(self):
-        """Normal-ordered image of each basis monomial, coefficients not yet conjugated."""
-        return ENVELOPE.map_table([sign * (U, V, J)[h]
-                                   for sign, h in map(self.action.get, range(3))])
-
-
-# the five antilinear symmetries; each row is (u, v, J) images
-PT_SYMMETRIES = {
-    "PT1": PTSymmetryE2("PT1", {_U: (-1, _U), _V: (-1, _V), _J: (-1, _J)}),
-    "PT2": PTSymmetryE2("PT2", {_U: (+1, _U), _V: (+1, _V), _J: (-1, _J)}),
-    "PT3": PTSymmetryE2("PT3", {_U: (+1, _V), _V: (+1, _U), _J: (+1, _J)}),
-    "PT4": PTSymmetryE2("PT4", {_U: (-1, _U), _V: (+1, _V), _J: (+1, _J)}),
-    "PT5": PTSymmetryE2("PT5", {_U: (+1, _U), _V: (-1, _V), _J: (+1, _J)}),
-}
-
-
-def _resolve(sym) -> PTSymmetryE2:
-    if isinstance(sym, PTSymmetryE2):
-        return sym
-    try:
-        return PT_SYMMETRIES[sym]
-    except KeyError:
-        raise ValueError(f"unknown symmetry tag {sym!r}") from None
+# the five antilinear symmetries, by the images of (u, v, J)
+E2Element.pt_images = PT_SYMMETRIES = {"PT1": (-U, -V, -J), "PT2": (U, V, -J), "PT3": (V, U, J),
+                                       "PT4": (-U, V, J), "PT5": (U, -V, J)}
 
 
 def apply_pt(sym, a: E2Element) -> E2Element:
     """Apply the antilinear map: conjugate coefficients, map generators, re-order."""
-    return a.antilinear_image(_resolve(sym).table)
+    return a.apply_pt(sym)
 
 
 def build_hamiltonian(sym, mu) -> E2Element:
@@ -167,22 +137,21 @@ def hamiltonian_coeffs(sym, mu) -> list:
     apply_pt(sym, .) for real mu.  Each coefficient is 0j + its term, as
     `E2Element.from_terms` stores it, so no part is -0.0.
     """
-    tag = _resolve(sym).tag
     m1, m2, m3, m4, m5, m6, m7, m8, m9 = map(float, mu)
     # basis order 1, u, v, J, u2, v2, uv, uJ, vJ, J2
-    if tag == "PT1":
+    if sym == "PT1":
         terms = 0, 1j * m3, 1j * m4, 1j * m2, m7, m8, m9, m5, m6, m1
-    elif tag == "PT2":
+    elif sym == "PT2":
         terms = 0, m3, m4, 1j * m2, m7, m8, m9, 1j * m5, 1j * m6, m1
-    elif tag == "PT3":
+    elif sym == "PT3":
         terms = (0, m3 + 1j * m4, m3 - 1j * m4, m2, -1j * m7 + m8, 1j * m7 + m8, m9,
                  m5 + 1j * m6, m5 - 1j * m6, m1)
-    elif tag == "PT4":
+    elif sym == "PT4":
         terms = 0, 1j * m3, m4, m2, m7, m8, 1j * m9, 1j * m5, m6, m1
-    elif tag == "PT5":
+    elif sym == "PT5":
         terms = 0, m3, 1j * m4, m2, m7, m8, 1j * m9, m5, 1j * m6, m1
     else:
-        raise ValueError(f"unknown symmetry tag {tag!r}")
+        raise unknown_tag(sym, "E2", PT_SYMMETRIES)
     return [0j + term for term in terms]
 
 

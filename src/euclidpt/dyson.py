@@ -14,7 +14,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import E2Element, build_hamiltonian, hermiticity_residual
-from .errors import DegenerateCouplings, MapUndefined, overflow_error
+from .errors import DegenerateCouplings, MapUndefined, check_finite, overflow_error, unknown_tag
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
@@ -198,7 +198,7 @@ _SOLVERS = {
 
 def free_parameter_names(symmetry):
     if symmetry not in _SOLVERS:
-        raise ValueError(f"unknown symmetry tag {symmetry!r}; E2 has {', '.join(_SOLVERS)}")
+        raise unknown_tag(symmetry, "E2", _SOLVERS)
     return _SOLVERS[symmetry][1]
 
 
@@ -215,9 +215,8 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     lies in [-1, 1] (no real Dyson exponent: potential broken-PT regime)
     and DegenerateCouplings when a constraint denominator vanishes.
     """
-    if symmetry not in _SOLVERS:
-        raise ValueError(f"unknown symmetry tag {symmetry!r}")
-    solver, names = _SOLVERS[symmetry]
+    names = free_parameter_names(symmetry)
+    solver = _SOLVERS[symmetry][0]
     allowed = set(names) | ({"mu9_target"} if symmetry == "PT3" else set())
     unknown = set(free) - allowed
     if unknown:
@@ -225,7 +224,7 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     kwargs = {n: float(free.get(n, 1.0 if n == "mu1" else 0.0)) for n in names}
     if symmetry == "PT3" and "mu9_target" in free:
         kwargs["mu9_target"] = float(free["mu9_target"])
-    _check_finite(kwargs)
+    check_finite(kwargs)
     if kwargs["mu1"] == 0:
         raise DegenerateCouplings("mu1 must be nonzero")
     try:
@@ -242,12 +241,6 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     return HermitizationResult(symmetry=symmetry, params=params, constrained_mu=tuple(mu),
                                h=h, free_parameter_names=names, residual=residual,
                                input_hermitian=algebra.is_hermitian(H, 1e-12))
-
-
-def _check_finite(values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +263,7 @@ def reduce_pt5_three_param(mu3: float, mu4: float, mu7: float) -> dict:
     boundary of that region is where eigenvalue pairs merge.
     """
     couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
-    _check_finite(couplings)
+    check_finite(couplings)
     if mu3 * mu4 == 0:
         raise DegenerateCouplings("mu3*mu4 must be nonzero")
     try:
@@ -303,6 +296,7 @@ def ep_predictions_pt5(mu3, mu4, mu7, sweep_axis) -> list:
     collapse pairwise to +-mu4 when mu7 = 0.  Sweeping mu7: two points at
     (mu3 -+ mu4)^2.
     """
+    check_finite({"mu3": mu3, "mu4": mu4, "mu7": mu7})
     if sweep_axis in ("mu3", "mu4"):
         if mu7 < 0:
             raise ValueError("mu7 must be nonnegative for the four-point prediction")
@@ -326,6 +320,7 @@ def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
     - 4 t_k^2) (mu3 and mu4 swapped), at either sign of mu3.  Every t_k that
     the square roots reach is used; the list is sorted.
     """
+    check_finite({"mu3": mu3, "mu4": mu4, "mu7": mu7})
     if sweep_axis in ("mu3", "mu4"):
         other = mu4 if sweep_axis == "mu3" else mu3
         center, reach = other ** 2 + mu7, other ** 2 * mu7
@@ -349,6 +344,7 @@ def optical_lattice_map(mu7: float, mu8: float, mu9: float) -> dict:
     Defined for |(mu7 - mu8)/mu9| > 1, i.e. coth(2*lam) = (mu7 - mu8)/mu9
     has a real solution; mu9 = 0 is the identity-map limit.
     """
+    check_finite({"mu7": mu7, "mu8": mu8, "mu9": mu9})
     diff = mu7 - mu8
     if mu9 == 0.0:
         if diff == 0.0:

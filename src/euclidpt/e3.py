@@ -99,17 +99,16 @@ def multiply(a: E3Element, b: E3Element) -> E3Element:
     return E3Element(ENVELOPE.multiply(a.coeffs, b.coeffs))
 
 
-def _table(action, reverse=False):
-    """Basis-word images under a generator map given as name -> [(coeff, name)]."""
-    return ENVELOPE.map_table([sum((c * generator(h) for c, h in action[g]), E3Element.zero())
-                               for g in GENERATORS], reverse)
+def _images(action):
+    """Each generator's image under a map given as name -> [(coeff, name)]."""
+    return [sum((c * generator(h) for c, h in action[g]), E3Element.zero()) for g in GENERATORS]
 
 
 # adjoint convention induced by Hermitian J_i, P_i:
 # Jz+ = Jz, (J+-)+ = J-+, Pz+ = Pz, (P+-)+ = -P-+
-E3Element.dagger_table = _table({"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
-                                 "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]},
-                                reverse=True)
+E3Element.dagger_table = ENVELOPE.map_table(_images(
+    {"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
+     "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]}), reverse=True)
 hermitian_conjugate = E3Element.hermitian_conjugate
 hermiticity_residual = E3Element.hermiticity_residual
 is_hermitian = E3Element.is_hermitian
@@ -135,18 +134,13 @@ PT_ACTIONS_E3 = {
     "PT4": {"Jz": [(-1, "Jz")], "Jp": [(+1, "Jm")], "Jm": [(+1, "Jp")],
             "Pz": [(-1, "Pz")], "Pp": [(-1, "Pm")], "Pm": [(-1, "Pp")]},
 }
-_PT_TABLES = {tag: _table(action) for tag, action in PT_ACTIONS_E3.items()}
+E3Element.pt_images = {tag: _images(action) for tag, action in PT_ACTIONS_E3.items()}
 
 
 def apply_pt_e3(tag: str, a: E3Element) -> E3Element:
     """Antilinear image: conjugate the element's coefficients, substitute the
-    tabulated generator images, re-normal-order."""
-    try:
-        table = _PT_TABLES[tag]
-    except KeyError:
-        raise ValueError(f"unknown symmetry tag {tag!r}; E3 has "
-                         f"{', '.join(_PT_TABLES)}") from None
-    return a.antilinear_image(table)
+    generator images, re-normal-order."""
+    return a.apply_pt(tag)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ becomes its image and a pair the product of two images.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, unknown_tag
 
 MAX_DEGREE = 2
 
@@ -71,9 +72,11 @@ class Envelope:
         return terms.sum(axis=0, initial=0.0)
 
     def map_table(self, images, reverse=False):
-        """Matrix whose column i is the `substitute` image of basis word i."""
-        return np.array([self.substitute(images, unit, reverse)
-                         for unit in np.eye(self.dim, dtype=complex)]).T
+        """Read-only matrix whose column i is the `substitute` image of basis word i."""
+        table = np.array([self.substitute(images, unit, reverse)
+                          for unit in np.eye(self.dim, dtype=complex)]).T
+        table.flags.writeable = False
+        return table
 
     def substitute(self, images, coeffs, reverse=False):
         """Coefficients of sum_i coeffs[i] word_i with generator g replaced by the
@@ -92,15 +95,17 @@ class Envelope:
         return terms.sum(axis=0, initial=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Element:
-    """Immutable coefficient vector; subclasses set ``envelope``, ``labels``
-    (one per basis word), ``_product``, the product of two elements, and
-    ``dagger_table``, the `Envelope.map_table` of hermitian conjugation."""
+    """Immutable coefficient vector, equal to one of its class with equal coefficients;
+    subclasses set ``envelope``, ``labels`` (one per basis word), ``_product``, the
+    product of two elements, ``dagger_table``, the `Envelope.map_table` of hermitian
+    conjugation, and ``pt_images``, each antilinear symmetry's generator images by tag."""
 
     envelope: ClassVar[Envelope]
     labels: ClassVar[tuple]
     dagger_table: ClassVar[np.ndarray]
+    pt_images: ClassVar[dict]
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -133,9 +138,26 @@ class Element:
     def degree(self):
         return self.envelope.degree(self.coeffs)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.coeffs, other.coeffs)
+
+    __hash__ = None
+
     def antilinear_image(self, table):
         """Conjugate the coefficients, then map each basis word through ``table``."""
         return type(self)(table @ np.conj(self.coeffs))
+
+    @classmethod
+    @functools.cache
+    def pt_table(cls, tag):
+        """`Envelope.map_table` of ``pt_images[tag]``, built on first use, cached per class."""
+        if tag not in cls.pt_images:
+            raise unknown_tag(tag, cls.__name__.removesuffix("Element"), cls.pt_images)
+        return cls.envelope.map_table(cls.pt_images[tag])
+
+    def apply_pt(self, tag):
+        """The image under the antilinear symmetry ``tag``."""
+        return self.antilinear_image(self.pt_table(tag))
 
     def hermitian_conjugate(self):
         """The adjoint: the antilinear image under ``dagger_table``."""

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one ValueError for an overflow."""
+"""Exception types shared across the package, and the ValueErrors of bad values and tags."""
+
+import cmath
 
 
 class EuclidPTError(Exception):
@@ -33,7 +35,19 @@ class TrackingAmbiguity(EuclidPTError):
     """Level continuation could not be disambiguated even after step refinement."""
 
 
+def check_finite(values):
+    """Raise ValueError naming the first of {name: value} (real or complex) that is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def overflow_error(what, values):
     """The ValueError for `what` overflowing at the nonzero ones of {name: value}."""
     given = ", ".join(f"{name}={value!r}" for name, value in values.items() if value)
     return ValueError(f"{what} overflows floating point at {given}")
+
+
+def unknown_tag(tag, algebra, known):
+    """The ValueError for a symmetry tag of `algebra` that is not one of `known`."""
+    return ValueError(f"unknown symmetry tag {tag!r}; {algebra} has {', '.join(known)}")

@@ -29,7 +29,7 @@ import scipy.linalg
 from .algebra import E2Element, build_hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, check_finite
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -117,6 +117,11 @@ def _sorted_eigs(q, cls, size):
     """Eigenvalues of one class's chain (see `_chain`) in canonical order."""
     diag, off = _chain(q, cls, size)
     return _canonical(tridiagonal_eigenvalues(diag, off, off))
+
+
+def _check_trunc(trunc):
+    if trunc < 3:   # `inverse_iteration`'s `?gttrf` rejects a chain of 2 modes
+        raise ValueError(f"trunc must be at least 3, got {trunc}")
 
 
 def _check_count(count, trunc):
@@ -235,6 +240,7 @@ def _lowest_certified(q, cls, count, trunc, what):
     conjugate pair, which `count` would cut in half.
     """
     _check_count(count, trunc)
+    check_finite({"q": q})
     if not complex(q).imag:
         if 4 * (rung := _first_rung(q, cls, count)) <= 3 * trunc:
             try:
@@ -286,6 +292,7 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
     sin((2k+1)z) directly.  Gauge: unit 2-norm with the largest-magnitude
     coefficient rotated to the positive real axis.
     """
+    _check_trunc(trunc)
     w = _sorted_eigs(q, cls, trunc)
     i = int(np.argmin(np.abs(w - a)))
     if abs(w[i] - a) > 1e-6 * max(1.0, abs(a)):
@@ -314,6 +321,7 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
     eigenvalues of the two candidate recurrences.
     """
     _check_parity(parity)
+    _check_trunc(trunc)
     candidates = (EVEN_PI, EVEN_2PI) if parity == "even" else (ODD_PI, ODD_2PI)
     last_error = None
     for cls in candidates:

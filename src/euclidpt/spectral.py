@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy.linalg
 from . import dyson
 from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
 from .chains import certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues
-from .errors import ConvergenceFailure, TrackingAmbiguity
+from .errors import ConvergenceFailure, TrackingAmbiguity, check_finite, unknown_tag
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
@@ -152,14 +153,12 @@ def _real_form(matrix):
     return form.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Levels of a problem, with the `_blocks` they were solved on for `wavefunction`."""
     eigenvalues: np.ndarray        # sorted by real part
-    reality_flags: np.ndarray      # |Im E| <= REALITY_RTOL*max(1, |Re E|)
     truncation: int
     sector: float
-    element: E2Element = field(repr=False)
     blocks: list = field(repr=False)   # the problem's `_blocks`
     block_index: np.ndarray = field(repr=False)   # the entry of `blocks` that gave each level
     trusted_count: int = 0
@@ -169,7 +168,9 @@ class Spectrum:
         return self.eigenvalues[:k]
 
     def broken(self):
-        return bool(np.any(~self.reality_flags[:self.trusted_count]))
+        """Whether a trusted level has |Im E| > REALITY_RTOL*max(1, |Re E|)."""
+        w = self.trusted()
+        return not np.all(np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real)))
 
 
 def _solve_guard(solve):
@@ -233,12 +234,9 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
               for matrix, bands, _ in blocks]
     w = np.concatenate(solved)
     order = np.argsort(w.real, kind="stable")
-    w = w[order]
-    flags = np.abs(w.imag) <= REALITY_RTOL * np.maximum(1.0, np.abs(w.real))
     block_index = np.repeat(np.arange(len(solved)), list(map(len, solved)))[order]
-    return Spectrum(eigenvalues=w, reality_flags=flags, truncation=p.truncation, sector=p.sector,
-                    element=p.element, blocks=blocks, block_index=block_index,
-                    trusted_count=trusted_count(p.truncation))
+    return Spectrum(eigenvalues=w[order], truncation=p.truncation, sector=p.sector, blocks=blocks,
+                    block_index=block_index, trusted_count=trusted_count(p.truncation))
 
 
 def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "bosonic") -> float:
@@ -246,6 +244,7 @@ def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "boson
 
     k = n for bosonic boundary conditions, k = n + 1/2 for fermionic.
     """
+    check_finite({"mu1": mu1, "mu3": mu3})
     kappa, _ = _pt1_kappa(mu1, n, statistics)
     return mu1 * (kappa * kappa - (mu3 / mu1) ** 2)
 
@@ -331,7 +330,7 @@ class SweepTemplate:
         return self.symmetry, mu, sector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Tracked level curves, and the `_mathieu_form` of each grid point for the EP search."""
     template: SweepTemplate
@@ -769,7 +768,7 @@ def _plane_waves(theta_bytes, sector, first, step, count):
     return table[:, start:start + count]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavefunctionSpec:
     """psi(theta) = gauge(theta) * sum_j coeffs[j] exp(i(first + j*step + s/2) theta).
 
@@ -812,6 +811,7 @@ class WavefunctionSpec:
 def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0.0):
     """exp(-i(mu4 cos + mu3 sin)/mu1) [c1 e^{-i k theta} + (i/(2k)) c2 e^{i k theta}], k = |n|
     (bosonic) or |n + 1/2| (fermionic): level n of `pt1_closed_spectrum`, on modes -+k."""
+    check_finite({"mu1": mu1, "mu3": mu3, "mu4": mu4})
     kappa, sector = _pt1_kappa(mu1, n, statistics)
     if kappa == 0 and c2 != 0:
         raise ValueError(f"level n = 0 has the one mode k = 0: c2 must be 0, got {c2!r}")
@@ -821,31 +821,25 @@ def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0
 
 
 @_solve_guard
-def wavefunction(p: SpectralProblem, level, spectrum: Spectrum | None = None):
+def wavefunction(spectrum: Spectrum, level):
     """L^2-normalized eigenvector of the given level of `spectrum` (real-part order).
 
-    `spectrum` defaults to `eigen_spectrum(p)`; one of another element,
-    truncation or sector raises ValueError.  A sequence of levels gives a list.  Each level
-    is solved on the one of the spectrum's `blocks` that gave it, B, so no
-    matrix is built again: an exactly real level with no other level of B
-    within 1e-6 max|B|, on a real chain whose off-diagonal products are all
-    nonzero, by `inverse_iteration`; any other by one `scipy.linalg.eig` of
-    B, the column of the level's rank in B by real part.  ||(B - E)x|| >
-    1e-9 max|B| raises ConvergenceFailure.  x is B's `WavefunctionSpec` as
-    it is, on B's own modes and with its gauge.
+    A level is an integer index of `spectrum.eigenvalues`; a sequence of
+    levels gives a list.  Each level is solved on the one of the spectrum's
+    `blocks` that gave it, B, so no matrix is built again: an exactly real
+    level with no other level of B within 1e-6 max|B|, on a real chain
+    whose off-diagonal products are all nonzero, by `inverse_iteration`;
+    any other by one `scipy.linalg.eig` of B, the column of the level's rank
+    in B by real part.  ||(B - E)x|| > 1e-9 max|B| raises
+    ConvergenceFailure.  x is B's `WavefunctionSpec` as it is, on B's own
+    modes and with its gauge.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
-    dim = 2 * p.truncation + 1
+    dim = len(spectrum.eigenvalues)
     for lv in levels:
-        if not 0 <= lv < dim:
+        if isinstance(lv, bool) or not isinstance(lv, numbers.Integral) or not 0 <= lv < dim:
             raise ValueError(f"level {lv} outside 0..{dim - 1}")
-    spectrum = spectrum or eigen_spectrum(p)
-    want = (p.truncation, p.sector, dim)
-    if (spectrum.truncation, spectrum.sector, len(spectrum.eigenvalues)) != want \
-            or not np.array_equal(spectrum.element.coeffs, p.element.coeffs):
-        raise ValueError(f"spectrum is not that of the element at (truncation, sector, levels) "
-                         f"{want}")
     blocks, block_of, dense, specs = spectrum.blocks, spectrum.block_index, {}, []
     for lv in levels:
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
@@ -893,7 +887,7 @@ def select_pair(spectrum: Spectrum, near_energy: float) -> tuple:
     return int(order[0]), int(order[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairIntensities:
     """The pair `select_pair` takes at one point, its two levels and their intensities."""
     pair: tuple                 # the levels' indices in the spectrum
@@ -907,7 +901,7 @@ def pair_intensities(p: SpectralProblem, near_energy: float, theta) -> PairInten
     """`select_pair` of p's spectrum, and the intensities of its two wavefunctions on theta."""
     spectrum = eigen_spectrum(p)
     pair = select_pair(spectrum, near_energy)
-    i_even, i_odd = (intensity(w, theta) for w in wavefunction(p, pair, spectrum))
+    i_even, i_odd = (intensity(w, theta) for w in wavefunction(spectrum, pair))
     return PairIntensities(pair, tuple(spectrum.block_index[list(pair)].tolist()),
                            spectrum.eigenvalues[list(pair)], i_even, i_odd)
 
@@ -925,7 +919,7 @@ def _pair_drift(exact, cut):
                np.max(np.abs(cut.i_odd - exact.i_odd)) / scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntensitySweep:
     values: np.ndarray
     points: list                # PairIntensities at each value
@@ -974,8 +968,9 @@ _CIRCLE_MAPS = {
 
 def pt_image(w: WavefunctionSpec, sym, theta):
     """Samples of the antilinear image of the wavefunction on the grid."""
-    tag = sym if isinstance(sym, str) else sym.tag
-    mapped = _CIRCLE_MAPS[tag](np.asarray(theta, dtype=float))
+    if sym not in _CIRCLE_MAPS:
+        raise unknown_tag(sym, "E2", _CIRCLE_MAPS)
+    mapped = _CIRCLE_MAPS[sym](np.asarray(theta, dtype=float))
     return np.conj(w.evaluate(mapped))
 
 

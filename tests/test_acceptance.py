@@ -297,7 +297,7 @@ def _normalized_pair_intensities(mu3, theta):
         pair = cplx[:2]
     else:
         pair = list(np.argsort(np.abs(w.real - 3.0))[:2])
-    return [intensity(wavefunction(problem, int(i)), theta) for i in pair]
+    return [intensity(wavefunction(spec, int(i)), theta) for i in pair]
 
 
 def test_criterion_9_intensity_gain_loss_symmetry():

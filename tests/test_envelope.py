@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from euclidpt import algebra, e3
+from euclidpt import algebra, dyson, e3, spectral
 from euclidpt.envelope import Element
 from euclidpt.errors import DegreeOverflow
 
@@ -127,16 +132,37 @@ def _e3_codes(action):
     return {code(g): [(c, code(h)) for c, h in terms] for g, terms in action.items()}
 
 
+def _letter_codes(images):
+    """Generator images, each a sum of scaled letters, as {code: [(coefficient, code)]}."""
+    return {g: [(c, h) for h, c in enumerate(image.coeffs[1:1 + len(images)].tolist()) if c]
+            for g, image in enumerate(images)}
+
+
 TABLES = {
     "E2-dagger": (algebra.E2Element.dagger_table, algebra.ENVELOPE,
                   {g: [(1.0, g)] for g in range(3)}, True),
-    **{f"E2-{tag}": (sym.table, algebra.ENVELOPE,
-                     {g: [image] for g, image in sym.action.items()}, False)
-       for tag, sym in algebra.PT_SYMMETRIES.items()},
+    **{f"E2-{tag}": (algebra.E2Element.pt_table(tag), algebra.ENVELOPE, _letter_codes(images),
+                     False)
+       for tag, images in algebra.PT_SYMMETRIES.items()},
     "E3-dagger": (e3.E3Element.dagger_table, e3.ENVELOPE, _e3_codes(E3_DAGGER), True),
-    **{f"E3-{tag}": (e3._PT_TABLES[tag], e3.ENVELOPE, _e3_codes(action), False)
+    **{f"E3-{tag}": (e3.E3Element.pt_table(tag), e3.ENVELOPE, _e3_codes(action), False)
        for tag, action in e3.PT_ACTIONS_E3.items()},
 }
+
+
+def test_pt_tables_are_built_on_first_use_once_per_class_and_tag():
+    # a fresh interpreter: importing the package and its CLI builds no table
+    code = ("import euclidpt, euclidpt.cli, euclidpt.e3; from euclidpt.envelope import Element; "
+            "print(Element.pt_table.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(algebra.__file__).parent.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout == "0\n"
+    for cls in (algebra.E2Element, e3.E3Element):
+        for tag in cls.pt_images:
+            assert cls.pt_table(tag) is cls.pt_table(tag)
+            assert not cls.pt_table(tag).flags.writeable   # one table serves every caller
+    assert algebra.E2Element.pt_table("PT1").shape == (10, 10)
+    assert e3.E3Element.pt_table("PT1").shape == (28, 28)
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -145,3 +171,35 @@ def test_generator_map_tables_match_the_straightened_words_bit_for_bit(name):
     oracle = oracles.generator_map_table(env, images, reverse)
     assert table.dtype == oracle.dtype and table.shape == oracle.shape
     assert table.tobytes() == oracle.tobytes()
+
+
+def test_elements_compare_by_value_and_records_compare_without_raising():
+    assert algebra.E2Element.from_terms(u=1) == algebra.U
+    assert algebra.E2Element.from_terms(u=1, v=0) == algebra.U + 0 * algebra.V
+    assert e3.generator("Pz") == e3.E3Element.from_terms({"Pz": 1.0})
+    assert algebra.U != algebra.V and algebra.U != algebra.U.coeffs
+    assert algebra.ONE != e3.ONE_E3 and e3.ONE_E3 != algebra.ONE
+    for element in (algebra.U, e3.ONE_E3):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(element)
+    # records holding elements compare their fields by value
+    element = dyson.pt5_three_param_hamiltonian(0.8, 1.0, 4.0)
+    problem = spectral.SpectralProblem(element, truncation=8)
+    assert problem == spectral.SpectralProblem(dyson.pt5_three_param_hamiltonian(0.8, 1.0, 4.0),
+                                               truncation=8)
+    assert problem != spectral.SpectralProblem(element, truncation=9)
+    free = {"mu2": 0.3, "mu4": 0.5, "mu5": 0.8, "mu6": 0.4, "mu7": -0.5, "mu8": 0.7}
+    assert dyson.hermitize("PT5", **free) == dyson.hermitize("PT5", **free)
+    # records holding arrays compare by identity, without raising
+    template = spectral.SweepTemplate(family="pt5-three", mu=(1, 0, 0.8, 1, 0, 0, 4, 0, 0),
+                                      truncation=8, track_levels=3)
+    theta = np.linspace(0.0, 6.0, 7)
+    spectrum = spectral.eigen_spectrum(problem)
+    for make in (lambda: spectral.eigen_spectrum(problem),
+                 lambda: spectral.wavefunction(spectrum, 0),
+                 lambda: spectral.pair_intensities(problem, 3.0, theta),
+                 lambda: spectral.sweep(template, "mu3", 0.7, 0.8, 2),
+                 lambda: spectral.intensity_sweep(template, "mu3", [0.7, 0.8], 3.0, theta)):
+        record = make()
+        assert record == record
+        assert (record == make()) is False

@@ -224,10 +224,11 @@ def test_pt5_real_levels_exactly_real(case):
 
 def test_pt5_wavefunction_residual(pt5_problem):
     matrix = build_matrix(pt5_problem)
-    levels = eigen_spectrum(pt5_problem).eigenvalues
+    spectrum = eigen_spectrum(pt5_problem)
+    levels = spectrum.eigenvalues
     scale = np.linalg.norm(matrix, 2)
     for level in range(12):
-        v = fourier_modes(wavefunction(pt5_problem, level), pt5_problem.truncation)
+        v = fourier_modes(wavefunction(spectrum, level), pt5_problem.truncation)
         v = v / np.linalg.norm(v)
         assert np.linalg.norm(matrix @ v - levels[level] * v) <= 1e-9 * scale
 
@@ -244,7 +245,8 @@ def test_non_pt5_element_takes_complex_path():
     order = np.argsort(w.real, kind="stable")
     for level in (0, 5):
         expected = WavefunctionSpec(sector=0.37, coeffs=vecs[:, order[level]]).normalized()
-        np.testing.assert_array_equal(wavefunction(problem, level).coeffs, expected.coeffs)
+        np.testing.assert_array_equal(wavefunction(eigen_spectrum(problem), level).coeffs,
+                                      expected.coeffs)
 
 
 @pytest.mark.parametrize("sector", [0.37, 1.0])
@@ -674,7 +676,7 @@ def test_find_eps_rejects_bad_tolerances(small_window_sweep, tol, im_tol):
 
 def test_wavefunction_normalized():
     problem = SpectralProblem(pt5_three_param_hamiltonian(0.5, 0.7, 0.0), truncation=48)
-    w = wavefunction(problem, 0)
+    w = wavefunction(eigen_spectrum(problem), 0)
     theta = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
     norm = np.sum(intensity(w, theta)) * 2 * math.pi / len(theta)
     assert norm == pytest.approx(1.0, abs=1e-10)
@@ -785,8 +787,7 @@ def test_broken_pair_are_pt_images():
     spec = eigen_spectrum(problem)
     idx = [i for i, z in enumerate(spec.eigenvalues[:12]) if abs(z.imag) > 1e-6][:2]
     assert len(idx) == 2
-    wa = wavefunction(problem, idx[0])
-    wb = wavefunction(problem, idx[1])
+    wa, wb = wavefunction(spec, idx)
     assert pt_eigenstate_check(wa, "PT5") == "broken"
     theta = np.linspace(0, 2 * math.pi, 720, endpoint=False)
     image = pt_image(wa, "PT5", theta)
@@ -799,7 +800,7 @@ def test_broken_pair_are_pt_images():
 
 def test_unbroken_numeric_state_is_pt_selfimage():
     problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), truncation=64)
-    w = wavefunction(problem, 0)
+    w = wavefunction(eigen_spectrum(problem), 0)
     theta = np.linspace(0, 2 * math.pi, 720, endpoint=False)
     image = pt_image(w, "PT5", theta)
     vals = w.evaluate(theta)
@@ -844,7 +845,7 @@ def test_chain_intensities_certified_on_readme_recipes():
         assert hill is not None
         spectrum = eigen_spectrum(problem)
         pair = select_pair(spectrum, 3.0)
-        waves = wavefunction(problem, pair)
+        waves = wavefunction(spectrum, pair)
         matrix = build_matrix(problem)
         _assert_eigenvectors(matrix, spectrum.eigenvalues, pair, waves)
         # the R^2 = 0 pairs are defective: any vector of the pair is as good
@@ -878,19 +879,19 @@ def test_chain_wavefunction_residuals(case, sector):
                "completed-square": _completed_square()}[case]
     assert hill_form(element) is not None
     problem = SpectralProblem(element, sector=sector)
-    levels = list(range(12))
-    _assert_eigenvectors(build_matrix(problem), eigen_spectrum(problem).eigenvalues, levels,
-                         wavefunction(problem, levels))
+    spectrum, levels = eigen_spectrum(problem), list(range(12))
+    _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, levels,
+                         wavefunction(spectrum, levels))
 
 
 @pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(1.2, 1.0, 4.0), RAW_PT5],
                          ids=["hill", "dense"])
 def test_wavefunction_sequence_matches_single_calls(element):
-    problem = SpectralProblem(element, sector=0.37, truncation=32)
-    pair = wavefunction(problem, (3, 4))
+    spectrum = eigen_spectrum(SpectralProblem(element, sector=0.37, truncation=32))
+    pair = wavefunction(spectrum, (3, 4))
     assert isinstance(pair, list) and len(pair) == 2
     for level, wave in zip((3, 4), pair):
-        np.testing.assert_array_equal(wave.coeffs, wavefunction(problem, level).coeffs)
+        np.testing.assert_array_equal(wave.coeffs, wavefunction(spectrum, level).coeffs)
 
 
 class _CountingEigensolves:
@@ -915,7 +916,7 @@ def test_unbroken_pair_makes_no_eigensolve(monkeypatch):
     spectrum = eigen_spectrum(problem)
     pair = select_pair(spectrum, 3.0)
     solves = _CountingEigensolves(monkeypatch)
-    waves = wavefunction(problem, pair, spectrum)
+    waves = wavefunction(spectrum, pair)
     assert solves.counts == {"tridiagonal_eigenvalues": 0, "eigvals": 0, "eig": 0,
                              "eigen_spectrum": 0}
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
@@ -928,7 +929,7 @@ def test_broken_pair_makes_one_eig_per_block(monkeypatch):
     pair = select_pair(spectrum, 3.0)
     assert spectrum.eigenvalues[pair[0]].imag != 0
     solves = _CountingEigensolves(monkeypatch)
-    waves = wavefunction(problem, pair, spectrum)
+    waves = wavefunction(spectrum, pair)
     assert solves.counts["tridiagonal_eigenvalues"] == solves.counts["eigvals"] == 0
     assert 1 <= solves.counts["eig"] <= len(set(spectrum.block_index[list(pair)]))
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
@@ -944,7 +945,7 @@ def test_real_levels_of_a_broken_chain_make_no_eig(monkeypatch):
     for _, (diag, upper, lower), _ in spectrum.blocks:
         assert np.all((upper * lower).real < 0)
     solves = _CountingEigensolves(monkeypatch)
-    waves = wavefunction(problem, pair, spectrum)
+    waves = wavefunction(spectrum, pair)
     assert solves.counts == {"tridiagonal_eigenvalues": 0, "eigvals": 0, "eig": 0,
                              "eigen_spectrum": 0}
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
@@ -967,7 +968,7 @@ def test_complex_level_of_a_real_chain_needs_eig():
     assert vec.dtype == float
     assert np.linalg.norm(chain @ vec - energy * vec) > 1e-9 * np.max(np.abs(chain))
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, [level],
-                         [wavefunction(problem, level, spectrum)])
+                         [wavefunction(spectrum, level)])
 
 
 def test_sector_one_intensity_surface_eig_count(monkeypatch):
@@ -980,7 +981,7 @@ def test_sector_one_intensity_surface_eig_count(monkeypatch):
         spectrum = eigen_spectrum(problem)
         pair = select_pair(spectrum, 3.0)
         _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair,
-                             wavefunction(problem, pair, spectrum))
+                             wavefunction(spectrum, pair))
     assert solves.counts["eig"] == 16
 
 
@@ -1034,7 +1035,7 @@ def test_single_intensity_point_is_one_solve_at_n(args, monkeypatch, capsys):
     mu3 = 0.8 if "0.8" in args else 1.2
     problem = SpectralProblem(pt5_three_param_hamiltonian(mu3, 1.0, 4.0))
     spectrum = eigen_spectrum(problem)
-    waves = wavefunction(problem, select_pair(spectrum, 3.0), spectrum)
+    waves = wavefunction(spectrum, select_pair(spectrum, 3.0))
     i_even, i_odd = (intensity(wave, THETA) for wave in waves)
     rows = ["%.12e,%.12e,%.12e,%.12e,%.12e" % row for row in zip(
         [mu3] * len(THETA), THETA.tolist(), i_even.tolist(), i_odd.tolist(),
@@ -1095,15 +1096,6 @@ def test_fermionic_pair_is_chosen_by_block_not_roundoff(mu3):
     _assert_pairs_match(picked[32], picked[64], 1e-10, f"mu3={mu3}")
 
 
-def test_wavefunction_solves_the_spectrum_it_is_not_given(monkeypatch):
-    problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), sector=1.0)
-    given = wavefunction(problem, (2, 3), eigen_spectrum(problem))
-    solves = _CountingEigensolves(monkeypatch)
-    for wave, own in zip(given, wavefunction(problem, (2, 3))):
-        np.testing.assert_array_equal(wave.coeffs, own.coeffs)
-    assert solves.counts["eigen_spectrum"] == 1
-
-
 @pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(1.2, 1.0, 4.0), RAW_PT5],
                          ids=["chains", "dense"])
 def test_wavefunction_builds_each_matrix_once(element, monkeypatch):
@@ -1114,10 +1106,9 @@ def test_wavefunction_builds_each_matrix_once(element, monkeypatch):
                         lambda p, _build=spectral.build_matrix: builds.append(p) or _build(p))
     spectrum = eigen_spectrum(problem)
     assert len(builds) == 1
-    wavefunction(problem, (0, 1, 2), spectrum)
+    wavefunction(spectrum, (0, 1, 2))
+    wavefunction(spectrum, (3, 4))
     assert len(builds) == 1
-    wavefunction(problem, (0, 1, 2))
-    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("element", [pt5_three_param_hamiltonian(0.8, 1.0, 4.0),
@@ -1130,7 +1121,7 @@ def test_trusted_vectors_certified_against_their_spectrum(element, sector):
     spectrum = eigen_spectrum(problem)
     levels = list(range(spectrum.trusted_count))
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, levels,
-                         wavefunction(problem, levels, spectrum))
+                         wavefunction(spectrum, levels))
 
 
 @pytest.mark.parametrize("sector, pair", [(1.0, (2, 3)), (0.0, (63, 64))],
@@ -1144,19 +1135,10 @@ def test_degenerate_levels_give_independent_vectors(sector, pair):
     assert abs(energies[0] - energies[1]) < 1e-9 * abs(energies[0])
     if sector == 0.0:
         assert len(set(spectrum.block_index[list(pair)])) == 1
-    waves = wavefunction(problem, pair, spectrum)
+    waves = wavefunction(spectrum, pair)
     _assert_eigenvectors(build_matrix(problem), spectrum.eigenvalues, pair, waves)
     a, b = (v / np.linalg.norm(v) for v in (fourier_modes(wave, 64) for wave in waves))
     assert abs(np.vdot(a, b)) < 0.5
-
-
-@pytest.mark.parametrize("other", [{"truncation": 32}, {"sector": 1.0},
-                                   {"element": pt5_three_param_hamiltonian(0.8, 1.0, 4.5)}])
-def test_spectrum_of_another_problem_rejected(other):
-    problem = SpectralProblem(pt5_three_param_hamiltonian(0.8, 1.0, 4.0))
-    spectrum = eigen_spectrum(replace(problem, **other))
-    with pytest.raises(ValueError, match="spectrum is not that of"):
-        wavefunction(problem, 0, spectrum)
 
 
 @pytest.mark.parametrize("element, level", [(pt5_three_param_hamiltonian(0.8, 1.0, 4.0), 3),
@@ -1169,7 +1151,7 @@ def test_wrong_eigenvalue_fails_the_certificate(element, level):
     energies = spectrum.eigenvalues.copy()
     energies[level] += 0.5
     with pytest.raises(ConvergenceFailure, match=f"level {level} .* residual"):
-        wavefunction(problem, level, replace(spectrum, eigenvalues=energies))
+        wavefunction(replace(spectrum, eigenvalues=energies), level)
 
 
 def test_wavefunction_checks_levels_before_solving(monkeypatch):
@@ -1178,10 +1160,10 @@ def test_wavefunction_checks_levels_before_solving(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eig", no_solve)
     for element in (pt5_three_param_hamiltonian(0.8, 1.0, 4.0), RAW_PT5):
-        problem = SpectralProblem(element, truncation=8)
-        for level in (-1, 17, (0, 17)):
+        spectrum = eigen_spectrum(SpectralProblem(element, truncation=8))
+        for level in (-1, 17, (0, 17), 1.5, True, (0, np.float64(2.0))):   # not integers too
             with pytest.raises(ValueError, match="outside 0..16"):
-                wavefunction(problem, level)
+                wavefunction(spectrum, level)
 
 
 def test_dstevd_failure_is_a_convergence_failure(monkeypatch):
@@ -1200,7 +1182,7 @@ def test_wavefunction_overflow_one_value_error(mu):
     problem = SpectralProblem(build_hamiltonian("PT5", mu))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve in (eigen_spectrum, lambda p: wavefunction(p, (0, 1))):
+        for solve in (eigen_spectrum, lambda p: wavefunction(eigen_spectrum(p), (0, 1))):
             with pytest.raises(ValueError, match="at truncation 64 overflows floating point"):
                 solve(problem)
 
