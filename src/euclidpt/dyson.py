@@ -296,16 +296,24 @@ def ep_predictions_pt5(mu3, mu4, mu7, sweep_axis) -> list:
     collapse pairwise to +-mu4 when mu7 = 0.  Sweeping mu7: two points at
     (mu3 -+ mu4)^2.
     """
-    check_finite({"mu3": mu3, "mu4": mu4, "mu7": mu7})
+    couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
+    check_finite(couplings)
     if sweep_axis in ("mu3", "mu4"):
         if mu7 < 0:
             raise ValueError("mu7 must be nonnegative for the four-point prediction")
         other = mu4 if sweep_axis == "mu3" else mu3
         r = math.sqrt(mu7)
-        return sorted([other + r, other - r, -other + r, -other - r])
-    if sweep_axis == "mu7":
-        return sorted([(mu3 - mu4) ** 2, (mu3 + mu4) ** 2])
-    raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+        values = [other + r, other - r, -other + r, -other - r]
+    elif sweep_axis == "mu7":
+        try:
+            values = [(mu3 - mu4) ** 2, (mu3 + mu4) ** 2]
+        except OverflowError:
+            raise overflow_error("the EP prediction", couplings) from None
+    else:
+        raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+    if not all(map(math.isfinite, values)):
+        raise overflow_error("the EP prediction", couplings)
+    return sorted(values)
 
 
 def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
@@ -320,14 +328,20 @@ def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
     - 4 t_k^2) (mu3 and mu4 swapped), at either sign of mu3.  Every t_k that
     the square roots reach is used; the list is sorted.
     """
-    check_finite({"mu3": mu3, "mu4": mu4, "mu7": mu7})
-    if sweep_axis in ("mu3", "mu4"):
-        other = mu4 if sweep_axis == "mu3" else mu3
-        center, reach = other ** 2 + mu7, other ** 2 * mu7
-    elif sweep_axis == "mu7":
-        center, reach = mu3 ** 2 + mu4 ** 2, (mu3 * mu4) ** 2
-    else:
-        raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+    couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
+    check_finite(couplings)
+    try:
+        if sweep_axis in ("mu3", "mu4"):
+            other = mu4 if sweep_axis == "mu3" else mu3
+            center, reach = other ** 2 + mu7, other ** 2 * mu7
+        elif sweep_axis == "mu7":
+            center, reach = mu3 ** 2 + mu4 ** 2, (mu3 * mu4) ** 2
+        else:
+            raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+    except OverflowError:
+        raise overflow_error("the double-point prediction", couplings) from None
+    if not (math.isfinite(center) and math.isfinite(reach)):
+        raise overflow_error("the double-point prediction", couplings)
     if reach <= 0:
         return []
     ts = [ep["q_imag"] for cls in (EVEN_PI, ODD_PI)
@@ -344,7 +358,8 @@ def optical_lattice_map(mu7: float, mu8: float, mu9: float) -> dict:
     Defined for |(mu7 - mu8)/mu9| > 1, i.e. coth(2*lam) = (mu7 - mu8)/mu9
     has a real solution; mu9 = 0 is the identity-map limit.
     """
-    check_finite({"mu7": mu7, "mu8": mu8, "mu9": mu9})
+    couplings = {"mu7": mu7, "mu8": mu8, "mu9": mu9}
+    check_finite(couplings)
     diff = mu7 - mu8
     if mu9 == 0.0:
         if diff == 0.0:
@@ -354,7 +369,10 @@ def optical_lattice_map(mu7: float, mu8: float, mu9: float) -> dict:
         K2 = diff / mu9
         lam = 0.5 * arcoth(K2)
     coeff = 0.5 * math.sqrt(diff * diff - mu9 * mu9)
+    shift = 0.5 * (mu7 + mu8)
+    if not all(map(math.isfinite, (lam, coeff, shift))):
+        raise overflow_error("the optical-lattice map", couplings)
     h = (E2Element.from_terms(J2=1)
          + coeff * E2Element.from_terms(v2=1, u2=-1)
-         + E2Element.from_terms(one=0.5 * (mu7 + mu8)))
+         + E2Element.from_terms(one=shift))
     return {"lambda": lam, "h": h}

@@ -1,7 +1,8 @@
 """Degree-2 truncated enveloping algebras (E2 and E3) over sorted generator words.
 
 Words are normal-ordered by bubble-sorting out-of-order neighbours, each swap
-spawning their bracket, only to build the products of the unit and the letters.
+spawning their bracket, only to build the products of the unit and the letters;
+every product contracts the sparse table of their nonzero structure constants.
 Every generator map, linear or antilinear, is `Envelope.substitute`: a letter
 becomes its image and a pair the product of two images.
 """
@@ -37,6 +38,10 @@ class Envelope:
         # row i * low + j: the product of words i, j < low (the unit and the letters)
         self.low_product = np.array([self.straighten(self.words[i] + self.words[j])
                                      for i in range(self.low) for j in range(self.low)])
+        # its nonzero entries in row order: first factor, second factor, column, value
+        rows, self.product_column = self.low_product.nonzero()
+        self.product_first, self.product_second = np.divmod(rows, self.low)
+        self.product_value = self.low_product[rows, self.product_column]
 
     def straighten(self, word, coeff=1.0 + 0j):
         """Normal-order coeff * word, returning its coefficient vector."""
@@ -60,16 +65,20 @@ class Envelope:
 
     def multiply(self, ca, cb):
         """Normal-ordered product.  A degree-2 factor can only meet a scalar;
-        otherwise the terms a_i b_j low_product[i, j] are summed one by one in
+        otherwise each nonzero structure constant c = low_product[i * low + j, k],
+        an entry of the sparse table, adds (a_i b_j) c to column k, one by one in
         the order of (i, j).  Sums start from +0, so no coefficient reads -0.0;
-        results depend bitwise on the order."""
+        results depend bitwise on the order.  The zero constants left out would
+        each add an exact +-0 for finite factors."""
         da, db = self.degree(ca), self.degree(cb)
         if da + db > MAX_DEGREE:
             raise DegreeOverflow(f"product of degrees {da} and {db} outside the truncation")
         if MAX_DEGREE in (da, db):
             return (ca * cb[0] if da else cb * ca[0]) + 0.0
-        terms = np.outer(ca[:self.low], cb[:self.low]).reshape(-1, 1) * self.low_product
-        return terms.sum(axis=0, initial=0.0)
+        out = np.zeros(self.dim, dtype=complex)
+        np.add.at(out, self.product_column,
+                  ca[self.product_first] * cb[self.product_second] * self.product_value)
+        return out
 
     def map_table(self, images, reverse=False):
         """Read-only matrix whose column i is the `substitute` image of basis word i."""

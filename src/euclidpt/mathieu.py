@@ -20,6 +20,7 @@ residual (`coefficient_vector`).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,8 +91,7 @@ def _chain(q, cls, size, dtype=complex):
     ValueError when a coupling product, at most 2 q^2, is not finite.
     """
     q = dtype(q)
-    if not cmath.isfinite(2.0 * q * q):
-        raise ValueError(f"q = {q} overflows the recurrence chain: 2 q^2 is not finite")
+    _check_coupling(q)
     off = np.full(size - 1, q)
     if isinstance(cls, MathieuClass):
         diag = (_modes(cls, size) ** 2).astype(dtype)
@@ -105,6 +105,32 @@ def _chain(q, cls, size, dtype=complex):
     # basis): the middle link of the chain
     off[(size - 1) // 2] = q if cls == "even" else -q
     return ((_antiperiodic_order(size) + 0.5) ** 2).astype(dtype), off
+
+
+def _check_coupling(q):
+    if not cmath.isfinite(2.0 * q * q):
+        raise ValueError(f"q = {q} overflows the recurrence chain: 2 q^2 is not finite")
+
+
+@functools.cache
+def _real_bands(cls, size):
+    """`_chain` in real arithmetic is affine in q.  Returns its diagonal at q = 0,
+    the slope of the first diagonal entry (+-1 on a 2pi class, else 0) and the
+    off-diagonal's slope, read-only, built once per (cls, size)."""
+    (base, _), (top, unit) = _chain(0.0, cls, size, float), _chain(1.0, cls, size, float)
+    base.flags.writeable = unit.flags.writeable = False
+    return base, float(top[0] - base[0]), unit
+
+
+def _real_chain(q, cls, size):
+    """`_chain(q, cls, size, float)` from the `_real_bands`, bit for bit: each
+    slope times q is exact (q, -q, or q times the EVEN_PI link's sqrt 2)."""
+    _check_coupling(q)
+    diag, slope, unit = _real_bands(cls, size)
+    if slope:
+        diag = diag.copy()
+        diag[0] += slope * q
+    return diag, q * unit
 
 
 def _canonical(w):
@@ -168,7 +194,7 @@ def _ritz_certified(q, cls, count, trunc, what):
     Returns (values, bounds).
     """
     q = complex(q).real
-    diag, off = _chain(q, cls, trunc, float)
+    diag, off = _real_chain(q, cls, trunc)
     q = abs(q)
     upper = np.zeros(trunc)    # dstemr takes a workspace entry past the end, and overwrites it
     upper[:-1] = off
@@ -283,16 +309,18 @@ def characteristic_values(q, cls: MathieuClass, count: int, trunc: int = 60) -> 
 def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
     """Fourier coefficients of the periodic solution with characteristic value a.
 
-    a must lie within 1e-6 max(1, |a|) of the nearest value of the class
-    chain T (`_sorted_eigs`), or ValueError is raised.  The vector is
-    inverse iteration on T at that value (`chains.inverse_iteration`);
-    ||(T - a)x|| > 1e-9 max|T| raises ConvergenceFailure (`chains.certify`).
+    q and a must be finite, and a must lie within 1e-6 max(1, |a|) of the
+    nearest value of the class chain T (`_sorted_eigs`), or ValueError is
+    raised.  The vector is inverse iteration on T at that value
+    (`chains.inverse_iteration`); ||(T - a)x|| > 1e-9 max|T| raises
+    ConvergenceFailure (`chains.certify`).
     The symmetrization scaling on the k=0 cosine mode is undone, so the
     returned vector multiplies cos(2kz), sin(2(k+1)z), cos((2k+1)z) or
     sin((2k+1)z) directly.  Gauge: unit 2-norm with the largest-magnitude
     coefficient rotated to the positive real axis.
     """
     _check_trunc(trunc)
+    check_finite({"q": q, "a": a})
     w = _sorted_eigs(q, cls, trunc)
     i = int(np.argmin(np.abs(w - a)))
     if abs(w[i] - a) > 1e-6 * max(1.0, abs(a)):
@@ -318,10 +346,11 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
     """Periodic Mathieu function of the given parity at characteristic value a.
 
     The class (pi- or 2pi-periodic) is resolved by locating a among the
-    eigenvalues of the two candidate recurrences.
+    eigenvalues of the two candidate recurrences.  q and a must be finite.
     """
     _check_parity(parity)
     _check_trunc(trunc)
+    check_finite({"q": q, "a": a})
     candidates = (EVEN_PI, EVEN_2PI) if parity == "even" else (ODD_PI, ODD_2PI)
     last_error = None
     for cls in candidates:

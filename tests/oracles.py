@@ -26,6 +26,18 @@ def generator_matrices(truncation, sector=0.0):
     return mat_u, mat_v, mat_j
 
 
+def dense_product(envelope, ca, cb):
+    """`Envelope.multiply` as a dense contraction, without the degree check: a
+    degree-2 factor scales by the other's unit coefficient; otherwise the outer
+    product of the low blocks times every entry of `low_product`, zeros included,
+    is summed row by row from +0."""
+    da, db = envelope.degree(ca), envelope.degree(cb)
+    if 2 in (da, db):
+        return (ca * cb[0] if da else cb * ca[0]) + 0.0
+    terms = np.outer(ca[:envelope.low], cb[:envelope.low]).reshape(-1, 1) * envelope.low_product
+    return terms.sum(axis=0, initial=0.0)
+
+
 def generator_map_table(envelope, images, reverse=False):
     """`Envelope.map_table` without products: generator g maps to the sum of the
     (coefficient, code) terms images[g], each basis word's letters (reversed if

@@ -63,6 +63,45 @@ def test_multiply_matches_the_loop_over_supports(name):
             assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
+def product_cases(env, rng):
+    """Every basis pair inside the truncation; random sparse low blocks; real low
+    blocks whose imaginary parts are signed zeros; a scalar with a degree-2
+    element either way round; and each of these with either factor negated."""
+    cases = [(basis(env, i), basis(env, j)) for i, wi in enumerate(env.words)
+             for j, wj in enumerate(env.words) if len(wi) + len(wj) <= 2]
+    for _ in range(100):
+        sparse = np.zeros((2, env.dim), dtype=complex)
+        sparse[:, :env.low] = ((rng.normal(size=(2, env.low, 2)) @ [1, 1j])
+                               * (rng.random((2, env.low)) < 0.4))
+        real = np.zeros((2, env.dim), dtype=complex)
+        real.real[:, :env.low] = rng.normal(size=(2, env.low))
+        real.imag[:, :env.low] = np.copysign(0.0, rng.normal(size=(2, env.low)))
+        scalar, full = np.zeros(env.dim, dtype=complex), rng.normal(size=(env.dim, 2)) @ [1, 1j]
+        scalar[0] = rng.normal(size=2) @ [1, 1j]
+        cases += [tuple(sparse), tuple(real), (scalar, full), (full, scalar)]
+    return cases + [(-a, b) for a, b in cases] + [(a, -b) for a, b in cases]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_multiply_is_the_dense_contraction_bit_for_bit(name):
+    env, _ = ALGEBRAS[name]
+    for ca, cb in product_cases(env, np.random.default_rng(7)):
+        got = env.multiply(ca, cb)
+        assert got.tobytes() == oracles.dense_product(env, ca, cb).tobytes(), (ca, cb)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_sparse_product_table_rebuilds_low_product(name):
+    env, _ = ALGEBRAS[name]
+    rows = env.product_first * env.low + env.product_second
+    rebuilt = np.zeros_like(env.low_product)
+    rebuilt[rows, env.product_column] = env.product_value
+    assert rebuilt.tobytes() == env.low_product.tobytes()
+    # each nonzero entry once, in row order
+    assert np.all(env.product_value != 0)
+    assert np.all(np.diff(rows * env.dim + env.product_column) > 0)
+
+
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_multiply_raises_on_a_degree_two_factor_with_a_letter(name):
     env, cls = ALGEBRAS[name]

@@ -26,6 +26,15 @@ CASES = {
                             r"^mu7 must be finite, got inf$"),
     "double_points-nan": (lambda: dyson.pt5_double_point_predictions(NAN, 3, 0, "mu7"),
                           r"^mu3 must be finite, got nan$"),
+    "ep_predictions-overflow": (lambda: dyson.ep_predictions_pt5(1e200, 3, 0, "mu7"),
+                                r"^the EP prediction overflows floating point at "
+                                r"mu3=1e\+200, mu4=3$"),
+    "double_points-overflow": (lambda: dyson.pt5_double_point_predictions(1e200, 3, 0, "mu7"),
+                               r"^the double-point prediction overflows floating point at "
+                               r"mu3=1e\+200, mu4=3$"),
+    "optical_lattice-overflow": (lambda: dyson.optical_lattice_map(1e308, -1e308, 1),
+                                 r"^the optical-lattice map overflows floating point at "
+                                 r"mu7=1e\+308, mu8=-1e\+308, mu9=1$"),
     "pt1_spectrum-mu1": (lambda: spectral.pt1_closed_spectrum(NAN, 0.3, 1),
                          r"^mu1 must be finite, got nan$"),
     "pt1_spectrum-mu3": (lambda: spectral.pt1_closed_spectrum(1.0, INF, 1),
@@ -37,6 +46,14 @@ CASES = {
     "characteristic_values-complex": (
         lambda: mathieu.characteristic_values(complex(1.0, INF), mathieu.EVEN_PI, 2),
         r"^q must be finite, got \(1\+infj\)$"),
+    "coefficient_vector-q": (lambda: mathieu.coefficient_vector(NAN, mathieu.EVEN_PI, 0.0),
+                             r"^q must be finite, got nan$"),
+    "coefficient_vector-a": (lambda: mathieu.coefficient_vector(1.0, mathieu.EVEN_PI, NAN),
+                             r"^a must be finite, got nan$"),
+    "mathieu_function-q": (lambda: mathieu.mathieu_function(NAN, 0.0, "even", THETA),
+                           r"^q must be finite, got nan$"),
+    "mathieu_function-a": (lambda: mathieu.mathieu_function(1.0, INF, "odd", THETA),
+                           r"^a must be finite, got inf$"),
     **{f"{name}-trunc{trunc}": (call, rf"^trunc must be at least 3, got {trunc}$")
        for trunc in (0, 1, 2)
        for name, call in (

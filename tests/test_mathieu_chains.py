@@ -1,5 +1,7 @@
 """The Mathieu classes solved as tridiagonal chains, and input validation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -63,6 +65,22 @@ def test_matrices_match_loop_reference(q, size):
         order = mathieu._antiperiodic_order(size) if isinstance(cls, str) else np.arange(size)
         reference = dense_matrix(q, cls, size)[np.ix_(order, order)]
         assert np.array_equal(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), reference), cls
+
+
+@pytest.mark.parametrize("cls", SIX_CLASSES, ids=CLASS_IDS)
+def test_cached_real_bands_rebuild_the_chain_bit_for_bit(cls):
+    # the real-q solve takes its bands from a cache per (class, size); its dstemr
+    # call overwrites the off-diagonal it is given, which must leave the cache intact
+    for size in (3, 12, 41):
+        for q in (-7.25, -0.0, 0.0, 0.3, 26.0, 1e150):
+            fresh = [band.tobytes() for band in mathieu._chain(q, cls, size, float)]
+            for _ in range(2):
+                got = [band.tobytes() for band in mathieu._real_chain(q, cls, size)]
+                assert got == fresh, (size, q)
+                with contextlib.suppress(ConvergenceFailure):
+                    mathieu._ritz_certified(q, cls, 1, size, "values")
+        base, _, unit = mathieu._real_bands(cls, size)
+        assert not (base.flags.writeable or unit.flags.writeable)
 
 
 @pytest.mark.parametrize("size", [24, 60])
