@@ -85,10 +85,6 @@ class E2Element(Element):
             raise ValueError(f"expected {DIM} coefficient pairs")
         return cls(np.array([complex(re, im) for re, im in coeffs]))
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 # convenience singletons
 ONE = E2Element.from_terms(one=1)

@@ -32,18 +32,23 @@ def tridiagonal_eigenvalues(diag, upper, lower):
     solver.  The chain must be finite and at least 2 long.
     """
     products = upper * lower
-    if diag.imag.any() or products.imag.any():
+    if _has_imag(diag) or _has_imag(products):
         return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper, lower))
     diag, products = diag.real, products.real
-    if (products >= 0).all():
+    if products.min() >= 0:
         w, _, info = scipy.linalg.lapack.dstevd(diag, np.sqrt(products), compute_v=0)
         if info:
             raise scipy.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
         return w.astype(complex)
-    if upper.imag.any() or lower.imag.any():
+    if _has_imag(upper) or _has_imag(lower):
         upper = np.sqrt(np.abs(products))
         lower = np.sign(products) * upper
     return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper.real, lower.real))
+
+
+def _has_imag(band):
+    """Whether a band has a nonzero imaginary part; a real band allocates no zero `.imag`."""
+    return band.dtype.kind == "c" and band.imag.any()
 
 
 def tridiagonal_matrix(diag, upper, lower):

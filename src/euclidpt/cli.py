@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import chains, dyson, e3, mathieu, spectral
-from .errors import (ConvergenceFailure, DegenerateCouplings, MapUndefined,
+from .errors import (ConvergenceFailure, DegenerateCouplings, GaugeOverflow, MapUndefined,
                      TrackingAmbiguity)
 
 EXIT_OK = 0
@@ -373,7 +373,10 @@ def _cmd_intensity(args):
         theta = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
     except MemoryError:
         raise ConfigError("out of memory; --grid is too large") from None
-    result = spectral.intensity_sweep(template, "mu3", mu3s, args.near_energy, theta)
+    try:
+        result = spectral.intensity_sweep(template, "mu3", mu3s, args.near_energy, theta)
+    except GaugeOverflow as exc:   # the chain vectors' gauge has modulus up to exp(|mu3|)
+        raise ConfigError(f"{'--sweep' if sweep_spec else '--mu3'}: {exc}") from None
     i_even = np.array([point.i_even for point in result.points])   # (points, grid)
     i_odd = np.array([point.i_odd for point in result.points])
     points = np.arange(len(i_even))

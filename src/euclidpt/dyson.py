@@ -227,14 +227,15 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     check_finite(kwargs)
     if kwargs["mu1"] == 0:
         raise DegenerateCouplings("mu1 must be nonzero")
-    try:
-        params, mu = solver(**kwargs)
-        H = build_hamiltonian(symmetry, mu)
-        h = similarity_transform(params, H)
-        residual = hermiticity_residual(h)
+    try:   # numpy's warnings are silenced: the result is checked to be finite below
+        with np.errstate(all="ignore"):
+            params, mu = solver(**kwargs)
+            H = build_hamiltonian(symmetry, mu)
+            h = similarity_transform(params, H)
+            residual = hermiticity_residual(h)
     except _UnusedTarget:
         raise
-    except (OverflowError, ValueError):  # ValueError: DysonParamsE2 got an infinite exponent
+    except (ArithmeticError, ValueError):  # overflow, 1/tanh(lam) at lam = 0, an infinite exponent
         raise overflow_error(symmetry + " hermitization", kwargs) from None
     if not np.isfinite([*h.coeffs, *mu, residual]).all():
         raise overflow_error(symmetry + " hermitization", kwargs)
@@ -274,19 +275,12 @@ def reduce_pt5_three_param(mu3: float, mu4: float, mu7: float) -> dict:
         alpha = mu3 * math.tanh(lam / 2.0) - mu4
         gamma = (mu3 * ch - mu4 * sh) ** 2 - mu7 * sh ** 2
         beta = 2.0 * mu3 * (mu3 * ch - mu4 * sh) / (1.0 + ch) + mu7 - 2.0 * gamma
-    except OverflowError:
+    except ArithmeticError:   # an overflow, or 1/tanh(lam) where lam rounds to 0
         raise overflow_error("the three-parameter reduction", couplings) from None
     out = {"alpha": alpha, "beta": beta, "gamma": gamma, "lambda": lam, "rho": rho}
     if not all(map(math.isfinite, out.values())):
         raise overflow_error("the three-parameter reduction", couplings)
     return out
-
-
-def pt5_reduced_element(alpha, beta, gamma) -> E2Element:
-    """J^2 + alpha {u,J} + beta u^2 + gamma."""
-    return (E2Element.from_terms(J2=1)
-            + alpha * E2Element.from_terms(uJ=2, v=-1j)
-            + E2Element.from_terms(u2=beta, one=gamma))
 
 
 def ep_predictions_pt5(mu3, mu4, mu7, sweep_axis) -> list:

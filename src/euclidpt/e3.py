@@ -206,14 +206,6 @@ class E3AdjointTable:
     def image(self, gen_name: str) -> E3Element:
         return E3Element.from_terms(self.columns[gen_name])
 
-    def as_matrix(self) -> np.ndarray:
-        """6x6 matrix on the generator space, ordered like GENERATORS."""
-        m = np.zeros((6, 6))
-        for g, col in self.columns.items():
-            for h, coeff in col.items():
-                m[_G[h], _G[g]] = coeff
-        return m
-
     def to_json(self) -> str:
         return json.dumps({"params": self.params.as_dict(),
                            "scalars": self.scalars,

@@ -184,9 +184,6 @@ class Element:
     def commutator(self, other):
         return self * other - other * self
 
-    def allclose(self, other, tol=1e-12):
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
     def __repr__(self):
         parts = [f"({c:.6g})*{self.labels[i]}" for i, c in enumerate(self.coeffs) if c != 0]
         return f"{type(self).__name__}(" + (" + ".join(parts) if parts else "0") + ")"

@@ -23,6 +23,13 @@ class MapUndefined(EuclidPTError):
         super().__init__(message or f"no real Dyson parameter: coth equation rhs {rhs!r} in [-1, 1]")
 
 
+class GaugeOverflow(ValueError):
+    """|psi|^2 overflows floating point under a gauge factor of modulus up to exp(rho)."""
+
+    def __init__(self, rho):
+        super().__init__(f"|psi|^2 overflows floating point: its gauge reaches exp({rho!r})")
+
+
 class DegenerateCouplings(EuclidPTError):
     """A coupling combination appearing in a denominator vanishes."""
 

@@ -21,7 +21,7 @@ import scipy.linalg
 from . import dyson
 from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
 from .chains import certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues
-from .errors import ConvergenceFailure, TrackingAmbiguity, check_finite, unknown_tag
+from .errors import ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_finite, unknown_tag
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
@@ -66,7 +66,7 @@ def build_matrix(p: SpectralProblem) -> np.ndarray:
     `tests/oracles.py::generator_matrices`), so the corners n = -+N, which
     lack the neighbour outside the truncation, add -(c_u2 + c_v2)/4 +- i c_uv/4.
     """
-    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = (complex(x) for x in p.element.coeffs)
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = p.element.coeffs.tolist()
     dim = 2 * p.truncation + 1
     k = np.arange(-p.truncation, p.truncation + 1) + p.sector / 2.0
     m = np.zeros((dim, dim), dtype=complex)
@@ -96,7 +96,7 @@ def hill_form(element: E2Element) -> E2Element | None:
     if square is None:
         return None
     v0, cj, alpha, beta, gamma, c = square
-    return E2Element.from_terms(one=v0, J=cj, u2=alpha, v2=beta, uv=gamma, J2=c)
+    return E2Element([v0, 0j, 0j, cj, alpha, beta, gamma, 0j, 0j, c])
 
 
 def _mathieu_form(square, sector: float):
@@ -207,15 +207,15 @@ def _blocks(p):
         if real is None:
             return [(matrix, None, lambda v: WavefunctionSpec(v, p.sector))]
         return [(real, None, lambda v: WavefunctionSpec(v * _pt5_phases(p.truncation), p.sector))]
-    matrix = build_matrix(replace(p, element=hill))
-    c = p.element.term("J2")
-    gauge = p.element.term("uJ") / (2 * c), p.element.term("vJ") / (2 * c)
+    matrix = build_matrix(SpectralProblem(hill, p.sector, p.truncation))
+    *_, cuj, cvj, c = p.element.coeffs.tolist()
+    gauge = cuj / (2 * c), cvj / (2 * c)
     blocks = []
     for k in (0, 1):
         chain = matrix[k::2, k::2]
-        bands = [np.diagonal(chain, j) for j in (0, 1, -1)]   # its only nonzero entries
-        if not any(np.count_nonzero(band.imag) for band in bands):
-            chain, bands = chain.real, [band.real for band in bands]
+        if not chain.imag.any():   # its three diagonals are its only nonzero entries
+            chain = chain.real
+        bands = [chain.diagonal(j) for j in (0, 1, -1)]
         blocks.append((chain, bands, functools.partial(
             WavefunctionSpec, sector=p.sector, first=k - p.truncation, step=2, gauge=gauge)))
     return blocks
@@ -233,8 +233,8 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     solved = [tridiagonal_eigenvalues(*bands) if bands else scipy.linalg.eigvals(matrix)
               for matrix, bands, _ in blocks]
     w = np.concatenate(solved)
-    order = np.argsort(w.real, kind="stable")
-    block_index = np.repeat(np.arange(len(solved)), list(map(len, solved)))[order]
+    order = w.real.argsort(kind="stable")
+    block_index = np.arange(len(solved)).repeat(list(map(len, solved)))[order]
     return Spectrum(eigenvalues=w[order], truncation=p.truncation, sector=p.sector, blocks=blocks,
                     block_index=block_index, trusted_count=trusted_count(p.truncation))
 
@@ -799,12 +799,17 @@ class WavefunctionSpec:
 
         It is exact for |psi|^2 of degree below M: the modes' span, plus 4 rho + 32 for
         |gauge|^2 = exp(2(Im b sin - Im a cos)), rho = |(Im a, Im b)|, whose coefficients
-        fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.
+        fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.  Where |psi|^2 overflows,
+        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.
         """
         rho = math.hypot(*np.imag(self.gauge))
+        if rho > math.log(np.finfo(float).max):
+            raise GaugeOverflow(rho)
         size = 1 << int(self.step * (len(self.coeffs) - 1) + 4 * rho + 32).bit_length()
         values = self.evaluate(2.0 * math.pi / size * np.arange(size))
         norm = math.sqrt(2.0 * math.pi / size * np.vdot(values, values).real)
+        if not math.isfinite(norm):   # BLAS's vdot raises no numpy overflow
+            raise GaugeOverflow(rho)
         return replace(self, coeffs=self.coeffs / norm)
 
 

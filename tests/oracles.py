@@ -6,12 +6,44 @@ continued fraction replaces the recurrence eigensolve, and finite
 differences replace spectral synthesis.
 """
 
+import json
+from dataclasses import replace
+
 import numpy as np
+import scipy.linalg
 from scipy.linalg import expm
 
-from euclidpt import algebra
+from euclidpt import algebra, e3
 from euclidpt.algebra import E2Element, completed_square
+from euclidpt.chains import tridiagonal_matrix
 from euclidpt.spectral import SpectralProblem, _mathieu_form, build_matrix
+
+
+def allclose(a, b, tol=1e-12):
+    """Whether two elements' coefficients differ by at most tol in absolute value."""
+    return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
+
+
+def e2_from_json(text):
+    """The E2Element of `E2Element.to_json`'s text."""
+    return E2Element.from_dict(json.loads(text))
+
+
+def adjoint_matrix(table):
+    """6x6 matrix of an `e3.E3AdjointTable` on the generator space, ordered like GENERATORS."""
+    index = {g: i for i, g in enumerate(e3.GENERATORS)}
+    m = np.zeros((6, 6))
+    for g, col in table.columns.items():
+        for h, coeff in col.items():
+            m[index[h], index[g]] = coeff
+    return m
+
+
+def pt5_reduced_element(alpha, beta, gamma):
+    """J^2 + alpha {u,J} + beta u^2 + gamma, the reduced form `reduce_pt5_three_param` gives."""
+    return (E2Element.from_terms(J2=1)
+            + alpha * E2Element.from_terms(uJ=2, v=-1j)
+            + E2Element.from_terms(u2=beta, one=gamma))
 
 
 def generator_matrices(truncation, sector=0.0):
@@ -198,3 +230,44 @@ def fourier_modes(wave, truncation, size=1024):
     theta = 2.0 * np.pi * np.arange(size) / size
     values = wave.evaluate(theta) * np.exp(-0.5j * wave.sector * theta)
     return (np.fft.fft(values) / size)[np.arange(-truncation, truncation + 1) % size]
+
+
+def stepwise_hill_spectrum(problem):
+    """(levels sorted by real part, each chain's three bands) of a Hill element, step by step.
+
+    The Hill path of `spectral.eigen_spectrum` as first written: the Hill
+    element term by term through `from_terms`, its matrix through
+    `dataclasses.replace`, each chain's three diagonals sliced and called real
+    when no band has a nonzero imaginary part, and `stepwise_chain_eigenvalues`.
+    """
+    v0, cj, alpha, beta, gamma, c = completed_square(problem.element.coeffs.tolist())
+    hill = E2Element.from_terms(one=v0, J=cj, u2=alpha, v2=beta, uv=gamma, J2=c)
+    matrix = build_matrix(replace(problem, element=hill))
+    chains = []
+    for k in (0, 1):
+        chain = matrix[k::2, k::2]
+        bands = [np.diagonal(chain, j) for j in (0, 1, -1)]
+        if not any(np.count_nonzero(band.imag) for band in bands):
+            bands = [band.real for band in bands]
+        chains.append(bands)
+    w = np.concatenate([stepwise_chain_eigenvalues(*bands) for bands in chains])
+    return w[np.argsort(w.real, kind="stable")], chains
+
+
+def stepwise_chain_eigenvalues(diag, upper, lower):
+    """`chains.tridiagonal_eigenvalues` as first written, each band's `.imag` read whatever
+    its dtype: complex diagonal or products to the dense complex solver, nonnegative real
+    products to `dstevd` on sqrt(product), else the dense real solver, complex
+    off-diagonals replaced by sqrt|p| and sign(p) sqrt|p|."""
+    products = upper * lower
+    if diag.imag.any() or products.imag.any():
+        return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper, lower))
+    diag, products = diag.real, products.real
+    if (products >= 0).all():
+        w, _, info = scipy.linalg.lapack.dstevd(diag, np.sqrt(products), compute_v=0)
+        assert info == 0
+        return w.astype(complex)
+    if upper.imag.any() or lower.imag.any():
+        upper = np.sqrt(np.abs(products))
+        lower = np.sign(products) * upper
+    return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper.real, lower.real))

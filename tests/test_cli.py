@@ -653,6 +653,39 @@ def test_too_large_a_grid_one_line_exit_1(monkeypatch, capsys):
     assert err == "configuration error: out of memory; --grid is too large\n"
 
 
+# |mu3| is the exponent of the chain vectors' gauge, from which `normalized` sizes its grid;
+# from about 355 on |psi|^2 overflows (it printed nan), from about 710 the gauge itself
+@pytest.mark.parametrize("args, flag, rho", [(["--mu3", "-1000"], "--mu3", "1000.0"),
+                                             (["--mu3", "400"], "--mu3", "400.0"),
+                                             (["--sweep", "mu3:0:2000:3"], "--sweep", "1000.0")])
+def test_gauge_overflow_one_line_exit_1(args, flag, rho, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["intensity", *args, "--truncation", "8", "--grid", "16"], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err == (f"configuration error: {flag}: |psi|^2 overflows floating point: its gauge "
+                   f"reaches exp({rho})\n")
+
+
+def test_gauge_overflow_refused_before_the_grid_is_allocated():
+    # at |mu3| = 1e8 the grid would have 5e8 points: a separate process whose address
+    # space is capped at 1 GiB, so that a grid allocated first fails the test
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(euclidpt.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "euclidpt.cli", "intensity", "--mu3", "1e8",
+                           "--truncation", "8", "--grid", "16"], capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("configuration error: --mu3: |psi|^2 overflows floating point: its "
+                           "gauge reaches exp(100000000.0)\n")
+
+
 @pytest.mark.parametrize("q", ["1", "-6", "25"])
 def test_real_q_trunc_is_an_upper_bound(q, capsys):
     # real q certifies on a short chain, so a --trunc too large to allocate is never built
@@ -698,15 +731,34 @@ def test_e3_adjoint_overflow_one_line_exit_1(args, capsys):
     assert err.startswith("configuration error: ")
 
 
+PT45_REST = ["--mu2", "0.3", "--mu4", "0.5", "--mu5", "0.8", "--mu6", "0.4", "--mu7", "-0.5",
+             "--mu8", "0.7"]
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--symmetry", "PT1", "--mu1", "1e308", "--mu3", "1e308"], "mu3"),
     (["--symmetry", "PT5", "--mu1", "1", "--mu5", "1", "--mu6", "1", "--mu2", "inf"], "mu2"),
     (["--symmetry", "PT1", "--lam", "1000"], "lam"),
     (["--symmetry", "PT5", "--three-param", "--mu3", "1e200", "--mu4", "1"], "mu3"),
     (["--symmetry", "PT5", "--three-param", "--mu3", "1", "--mu4", "nan"], "mu4"),
-], ids=["pt1-overflow", "pt5-inf", "lam-overflow", "three-param-overflow", "three-param-nan"])
+    # coth arguments so large that lam rounds to 0, where coth(lam) = 1/tanh(lam) divides
+    (["--symmetry", "PT5", "--mu1", "1e300", *PT45_REST], "mu1=1e+300"),
+    (["--symmetry", "PT4", "--mu1", "1e155", *PT45_REST], "mu1=1e+155"),
+    (["--symmetry", "PT5", "--mu5", "1e-300", *PT45_REST[:4], *PT45_REST[6:]], "mu5=1e-300"),
+    (["--symmetry", "PT5", "--three-param", "--mu3", "1e-300", "--mu4", "0.5", "--mu7", "0"],
+     "mu3=1e-300"),
+    # numpy overflows inside the algebra, before the finiteness check
+    (["--symmetry", "PT1", "--mu1", "1e-300", "--lam", "0.3", "--mu3", "0.2", "--mu4", "0.1"],
+     "mu1=1e-300"),
+    (["--symmetry", "PT3", "--mu1", "1", "--mu2", "0.1", "--mu3", "0.2", "--mu4", "0.9",
+      "--mu5", "0.3", "--mu6", "2", "--mu7", "1.7e308", "--mu8", "0.1"], "mu7=1.7e+308"),
+], ids=["pt1-overflow", "pt5-inf", "lam-overflow", "three-param-overflow", "three-param-nan",
+        "pt5-lam-zero", "pt4-lam-zero", "pt5-small-mu5", "three-param-lam-zero",
+        "pt1-warnings", "pt3-warnings"])
 def test_transform_bad_value_one_line_exit_1(args, flag, capsys):
-    code, out, err = run(["transform", *args], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["transform", *args], capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")

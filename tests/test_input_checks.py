@@ -1,6 +1,7 @@
 """Bad input to the library's public functions: one ValueError that names the argument."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ CASES = {
                            r"^q must be finite, got nan$"),
     "mathieu_function-a": (lambda: mathieu.mathieu_function(1.0, INF, "odd", THETA),
                            r"^a must be finite, got inf$"),
+    # lam = arcoth(K2) rounds to 0, where coth(lam) = 1/tanh(lam) divides
+    "hermitize-lam-zero": (lambda: dyson.hermitize("PT5", mu1=1e300, mu2=0.3, mu4=0.5, mu5=0.8,
+                                                   mu6=0.4, mu7=-0.5, mu8=0.7),
+                           r"^PT5 hermitization overflows floating point at mu1=1e\+300, "),
+    "reduce-lam-zero": (lambda: dyson.reduce_pt5_three_param(1e-300, 0.5, 0.0),
+                        r"^the three-parameter reduction overflows floating point at "
+                        r"mu3=1e-300, mu4=0.5$"),
+    "hermitize-pt1-overflow": (lambda: dyson.hermitize("PT1", mu1=1e-300, lam=0.3, mu3=0.2),
+                               r"^PT1 hermitization overflows floating point at lam=0.3, "),
+    "normalized-gauge": (lambda: spectral.WavefunctionSpec(np.ones(3), gauge=(0.0, 1e3j))
+                         .normalized(),
+                         r"^\|psi\|\^2 overflows floating point: its gauge reaches "
+                         r"exp\(1000.0\)$"),
+    "normalized-square": (lambda: spectral.WavefunctionSpec(np.ones(3), gauge=(0.0, 400j))
+                          .normalized(), r"gauge reaches exp\(400.0\)$"),
     **{f"{name}-trunc{trunc}": (call, rf"^trunc must be at least 3, got {trunc}$")
        for trunc in (0, 1, 2)
        for name, call in (
@@ -69,5 +85,6 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_bad_input_is_one_value_error_naming_the_argument(case):
     call, message = CASES[case]
-    with pytest.raises(ValueError, match=message):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+        warnings.simplefilter("error")
         call()

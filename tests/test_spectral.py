@@ -22,7 +22,7 @@ from euclidpt.spectral import (DRIFT_RTOL, SpectralProblem, SweepTemplate, Wavef
                                pt_eigenstate_check, pt_image, reality_transitions,
                                select_pair, sweep, wavefunction)
 
-from oracles import fourier_modes, generator_matrices
+from oracles import fourier_modes, generator_matrices, stepwise_hill_spectrum
 
 EL = E2Element.from_terms
 
@@ -345,6 +345,54 @@ def test_chains_match_dense_for_a_completed_square(sector):
                  one=0.1, u2=0.7, v2=-0.3, uv=0.4 + 0.2j)
     assert hill_form(element) is not None
     assert _dense_certificate(SpectralProblem(element, sector=sector)) <= 1e-8
+
+
+def _random_hill_element(rng, kind):
+    """c(J + a u + b v + d)^2 + V whose Hill form has u2, v2, uv coefficients (A, B, G) of
+    `kind`: "symmetric" (real A != B, G = 0: off-diagonals equal), "mixed-sign" (real A, B,
+    G = i t, |t| > |B - A|: real off-diagonals of opposite signs), "imaginary" (A = -B
+    imaginary, G = 0: imaginary off-diagonals, negative products), "decoupled" (A = B,
+    G = 0, a = b: zero off-diagonals) or "complex" (every coefficient complex).  Each term
+    that `completed_square` takes off is added in its own arithmetic, so the first harmonics
+    cancel and (A, B, G) come back exactly where the kind needs it."""
+    c, d, a, b, A, B, t = rng.uniform(0.5, 2.0), *rng.standard_normal(6).tolist()
+    G = 0.0
+    if kind == "mixed-sign":
+        G = 1j * (abs(B - A) + 0.5 + abs(t))
+    elif kind == "imaginary":
+        A, B = -1j * abs(t), 1j * abs(t)
+    elif kind == "decoupled":
+        a, B = b, A
+    elif kind == "complex":
+        c, a, A, B, G = (complex(x, y) for x, y in rng.standard_normal((5, 2)).tolist())
+    c = 0j + c
+    cuj, cvj, cj = 2 * c * a, 2 * c * b, 2 * c * d
+    a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)   # as `completed_square` reads them
+    return E2Element([rng.standard_normal(), c * (1j * b + 2 * a * d),
+                      c * (-1j * a + 2 * b * d), cj, A + c * a * a, B + c * b * b,
+                      G + 2 * c * a * b, cuj, cvj, c])
+
+
+HILL_KINDS = ("symmetric", "mixed-sign", "imaginary", "decoupled", "complex")
+
+
+@pytest.mark.parametrize("kind", HILL_KINDS)
+def test_hill_path_matches_the_stepwise_oracle_bit_for_bit(kind):
+    rng = np.random.default_rng(HILL_KINDS.index(kind))
+    for _ in range(3):
+        element = _random_hill_element(rng, kind)
+        assert hill_form(element) is not None
+        for sector in (0.0, 0.37, 1.0):
+            for truncation in (4, 16, 64):
+                problem = SpectralProblem(element, sector=sector, truncation=truncation)
+                spectrum = eigen_spectrum(problem)
+                levels, chains = stepwise_hill_spectrum(problem)
+                assert spectrum.eigenvalues.tobytes() == levels.tobytes()
+                assert len(spectrum.blocks) == len(chains) == 2
+                for (matrix, bands, _), expected in zip(spectrum.blocks, chains):
+                    assert matrix.dtype == expected[0].dtype
+                    for band, want in zip(bands, expected):
+                        assert band.dtype == want.dtype and band.tobytes() == want.tobytes()
 
 
 def _mu(**couplings):
