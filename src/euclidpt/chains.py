@@ -29,26 +29,46 @@ def tridiagonal_eigenvalues(diag, upper, lower):
     failure raises LinAlgError); otherwise real off-diagonals stay as they
     are and complex ones become upper sqrt|p|, lower sign(p) sqrt|p|, for
     the dense real solver.  Every other chain takes the dense complex
-    solver.  The chain must be finite and at least 2 long.
+    solver.  The chain must be finite and at least 2 long.  Complex bands
+    with no imaginary part give bit for bit the values of their real parts:
+    a product's real part is the real product, up to the sign of a zero,
+    and the symmetric solve takes sqrt|p|, as `dstevd` reads only |e|.
+
+    Bands of shape (m, n) and (m, n - 1) are a stack of m chains, and give
+    an (m, n) array: each row routed and solved as that chain alone, bit for
+    bit.  The products, the tests and the square roots are taken for the
+    whole stack; only the LAPACK calls loop over its rows.
     """
+    if diag.ndim == 1:
+        return tridiagonal_eigenvalues(diag[None], upper[None], lower[None])[0]
     products = upper * lower
-    if _has_imag(diag) or _has_imag(products):
-        return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper, lower))
-    diag, products = diag.real, products.real
-    if products.min() >= 0:
-        w, _, info = scipy.linalg.lapack.dstevd(diag, np.sqrt(products), compute_v=0)
-        if info:
-            raise scipy.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
-        return w.astype(complex)
-    if _has_imag(upper) or _has_imag(lower):
-        upper = np.sqrt(np.abs(products))
-        lower = np.sign(products) * upper
-    return scipy.linalg.eigvals(tridiagonal_matrix(diag, upper.real, lower.real))
+    dense = _imag_rows(diag, products)
+    products = products.real
+    symmetric = (np.minimum.reduce(products, axis=1) >= 0).tolist()
+    signed = _imag_rows(upper, lower)
+    root = np.sqrt(np.abs(products))
+    w = np.empty(diag.shape, complex)
+    for i, (cplx, sym, sign) in enumerate(zip(dense, symmetric, signed)):
+        if cplx:
+            w[i] = scipy.linalg.eigvals(tridiagonal_matrix(diag[i], upper[i], lower[i]))
+        elif sym:
+            w[i], _, info = scipy.linalg.lapack.dstevd(diag[i].real, root[i], compute_v=0)
+            if info:
+                raise scipy.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
+        else:
+            up, low = (root[i], np.sign(products[i]) * root[i]) if sign else (upper[i], lower[i])
+            w[i] = scipy.linalg.eigvals(tridiagonal_matrix(diag[i].real, up.real, low.real))
+    return w
 
 
-def _has_imag(band):
-    """Whether a band has a nonzero imaginary part; a real band allocates no zero `.imag`."""
-    return band.dtype.kind == "c" and band.imag.any()
+def _imag_rows(*stacks):
+    """For each row of equal-height stacks of bands, whether one has a nonzero imaginary
+    part; real bands allocate no zero `.imag`."""
+    rows = np.zeros(len(stacks[0]), bool)
+    for bands in stacks:
+        if bands.dtype.kind == "c":
+            rows |= np.logical_or.reduce(bands.imag != 0, axis=1)
+    return rows.tolist()
 
 
 def tridiagonal_matrix(diag, upper, lower):

@@ -303,7 +303,6 @@ def _cmd_transform(args):
         free = {"mu3": args.mu3 if args.mu3 is not None else 1.0,
                 "mu4": args.mu4 if args.mu4 is not None else 0.0,
                 "mu7": args.mu7 if args.mu7 is not None else 0.0}
-        result = dyson.reduce_pt5_three_param(**free)
     else:
         free = {}
         for name in dyson.free_parameter_names(args.symmetry):
@@ -312,6 +311,12 @@ def _cmd_transform(args):
                 free[name] = value
         if args.symmetry == "PT3" and args.mu9_target is not None:
             free["mu9_target"] = args.mu9_target
+    # the solver checks the values it takes; the report echoes the others too
+    _check_finite(args, *(flag for flag in _TRANSFORM_VALUES
+                          if flag[2:].replace("-", "_") not in free))
+    if args.three_param:
+        result = dyson.reduce_pt5_three_param(**free)
+    else:
         result = dyson.hermitize(args.symmetry, **free).as_dict()
     report = {"command": "transform", "config": _config_echo(args),
               "free": free, "result": result}
@@ -431,6 +436,9 @@ def _cmd_e3_adjoint(args):
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
+
+_TRANSFORM_VALUES = ("--lam", *(f"--mu{i}" for i in range(1, 9)), "--mu9-target")
+
 
 def _transform_flags(p):
     p.add_argument("--symmetry", required=True,

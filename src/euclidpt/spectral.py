@@ -29,6 +29,7 @@ MIN_TRUNCATION = 4
 REALITY_RTOL = 1e-8
 MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
 DRIFT_RTOL = 1e-10    # how far `sweep`'s working truncation may move a probe's levels from N's
+STACK = 64            # grid points `_solve_grid` solves as one stack of Hill chains
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,33 @@ def build_matrix(p: SpectralProblem) -> np.ndarray:
     """
     c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = p.element.coeffs.tolist()
     dim = 2 * p.truncation + 1
-    k = np.arange(-p.truncation, p.truncation + 1) + p.sector / 2.0
+    k, diag, upper, lower = _even_bands((c1, cj, cu2, cv2, cuv, cj2), p.sector, p.truncation)
     m = np.zeros((dim, dim), dtype=complex)
     flat = m.reshape(-1)
-    flat[::dim + 1] = c1 + cj * k + cj2 * k * k + (cu2 + cv2) / 2
-    flat[0] += 0.25j * cuv - (cu2 + cv2) / 4
-    flat[-1] += -0.25j * cuv - (cu2 + cv2) / 4
+    flat[::dim + 1] = diag
     flat[1::dim + 1] = (0.5j * cu + 0.5 * cv) + (0.5j * cuj + 0.5 * cvj) * k[1:]
     flat[dim::dim + 1] = (-0.5j * cu + 0.5 * cv) + (-0.5j * cuj + 0.5 * cvj) * k[:-1]
-    flat[2:dim * (dim - 2):dim + 1] = (cv2 - cu2) / 4 + 0.25j * cuv
-    flat[2 * dim::dim + 1] = (cv2 - cu2) / 4 - 0.25j * cuv
+    flat[2:dim * (dim - 2):dim + 1] = upper
+    flat[2 * dim::dim + 1] = lower
     return m
+
+
+def _even_bands(square, sector, truncation):
+    """(k, diagonal, [n - 2, n], [n + 2, n]) of `build_matrix` on the modes k = n + s/2.
+
+    `square` holds the coefficients of 1, J, u2, v2, uv and J2, in the order
+    of a `completed_square`, which fix these bands; the two off-diagonals are
+    constant.  Numbers give one matrix's bands.  Columns of m coefficients
+    and sectors, shape (m, 1), give m rows of each, every entry by the same
+    arithmetic, so a stack of Hill chains is bit for bit the chains that
+    `_blocks` slices from each matrix.
+    """
+    c1, cj, cu2, cv2, cuv, cj2 = square
+    k = np.arange(-truncation, truncation + 1) + sector / 2.0
+    diag = c1 + cj * k + cj2 * k * k + (cu2 + cv2) / 2
+    diag[..., :1] += 0.25j * cuv - (cu2 + cv2) / 4
+    diag[..., -1:] += -0.25j * cuv - (cu2 + cv2) / 4
+    return k, diag, (cv2 - cu2) / 4 + 0.25j * cuv, (cv2 - cu2) / 4 - 0.25j * cuv
 
 
 def hill_form(element: E2Element) -> E2Element | None:
@@ -360,21 +377,48 @@ def _level_drift(exact, cut):
 
 
 @_solve_guard
+def _stacked_levels(work, squares, sectors):
+    """What `_tracked_levels(work)` gives at the Hill element of each `completed_square`
+    of `squares`, in its sector, at work.truncation, row by row and bit for bit.
+
+    The bands of the whole stack come from `_even_bands` at once, and each
+    parity's chains are one stack for `tridiagonal_eigenvalues`, which solves
+    a complex chain with no imaginary part as `_blocks`'s real one.
+    """
+    square = np.array(squares).T[:, :, None]
+    _, diag, upper, lower = _even_bands(square, np.array(sectors)[:, None], work.truncation)
+    solved = []
+    for chain in (diag[:, 0::2], diag[:, 1::2]):
+        shape = len(chain), chain.shape[1] - 1
+        solved.append(tridiagonal_eigenvalues(chain, np.broadcast_to(upper, shape),
+                                              np.broadcast_to(lower, shape)))
+    w = np.concatenate(solved, axis=1)
+    order = w.real.argsort(axis=1, kind="stable")[:, :work.track_levels]
+    return np.take_along_axis(w, order, axis=1)
+
+
+@_solve_guard
 def _solve_grid(template, axis, values, measure, drift, workers=1):
     """(n, drift, {x: measure(problem at x, truncation n)}, forms) for the x of `values`.
 
-    measure(p) is what a sweep reports at the SpectralProblem p; drift(exact, cut) is how
-    far `cut`, measured at n, lies from `exact`, measured at N = template.truncation, in the
-    units of DRIFT_RTOL.  n is the smallest of 16 and 32 below N that trusts the tracked
-    levels and keeps the drift <= DRIFT_RTOL at both ends and where the `hill_form`'s |q^2|
-    peaks; else n is N.  Each grid element is built once, for the solves and for its
-    `completed_square`, which gives the |q^2| scan and `forms`, the `_mathieu_form` at each
-    of `values`.  With workers > 1 the points the probes left are solved on a thread pool
-    (LAPACK releases the GIL).  An overflowing square or q^2 raises ValueError.
+    measure(p) is what a sweep reports at the SpectralProblem p, None for its tracked levels
+    (`_tracked_levels`); drift(exact, cut) is how far `cut`, measured at n, lies from
+    `exact`, measured at N = template.truncation, in the units of DRIFT_RTOL.  n is the
+    smallest of 16 and 32 below N that trusts the tracked levels and keeps the drift
+    <= DRIFT_RTOL at both ends and where the `hill_form`'s |q^2| peaks; else n is N.  Each
+    grid element is built once, for the solves and for its `completed_square`, which gives
+    the |q^2| scan and `forms`, the `_mathieu_form` at each of `values`.  The probes are
+    solved one by one.  When measure is None and every point they left has a Hill square,
+    those points are solved in stacks of at most STACK (`_stacked_levels`); otherwise one
+    by one.  With workers > 1 the stacks or points are solved on a thread pool (LAPACK
+    releases the GIL).  An overflowing square or q^2 raises ValueError.
     """
     points = {x: template.element_at(axis, x) for x in map(float, values)}
     squares = {x: completed_square(e.coeffs.tolist()) for x, (e, _) in points.items()}
     forms = tuple(_mathieu_form(squares[x], points[x][1]) for x in map(float, values))
+    stacked = measure is None
+    if stacked:
+        measure = _tracked_levels(template)
 
     def solve(x, truncation):
         return measure(SpectralProblem(*points[x], truncation=truncation))
@@ -394,12 +438,28 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
                 n, worst, solved = size, gap, cut
                 break
     todo = [x for x in points if x not in solved]
+    end = 0
+    if stacked and None not in map(squares.get, todo):
+        # from a sector outside [0, 2) on, points go one by one: its SpectralProblem refuses it
+        end = next((i for i, x in enumerate(todo) if not 0.0 <= points[x][1] < 2.0), len(todo))
+    work = replace(template, truncation=n)
+
+    def solve_stack(xs):
+        return _stacked_levels(work, [squares[x] for x in xs], [points[x][1] for x in xs])
+
+    def solve_points(xs):
+        return [solve(x, n) for x in xs]
+
+    tasks = [(solve_stack, todo[i:i + STACK]) for i in range(0, end, STACK)]
+    tasks += [(solve_points, [x]) for x in todo[end:]]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved.update(zip(todo, pool.map(lambda x: solve(x, n), todo)))
+            results = list(pool.map(lambda task: task[0](task[1]), tasks))
     else:
-        solved.update((x, solve(x, n)) for x in todo)
+        results = [run(xs) for run, xs in tasks]
+    for (_, xs), levels in zip(tasks, results):
+        solved.update(zip(xs, levels))
     return n, float(worst), solved, forms
 
 
@@ -483,18 +543,18 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     until the match is unambiguous; TrackingAmbiguity is raised after
     MAX_HALVINGS halvings.  The median skips spacings at most
     REALITY_RTOL*max(1, |E|): degenerate levels, such as the two Hill
-    chains give in the fermionic sector, and conjugate pairs.  With
-    workers > 1 the grid-point eigensolves run on a thread pool; the
-    continuation itself stays an ordered sequential reduction.  Every level
+    chains give in the fermionic sector, and conjugate pairs.  Every level
     is solved at the smallest certified truncation <= template.truncation
     (`_solve_grid`), recorded in `SweepResult.truncation` and `.drift`; the
-    grid's `forms` go with them to `find_exceptional_points`.
+    grid's `forms` go with them to `find_exceptional_points`.  A grid of
+    Hill elements is solved in stacks of chains, any other point by point;
+    with workers > 1 the stacks or points run on a thread pool.  The
+    continuation itself stays an ordered sequential reduction.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     values = np.linspace(lo, hi, steps)
-    n, drift, cache, forms = _solve_grid(template, axis, values, _tracked_levels(template),
-                                         _level_drift, workers)
+    n, drift, cache, forms = _solve_grid(template, axis, values, None, _level_drift, workers)
     work = replace(template, truncation=n)
 
     def levels(x):

@@ -236,13 +236,13 @@ def stepwise_hill_spectrum(problem):
     """(levels sorted by real part, each chain's three bands) of a Hill element, step by step.
 
     The Hill path of `spectral.eigen_spectrum` as first written: the Hill
-    element term by term through `from_terms`, its matrix through
+    element term by term through `from_terms`, its `stepwise_matrix` through
     `dataclasses.replace`, each chain's three diagonals sliced and called real
     when no band has a nonzero imaginary part, and `stepwise_chain_eigenvalues`.
     """
     v0, cj, alpha, beta, gamma, c = completed_square(problem.element.coeffs.tolist())
     hill = E2Element.from_terms(one=v0, J=cj, u2=alpha, v2=beta, uv=gamma, J2=c)
-    matrix = build_matrix(replace(problem, element=hill))
+    matrix = stepwise_matrix(replace(problem, element=hill))
     chains = []
     for k in (0, 1):
         chain = matrix[k::2, k::2]
@@ -252,6 +252,24 @@ def stepwise_hill_spectrum(problem):
         chains.append(bands)
     w = np.concatenate([stepwise_chain_eigenvalues(*bands) for bands in chains])
     return w[np.argsort(w.real, kind="stable")], chains
+
+
+def stepwise_matrix(problem):
+    """`spectral.build_matrix` as first written, each of its five diagonals and both corner
+    terms filled in place from the ten coefficients as Python numbers."""
+    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, cj2 = problem.element.coeffs.tolist()
+    dim = 2 * problem.truncation + 1
+    k = np.arange(-problem.truncation, problem.truncation + 1) + problem.sector / 2.0
+    m = np.zeros((dim, dim), dtype=complex)
+    flat = m.reshape(-1)
+    flat[::dim + 1] = c1 + cj * k + cj2 * k * k + (cu2 + cv2) / 2
+    flat[0] += 0.25j * cuv - (cu2 + cv2) / 4
+    flat[-1] += -0.25j * cuv - (cu2 + cv2) / 4
+    flat[1::dim + 1] = (0.5j * cu + 0.5 * cv) + (0.5j * cuj + 0.5 * cvj) * k[1:]
+    flat[dim::dim + 1] = (-0.5j * cu + 0.5 * cv) + (-0.5j * cuj + 0.5 * cvj) * k[:-1]
+    flat[2:dim * (dim - 2):dim + 1] = (cv2 - cu2) / 4 + 0.25j * cuv
+    flat[2 * dim::dim + 1] = (cv2 - cu2) / 4 - 0.25j * cuv
+    return m
 
 
 def stepwise_chain_eigenvalues(diag, upper, lower):

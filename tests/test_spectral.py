@@ -22,7 +22,8 @@ from euclidpt.spectral import (DRIFT_RTOL, SpectralProblem, SweepTemplate, Wavef
                                pt_eigenstate_check, pt_image, reality_transitions,
                                select_pair, sweep, wavefunction)
 
-from oracles import fourier_modes, generator_matrices, stepwise_hill_spectrum
+from oracles import (fourier_modes, generator_matrices, stepwise_chain_eigenvalues,
+                     stepwise_hill_spectrum)
 
 EL = E2Element.from_terms
 
@@ -395,6 +396,93 @@ def test_hill_path_matches_the_stepwise_oracle_bit_for_bit(kind):
                         assert band.dtype == want.dtype and band.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("truncation", [4, 16, 64])
+def test_stacked_levels_match_eigen_spectrum_bit_for_bit(truncation):
+    # one stack of every chain kind in sectors 0, 0.37 and 1: real and complex chains,
+    # dstevd, the dense real and complex solvers and the sqrt rewrite, row by row
+    rng = np.random.default_rng(truncation)
+    cases = [(_random_hill_element(rng, kind), sector)
+             for kind in HILL_KINDS for _ in range(3) for sector in (0.0, 0.37, 1.0)]
+    squares = [algebra.completed_square(e.coeffs.tolist()) for e, _ in cases]
+    sectors = [sector for _, sector in cases]
+    work = SweepTemplate(truncation=truncation, track_levels=2 * truncation + 1)
+    stacked = spectral._stacked_levels(work, squares, sectors)
+    assert stacked.shape == (len(cases), 2 * truncation + 1)
+    for (element, sector), levels in zip(cases, stacked):
+        problem = SpectralProblem(element, sector=sector, truncation=truncation)
+        assert levels.tobytes() == eigen_spectrum(problem).eigenvalues.tobytes()
+        assert levels.tobytes() == stepwise_hill_spectrum(problem)[0].tobytes()
+    for i in (0, 13, len(cases) - 1):   # a stack of one
+        assert spectral._stacked_levels(work, squares[i:i + 1], sectors[i:i + 1]).tobytes() \
+            == stacked[i:i + 1].tobytes()
+    few = replace(work, track_levels=3)
+    assert spectral._stacked_levels(few, squares, sectors).tobytes() == \
+        np.ascontiguousarray(stacked[:, :3]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "skew", "decoupled", "underflow"])
+def test_complex_bands_without_imaginary_part_solve_as_real_ones(kind):
+    # a stack of complex chains with +-0 imaginary parts against each real chain alone
+    rng = np.random.default_rng(len(kind))
+    diag = rng.standard_normal((6, 9))
+    upper, lower = rng.standard_normal((2, 6, 8))
+    if kind == "symmetric":
+        lower = upper * rng.uniform(0.5, 2.0, (6, 8))
+    elif kind == "decoupled":
+        upper[:, ::3] = 0.0
+        lower[:, 1::2] = -0.0
+    elif kind == "underflow":
+        upper, lower = np.abs(upper) * 1e-170, np.abs(lower) * 1e-170
+    signs = rng.choice([0.0, -0.0], (3, 6, 9))
+    stacked = chains.tridiagonal_eigenvalues(diag + 1j * signs[0], upper + 1j * signs[1, :, :8],
+                                             lower + 1j * signs[2, :, :8])
+    for row, bands in zip(stacked, zip(diag, upper, lower)):
+        assert row.tobytes() == chains.tridiagonal_eigenvalues(*bands).tobytes()
+        assert row.tobytes() == stepwise_chain_eigenvalues(*bands).tobytes()
+
+
+GRIDS = {   # (template, axis, values): two stacks of STACK points and a last one of one
+    "bands-s": (SweepTemplate(mu=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), track_levels=6),
+                "s", np.linspace(0.0, 1.99, 2 * 64 + 3)),   # two probes at 64 and at 16
+    "window": (SweepTemplate(family="pt5-three", mu=(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 4.0, 0.0, 0.0),
+                             truncation=16), "mu3", np.linspace(-4.0, 4.0, 2 * 64 + 1)),
+    "broken-s": (SweepTemplate(family="pt5-three",
+                               mu=(1.0, 0.0, 2.0, 1.0, 0.0, 0.0, 4.0, 0.0, 0.0),
+                               truncation=8, track_levels=9), "s", np.linspace(0.0, 1.9, 129)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_stacked_grid_matches_the_point_by_point_solve_bit_for_bit(grid, monkeypatch):
+    template, axis, values = GRIDS[grid]
+    stacks = []
+    stacked_levels = spectral._stacked_levels
+    monkeypatch.setattr(spectral, "_stacked_levels",
+                        lambda work, squares, sectors: stacks.append(len(squares))
+                        or stacked_levels(work, squares, sectors))
+    n, drift, stacked, forms = spectral._solve_grid(template, axis, values, None,
+                                                    spectral._level_drift)
+    assert stacks == [spectral.STACK, spectral.STACK, 1]
+    one_by_one = spectral._solve_grid(template, axis, values, spectral._tracked_levels(template),
+                                      spectral._level_drift)
+    assert len(stacks) == 3   # a measure of its own is solved point by point
+    assert (n, drift, forms) == one_by_one[:2] + one_by_one[3:]
+    assert list(stacked) == list(one_by_one[2])
+    for x, levels in one_by_one[2].items():
+        assert stacked[x].tobytes() == levels.tobytes(), f"{axis}={x}"
+
+
+def test_stacked_grid_refuses_a_sector_where_a_point_would():
+    # -1e-300 % 2 rounds to 2.0: the point-by-point solve refuses that sector, after the points
+    # before it; the stacks stop there and leave it to the same refusal
+    template = SweepTemplate(mu=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), truncation=8,
+                             track_levels=2)
+    values = [0.5, 1.0, -1e-300, 1.5]
+    for measure in (None, spectral._tracked_levels(template)):
+        with pytest.raises(ValueError, match=r"^sector must lie in \[0, 2\), got 2.0$"):
+            spectral._solve_grid(template, "s", values, measure, spectral._level_drift)
+
+
 def _mu(**couplings):
     mu = [1.0] + [0.0] * 8
     for name, value in couplings.items():
@@ -567,13 +655,60 @@ def test_the_largest_coupling_decides_the_truncation():
             assert (_drift(cut, exact) <= DRIFT_RTOL) == (k != 4), f"mu4={x}"
 
 
-def test_sweep_workers_give_the_same_curves():
+def test_sweep_workers_give_the_same_curves(monkeypatch):
+    # the window grid leaves 159 points after its probes: stacks of 64, 64 and 31
     template, axis, lo, hi, steps = README_SWEEPS["window"]
+    stacks = []
+    stacked_levels = spectral._stacked_levels
+    monkeypatch.setattr(spectral, "_stacked_levels", lambda work, squares, sectors: stacks.append(
+        (len(squares), threading.current_thread() is threading.main_thread()))
+        or stacked_levels(work, squares, sectors))
     one = sweep(template, axis, lo, hi, steps)
+    assert stacks == [(64, True), (64, True), (31, True)]
+    stacks.clear()
     two = sweep(template, axis, lo, hi, steps, workers=2)
+    assert sorted(stacks) == [(31, False), (64, False), (64, False)]
     np.testing.assert_array_equal(one.curves, two.curves)
     assert (one.truncation, one.drift, one.refined_points) == \
         (two.truncation, two.drift, two.refined_points)
+
+
+@pytest.mark.parametrize("recipe", sorted(README_SWEEPS))
+def test_sweeps_solve_one_by_one_only_probes_refinements_and_certificates(recipe, monkeypatch):
+    solved, built, crossings = [], [], []
+    for name, log, arg in (("eigen_spectrum", solved, lambda p: p.truncation),
+                           ("build_matrix", built, lambda p: p.truncation)):
+        monkeypatch.setattr(spectral, name, lambda p, f=getattr(spectral, name), log=log, arg=arg:
+                            log.append(arg(p)) or f(p))
+    bisect = spectral.bisect_transition
+    monkeypatch.setattr(spectral, "bisect_transition",
+                        lambda *args: crossings.append(args[1]) or bisect(*args))
+    template, axis, lo, hi, steps = README_SWEEPS[recipe]
+    result = sweep(template, axis, lo, hi, steps)
+    probes = solved.count(template.truncation)   # the ends and the |q^2| peak, at N and at 16
+    assert 2 <= probes <= 3 and result.truncation == 16
+    assert solved == [64] * probes + [16] * (probes + result.refined_points)
+    if recipe.startswith("ep-"):   # one solve on either side of each catalogue crossing
+        assert find_exceptional_points(result) and crossings
+        assert solved[2 * probes + result.refined_points:] == [16] * (2 * len(crossings))
+    assert built == solved
+
+
+def test_a_long_sweep_builds_one_stack_at_a_time(monkeypatch):
+    # the band arrays a sweep holds at once are bounded by STACK points, whatever its length
+    calls = []
+    even_bands = spectral._even_bands
+    monkeypatch.setattr(spectral, "_even_bands", lambda square, sector, truncation: calls.append(
+        (np.shape(sector), truncation)) or even_bands(square, sector, truncation))
+    template = SweepTemplate(family="pt5-three", mu=_mu(mu4=1, mu7=4), truncation=64)
+    result = sweep(template, "mu3", -4, 4, 2001)
+    probes = calls.count(((), 64))   # one `build_matrix` per probe at N, and again at 16
+    stacks = [shape for shape, truncation in calls if shape]
+    assert result.truncation == 16 and 2 <= probes <= 3
+    assert calls.count(((), 16)) == probes + result.refined_points
+    assert len(stacks) == math.ceil((2001 - probes) / spectral.STACK)
+    assert all(rows <= spectral.STACK and column == 1 for rows, column in stacks)
+    assert sum(rows for rows, _ in stacks) == 2001 - probes
 
 
 def test_the_certificate_pairs_levels_by_assignment(monkeypatch):
