@@ -20,7 +20,8 @@ import scipy.linalg
 
 from . import dyson
 from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
-from .chains import certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues
+from .chains import (certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues,
+                     tridiagonal_matrix)
 from .errors import ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_finite, unknown_tag
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
@@ -210,10 +211,8 @@ def _blocks(p):
     """(matrix, bands, wave) for each block whose levels together are those of p.
 
     wave(v) is the `WavefunctionSpec` of a vector v of the block.  A
-    `hill_form` gives its even- and odd-mode chains, each real unless it
-    has an imaginary part, with `bands` their three diagonals, real or
-    complex as the chain is; a chain vector is a series on the chain's own
-    modes, every other one of -N..N, times the gauge `hill_form` removes.
+    `hill_form` gives its even- and odd-mode chains (`_chain_blocks`), each
+    sliced from the Hill matrix and real unless it has an imaginary part.
     Otherwise the one block, `bands` None, is the `_real_form` (vectors
     times D) or the complex matrix (vectors as they are), on modes -N..N.
     """
@@ -225,16 +224,29 @@ def _blocks(p):
             return [(matrix, None, lambda v: WavefunctionSpec(v, p.sector))]
         return [(real, None, lambda v: WavefunctionSpec(v * _pt5_phases(p.truncation), p.sector))]
     matrix = build_matrix(SpectralProblem(hill, p.sector, p.truncation))
-    *_, cuj, cvj, c = p.element.coeffs.tolist()
+    chains = [matrix[k::2, k::2] for k in (0, 1)]   # no nonzero entry off their three diagonals
+    blocks = _chain_blocks(p.element, p.sector, p.truncation,
+                           [[chain.diagonal(j) for j in (0, 1, -1)] for chain in chains])
+    return [(chain.real if bands[0].dtype == float else chain, bands, wave)
+            for chain, (bands, wave) in zip(chains, blocks)]
+
+
+def _chain_blocks(element, sector, truncation, chains):
+    """(bands, wave) of the even- and the odd-mode Hill chain of the element, each given
+    by its three diagonals, `bands`, which become real when none has an imaginary part.
+
+    wave(v) is the `WavefunctionSpec` of a chain vector v: a series on the
+    chain's own modes, every other one of -N..N, times the gauge `hill_form`
+    removes.
+    """
+    *_, cuj, cvj, c = element.coeffs.tolist()
     gauge = cuj / (2 * c), cvj / (2 * c)
     blocks = []
-    for k in (0, 1):
-        chain = matrix[k::2, k::2]
-        if not chain.imag.any():   # its three diagonals are its only nonzero entries
-            chain = chain.real
-        bands = [chain.diagonal(j) for j in (0, 1, -1)]
-        blocks.append((chain, bands, functools.partial(
-            WavefunctionSpec, sector=p.sector, first=k - p.truncation, step=2, gauge=gauge)))
+    for k, bands in enumerate(chains):
+        if not any(band.imag.any() for band in bands):
+            bands = [band.real for band in bands]
+        blocks.append((bands, functools.partial(WavefunctionSpec, sector=sector,
+                                                first=k - truncation, step=2, gauge=gauge)))
     return blocks
 
 
@@ -363,12 +375,12 @@ class SweepResult:
 
 
 def _levels_at(template, axis, value):
-    return _tracked_levels(template)(template.problem_at(axis, value))
+    return _tracked_levels(template)(eigen_spectrum(template.problem_at(axis, value)))
 
 
 def _tracked_levels(template):
-    """What `sweep` measures at a SpectralProblem: its template.track_levels lowest levels."""
-    return lambda p: eigen_spectrum(p).eigenvalues[:template.track_levels]
+    """What `sweep` measures at a `Spectrum`: its template.track_levels lowest levels."""
+    return lambda spectrum: spectrum.eigenvalues[:template.track_levels]
 
 
 def _level_drift(exact, cut):
@@ -377,51 +389,77 @@ def _level_drift(exact, cut):
 
 
 @_solve_guard
-def _stacked_levels(work, squares, sectors):
-    """What `_tracked_levels(work)` gives at the Hill element of each `completed_square`
-    of `squares`, in its sector, at work.truncation, row by row and bit for bit.
+def _hill_stack(work, squares, sectors):
+    """(chains, w, order) of the Hill element of each `completed_square` of `squares`, in its
+    sector, at work.truncation: row by row and bit for bit what `eigen_spectrum` solves.
 
-    The bands of the whole stack come from `_even_bands` at once, and each
-    parity's chains are one stack for `tridiagonal_eigenvalues`, which solves
-    a complex chain with no imaginary part as `_blocks`'s real one.
+    chains holds the even- and the odd-mode chains' stacked (diag, upper, lower), w each
+    row's levels, the even chain's then the odd one's, and order the stable argsort of each
+    row by real part.  The bands of the whole stack come from `_even_bands` at once, and
+    each parity's chains are one stack for `tridiagonal_eigenvalues`, which solves a
+    complex chain with no imaginary part as `_blocks`'s real one.
     """
     square = np.array(squares).T[:, :, None]
     _, diag, upper, lower = _even_bands(square, np.array(sectors)[:, None], work.truncation)
-    solved = []
+    chains, solved = [], []
     for chain in (diag[:, 0::2], diag[:, 1::2]):
         shape = len(chain), chain.shape[1] - 1
-        solved.append(tridiagonal_eigenvalues(chain, np.broadcast_to(upper, shape),
-                                              np.broadcast_to(lower, shape)))
+        chains.append((chain, np.broadcast_to(upper, shape), np.broadcast_to(lower, shape)))
+        solved.append(tridiagonal_eigenvalues(*chains[-1]))
     w = np.concatenate(solved, axis=1)
-    order = w.real.argsort(axis=1, kind="stable")[:, :work.track_levels]
-    return np.take_along_axis(w, order, axis=1)
+    return chains, w, w.real.argsort(axis=1, kind="stable")
+
+
+def _stacked_levels(work, squares, sectors):
+    """What `_tracked_levels(work)` gives at each Hill point of `_hill_stack`, as the rows of
+    one array."""
+    _, w, order = _hill_stack(work, squares, sectors)
+    return np.take_along_axis(w, order[:, :work.track_levels], axis=1)
+
+
+def _stacked_spectra(work, points, squares):
+    """The `eigen_spectrum` of each point (element, sector) with a Hill square, from one
+    `_hill_stack`, bit for bit but for the blocks' matrices: each is None, and `wavefunction`
+    builds it from the chain's bands when it solves a level of that chain."""
+    chains, w, order = _hill_stack(work, squares, [sector for _, sector in points])
+    n = work.truncation
+    levels = np.take_along_axis(w, order, axis=1)
+    block_index = np.arange(2).repeat([n + 1, n])[order]
+    for i, (element, sector) in enumerate(points):
+        blocks = [(None, bands, wave) for bands, wave in _chain_blocks(
+            element, sector, n, [[band[i] for band in bands] for bands in chains])]
+        yield Spectrum(eigenvalues=levels[i], truncation=n, sector=sector, blocks=blocks,
+                       block_index=block_index[i], trusted_count=trusted_count(n))
 
 
 @_solve_guard
 def _solve_grid(template, axis, values, measure, drift, workers=1):
-    """(n, drift, {x: measure(problem at x, truncation n)}, forms) for the x of `values`.
+    """(n, drift, {x: measure(spectrum at x, truncation n)}, forms) for the x of `values`.
 
-    measure(p) is what a sweep reports at the SpectralProblem p, None for its tracked levels
-    (`_tracked_levels`); drift(exact, cut) is how far `cut`, measured at n, lies from
-    `exact`, measured at N = template.truncation, in the units of DRIFT_RTOL.  n is the
+    measure(spectrum) is what a sweep reports at a point from its `Spectrum`, None for its
+    tracked levels (`_tracked_levels`); drift(exact, cut) is how far `cut`, measured at n, lies
+    from `exact`, measured at N = template.truncation, in the units of DRIFT_RTOL.  n is the
     smallest of 16 and 32 below N that trusts the tracked levels and keeps the drift
     <= DRIFT_RTOL at both ends and where the `hill_form`'s |q^2| peaks; else n is N.  Each
     grid element is built once, for the solves and for its `completed_square`, which gives
     the |q^2| scan and `forms`, the `_mathieu_form` at each of `values`.  The probes are
-    solved one by one.  When measure is None and every point they left has a Hill square,
-    those points are solved in stacks of at most STACK (`_stacked_levels`); otherwise one
-    by one.  With workers > 1 the stacks or points are solved on a thread pool (LAPACK
-    releases the GIL).  An overflowing square or q^2 raises ValueError.
+    solved one by one, by `eigen_spectrum`.  When every point they left has a Hill square
+    and a sector in [0, 2), those points are solved in stacks of at most STACK
+    (`_hill_stack`): the tracked levels are sliced from the stack's arrays, and any other
+    measure takes the `Spectrum` of each row (`_stacked_spectra`).  A stack that raises is
+    solved again one by one, so the first point to fail raises its own error.  Otherwise
+    every point is solved one by one.  With workers > 1 the stacks or points are solved on
+    a thread pool (LAPACK releases the GIL).  An overflowing square or q^2 raises ValueError.
     """
     points = {x: template.element_at(axis, x) for x in map(float, values)}
     squares = {x: completed_square(e.coeffs.tolist()) for x, (e, _) in points.items()}
     forms = tuple(_mathieu_form(squares[x], points[x][1]) for x in map(float, values))
-    stacked = measure is None
-    if stacked:
+    tracked = measure is None
+    if tracked:
         measure = _tracked_levels(template)
 
     def solve(x, truncation):
-        return measure(SpectralProblem(*points[x], truncation=truncation))
+        return measure(eigen_spectrum(SpectralProblem(*points[x], truncation=truncation)))
 
     sizes = [n for n in (16, 32)
              if n < template.truncation and trusted_count(n) >= template.track_levels]
@@ -438,28 +476,32 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
                 n, worst, solved = size, gap, cut
                 break
     todo = [x for x in points if x not in solved]
-    end = 0
-    if stacked and None not in map(squares.get, todo):
-        # from a sector outside [0, 2) on, points go one by one: its SpectralProblem refuses it
-        end = next((i for i, x in enumerate(todo) if not 0.0 <= points[x][1] < 2.0), len(todo))
+    # a sector outside [0, 2) is left to its SpectralProblem, which refuses it
+    stacks = all(squares[x] is not None and 0.0 <= points[x][1] < 2.0 for x in todo)
     work = replace(template, truncation=n)
-
-    def solve_stack(xs):
-        return _stacked_levels(work, [squares[x] for x in xs], [points[x][1] for x in xs])
 
     def solve_points(xs):
         return [solve(x, n) for x in xs]
 
-    tasks = [(solve_stack, todo[i:i + STACK]) for i in range(0, end, STACK)]
-    tasks += [(solve_points, [x]) for x in todo[end:]]
+    def solve_stack(xs):
+        try:
+            if tracked:
+                return _stacked_levels(work, [squares[x] for x in xs], [points[x][1] for x in xs])
+            return [measure(spectrum) for spectrum in _stacked_spectra(
+                work, [points[x] for x in xs], [squares[x] for x in xs])]
+        except (ArithmeticError, ValueError, ConvergenceFailure):   # the first point's error
+            return solve_points(xs)
+
+    run, size = (solve_stack, STACK) if stacks else (solve_points, 1)
+    tasks = [todo[i:i + size] for i in range(0, len(todo), size)]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda task: task[0](task[1]), tasks))
+            results = list(pool.map(run, tasks))
     else:
-        results = [run(xs) for run, xs in tasks]
-    for (_, xs), levels in zip(tasks, results):
-        solved.update(zip(xs, levels))
+        results = [run(xs) for xs in tasks]
+    for xs, measured in zip(tasks, results):
+        solved.update(zip(xs, measured))
     return n, float(worst), solved, forms
 
 
@@ -897,7 +939,8 @@ def wavefunction(spectrum: Spectrum, level):
     any other by one `scipy.linalg.eig` of B, the column of the level's rank
     in B by real part.  ||(B - E)x|| > 1e-9 max|B| raises
     ConvergenceFailure.  x is B's `WavefunctionSpec` as it is, on B's own
-    modes and with its gauge.
+    modes and with its gauge.  A block whose matrix is None
+    (`_stacked_spectra`) is the chain of its bands, built once per call.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -905,10 +948,15 @@ def wavefunction(spectrum: Spectrum, level):
     for lv in levels:
         if isinstance(lv, bool) or not isinstance(lv, numbers.Integral) or not 0 <= lv < dim:
             raise ValueError(f"level {lv} outside 0..{dim - 1}")
-    blocks, block_of, dense, specs = spectrum.blocks, spectrum.block_index, {}, []
+    block_of, blocks, dense, specs = spectrum.block_index, {}, {}, []
     for lv in levels:
         b, energy = block_of[lv], spectrum.eigenvalues[lv]
-        (matrix, bands, wave), scale = blocks[b], np.max(np.abs(blocks[b][0]))
+        if b not in blocks:
+            matrix, bands, wave = spectrum.blocks[b]
+            if matrix is None:
+                matrix = tridiagonal_matrix(*bands)
+            blocks[b] = matrix, bands, wave, np.max(np.abs(matrix))
+        matrix, bands, wave, scale = blocks[b]
         close = np.abs(spectrum.eigenvalues[block_of == b] - energy) <= 1e-6 * scale
         if bands and matrix.dtype == float and energy.imag == 0 \
                 and np.count_nonzero(close) == 1 and np.all(bands[1] * bands[2] != 0):
@@ -963,8 +1011,15 @@ class PairIntensities:
 
 
 def pair_intensities(p: SpectralProblem, near_energy: float, theta) -> PairIntensities:
-    """`select_pair` of p's spectrum, and the intensities of its two wavefunctions on theta."""
-    spectrum = eigen_spectrum(p)
+    """`select_pair` of p's spectrum, and the intensities of its two wavefunctions on theta.
+
+    `intensity_sweep` gives these, bit for bit, at each point of its grid.
+    """
+    return _spectrum_pair(eigen_spectrum(p), near_energy, theta)
+
+
+def _spectrum_pair(spectrum, near_energy, theta):
+    """`pair_intensities` of the problem the `Spectrum` is of."""
     pair = select_pair(spectrum, near_energy)
     i_even, i_odd = (intensity(w, theta) for w in wavefunction(spectrum, pair))
     return PairIntensities(pair, tuple(spectrum.block_index[list(pair)].tolist()),
@@ -996,7 +1051,7 @@ class IntensitySweep:
 
 def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: float,
                     theta) -> IntensitySweep:
-    """`pair_intensities` at each value of the axis, on the grid theta.
+    """`pair_intensities` at each value of the axis, on the grid theta, bit for bit.
 
     A single value is solved at template.truncation.  More are solved at the
     smallest certified truncation <= template.truncation (`_solve_grid`),
@@ -1004,17 +1059,22 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
     intensities within DRIFT_RTOL, as the solve at template.truncation:
     levels alone do not certify the vectors (at 16 the README surface keeps
     its mu3 = 4 levels within DRIFT_RTOL but moves its intensities 3.2e-10).
+    The single value and the probes are solved by `eigen_spectrum`; a grid
+    of Hill elements takes the rest in stacks of chains, and each point's
+    pair and vectors from its row of the stack, so only the probes build a
+    Hill matrix; any other grid goes point by point.
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("an intensity sweep needs at least one value")
 
-    def measure(p):
-        return pair_intensities(p, near_energy, theta)
+    def measure(spectrum):
+        return _spectrum_pair(spectrum, near_energy, theta)
 
     if len(values) == 1:
         n, drift = template.truncation, 0.0
-        solved = {float(values[0]): measure(template.problem_at(axis, values[0]))}
+        solved = {float(values[0]): pair_intensities(template.problem_at(axis, values[0]),
+                                                     near_energy, theta)}
     else:
         n, drift, solved, _ = _solve_grid(template, axis, values, measure, _pair_drift)
     return IntensitySweep(values=values, points=[solved[x] for x in values.tolist()],

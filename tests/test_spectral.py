@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from euclidpt import algebra, chains, spectral
 from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
-from euclidpt.errors import ConvergenceFailure, TrackingAmbiguity
+from euclidpt.errors import ConvergenceFailure, GaugeOverflow, TrackingAmbiguity
 from euclidpt.mathieu import pt5_complex_hamiltonian
 from euclidpt.spectral import (DRIFT_RTOL, SpectralProblem, SweepTemplate, WavefunctionSpec,
                                _real_form, bisect_transition, build_matrix, eigen_spectrum,
@@ -460,27 +460,28 @@ def test_stacked_grid_matches_the_point_by_point_solve_bit_for_bit(grid, monkeyp
     monkeypatch.setattr(spectral, "_stacked_levels",
                         lambda work, squares, sectors: stacks.append(len(squares))
                         or stacked_levels(work, squares, sectors))
-    n, drift, stacked, forms = spectral._solve_grid(template, axis, values, None,
-                                                    spectral._level_drift)
+    n, drift, stacked, _ = spectral._solve_grid(template, axis, values, None,
+                                                spectral._level_drift)
     assert stacks == [spectral.STACK, spectral.STACK, 1]
-    one_by_one = spectral._solve_grid(template, axis, values, spectral._tracked_levels(template),
-                                      spectral._level_drift)
-    assert len(stacks) == 3   # a measure of its own is solved point by point
-    assert (n, drift, forms) == one_by_one[:2] + one_by_one[3:]
-    assert list(stacked) == list(one_by_one[2])
-    for x, levels in one_by_one[2].items():
-        assert stacked[x].tobytes() == levels.tobytes(), f"{axis}={x}"
+    assert sorted(stacked) == values.tolist() and 0 <= drift <= DRIFT_RTOL
+    work = replace(template, truncation=n)
+    for x, levels in stacked.items():
+        expected = eigen_spectrum(work.problem_at(axis, x)).eigenvalues[:template.track_levels]
+        assert levels.tobytes() == expected.tobytes(), f"{axis}={x}"
 
 
 def test_stacked_grid_refuses_a_sector_where_a_point_would():
     # -1e-300 % 2 rounds to 2.0: the point-by-point solve refuses that sector, after the points
-    # before it; the stacks stop there and leave it to the same refusal
+    # before it; a grid with such a sector is not stacked, whatever it measures
     template = SweepTemplate(mu=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), truncation=8,
                              track_levels=2)
     values = [0.5, 1.0, -1e-300, 1.5]
+    refusal = r"^sector must lie in \[0, 2\), got 2.0$"
     for measure in (None, spectral._tracked_levels(template)):
-        with pytest.raises(ValueError, match=r"^sector must lie in \[0, 2\), got 2.0$"):
+        with pytest.raises(ValueError, match=refusal):
             spectral._solve_grid(template, "s", values, measure, spectral._level_drift)
+    with pytest.raises(ValueError, match=refusal):
+        spectral.intensity_sweep(template, "s", values, 3.0, np.linspace(0.0, 6.0, 7))
 
 
 def _mu(**couplings):
@@ -713,8 +714,8 @@ def test_a_long_sweep_builds_one_stack_at_a_time(monkeypatch):
 
 def test_the_certificate_pairs_levels_by_assignment(monkeypatch):
     # a conjugate pair that two truncations return in either order is the same pair
-    def levels(p):
-        pair = [1 + 1j, 1 - 1j] if p.truncation == 64 else [1 - 1j, 1 + 1j]
+    def levels(spectrum):
+        pair = [1 + 1j, 1 - 1j] if spectrum.truncation == 64 else [1 - 1j, 1 + 1j]
         return np.array([0.5, *pair])
 
     template = SweepTemplate(family="pt5-three", mu=_mu(mu3=0.5), track_levels=3)
@@ -1209,6 +1210,101 @@ def test_intensities_at_16_lie_within_1e_9_of_64_on_the_readme_surface():
         exact = spectral.pair_intensities(template.problem_at("mu3", mu3), 3.0, THETA)
         cut = spectral.pair_intensities(at_16.problem_at("mu3", mu3), 3.0, THETA)
         _assert_pairs_match(cut, exact, 1e-9, f"mu3={mu3}")
+
+
+# the README couplings in three sectors at three truncations: after the two probes N = 64
+# solves at 32, so each grid leaves 129 points, on a step of 1/32 that hits mu3 = 1 and 3,
+# where R^2 = 0 and both levels come from `eig`
+STACKED_SURFACES = {(sector, n): (_intensity_template(1.0, 4.0, sector=sector, truncation=n),
+                                  np.linspace(0.0, 4.0625, 131) if n == 64 else
+                                  np.linspace(0.0, 4.0, 129))
+                    for sector in (0.0, 1.0, 0.37) for n in (8, 16, 64)}
+
+
+@pytest.mark.parametrize("sector, n", sorted(STACKED_SURFACES))
+def test_stacked_intensity_grid_matches_pair_intensities_bit_for_bit(sector, n, monkeypatch):
+    template, values = STACKED_SURFACES[sector, n]
+    assert {1.0, 3.0} <= set(values.tolist())
+    stacks, solved = [], []
+    hill_stack = spectral._hill_stack
+    monkeypatch.setattr(spectral, "_hill_stack", lambda work, squares, sectors: stacks.append(
+        len(squares)) or hill_stack(work, squares, sectors))
+    with monkeypatch.context() as m:   # no stack falls back to the point-by-point solve
+        m.setattr(spectral, "eigen_spectrum", lambda p, solve=eigen_spectrum:
+                  solved.append(p.truncation) or solve(p))
+        result = spectral.intensity_sweep(template, "mu3", values, 3.0, THETA)
+    assert stacks == [spectral.STACK, spectral.STACK, 1]
+    assert result.truncation == min(n, 32)   # the README surface at N = 64 solves at 32
+    assert solved == ([64, 64, 16, 16, 32, 32] if n == 64 else [])
+    work = replace(template, truncation=result.truncation)
+    for x, point in zip(values, result.points):
+        problem = work.problem_at("mu3", x)
+        expected = spectral.pair_intensities(problem, 3.0, THETA)
+        assert (point.pair, point.blocks) == (expected.pair, expected.blocks), f"mu3={x}"
+        for name in ("levels", "i_even", "i_odd"):
+            assert getattr(point, name).tobytes() == getattr(expected, name).tobytes(), \
+                f"mu3={x}: {name}"
+        levels, _ = stepwise_hill_spectrum(problem)
+        assert point.levels.tobytes() == levels[list(point.pair)].tobytes(), f"mu3={x}"
+
+
+def test_intensity_surface_solves_one_by_one_only_its_probes(monkeypatch):
+    solved, built = [], []
+    for name, log in (("eigen_spectrum", solved), ("build_matrix", built)):
+        monkeypatch.setattr(spectral, name, lambda p, f=getattr(spectral, name), log=log:
+                            log.append(p.truncation) or f(p))
+    result = spectral.intensity_sweep(_intensity_template(*INTENSITY_SURFACES["readme"]), "mu3",
+                                      np.linspace(0.0, 4.0, 81), 3.0, THETA)
+    probes = solved.count(64)   # the ends and the |q^2| peak, at N, 16 and 32; 32 is kept
+    assert 2 <= probes <= 3 and result.truncation == 32
+    assert solved == [64] * probes + [16] * probes + [32] * probes
+    assert built == solved
+
+
+def test_a_long_intensity_sweep_builds_one_stack_at_a_time(monkeypatch):
+    # the band arrays an intensity sweep holds at once are bounded by STACK points
+    calls = []
+    even_bands = spectral._even_bands
+    monkeypatch.setattr(spectral, "_even_bands", lambda square, sector, truncation: calls.append(
+        (np.shape(sector), truncation)) or even_bands(square, sector, truncation))
+    template = _intensity_template(*INTENSITY_SURFACES["readme"])
+    result = spectral.intensity_sweep(template, "mu3", np.linspace(0.0, 4.0, 2001), 3.0,
+                                      np.linspace(0.0, 6.0, 7))
+    probes = calls.count(((), 64))   # on seven angles the probes' intensities certify 16
+    stacks = [shape for shape, truncation in calls if shape]
+    assert result.truncation == 16 and 2 <= probes <= 3
+    assert len(stacks) == math.ceil((2001 - probes) / spectral.STACK)
+    assert all(rows <= spectral.STACK and column == 1 for rows, column in stacks)
+    assert sum(rows for rows, _ in stacks) == 2001 - probes
+
+
+def _first_error(solve):
+    with pytest.raises(Exception) as info:
+        solve()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("later", ["overflow", "dstevd"])
+def test_a_stack_raises_the_first_error_of_the_point_by_point_solve(later, monkeypatch):
+    # mu3 = 800 puts a gauge of exp(800) on every wavefunction: the first point's vectors raise
+    # GaugeOverflow, though the stack meets the last point's failure first, in its levels
+    template = SweepTemplate(family="pt5-three", mu=_mu(mu3=800.0, mu4=1.0), truncation=8,
+                             track_levels=2)
+    values = [4.0, 5.0, 6.0]
+    if later == "overflow":   # R^2 at mu7 = 1e307 overflows
+        values[-1] = 1e307
+    else:                     # dstevd fails on the odd-mode chain at mu7 = 6
+        dstevd = scipy.linalg.lapack.dstevd
+        chain = eigen_spectrum(template.problem_at("mu7", 6.0)).blocks[1][1][0].copy()
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e, compute_v=0: (
+            (d, None, 3) if np.array_equal(d, chain) else dstevd(d, e, compute_v=compute_v)))
+    one_by_one = [lambda x=x: spectral.pair_intensities(template.problem_at("mu7", x), 3.0, THETA)
+                  for x in values]
+    errors = [_first_error(solve) for solve in one_by_one]
+    assert errors[0][0] is GaugeOverflow
+    assert errors[-1][0] is (ValueError if later == "overflow" else ConvergenceFailure)
+    grid = _first_error(lambda: spectral.intensity_sweep(template, "mu7", values, 3.0, THETA))
+    assert grid == errors[0]
 
 
 @pytest.mark.parametrize("args", [["--mu3", "0.8"], ["--mu3", "1.2"], ["--sweep", "mu3:1.2:2:1"]],
