@@ -445,6 +445,25 @@ def _double_point(cls, trunc, a, t, lo, hi):
     return None
 
 
+def _real_stretch(cls, trunc):
+    """t* of the class chain: below it every value at q = i*t is real, with no solve.
+
+    At q = i*t, `chains.tridiagonal_eigenvalues` solves the chain's real
+    form: the diagonal d_k of `_real_bands` and the off-diagonals +-t c_k,
+    c_k the coupling's slope (sqrt 2 on the even-pi first link).  Its
+    Gershgorin discs are centred on d_k with radius t rho_k, rho_k the row's
+    sum of c_k.  As d_k increases, they are pairwise disjoint while
+    t (rho_k + rho_{k+1}) < d_{k+1} - d_k for every k.  Each isolated disc
+    is symmetric about the real axis and holds exactly one eigenvalue, so
+    that value is real.  The bound, the smallest such quotient, is shrunk by
+    1e-14, far more than the few ulps the quotient and the entries t c_k are
+    rounded by.  It is 1.0448 for even-pi and 4 for odd-pi at any trunc.
+    """
+    diag, _, unit = _real_bands(cls, trunc)
+    rho = np.abs(np.concatenate(([0.0], unit))) + np.abs(np.concatenate((unit, [0.0])))
+    return float(np.min(np.diff(diag) / (rho[:-1] + rho[1:]))) * (1.0 - 1e-14)
+
+
 def _new_pair(fewer, more):
     """The member of `more` left once each of `fewer` takes the one nearest in real part."""
     more = list(more)
@@ -461,7 +480,9 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     There two values of the class merge (Blanch & Clemm, Math. Comp. 23
     (1969) 97).  The count lowest values are solved on scan_steps evenly
     spaced t (default 8 + int(max_q)), which only brackets the changes in
-    their number of conjugate pairs (Im a > im_tol).  Newton on the chain
+    their number of conjugate pairs (Im a > im_tol).  Below the chain's
+    `_real_stretch` that number is 0 with no solve: Gershgorin's discs
+    prove every value real there.  Newton on the chain
     continuant (`_double_point`) places each point, starting from the new
     pair's real part at the bracket's broken end.  A bracket where the
     number changes by more than one, or whose Newton iterate leaves it or
@@ -482,9 +503,11 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     if scan_steps < 2:
         raise ValueError(f"scan_steps must be at least 2, got {scan_steps}")
     check_ep_tolerances("param_tol", param_tol, im_tol)
-    pairs = {}
+    pairs, real_below = {}, _real_stretch(cls, trunc)
 
     def pairs_at(t):
+        if t < real_below:
+            return []
         if t not in pairs:
             pairs[t] = [z for z in _sorted_eigs(1j * t, cls, trunc)[:count] if z.imag > im_tol]
         return pairs[t]

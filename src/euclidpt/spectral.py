@@ -30,7 +30,7 @@ MIN_TRUNCATION = 4
 REALITY_RTOL = 1e-8
 MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
 DRIFT_RTOL = 1e-10    # how far `sweep`'s working truncation may move a probe's levels from N's
-STACK = 64            # grid points `_solve_grid` solves as one stack of Hill chains
+STACK = 64            # points `_solve_grid` or the catalogue solves as one stack of Hill chains
 
 
 @dataclass(frozen=True)
@@ -432,6 +432,21 @@ def _stacked_spectra(work, points, squares):
                        block_index=block_index[i], trusted_count=trusted_count(n))
 
 
+def _stack_else_points(stack, each, items):
+    """stack(items), the items solved as one stack, or, when that raises ArithmeticError,
+    ValueError or ConvergenceFailure, each(item) for the items in turn, lazily.
+
+    A stack builds and solves every item before the caller checks any, so a later item's
+    error could pre-empt an earlier one's.  Point by point, the first item to fail raises
+    its own error, type and message, after whatever the caller did with the items before
+    it, as if nothing had been stacked.
+    """
+    try:
+        return stack(items)
+    except (ArithmeticError, ValueError, ConvergenceFailure):
+        return map(each, items)
+
+
 @_solve_guard
 def _solve_grid(template, axis, values, measure, drift, workers=1):
     """(n, drift, {x: measure(spectrum at x, truncation n)}, forms) for the x of `values`.
@@ -447,9 +462,10 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
     and a sector in [0, 2), those points are solved in stacks of at most STACK
     (`_hill_stack`): the tracked levels are sliced from the stack's arrays, and any other
     measure takes the `Spectrum` of each row (`_stacked_spectra`).  A stack that raises is
-    solved again one by one, so the first point to fail raises its own error.  Otherwise
-    every point is solved one by one.  With workers > 1 the stacks or points are solved on
-    a thread pool (LAPACK releases the GIL).  An overflowing square or q^2 raises ValueError.
+    solved again one by one (`_stack_else_points`), so the first point to fail raises its
+    own error.  Otherwise every point is solved one by one.  With workers > 1 the stacks or
+    points are solved on a thread pool (LAPACK releases the GIL).  An overflowing square or
+    q^2 raises ValueError.
     """
     points = {x: template.element_at(axis, x) for x in map(float, values)}
     squares = {x: completed_square(e.coeffs.tolist()) for x, (e, _) in points.items()}
@@ -483,14 +499,14 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
     def solve_points(xs):
         return [solve(x, n) for x in xs]
 
+    def stacked(xs):
+        if tracked:
+            return _stacked_levels(work, [squares[x] for x in xs], [points[x][1] for x in xs])
+        return [measure(spectrum) for spectrum in _stacked_spectra(
+            work, [points[x] for x in xs], [squares[x] for x in xs])]
+
     def solve_stack(xs):
-        try:
-            if tracked:
-                return _stacked_levels(work, [squares[x] for x in xs], [points[x][1] for x in xs])
-            return [measure(spectrum) for spectrum in _stacked_spectra(
-                work, [points[x] for x in xs], [squares[x] for x in xs])]
-        except (ArithmeticError, ValueError, ConvergenceFailure):   # the first point's error
-            return solve_points(xs)
+        return list(_stack_else_points(stacked, lambda x: solve(x, n), xs))
 
     run, size = (solve_stack, STACK) if stacks else (solve_points, 1)
     tasks = [todo[i:i + size] for i in range(0, len(todo), size)]
@@ -787,7 +803,11 @@ def _catalogue_eps(result, work, q2s, im_tol):
     must be odd-n pairs, levels 2n-1 and 2n; at a double point there is at
     most one; no pair may turn real below the threshold.  A certificate that
     breaks these rules raises ConvergenceFailure; a pair that stays within
-    im_tol of real on both sides is not reported.
+    im_tol of real on both sides is not reported.  Every crossing's sides
+    are placed first and solved as stacks of at most STACK (`_stacked_levels`),
+    bit for bit `eigen_spectrum`'s tracked levels; if placing or solving them
+    raises, each crossing is placed, solved and certified in turn
+    (`_stack_else_points`), so the first error is the first crossing's.
     """
     template, axis = result.template, result.axis
     grid = [float(x) for x in result.values]
@@ -814,15 +834,33 @@ def _catalogue_eps(result, work, q2s, im_tol):
                 lo, hi = bisect_transition(lambda x: (form(x)[2] < threshold) != below,
                                            grid[k], grid[k + 1], 0.0)
                 points.append((0.5 * (lo + hi), k, abs(hi - lo), threshold, a))
-    eps = []
-    for j, (x, k, width, threshold, a) in enumerate(points):
+
+    def sides(j):
+        """(above, below): the values a quarter grid interval either side of crossing j."""
+        x, k, _, threshold, _ = points[j]
         gap = min((abs(y - x) for i, (y, *_) in enumerate(points) if i != j), default=math.inf)
         h = min(abs(grid[k + 1] - grid[k]) / 4, gap / 3)
-        sides = sorted((form(s)[2] < threshold, s) for s in (x - h, x + h))
-        if [side for side, _ in sides] != [False, True]:
+        placed = sorted((form(s)[2] < threshold, s) for s in (x - h, x + h))
+        if [side for side, _ in placed] != [False, True]:
             raise ConvergenceFailure(f"the crossing at {axis}={x!r} has no resolved sides")
-        (_, above), (_, below) = sides
-        real, broken = _levels_at(work, axis, above), _levels_at(work, axis, below)
+        return placed[0][1], placed[1][1]
+
+    def solve_sides(j):
+        above, below = sides(j)
+        return above, below, _levels_at(work, axis, above), _levels_at(work, axis, below)
+
+    def stacked(js):
+        placed = [sides(j) for j in js]
+        # a placed side has a form, so its element has a Hill square
+        problems = [work.problem_at(axis, s) for pair in placed for s in pair]
+        squares = [completed_square(p.element.coeffs.tolist()) for p in problems]
+        rows = [row for i in range(0, len(problems), STACK) for row in _stacked_levels(
+            work, squares[i:i + STACK], [p.sector for p in problems[i:i + STACK]])]
+        return [(*pair, real, broken) for pair, real, broken in zip(placed, rows[0::2], rows[1::2])]
+
+    eps = []
+    solved = _stack_else_points(stacked, solve_sides, range(len(points)))
+    for (x, k, width, threshold, a), (above, below, real, broken) in zip(points, solved):
         flips = [i for i in _conjugate_pairs(broken, im_tol)
                  if max(abs(real[i].imag), abs(real[i + 1].imag)) <= im_tol]
         wrong = [i for i in _conjugate_pairs(real, im_tol)

@@ -1,12 +1,17 @@
 """Exceptional points from the closed-form catalogue, descending sweeps, and the generic path."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
-from euclidpt import spectral
+from euclidpt import cli, mathieu, spectral
+from euclidpt.algebra import E2Element
 from euclidpt.dyson import ep_predictions_pt5, pt5_double_point_predictions
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.spectral import (SWEEP_AXES, SweepTemplate, bisect_transition,
@@ -183,37 +188,52 @@ def test_positions_do_not_depend_on_im_tol(readme_sweeps):
             (p.parameter_value, p.energy) for p in tight}
 
 
+def _record_solves(monkeypatch, log):
+    """Log the truncation of every point `eigen_spectrum` solves and of every row of a
+    `_stacked_levels` stack, the catalogue's certificate sides."""
+    solve, stacked = spectral.eigen_spectrum, spectral._stacked_levels
+    monkeypatch.setattr(spectral, "eigen_spectrum", lambda p: log.append(
+        ("point", p.truncation)) or solve(p))
+    monkeypatch.setattr(spectral, "_stacked_levels", lambda work, squares, sectors: log.extend(
+        [("side", work.truncation)] * len(squares)) or stacked(work, squares, sectors))
+
+
 def test_at_most_four_eigensolves_per_ep(readme_sweeps, monkeypatch):
-    calls = []
-    solve = spectral.eigen_spectrum
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "eigen_spectrum", counted)
+    solves = []
+    _record_solves(monkeypatch, solves)
     for result in readme_sweeps.values():
-        calls.clear()
+        solves.clear()
         eps = find_exceptional_points(result)
-        assert eps and len(calls) <= 4 * len(eps)
+        # the catalogue solves its certificate sides as stacked rows, no point alone
+        assert eps and solves and {kind for kind, _ in solves} == {"side"}
+        assert len(solves) <= 4 * len(eps)
 
 
 def test_eps_solve_at_the_sweeps_truncation(readme_sweeps, monkeypatch):
-    truncations = []
-    solve = spectral.eigen_spectrum
+    solves = []
+    _record_solves(monkeypatch, solves)
+    # the README sweeps take the catalogue, whose sides are stacked rows; sector 1 has no
+    # integer shift and bisects, one point at a time
+    results = {"side": readme_sweeps.values(),
+               "point": [sweep(_pt5_three(mu3=1.0, mu4=3.0, sector=1.0), "mu7", 0.0, 20.0, 41)]}
+    for kind, sweeps in results.items():
+        for result in sweeps:
+            solves.clear()
+            assert result.truncation == 16 and find_exceptional_points(result)
+            assert solves and set(solves) == {(kind, 16)}
 
-    def recorded(p):
-        truncations.append(p.truncation)
-        return solve(p)
 
-    monkeypatch.setattr(spectral, "eigen_spectrum", recorded)
-    # the README sweeps take the catalogue; sector 1 has no integer shift and bisects
-    results = [*readme_sweeps.values(), sweep(_pt5_three(mu3=1.0, mu4=3.0, sector=1.0),
-                                               "mu7", 0.0, 20.0, 41)]
-    for result in results:
-        truncations.clear()
-        assert result.truncation == 16 and find_exceptional_points(result)
-        assert truncations and set(truncations) == {16}
+def test_the_scan_solves_only_past_the_real_stretch(readme_sweeps, monkeypatch):
+    # the seed-0 `ep` jobs: three Mathieu chain solves, all at t above the stretch that
+    # Gershgorin certifies real (34 solves when every scan point was solved)
+    solved = []
+    sorted_eigs = mathieu._sorted_eigs
+    monkeypatch.setattr(mathieu, "_sorted_eigs", lambda q, cls, size: solved.append(
+        (q.imag, cls, size)) or sorted_eigs(q, cls, size))
+    for result in readme_sweeps.values():
+        find_exceptional_points(result)
+    assert len(solved) == 3
+    assert all(t >= mathieu._real_stretch(cls, size) for t, cls, size in solved)
 
 
 def test_contradicting_certificate_raises(monkeypatch):
@@ -222,13 +242,130 @@ def test_contradicting_certificate_raises(monkeypatch):
     result = sweep(_pt5_three(mu4=1.0, mu7=4.0, truncation=16, track_levels=6),
                    "mu3", 0.0, 2.0, 5)
 
-    def levels_at(template, axis, x):
-        pair = [2.0 + 1j, 2.0 - 1j] if x > 1.0 else [2.0, 2.5]
-        return np.array([0.0, 1.0, *pair, 5.0, 6.0], dtype=complex)
+    def stacked_levels(work, squares, sectors):
+        # the sides of the one crossing, mu3 = 1: the real side, then the broken one
+        assert len(squares) == 2
+        return np.array([[0.0, 1.0, 2.0, 2.5, 5.0, 6.0],
+                         [0.0, 1.0, 2.0 + 1j, 2.0 - 1j, 5.0, 6.0]])
 
-    monkeypatch.setattr(spectral, "_levels_at", levels_at)
+    monkeypatch.setattr(spectral, "_stacked_levels", stacked_levels)
     with pytest.raises(ConvergenceFailure, match="contradict"):
         find_exceptional_points(result)
+
+
+def _break_sides(monkeypatch, result, breaks):
+    """Break certificate sides, counted in the catalogue's order, each crossing's real side
+    then its broken one: `breaks` maps a side to "overflow", an element whose chain bands
+    overflow, or to (chain, info), `dstevd` failing with that info on its even (0) or odd
+    (1) chain.  Returns the number of sides."""
+    sides, problem_at = [], SweepTemplate.problem_at
+    with monkeypatch.context() as patch:
+        patch.setattr(SweepTemplate, "problem_at", lambda self, axis, x: sides.append(x)
+                      or problem_at(self, axis, x))
+        find_exceptional_points(result)
+    work = replace(result.template, truncation=result.truncation)
+    infos, overflows = {}, set()
+    for side, how in breaks.items():
+        if how == "overflow":
+            overflows.add(sides[side])
+        else:
+            chain, info = how
+            blocks = spectral._blocks(work.problem_at(result.axis, sides[side]))
+            infos[blocks[chain][1][0].tobytes()] = info
+    dstevd, element_at = scipy.linalg.lapack.dstevd, SweepTemplate.element_at
+
+    def failing(d, e, **kwargs):
+        if d.tobytes() in infos:
+            return np.zeros_like(d), None, infos[d.tobytes()]
+        return dstevd(d, e, **kwargs)
+
+    def scaled(self, axis, x):
+        element, sector = element_at(self, axis, x)
+        if x in overflows:   # times a power of two: the same Hill square, but 2^1017 J2
+            element = E2Element(element.coeffs * 2.0 ** 1017)
+        return element, sector
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+    monkeypatch.setattr(SweepTemplate, "element_at", scaled)
+    return len(sides)
+
+
+DSTEVD_1 = ConvergenceFailure, "dstevd failed to converge (info 1)"
+DSTEVD_2 = ConvergenceFailure, "dstevd failed to converge (info 2)"
+OVERFLOW = ValueError, "the circle-representation matrix at truncation 16 overflows floating point"
+
+
+@pytest.mark.parametrize("breaks, raised", [
+    ({2: (0, 2)}, DSTEVD_2),
+    ({2: "overflow"}, OVERFLOW),
+    # a stack solves every side's even chain before any odd one: side 2's would fail first
+    ({0: (1, 1), 2: (0, 2)}, DSTEVD_1),
+    # a stack builds every side's bands before it solves one: side 2's would overflow first
+    ({0: (0, 1), 2: "overflow"}, DSTEVD_1),
+    ({0: "overflow", 2: (0, 2)}, OVERFLOW)],
+    ids=["dstevd", "overflow", "dstevd-odd-first", "dstevd-then-overflow", "overflow-first"])
+def test_a_failing_side_raises_the_point_by_point_error(readme_sweeps, monkeypatch, breaks,
+                                                        raised):
+    # the error the crossings raise when each is placed, solved and certified in turn;
+    # sides 0 and 2, the real sides of mu7 = 4 and 16, go to `dstevd`
+    result = readme_sweeps["mu7"]
+    assert _break_sides(monkeypatch, result, breaks) == 8
+    error, message = raised
+    with pytest.raises(error) as caught:
+        find_exceptional_points(result)
+    assert str(caught.value) == message
+
+
+# the EPs the two README `ep` recipes print
+MU3_EPS = [
+    {"axis": "mu3", "bracket_width": 4.440892098500626e-16, "energy": 7.0,
+     "level_pair": [0, 2], "parameter_value": -3.0},
+    {"axis": "mu3", "bracket_width": 4.440892098500626e-16, "energy": 15.0,
+     "level_pair": [6, 5], "parameter_value": -3.0},
+    {"axis": "mu3", "bracket_width": 2.220446049250313e-16, "energy": 3.0,
+     "level_pair": [0, 2], "parameter_value": -1.0},
+    {"axis": "mu3", "bracket_width": 2.220446049250313e-16, "energy": 11.0,
+     "level_pair": [6, 5], "parameter_value": -1.0},
+    {"axis": "mu3", "bracket_width": 2.220446049250313e-16, "energy": 3.0,
+     "level_pair": [0, 2], "parameter_value": 1.0},
+    {"axis": "mu3", "bracket_width": 2.220446049250313e-16, "energy": 11.0,
+     "level_pair": [6, 5], "parameter_value": 1.0},
+    {"axis": "mu3", "bracket_width": 4.440892098500626e-16, "energy": 7.0,
+     "level_pair": [0, 2], "parameter_value": 3.0},
+    {"axis": "mu3", "bracket_width": 4.440892098500626e-16, "energy": 15.0,
+     "level_pair": [6, 5], "parameter_value": 3.0},
+]
+MU7_EPS = [
+    {"axis": "mu7", "bracket_width": 8.881784197001252e-16, "energy": -1.0,
+     "level_pair": [1, 2], "parameter_value": 4.0},
+    {"axis": "mu7", "bracket_width": 8.881784197001252e-16, "energy": 7.0,
+     "level_pair": [6, 5], "parameter_value": 4.0},
+    {"axis": "mu7", "bracket_width": 1.7763568394002505e-15, "energy": 2.4797037987967245,
+     "level_pair": [3, 0], "parameter_value": 8.782009792094058},
+    {"axis": "mu7", "bracket_width": 1.7763568394002505e-15, "energy": 3.6976940067026662,
+     "level_pair": [0, 3], "parameter_value": 11.217990207905942},
+    {"axis": "mu7", "bracket_width": 1.7763568394002505e-15, "energy": 5.0,
+     "level_pair": [1, 2], "parameter_value": 16.0},
+    {"axis": "mu7", "bracket_width": 1.7763568394002505e-15, "energy": 13.0,
+     "level_pair": [6, 5], "parameter_value": 16.0},
+]
+# stdout of the two README `ep` recipes: its sha256, and its EPs
+README_EP_RECIPES = [
+    ("ep --family pt5-three --mu4 1 --mu7 4 --sweep mu3:-4:4:41",
+     "a7ffec4a295b423008ade1de277281b5ec3af724ea69684074d9870b98507db4", MU3_EPS),
+    ("ep --family pt5-three --mu3 1 --mu4 3 --sweep mu7:0:20:41",
+     "c05fec01c24dda40e52fc38a21303371a975c56f6a320d69ba59a6a451f4fdeb", MU7_EPS),
+]
+
+
+@pytest.mark.parametrize("argv, digest, expected", README_EP_RECIPES, ids=["mu3", "mu7"])
+def test_readme_ep_recipes_print_the_same_bytes(argv, digest, expected, capsys):
+    # positions come from bisection on the forms' q^2 and Newton on the chain continuant,
+    # energies from the forms: Python scalars, not LAPACK digits
+    assert cli.main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["exceptional_points"] == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

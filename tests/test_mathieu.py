@@ -339,18 +339,68 @@ def _fake_pairs(births, deaths):
 
 
 def test_eps_certificates_raise(monkeypatch):
-    # Newton never converges: the bracket is halved down to param_tol
-    monkeypatch.setattr(mathieu, "_sorted_eigs", _fake_pairs([0.93], []))
+    # the fake births lie above the stretch Gershgorin certifies real (t < 1.0448), where
+    # the scan solves; Newton never converges: the bracket is halved down to param_tol
+    monkeypatch.setattr(mathieu, "_sorted_eigs", _fake_pairs([1.93], []))
     monkeypatch.setattr(mathieu, "_double_point", lambda *args: None)
     with pytest.raises(ConvergenceFailure, match="no double point found"):
         complex_mathieu_eps(2.0, EVEN_PI, trunc=20, scan_steps=20)
-    # two births and a death inside the scan interval [0.9, 1.0]: three points
+    # two births and a death inside the scan interval [1.9, 2.0]: three points
     # for a change of one pair
-    monkeypatch.setattr(mathieu, "_sorted_eigs", _fake_pairs([0.93, 0.94], [0.97]))
+    monkeypatch.setattr(mathieu, "_sorted_eigs", _fake_pairs([1.93, 1.94], [1.97]))
     monkeypatch.setattr(mathieu, "_double_point",
                         lambda cls, trunc, a, t, lo, hi: None if hi - lo > 0.05 else (t, a))
     with pytest.raises(ConvergenceFailure, match="3 double points .* changes by 1"):
         complex_mathieu_eps(2.0, EVEN_PI, trunc=20, scan_steps=20)
+
+
+# the first double point of each class: the oracle's even-pi point, and the odd-pi one
+# `test_odd_double_points_certified_by_one_solve_on_either_side` pins
+FIRST_DOUBLE_POINT = {"even-pi": oracles.mathieu_even_pi_double_point(1.5, 2.0)[0],
+                      "odd-pi": 6.92895}
+# the first Gershgorin gap: modes 0 and 2 (links sqrt 2, 1) and modes 2 and 4 (links 1, 1)
+FIRST_GAP = {"even-pi": 4.0 / (1.0 + 2.0 * math.sqrt(2.0)), "odd-pi": 12.0 / 3.0}
+
+
+@pytest.mark.parametrize("cls", [EVEN_PI, ODD_PI], ids=["even-pi", "odd-pi"])
+@pytest.mark.parametrize("trunc", [12, 20, 33, 60, 120])
+def test_real_stretch_is_the_first_gershgorin_gap(cls, trunc):
+    t_star = mathieu._real_stretch(cls, trunc)
+    assert t_star == pytest.approx(FIRST_GAP[cls.label], rel=1e-13)
+    assert t_star < FIRST_GAP[cls.label]
+    assert t_star < FIRST_DOUBLE_POINT[cls.label]
+
+
+@pytest.mark.parametrize("cls", [EVEN_PI, ODD_PI], ids=["even-pi", "odd-pi"])
+@pytest.mark.parametrize("trunc", [12, 20, 33, 60, 120])
+def test_every_value_is_real_below_the_real_stretch(cls, trunc):
+    t_star = mathieu._real_stretch(cls, trunc)
+    for t in [t_star * (1 - 1e-9), *np.linspace(0.0, t_star, 21)[1:-1], t_star * 0.999999]:
+        w = mathieu._sorted_eigs(1j * t, cls, trunc)
+        assert np.all(w.imag == 0), (t, w[w.imag != 0])
+
+
+def test_the_real_stretch_ends_below_the_first_double_point():
+    # above t*, the scan still finds the first point of each class
+    for cls in (EVEN_PI, ODD_PI):
+        first = FIRST_DOUBLE_POINT[cls.label]
+        eps = complex_mathieu_eps(first + 1.0, cls)
+        assert mathieu._real_stretch(cls, 60) < first
+        assert [e["q_imag"] for e in eps] == pytest.approx([first], abs=1e-5)
+
+
+@pytest.mark.parametrize("cls, max_q", [(EVEN_PI, 1.0), (EVEN_PI, 1.04), (ODD_PI, 3.99)],
+                         ids=["even-pi-1", "even-pi-1.04", "odd-pi-3.99"])
+def test_no_solve_inside_the_real_stretch(cls, max_q, monkeypatch):
+    solved = []
+    sorted_eigs = mathieu._sorted_eigs
+    monkeypatch.setattr(mathieu, "_sorted_eigs", lambda *args: solved.append(args)
+                        or sorted_eigs(*args))
+    assert max_q < mathieu._real_stretch(cls, 60)
+    assert complex_mathieu_eps(max_q, cls) == [] and solved == []
+    # one step past t* the scan solves again, at that point only
+    assert complex_mathieu_eps(mathieu._real_stretch(cls, 60) * 1.001, cls, scan_steps=2) == []
+    assert len(solved) == 1
 
 
 def test_odd_double_points_certified_by_one_solve_on_either_side():

@@ -689,10 +689,15 @@ def test_sweeps_solve_one_by_one_only_probes_refinements_and_certificates(recipe
     probes = solved.count(template.truncation)   # the ends and the |q^2| peak, at N and at 16
     assert 2 <= probes <= 3 and result.truncation == 16
     assert solved == [64] * probes + [16] * (probes + result.refined_points)
-    if recipe.startswith("ep-"):   # one solve on either side of each catalogue crossing
-        assert find_exceptional_points(result) and crossings
-        assert solved[2 * probes + result.refined_points:] == [16] * (2 * len(crossings))
     assert built == solved
+    if recipe.startswith("ep-"):   # one stacked row on either side of each catalogue crossing
+        rows = []
+        stacked_levels = spectral._stacked_levels
+        monkeypatch.setattr(spectral, "_stacked_levels", lambda work, squares, sectors: rows.extend(
+            [work.truncation] * len(squares)) or stacked_levels(work, squares, sectors))
+        before = len(solved)
+        assert find_exceptional_points(result) and crossings
+        assert rows == [16] * (2 * len(crossings)) and len(solved) == len(built) == before
 
 
 def test_a_long_sweep_builds_one_stack_at_a_time(monkeypatch):
