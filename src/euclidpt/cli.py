@@ -219,7 +219,8 @@ def _add_sweep_flags(parser):
                         help="sweeps solve at the smallest certified truncation <= this")
     parser.add_argument("--sweep", required=True, metavar="AXIS:LO:HI:STEPS")
     parser.add_argument("--levels", type=int, default=12, help="levels to track")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="has no effect: every sweep solves on one thread (must be >= 1)")
     parser.add_argument("--plot-script", action="store_true")
 
 
@@ -284,7 +285,7 @@ def _run_sweep(args):
     template = spectral.SweepTemplate(symmetry=args.symmetry, mu=_mu_vector(args),
                                       family=args.family, sector=args.sector,
                                       truncation=args.truncation, track_levels=args.levels)
-    return spectral.sweep(template, axis, lo, hi, steps, workers=args.workers)
+    return spectral.sweep(template, axis, lo, hi, steps)
 
 
 def _config_echo(args):

@@ -30,7 +30,7 @@ MIN_TRUNCATION = 4
 REALITY_RTOL = 1e-8
 MAX_HALVINGS = 12     # step halvings `sweep` tries before TrackingAmbiguity
 DRIFT_RTOL = 1e-10    # how far `sweep`'s working truncation may move a probe's levels from N's
-STACK = 64            # points `_solve_grid` or the catalogue solves as one stack of Hill chains
+STACK = 64            # the most points one stack of Hill chains holds (`_in_stacks`)
 
 
 @dataclass(frozen=True)
@@ -339,8 +339,12 @@ class SweepTemplate:
 
     def form_at(self, axis: str, value: float):
         """`_mathieu_form` at axis = value from the couplings, in Python scalars, no element."""
+        return _mathieu_form(*self.square_at(axis, value))
+
+    def square_at(self, axis: str, value: float):
+        """(`completed_square`, sector) at axis = value from the couplings, no element."""
         symmetry, mu, sector = self._couplings_at(axis, value)
-        return _mathieu_form(completed_square(hamiltonian_coeffs(symmetry, mu)), sector)
+        return completed_square(hamiltonian_coeffs(symmetry, mu)), sector
 
     def _couplings_at(self, axis, value):
         """(symmetry, mu, sector) of `build_hamiltonian` at axis = value."""
@@ -432,23 +436,26 @@ def _stacked_spectra(work, points, squares):
                        block_index=block_index[i], trusted_count=trusted_count(n))
 
 
-def _stack_else_points(stack, each, items):
-    """stack(items), the items solved as one stack, or, when that raises ArithmeticError,
-    ValueError or ConvergenceFailure, each(item) for the items in turn, lazily.
+def _in_stacks(stack, each, items, size):
+    """stack(chunk) item by item for the chunks of `size` items, each stacked only when the
+    caller reaches it; a chunk whose stack raises ArithmeticError, ValueError or
+    ConvergenceFailure gives each(item) for its items instead, lazily.
 
-    A stack builds and solves every item before the caller checks any, so a later item's
-    error could pre-empt an earlier one's.  Point by point, the first item to fail raises
-    its own error, type and message, after whatever the caller did with the items before
-    it, as if nothing had been stacked.
+    A stack builds and solves its whole chunk before the caller checks any item, so a later
+    item's error could pre-empt an earlier one's.  Point by point, the first item to fail
+    raises its own error after whatever the caller did with the items before it.
     """
-    try:
-        return stack(items)
-    except (ArithmeticError, ValueError, ConvergenceFailure):
-        return map(each, items)
+    for i in range(0, len(items), size):
+        chunk = items[i:i + size]
+        try:
+            done = stack(chunk)
+        except (ArithmeticError, ValueError, ConvergenceFailure):
+            done = map(each, chunk)
+        yield from done
 
 
 @_solve_guard
-def _solve_grid(template, axis, values, measure, drift, workers=1):
+def _solve_grid(template, axis, values, measure, drift):
     """(n, drift, {x: measure(spectrum at x, truncation n)}, forms) for the x of `values`.
 
     measure(spectrum) is what a sweep reports at a point from its `Spectrum`, None for its
@@ -462,10 +469,9 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
     and a sector in [0, 2), those points are solved in stacks of at most STACK
     (`_hill_stack`): the tracked levels are sliced from the stack's arrays, and any other
     measure takes the `Spectrum` of each row (`_stacked_spectra`).  A stack that raises is
-    solved again one by one (`_stack_else_points`), so the first point to fail raises its
-    own error.  Otherwise every point is solved one by one.  With workers > 1 the stacks or
-    points are solved on a thread pool (LAPACK releases the GIL).  An overflowing square or
-    q^2 raises ValueError.
+    solved again one by one (`_in_stacks`), so the first point to fail raises its own
+    error.  Otherwise every point is solved one by one.  Every solve runs in turn, on the
+    calling thread.  An overflowing square or q^2 raises ValueError.
     """
     points = {x: template.element_at(axis, x) for x in map(float, values)}
     squares = {x: completed_square(e.coeffs.tolist()) for x, (e, _) in points.items()}
@@ -496,8 +502,8 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
     stacks = all(squares[x] is not None and 0.0 <= points[x][1] < 2.0 for x in todo)
     work = replace(template, truncation=n)
 
-    def solve_points(xs):
-        return [solve(x, n) for x in xs]
+    def each(x):
+        return solve(x, n)
 
     def stacked(xs):
         if tracked:
@@ -505,19 +511,8 @@ def _solve_grid(template, axis, values, measure, drift, workers=1):
         return [measure(spectrum) for spectrum in _stacked_spectra(
             work, [points[x] for x in xs], [squares[x] for x in xs])]
 
-    def solve_stack(xs):
-        return list(_stack_else_points(stacked, lambda x: solve(x, n), xs))
-
-    run, size = (solve_stack, STACK) if stacks else (solve_points, 1)
-    tasks = [todo[i:i + size] for i in range(0, len(todo), size)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(xs) for xs in tasks]
-    for xs, measured in zip(tasks, results):
-        solved.update(zip(xs, measured))
+    solved.update(zip(todo, _in_stacks(stacked, each, todo, STACK) if stacks
+                      else map(each, todo)))
     return n, float(worst), solved, forms
 
 
@@ -590,8 +585,7 @@ def _match(prev, new):
     return new[cols], max([row[j] for row, j in zip(cost, cols)])
 
 
-def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
-          workers: int = 1) -> SweepResult:
+def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int) -> SweepResult:
     """Level curves over [lo, hi], matched by nearest-neighbor continuation.
 
     Labels are assigned by real-part order at the sweep start.  Adjacent
@@ -605,14 +599,14 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int,
     is solved at the smallest certified truncation <= template.truncation
     (`_solve_grid`), recorded in `SweepResult.truncation` and `.drift`; the
     grid's `forms` go with them to `find_exceptional_points`.  A grid of
-    Hill elements is solved in stacks of chains, any other point by point;
-    with workers > 1 the stacks or points run on a thread pool.  The
-    continuation itself stays an ordered sequential reduction.
+    Hill elements is solved in stacks of at most STACK points, any other
+    point by point, all in turn on the calling thread; the continuation is
+    an ordered sequential reduction over the solved grid.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     values = np.linspace(lo, hi, steps)
-    n, drift, cache, forms = _solve_grid(template, axis, values, None, _level_drift, workers)
+    n, drift, cache, forms = _solve_grid(template, axis, values, None, _level_drift)
     work = replace(template, truncation=n)
 
     def levels(x):
@@ -803,17 +797,18 @@ def _catalogue_eps(result, work, q2s, im_tol):
     must be odd-n pairs, levels 2n-1 and 2n; at a double point there is at
     most one; no pair may turn real below the threshold.  A certificate that
     breaks these rules raises ConvergenceFailure; a pair that stays within
-    im_tol of real on both sides is not reported.  Every crossing's sides
-    are placed first and solved as stacks of at most STACK (`_stacked_levels`),
-    bit for bit `eigen_spectrum`'s tracked levels; if placing or solving them
-    raises, each crossing is placed, solved and certified in turn
-    (`_stack_else_points`), so the first error is the first crossing's.
+    im_tol of real on both sides is not reported.  Chunks of STACK // 2
+    crossings (`_in_stacks`) are placed and certified in turn, the sides of
+    each solved as one stack from the squares that placed them
+    (`_stacked_levels`), bit for bit `eigen_spectrum`'s tracked levels; if a
+    chunk raises, its crossings run one by one, so the first error is the
+    first crossing's.
     """
     template, axis = result.template, result.axis
     grid = [float(x) for x in result.values]
 
-    def form(x):
-        found = template.form_at(axis, x)
+    def form(x, at=None):   # at: x's `SweepTemplate.square_at`, when placement has it
+        found = _mathieu_form(*at) if at else template.form_at(axis, x)
         if found is None:
             raise ConvergenceFailure(f"{axis}={x!r} leaves the Mathieu form of the sweep")
         return found
@@ -836,30 +831,30 @@ def _catalogue_eps(result, work, q2s, im_tol):
                 points.append((0.5 * (lo + hi), k, abs(hi - lo), threshold, a))
 
     def sides(j):
-        """(above, below): the values a quarter grid interval either side of crossing j."""
+        """(above, below): the values a quarter grid interval either side of crossing j, each
+        with the `SweepTemplate.square_at` that placed it."""
         x, k, _, threshold, _ = points[j]
         gap = min((abs(y - x) for i, (y, *_) in enumerate(points) if i != j), default=math.inf)
         h = min(abs(grid[k + 1] - grid[k]) / 4, gap / 3)
-        placed = sorted((form(s)[2] < threshold, s) for s in (x - h, x + h))
+        at = {s: template.square_at(axis, s) for s in (x - h, x + h)}
+        placed = sorted((form(s, square)[2] < threshold, s) for s, square in at.items())
         if [side for side, _ in placed] != [False, True]:
             raise ConvergenceFailure(f"the crossing at {axis}={x!r} has no resolved sides")
-        return placed[0][1], placed[1][1]
+        return [(s, at[s]) for _, s in placed]
 
     def solve_sides(j):
-        above, below = sides(j)
+        (above, _), (below, _) = sides(j)
         return above, below, _levels_at(work, axis, above), _levels_at(work, axis, below)
 
     def stacked(js):
-        placed = [sides(j) for j in js]
-        # a placed side has a form, so its element has a Hill square
-        problems = [work.problem_at(axis, s) for pair in placed for s in pair]
-        squares = [completed_square(p.element.coeffs.tolist()) for p in problems]
-        rows = [row for i in range(0, len(problems), STACK) for row in _stacked_levels(
-            work, squares[i:i + STACK], [p.sector for p in problems[i:i + STACK]])]
-        return [(*pair, real, broken) for pair, real, broken in zip(placed, rows[0::2], rows[1::2])]
+        placed = [side for j in js for side in sides(j)]
+        # a placed side has a form, so it has a Hill square
+        rows = _stacked_levels(work, *zip(*(at for _, at in placed)))
+        return [(above, below, real, broken) for (above, _), (below, _), real, broken
+                in zip(placed[0::2], placed[1::2], rows[0::2], rows[1::2])]
 
     eps = []
-    solved = _stack_else_points(stacked, solve_sides, range(len(points)))
+    solved = _in_stacks(stacked, solve_sides, range(len(points)), max(1, STACK // 2))
     for (x, k, width, threshold, a), (above, below, real, broken) in zip(points, solved):
         flips = [i for i in _conjugate_pairs(broken, im_tol)
                  if max(abs(real[i].imag), abs(real[i + 1].imag)) <= im_tol]

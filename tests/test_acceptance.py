@@ -52,7 +52,7 @@ def test_criterion_1_pt_breaking_window_mu3():
     mu3 = +-1 with energy 3 and mu3 = +-3 with energy 7; parameter within
     1e-3, energy within 1e-2; runtime under 30 s."""
     start = time.perf_counter()
-    result = sweep(_ep_template(0.0, 1.0, 4.0), "mu3", -4.0, 4.0, 41, workers=2)
+    result = sweep(_ep_template(0.0, 1.0, 4.0), "mu3", -4.0, 4.0, 41)
     points = find_exceptional_points(result, tol=1e-4)
     elapsed = time.perf_counter() - start
     expected = [(-3.0, 7.0), (-1.0, 3.0), (1.0, 3.0), (3.0, 7.0)]
@@ -65,7 +65,7 @@ def test_criterion_1_pt_breaking_window_mu3():
 
 def test_criterion_2_pt_breaking_window_mu7():
     """Sweep mu7 with mu3=1, mu4=3: merging points (4, -1) and (16, 5)."""
-    result = sweep(_ep_template(1.0, 3.0, 0.0), "mu7", 0.0, 20.0, 21, workers=2)
+    result = sweep(_ep_template(1.0, 3.0, 0.0), "mu7", 0.0, 20.0, 21)
     points = find_exceptional_points(result, tol=1e-4)
     expected = [(4.0, -1.0), (16.0, 5.0)]
     misses = [(x, e) for x, e in expected if not _match(points, x, e, 1e-3, 1e-2)]

@@ -11,7 +11,7 @@ import scipy.linalg
 
 import oracles
 from euclidpt import cli, mathieu, spectral
-from euclidpt.algebra import E2Element
+from euclidpt.algebra import E2Element, completed_square
 from euclidpt.dyson import ep_predictions_pt5, pt5_double_point_predictions
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.spectral import (SWEEP_AXES, SweepTemplate, bisect_transition,
@@ -57,6 +57,11 @@ def _bits(form):
     return None if form is None else tuple(float(x).hex() for x in form)
 
 
+def _square_bits(square):
+    """A `completed_square` with each part as its hex."""
+    return None if square is None else tuple((z.real.hex(), z.imag.hex()) for z in square)
+
+
 # the perfbench `ep` couplings, (mu4, mu7) of the mu3 sweep and (mu3, mu4) of the mu7 sweep;
 # seed 0 is the README recipes
 EP_SEEDS = {0: ((1.0, 4.0), (1.0, 3.0)),
@@ -67,22 +72,28 @@ EP_SEEDS = {0: ((1.0, 4.0), (1.0, 3.0)),
 
 @pytest.mark.parametrize("seed", sorted(EP_SEEDS))
 def test_scalar_form_is_the_element_form_on_every_ep_point(seed, monkeypatch):
-    # every form the catalogue reads: bisection steps, certificate sides, positions
+    # every square the catalogue reads, and its form: bisection steps, certificate sides (whose
+    # squares it solves), positions
     (mu4_a, mu7_a), (mu3_b, mu4_b) = EP_SEEDS[seed]
-    read, form_at = [], SweepTemplate.form_at
+    read, square_at = [], SweepTemplate.square_at
 
     def recorded(self, axis, x):
-        form = form_at(self, axis, x)
-        read.append((x, form))
-        return form
+        at = square_at(self, axis, x)
+        read.append((x, at))
+        return at
 
-    monkeypatch.setattr(SweepTemplate, "form_at", recorded)
+    monkeypatch.setattr(SweepTemplate, "square_at", recorded)
     for template, axis, lo, hi in ((_pt5_three(mu4=mu4_a, mu7=mu7_a), "mu3", -4.0, 4.0),
                                    (_pt5_three(mu3=mu3_b, mu4=mu4_b), "mu7", 0.0, 20.0)):
         result = sweep(template, axis, lo, hi, 41)
         read.clear()
         assert find_exceptional_points(result) and len(read) > 100
-        for x, form in [*zip(result.values.tolist(), result.forms), *read]:
+        for x, (square, sector) in read:
+            element, element_sector = template.element_at(axis, x)
+            assert (_square_bits(square), sector) == (
+                _square_bits(completed_square(element.coeffs.tolist())), element_sector)
+        for x, form in [*zip(result.values.tolist(), result.forms),
+                        *((x, spectral._mathieu_form(*at)) for x, at in read)]:
             assert _bits(form) == _bits(oracles.element_mathieu_form(template, axis, x)), \
                 f"{axis}={x!r}"
 
@@ -259,7 +270,14 @@ def _break_sides(monkeypatch, result, breaks):
     overflow, or to (chain, info), `dstevd` failing with that info on its even (0) or odd
     (1) chain.  Returns the number of sides."""
     sides, problem_at = [], SweepTemplate.problem_at
+    stacked_levels = spectral._stacked_levels
+
+    def unstacked(work, squares, sectors):
+        raise ValueError("every crossing point by point")
+
     with monkeypatch.context() as patch:
+        # point by point, the sides are the problems the crossings solve, in turn
+        patch.setattr(spectral, "_stacked_levels", unstacked)
         patch.setattr(SweepTemplate, "problem_at", lambda self, axis, x: sides.append(x)
                       or problem_at(self, axis, x))
         find_exceptional_points(result)
@@ -281,12 +299,20 @@ def _break_sides(monkeypatch, result, breaks):
 
     def scaled(self, axis, x):
         element, sector = element_at(self, axis, x)
-        if x in overflows:   # times a power of two: the same Hill square, but 2^1017 J2
+        if x in overflows:   # times a power of two: the same Mathieu form, but 2^1017 J2
             element = E2Element(element.coeffs * 2.0 ** 1017)
         return element, sector
 
+    # a stack solves the squares that placed its sides: those of the scaled elements
+    big = {result.template.square_at(result.axis, x)[0] for x in overflows}
+
+    def scaled_stack(work, squares, sectors):
+        return stacked_levels(work, [tuple(2.0 ** 1017 * z for z in square) if square in big
+                                     else square for square in squares], sectors)
+
     monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
     monkeypatch.setattr(SweepTemplate, "element_at", scaled)
+    monkeypatch.setattr(spectral, "_stacked_levels", scaled_stack)
     return len(sides)
 
 
@@ -366,6 +392,48 @@ def test_readme_ep_recipes_print_the_same_bytes(argv, digest, expected, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["exceptional_points"] == expected
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the README `ep` recipes, and a wider mu7 window where three pairs meet at mu7 = 49
+STACK_RUNS = [argv for argv, _, _ in README_EP_RECIPES] + [
+    "ep --family pt5-three --mu3 2 --mu4 9 --sweep mu7:0:170:81"]
+
+
+@pytest.mark.parametrize("stack", [1, 2])
+def test_the_stack_size_changes_no_byte(stack, monkeypatch, capsys):
+    def stdout(argv):
+        assert cli.main(argv.split()) == 0
+        return capsys.readouterr().out
+
+    expected = [stdout(argv) for argv in STACK_RUNS]
+    rows = []
+    stacked_levels = spectral._stacked_levels
+    monkeypatch.setattr(spectral, "_stacked_levels", lambda work, squares, sectors: rows.append(
+        len(squares)) or stacked_levels(work, squares, sectors))
+    monkeypatch.setattr(spectral, "STACK", stack)
+    assert [stdout(argv) for argv in STACK_RUNS] == expected
+    assert all(json.loads(out)["exceptional_points"] for out in expected)
+    # a grid stack holds at most STACK points, a catalogue stack one crossing's two sides
+    assert rows and max(rows) == 2
+
+
+def test_a_certificate_failure_raises_before_the_next_chunk_is_stacked(readme_sweeps,
+                                                                        monkeypatch):
+    # one crossing a chunk: the first crossing's sides, swapped, contradict the catalogue,
+    # and the error comes before the next chunk's sides are placed or solved
+    calls = []
+    stacked_levels = spectral._stacked_levels
+
+    def swapped(work, squares, sectors):
+        calls.append(len(squares))
+        rows = stacked_levels(work, squares, sectors)
+        return rows[::-1] if len(calls) == 1 else rows
+
+    monkeypatch.setattr(spectral, "STACK", 2)
+    monkeypatch.setattr(spectral, "_stacked_levels", swapped)
+    with pytest.raises(ConvergenceFailure, match="contradict"):
+        find_exceptional_points(readme_sweeps["mu7"])
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------

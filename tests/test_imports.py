@@ -43,10 +43,21 @@ IMPORTS = {name: package_imports(tree) for name, tree in SOURCES.items()}
 
 
 def test_no_function_imports_a_package_module():
-    # stdlib imports inside a function, such as a lazily loaded thread pool, are fine
+    # stdlib imports inside a function are fine
     local = [f"{name}.py:{node.lineno}" for name, found in IMPORTS.items()
              for node, _, _, in_function in found if in_function]
     assert local == []
+
+
+def test_no_module_imports_threads():
+    # every solve runs on the calling thread: no module starts a pool or a thread
+    threaded = [f"{name}.py:{node.lineno}" for name, tree in SOURCES.items()
+                for node in ast.walk(tree)
+                for module in (
+                    [a.name for a in node.names] if isinstance(node, ast.Import)
+                    else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if module.split(".")[0] == "threading" or module.startswith("concurrent")]
+    assert threaded == []
 
 
 def test_no_module_takes_a_private_name_from_another():

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from euclidpt import algebra, chains, spectral
+from euclidpt import algebra, chains, cli, spectral
 from euclidpt.algebra import E2Element, build_hamiltonian
 from euclidpt.dyson import ep_predictions_pt5, hermitize, pt5_three_param_hamiltonian
 from euclidpt.errors import ConvergenceFailure, GaugeOverflow, TrackingAmbiguity
@@ -470,6 +470,75 @@ def test_stacked_grid_matches_the_point_by_point_solve_bit_for_bit(grid, monkeyp
         assert levels.tobytes() == expected.tobytes(), f"{axis}={x}"
 
 
+def _chunk_log(fails=()):
+    """(log, stack, each) for `_in_stacks`: the stack of a chunk that holds an item of
+    `fails` raises ConvergenceFailure, and every call goes to the log."""
+    log = []
+
+    def stack(chunk):
+        log.append(("stack", list(chunk)))
+        if set(chunk) & set(fails):
+            raise ConvergenceFailure("a failing stack")
+        return [("stacked", x) for x in chunk]
+
+    def each(x):
+        log.append(("each", x))
+        return ("each", x)
+
+    return log, stack, each
+
+
+def test_in_stacks_stacks_each_chunk_when_the_caller_reaches_it():
+    log, stack, each = _chunk_log()
+    items = list(range(2 * spectral.STACK + 3))
+    for x, got in zip(items, spectral._in_stacks(stack, each, items, spectral.STACK)):
+        assert got == ("stacked", x)
+        log.append(("took", x))
+    chunks = [chunk for kind, chunk in log if kind == "stack"]
+    assert [len(chunk) for chunk in chunks] == [spectral.STACK, spectral.STACK, 3]
+    assert sum(chunks, []) == items
+    for chunk in chunks:   # stacked only after the caller took every item before it
+        taken = [x for kind, x in log[:log.index(("stack", chunk))] if kind == "took"]
+        assert taken == items[:chunk[0]]
+
+
+@pytest.mark.parametrize("error", [ConvergenceFailure, ValueError, FloatingPointError])
+def test_in_stacks_solves_a_failing_chunk_one_by_one_lazily(error):
+    log, stack, each = _chunk_log(fails=[4])
+
+    def raising(chunk):
+        try:
+            return stack(chunk)
+        except ConvergenceFailure:
+            raise error("a failing stack") from None
+
+    for x, got in zip(range(10), spectral._in_stacks(raising, each, range(10), 3)):
+        log.append(("took", x))
+        assert got == (("each", x) if 3 <= x < 6 else ("stacked", x))
+    assert log == [("stack", [0, 1, 2]), ("took", 0), ("took", 1), ("took", 2),
+                   ("stack", [3, 4, 5]), ("each", 3), ("took", 3), ("each", 4), ("took", 4),
+                   ("each", 5), ("took", 5), ("stack", [6, 7, 8]), ("took", 6), ("took", 7),
+                   ("took", 8), ("stack", [9]), ("took", 9)]
+
+
+def test_in_stacks_raises_the_first_failing_item_after_those_before_it():
+    log, stack, _ = _chunk_log(fails=[4])
+
+    def each(x):
+        if x >= 4:
+            raise ValueError(f"item {x}")
+        return x
+
+    taken = []
+    with pytest.raises(ValueError, match="^item 4$"):
+        for x in spectral._in_stacks(stack, each, list(range(10)), 3):
+            taken.append(x)
+    assert taken == [("stacked", 0), ("stacked", 1), ("stacked", 2), 3]
+    # an error a stack does not stand for passes through
+    with pytest.raises(KeyError):
+        next(spectral._in_stacks(lambda chunk: {}[0], each, [0], 3))
+
+
 def test_stacked_grid_refuses_a_sector_where_a_point_would():
     # -1e-300 % 2 rounds to 2.0: the point-by-point solve refuses that sector, after the points
     # before it; a grid with such a sector is not stacked, whatever it measures
@@ -656,7 +725,24 @@ def test_the_largest_coupling_decides_the_truncation():
             assert (_drift(cut, exact) <= DRIFT_RTOL) == (k != 4), f"mu4={x}"
 
 
-def test_sweep_workers_give_the_same_curves(monkeypatch):
+def test_workers_change_no_output(capsys):
+    # --workers is parsed, checked and echoed by `ep`, and has no effect
+
+    def stdout(argv, workers):
+        assert cli.main([*argv, "--workers", workers]) == 0
+        return capsys.readouterr().out
+
+    window = ["spectrum", "--family", "pt5-three", "--mu4", "1", "--mu7", "4",
+              "--sweep", "mu3:-4:4:161"]
+    assert stdout(window, "1") == stdout(window, "2") == stdout(window, "7")
+    ep = ["ep", "--family", "pt5-three", "--mu4", "1", "--mu7", "4", "--sweep", "mu3:-4:4:41"]
+    one = stdout(ep, "1")
+    assert '"workers": 1' in one
+    for workers in ("2", "7"):
+        assert stdout(ep, workers).replace(f'"workers": {workers}', '"workers": 1') == one
+
+
+def test_sweep_solves_its_stacks_in_turn_on_the_calling_thread(monkeypatch):
     # the window grid leaves 159 points after its probes: stacks of 64, 64 and 31
     template, axis, lo, hi, steps = README_SWEEPS["window"]
     stacks = []
@@ -664,14 +750,8 @@ def test_sweep_workers_give_the_same_curves(monkeypatch):
     monkeypatch.setattr(spectral, "_stacked_levels", lambda work, squares, sectors: stacks.append(
         (len(squares), threading.current_thread() is threading.main_thread()))
         or stacked_levels(work, squares, sectors))
-    one = sweep(template, axis, lo, hi, steps)
+    sweep(template, axis, lo, hi, steps)
     assert stacks == [(64, True), (64, True), (31, True)]
-    stacks.clear()
-    two = sweep(template, axis, lo, hi, steps, workers=2)
-    assert sorted(stacks) == [(31, False), (64, False), (64, False)]
-    np.testing.assert_array_equal(one.curves, two.curves)
-    assert (one.truncation, one.drift, one.refined_points) == \
-        (two.truncation, two.drift, two.refined_points)
 
 
 @pytest.mark.parametrize("recipe", sorted(README_SWEEPS))
@@ -1358,10 +1438,11 @@ def test_sweeps_build_each_grid_element_once(job, monkeypatch):
     result = sweep(template, axis, lo, hi, steps)
     assert len(built) == len(set(built)) == steps + result.refined_points
     if job.startswith("ep-"):
-        # the catalogue bisects on the sweep's forms and builds one element per certificate side
+        # the catalogue bisects on the sweep's forms and solves its certificate sides from the
+        # squares that placed them: it builds no element
         assert find_exceptional_points(result) and len(crossings) == 4
         assert not any(inside for _, inside in built)
-        assert len(built) == steps + result.refined_points + 2 * len(crossings)
+        assert len(built) == steps + result.refined_points
 
 
 @pytest.mark.parametrize("mu3", [0.8, 2.05, 3.0])
