@@ -7,6 +7,7 @@ that produce isospectral Hermitian partners h = eta H eta^{-1}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -76,25 +77,42 @@ def adjoint_generator(p: DysonParamsE2, g: str) -> E2Element:
     u -> u cosh(lam) - i v sinh(lam)
     v -> v cosh(lam) + i u sinh(lam)
     J -> J + i(rho v - tau u) sinh(lam)/lam + (rho u + tau v)(1 - cosh(lam))/lam
+
+    An image that overflows floating point raises ValueError.
     """
+    if g not in ("u", "v", "J"):
+        raise ValueError(f"unknown generator {g!r}")
     lam = p.lam
-    if g == "u":
-        return E2Element.from_terms(u=math.cosh(lam), v=-1j * math.sinh(lam))
-    if g == "v":
-        return E2Element.from_terms(v=math.cosh(lam), u=1j * math.sinh(lam))
-    if g == "J":
+    try:   # math.cosh and math.sinh raise OverflowError rather than return inf
+        if g == "u":
+            return E2Element.from_terms(u=math.cosh(lam), v=-1j * math.sinh(lam))
+        if g == "v":
+            return E2Element.from_terms(v=math.cosh(lam), u=1j * math.sinh(lam))
         s = _sinhc(lam)
         c = _one_minus_cosh_over(lam)
-        return E2Element.from_terms(J=1.0,
-                                    u=-1j * p.tau * s + p.rho * c,
-                                    v=1j * p.rho * s + p.tau * c)
-    raise ValueError(f"unknown generator {g!r}")
+    except OverflowError:
+        raise _map_overflow(p) from None
+    u, v = -1j * p.tau * s + p.rho * c, 1j * p.rho * s + p.tau * c
+    if not (cmath.isfinite(u) and cmath.isfinite(v)):
+        raise _map_overflow(p)
+    return E2Element.from_terms(J=1.0, u=u, v=v)
 
 
 def similarity_transform(p: DysonParamsE2, H: E2Element) -> E2Element:
-    """eta H eta^{-1}: substitute adjoint images and expand; spectrum-preserving."""
+    """eta H eta^{-1}: substitute adjoint images and expand; spectrum-preserving.
+
+    A result that overflows floating point raises ValueError.
+    """
     images = [adjoint_generator(p, g) for g in algebra.GENERATORS]
-    return E2Element(algebra.ENVELOPE.substitute(images, H.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):   # the result is checked below
+        coeffs = algebra.ENVELOPE.substitute(images, H.coeffs)
+    if not np.isfinite(coeffs).all():
+        raise _map_overflow(p)
+    return E2Element(coeffs)
+
+
+def _map_overflow(p):
+    return overflow_error("the Dyson map", {"lam": p.lam, "rho": p.rho, "tau": p.tau})
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def _even_bands(square, sector, truncation):
     constant.  Numbers give one matrix's bands.  Columns of m coefficients
     and sectors, shape (m, 1), give m rows of each, every entry by the same
     arithmetic, so a stack of Hill chains is bit for bit the chains that
-    `_blocks` slices from each matrix.
+    `eigen_spectrum` slices from each matrix.
     """
     c1, cj, cu2, cv2, cuv, cj2 = square
     k = np.arange(-truncation, truncation + 1) + sector / 2.0
@@ -173,11 +173,16 @@ def _real_form(matrix):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Levels of a problem, with the `_blocks` they were solved on for `wavefunction`."""
+    """Levels of a problem, with the blocks they were solved on for `wavefunction`.
+
+    A block is (matrix, bands, wave): a Hill chain's three diagonals `bands`, matrix None, or
+    the dense matrix of an element without a `hill_form`, bands None.  wave(v) is the
+    `WavefunctionSpec` of a vector v of the block.
+    """
     eigenvalues: np.ndarray        # sorted by real part
     truncation: int
     sector: float
-    blocks: list = field(repr=False)   # the problem's `_blocks`
+    blocks: list = field(repr=False)
     block_index: np.ndarray = field(repr=False)   # the entry of `blocks` that gave each level
     trusted_count: int = 0
 
@@ -207,47 +212,38 @@ def _solve_guard(solve):
     return guarded
 
 
-def _blocks(p):
-    """(matrix, bands, wave) for each block whose levels together are those of p.
+def _hill_spectra(chains):
+    """(levels, spectra) of a stack of Hill points, from the even- and the odd-mode chains'
+    stacked (diag, upper, lower).
 
-    wave(v) is the `WavefunctionSpec` of a vector v of the block.  A
-    `hill_form` gives its even- and odd-mode chains (`_chain_blocks`), each
-    sliced from the Hill matrix and real unless it has an imaginary part.
-    Otherwise the one block, `bands` None, is the `_real_form` (vectors
-    times D) or the complex matrix (vectors as they are), on modes -N..N.
+    levels holds each row's levels, both chains' together, sorted by real part.
+    spectra(points) yields, lazily, the `Spectrum` of each row's (element, sector): its
+    blocks are its row of the two chains, each real unless it has an imaginary part, whose
+    wave(v) is a series on the chain's own modes, every other one of -N..N, times the gauge
+    `hill_form` removes.  `tridiagonal_eigenvalues` solves a complex chain with no imaginary
+    part as that real one, so a row's levels do not depend on the stack's dtype.
     """
-    hill = hill_form(p.element)
-    if hill is None:
-        matrix = build_matrix(p)
-        real = _real_form(matrix)
-        if real is None:
-            return [(matrix, None, lambda v: WavefunctionSpec(v, p.sector))]
-        return [(real, None, lambda v: WavefunctionSpec(v * _pt5_phases(p.truncation), p.sector))]
-    matrix = build_matrix(SpectralProblem(hill, p.sector, p.truncation))
-    chains = [matrix[k::2, k::2] for k in (0, 1)]   # no nonzero entry off their three diagonals
-    blocks = _chain_blocks(p.element, p.sector, p.truncation,
-                           [[chain.diagonal(j) for j in (0, 1, -1)] for chain in chains])
-    return [(chain.real if bands[0].dtype == float else chain, bands, wave)
-            for chain, (bands, wave) in zip(chains, blocks)]
+    w = np.concatenate([tridiagonal_eigenvalues(*chain) for chain in chains], axis=1)
+    order = w.real.argsort(axis=1, kind="stable")
+    levels = w[np.arange(len(w))[:, None], order]
+    n = chains[1][0].shape[1]   # the odd chain's length, the truncation
+    block_index = (order > n).astype(int)   # the even chain's n + 1 levels come first
 
+    def spectra(points):
+        for i, (element, sector) in enumerate(points):
+            *_, cuj, cvj, c = element.coeffs.tolist()
+            gauge = cuj / (2 * c), cvj / (2 * c)
+            blocks = []
+            for k, chain in enumerate(chains):
+                bands = [band[i] for band in chain]
+                if not any(band.imag.any() for band in bands if band.dtype.kind == "c"):
+                    bands = [band.real for band in bands]
+                blocks.append((None, bands, functools.partial(
+                    WavefunctionSpec, sector=sector, first=k - n, step=2, gauge=gauge)))
+            yield Spectrum(eigenvalues=levels[i], truncation=n, sector=sector, blocks=blocks,
+                           block_index=block_index[i], trusted_count=trusted_count(n))
 
-def _chain_blocks(element, sector, truncation, chains):
-    """(bands, wave) of the even- and the odd-mode Hill chain of the element, each given
-    by its three diagonals, `bands`, which become real when none has an imaginary part.
-
-    wave(v) is the `WavefunctionSpec` of a chain vector v: a series on the
-    chain's own modes, every other one of -N..N, times the gauge `hill_form`
-    removes.
-    """
-    *_, cuj, cvj, c = element.coeffs.tolist()
-    gauge = cuj / (2 * c), cvj / (2 * c)
-    blocks = []
-    for k, bands in enumerate(chains):
-        if not any(band.imag.any() for band in bands):
-            bands = [band.real for band in bands]
-        blocks.append((bands, functools.partial(WavefunctionSpec, sector=sector,
-                                                first=k - truncation, step=2, gauge=gauge)))
-    return blocks
+    return levels, spectra
 
 
 @_solve_guard
@@ -255,17 +251,32 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
     """All eigenvalues of the truncated matrix, sorted by real part.
 
     Only the interior ~2N+1 - 4*sqrt(N) lowest levels are trusted; edge
-    eigenvalues carry truncation artifacts.  Each of the `_blocks` is solved
-    alone, a chain from its `bands`; overflowing couplings raise ValueError.
+    eigenvalues carry truncation artifacts.  An element with a `hill_form`
+    is a stack of one (`_hill_spectra`): its even- and odd-mode chains are
+    sliced from the Hill element's `build_matrix`, each real unless it has
+    an imaginary part.  Any other is one block, solved whole: the
+    `_real_form` (vectors times D) or the complex matrix (vectors as they
+    are), on modes -N..N.  Overflowing couplings raise ValueError.
     """
-    blocks = _blocks(p)
-    solved = [tridiagonal_eigenvalues(*bands) if bands else scipy.linalg.eigvals(matrix)
-              for matrix, bands, _ in blocks]
-    w = np.concatenate(solved)
-    order = w.real.argsort(kind="stable")
-    block_index = np.arange(len(solved)).repeat(list(map(len, solved)))[order]
-    return Spectrum(eigenvalues=w[order], truncation=p.truncation, sector=p.sector, blocks=blocks,
-                    block_index=block_index, trusted_count=trusted_count(p.truncation))
+    hill = hill_form(p.element)
+    if hill is None:
+        matrix = build_matrix(p)
+        real = _real_form(matrix)
+        if real is None:
+            block = matrix, None, lambda v: WavefunctionSpec(v, p.sector)
+        else:
+            block = real, None, lambda v: WavefunctionSpec(v * _pt5_phases(p.truncation),
+                                                           p.sector)
+        w = scipy.linalg.eigvals(block[0])
+        return Spectrum(eigenvalues=w[w.real.argsort(kind="stable")], truncation=p.truncation,
+                        sector=p.sector, blocks=[block], block_index=np.zeros(len(w), int),
+                        trusted_count=trusted_count(p.truncation))
+    matrix = build_matrix(SpectralProblem(hill, p.sector, p.truncation))
+    if not matrix.imag.any():   # then both chains are real
+        matrix = matrix.real
+    diagonals = [matrix.diagonal(j)[None] for j in (0, 2, -2)]   # the only nonzero ones
+    chains = [[band[:, k::2] for band in diagonals] for k in (0, 1)]
+    return next(_hill_spectra(chains)[1]([(p.element, p.sector)]))
 
 
 def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "bosonic") -> float:
@@ -394,55 +405,32 @@ def _level_drift(exact, cut):
 
 @_solve_guard
 def _hill_stack(work, squares, sectors):
-    """(chains, w, order) of the Hill element of each `completed_square` of `squares`, in its
+    """`_hill_spectra` of the Hill element of each `completed_square` of `squares`, in its
     sector, at work.truncation: row by row and bit for bit what `eigen_spectrum` solves.
 
-    chains holds the even- and the odd-mode chains' stacked (diag, upper, lower), w each
-    row's levels, the even chain's then the odd one's, and order the stable argsort of each
-    row by real part.  The bands of the whole stack come from `_even_bands` at once, and
-    each parity's chains are one stack for `tridiagonal_eigenvalues`, which solves a
-    complex chain with no imaginary part as `_blocks`'s real one.
+    The bands of the whole stack come from `_even_bands` at once, and each parity's chains
+    are one stack for `tridiagonal_eigenvalues`.
     """
     square = np.array(squares).T[:, :, None]
     _, diag, upper, lower = _even_bands(square, np.array(sectors)[:, None], work.truncation)
-    chains, solved = [], []
-    for chain in (diag[:, 0::2], diag[:, 1::2]):
-        shape = len(chain), chain.shape[1] - 1
-        chains.append((chain, np.broadcast_to(upper, shape), np.broadcast_to(lower, shape)))
-        solved.append(tridiagonal_eigenvalues(*chains[-1]))
-    w = np.concatenate(solved, axis=1)
-    return chains, w, w.real.argsort(axis=1, kind="stable")
+    shapes = [(len(diag), work.truncation - k) for k in (0, 1)]   # each chain's off-diagonals
+    return _hill_spectra([(diag[:, k::2], np.broadcast_to(upper, shape),
+                           np.broadcast_to(lower, shape)) for k, shape in enumerate(shapes)])
 
 
 def _stacked_levels(work, squares, sectors):
     """What `_tracked_levels(work)` gives at each Hill point of `_hill_stack`, as the rows of
     one array."""
-    _, w, order = _hill_stack(work, squares, sectors)
-    return np.take_along_axis(w, order[:, :work.track_levels], axis=1)
+    return _hill_stack(work, squares, sectors)[0][:, :work.track_levels]
 
 
-def _stacked_spectra(work, points, squares):
-    """The `eigen_spectrum` of each point (element, sector) with a Hill square, from one
-    `_hill_stack`, bit for bit but for the blocks' matrices: each is None, and `wavefunction`
-    builds it from the chain's bands when it solves a level of that chain."""
-    chains, w, order = _hill_stack(work, squares, [sector for _, sector in points])
-    n = work.truncation
-    levels = np.take_along_axis(w, order, axis=1)
-    block_index = np.arange(2).repeat([n + 1, n])[order]
-    for i, (element, sector) in enumerate(points):
-        blocks = [(None, bands, wave) for bands, wave in _chain_blocks(
-            element, sector, n, [[band[i] for band in bands] for bands in chains])]
-        yield Spectrum(eigenvalues=levels[i], truncation=n, sector=sector, blocks=blocks,
-                       block_index=block_index[i], trusted_count=trusted_count(n))
-
-
-def _in_stacks(stack, each, items, size):
+def _in_stacks(stack, items, size):
     """stack(chunk) item by item for the chunks of `size` items, each stacked only when the
     caller reaches it; a chunk whose stack raises ArithmeticError, ValueError or
-    ConvergenceFailure gives each(item) for its items instead, lazily.
+    ConvergenceFailure is stacked again one item at a time, lazily.
 
     A stack builds and solves its whole chunk before the caller checks any item, so a later
-    item's error could pre-empt an earlier one's.  Point by point, the first item to fail
+    item's error could pre-empt an earlier one's.  One at a time, the first item to fail
     raises its own error after whatever the caller did with the items before it.
     """
     for i in range(0, len(items), size):
@@ -450,7 +438,7 @@ def _in_stacks(stack, each, items, size):
         try:
             done = stack(chunk)
         except (ArithmeticError, ValueError, ConvergenceFailure):
-            done = map(each, chunk)
+            done = (got for j in range(len(chunk)) for got in stack(chunk[j:j + 1]))
         yield from done
 
 
@@ -468,10 +456,10 @@ def _solve_grid(template, axis, values, measure, drift):
     solved one by one, by `eigen_spectrum`.  When every point they left has a Hill square
     and a sector in [0, 2), those points are solved in stacks of at most STACK
     (`_hill_stack`): the tracked levels are sliced from the stack's arrays, and any other
-    measure takes the `Spectrum` of each row (`_stacked_spectra`).  A stack that raises is
-    solved again one by one (`_in_stacks`), so the first point to fail raises its own
-    error.  Otherwise every point is solved one by one.  Every solve runs in turn, on the
-    calling thread.  An overflowing square or q^2 raises ValueError.
+    measure takes the `Spectrum` of each row.  A stack that raises is solved again as
+    stacks of one (`_in_stacks`), so the first point to fail raises its own error.
+    Otherwise every point is solved one by one.  Every solve runs in turn, on the calling
+    thread.  An overflowing square or q^2 raises ValueError.
     """
     points = {x: template.element_at(axis, x) for x in map(float, values)}
     squares = {x: completed_square(e.coeffs.tolist()) for x, (e, _) in points.items()}
@@ -502,17 +490,14 @@ def _solve_grid(template, axis, values, measure, drift):
     stacks = all(squares[x] is not None and 0.0 <= points[x][1] < 2.0 for x in todo)
     work = replace(template, truncation=n)
 
-    def each(x):
-        return solve(x, n)
-
     def stacked(xs):
+        rows = [squares[x] for x in xs], [points[x][1] for x in xs]
         if tracked:
-            return _stacked_levels(work, [squares[x] for x in xs], [points[x][1] for x in xs])
-        return [measure(spectrum) for spectrum in _stacked_spectra(
-            work, [points[x] for x in xs], [squares[x] for x in xs])]
+            return _stacked_levels(work, *rows)
+        return list(map(measure, _hill_stack(work, *rows)[1]([points[x] for x in xs])))
 
-    solved.update(zip(todo, _in_stacks(stacked, each, todo, STACK) if stacks
-                      else map(each, todo)))
+    solved.update(zip(todo, _in_stacks(stacked, todo, STACK) if stacks
+                      else (solve(x, n) for x in todo)))
     return n, float(worst), solved, forms
 
 
@@ -605,6 +590,8 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int) 
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not math.isfinite(hi - lo):   # also when lo or hi is not finite
+        raise ValueError(f"lo, hi and hi - lo must be finite, got lo={lo}, hi={hi}")
     values = np.linspace(lo, hi, steps)
     n, drift, cache, forms = _solve_grid(template, axis, values, None, _level_drift)
     work = replace(template, truncation=n)
@@ -801,8 +788,8 @@ def _catalogue_eps(result, work, q2s, im_tol):
     crossings (`_in_stacks`) are placed and certified in turn, the sides of
     each solved as one stack from the squares that placed them
     (`_stacked_levels`), bit for bit `eigen_spectrum`'s tracked levels; if a
-    chunk raises, its crossings run one by one, so the first error is the
-    first crossing's.
+    chunk raises, it is placed and solved again one crossing at a time, so
+    the first error is the first crossing's.
     """
     template, axis = result.template, result.axis
     grid = [float(x) for x in result.values]
@@ -842,10 +829,6 @@ def _catalogue_eps(result, work, q2s, im_tol):
             raise ConvergenceFailure(f"the crossing at {axis}={x!r} has no resolved sides")
         return [(s, at[s]) for _, s in placed]
 
-    def solve_sides(j):
-        (above, _), (below, _) = sides(j)
-        return above, below, _levels_at(work, axis, above), _levels_at(work, axis, below)
-
     def stacked(js):
         placed = [side for j in js for side in sides(j)]
         # a placed side has a form, so it has a Hill square
@@ -854,7 +837,7 @@ def _catalogue_eps(result, work, q2s, im_tol):
                 in zip(placed[0::2], placed[1::2], rows[0::2], rows[1::2])]
 
     eps = []
-    solved = _in_stacks(stacked, solve_sides, range(len(points)), max(1, STACK // 2))
+    solved = _in_stacks(stacked, range(len(points)), max(1, STACK // 2))
     for (x, k, width, threshold, a), (above, below, real, broken) in zip(points, solved):
         flips = [i for i in _conjugate_pairs(broken, im_tol)
                  if max(abs(real[i].imag), abs(real[i + 1].imag)) <= im_tol]
@@ -966,14 +949,14 @@ def wavefunction(spectrum: Spectrum, level):
 
     A level is an integer index of `spectrum.eigenvalues`; a sequence of
     levels gives a list.  Each level is solved on the one of the spectrum's
-    `blocks` that gave it, B, so no matrix is built again: an exactly real
+    `blocks` that gave it, B, so no element is built again: an exactly real
     level with no other level of B within 1e-6 max|B|, on a real chain
     whose off-diagonal products are all nonzero, by `inverse_iteration`;
     any other by one `scipy.linalg.eig` of B, the column of the level's rank
     in B by real part.  ||(B - E)x|| > 1e-9 max|B| raises
     ConvergenceFailure.  x is B's `WavefunctionSpec` as it is, on B's own
-    modes and with its gauge.  A block whose matrix is None
-    (`_stacked_spectra`) is the chain of its bands, built once per call.
+    modes and with its gauge.  A chain's B is the dense chain of its bands
+    (`tridiagonal_matrix`), built once per call.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -1037,7 +1020,7 @@ def select_pair(spectrum: Spectrum, near_energy: float) -> tuple:
 class PairIntensities:
     """The pair `select_pair` takes at one point, its two levels and their intensities."""
     pair: tuple                 # the levels' indices in the spectrum
-    blocks: tuple               # the `_blocks` entry that gave each level
+    blocks: tuple               # the `Spectrum.blocks` entry that gave each level
     levels: np.ndarray
     i_even: np.ndarray
     i_odd: np.ndarray
@@ -1100,6 +1083,8 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("an intensity sweep needs at least one value")
+    if not np.isfinite(values).all():
+        raise ValueError(f"values must be finite, got {values[~np.isfinite(values)][0]}")
 
     def measure(spectrum):
         return _spectrum_pair(spectrum, near_energy, theta)
@@ -1140,8 +1125,12 @@ def pt_eigenstate_check(w: WavefunctionSpec, sym, grid=None, tol=1e-6):
     satisfies image = c*psi with |c| = 1; "broken" here means the image is
     not proportional to +-psi on the grid).
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) if grid is None \
         else np.asarray(grid, dtype=float)
+    if theta.size == 0:
+        raise ValueError("grid must hold at least one angle")
     psi = w.evaluate(theta)
     image = pt_image(w, sym, theta)
     scale = float(np.max(np.abs(psi)))

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import scipy.linalg
 
 import oracles
 from euclidpt import cli, mathieu, spectral
-from euclidpt.algebra import E2Element, completed_square
+from euclidpt.algebra import completed_square
 from euclidpt.dyson import ep_predictions_pt5, pt5_double_point_predictions
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.spectral import (SWEEP_AXES, SweepTemplate, bisect_transition,
@@ -266,52 +265,37 @@ def test_contradicting_certificate_raises(monkeypatch):
 
 def _break_sides(monkeypatch, result, breaks):
     """Break certificate sides, counted in the catalogue's order, each crossing's real side
-    then its broken one: `breaks` maps a side to "overflow", an element whose chain bands
+    then its broken one: `breaks` maps a side to "overflow", a square whose chain bands
     overflow, or to (chain, info), `dstevd` failing with that info on its even (0) or odd
     (1) chain.  Returns the number of sides."""
-    sides, problem_at = [], SweepTemplate.problem_at
+    sides = []
     stacked_levels = spectral._stacked_levels
-
-    def unstacked(work, squares, sectors):
-        raise ValueError("every crossing point by point")
-
     with monkeypatch.context() as patch:
-        # point by point, the sides are the problems the crossings solve, in turn
-        patch.setattr(spectral, "_stacked_levels", unstacked)
-        patch.setattr(SweepTemplate, "problem_at", lambda self, axis, x: sides.append(x)
-                      or problem_at(self, axis, x))
+        # the squares and sectors of the sides, in turn, as the stacks solve them
+        patch.setattr(spectral, "_stacked_levels", lambda work, squares, sectors: sides.extend(
+            zip(squares, sectors)) or stacked_levels(work, squares, sectors))
         find_exceptional_points(result)
-    work = replace(result.template, truncation=result.truncation)
-    infos, overflows = {}, set()
+    infos, big = {}, set()
     for side, how in breaks.items():
-        if how == "overflow":
-            overflows.add(sides[side])
+        square, sector = sides[side]
+        if how == "overflow":   # times a power of two: the same Mathieu form, but 2^1017 J2
+            big.add(square)
         else:
             chain, info = how
-            blocks = spectral._blocks(work.problem_at(result.axis, sides[side]))
-            infos[blocks[chain][1][0].tobytes()] = info
-    dstevd, element_at = scipy.linalg.lapack.dstevd, SweepTemplate.element_at
+            diag = spectral._even_bands(square, sector, result.truncation)[1][chain::2]
+            infos[diag.real.tobytes()] = info
+    dstevd = scipy.linalg.lapack.dstevd
 
     def failing(d, e, **kwargs):
         if d.tobytes() in infos:
             return np.zeros_like(d), None, infos[d.tobytes()]
         return dstevd(d, e, **kwargs)
 
-    def scaled(self, axis, x):
-        element, sector = element_at(self, axis, x)
-        if x in overflows:   # times a power of two: the same Mathieu form, but 2^1017 J2
-            element = E2Element(element.coeffs * 2.0 ** 1017)
-        return element, sector
-
-    # a stack solves the squares that placed its sides: those of the scaled elements
-    big = {result.template.square_at(result.axis, x)[0] for x in overflows}
-
     def scaled_stack(work, squares, sectors):
         return stacked_levels(work, [tuple(2.0 ** 1017 * z for z in square) if square in big
                                      else square for square in squares], sectors)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
-    monkeypatch.setattr(SweepTemplate, "element_at", scaled)
     monkeypatch.setattr(spectral, "_stacked_levels", scaled_stack)
     return len(sides)
 
@@ -394,9 +378,16 @@ def test_readme_ep_recipes_print_the_same_bytes(argv, digest, expected, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# the README `ep` recipes, and a wider mu7 window where three pairs meet at mu7 = 49
-STACK_RUNS = [argv for argv, _, _ in README_EP_RECIPES] + [
+# the README `ep` recipes, a wider mu7 window where three pairs meet at mu7 = 49, the README
+# `spectrum` recipes (the real family in both sectors) and its `intensity` surface
+EP_RUNS = [argv for argv, _, _ in README_EP_RECIPES] + [
     "ep --family pt5-three --mu3 2 --mu4 9 --sweep mu7:0:170:81"]
+STACK_RUNS = EP_RUNS + [
+    "spectrum --family pt5-three --mu3 0.5 --mu7 0 --sweep mu4:-3:3:200 --levels 7",
+    "spectrum --family pt5-three --mu3 0.5 --mu7 0 --sweep mu4:-3:3:200 --levels 7 --sector 1",
+    "spectrum --family pt5-three --mu4 1 --mu7 4 --sweep mu3:-4:4:161",
+    "spectrum --family raw --symmetry PT5 --mu1 1 --mu7 0.5 --sweep s:0:1.95:40 --levels 6",
+    "intensity --sweep mu3:0:4:81 --mu4 1 --mu7 4"]
 
 
 @pytest.mark.parametrize("stack", [1, 2])
@@ -412,7 +403,7 @@ def test_the_stack_size_changes_no_byte(stack, monkeypatch, capsys):
         len(squares)) or stacked_levels(work, squares, sectors))
     monkeypatch.setattr(spectral, "STACK", stack)
     assert [stdout(argv) for argv in STACK_RUNS] == expected
-    assert all(json.loads(out)["exceptional_points"] for out in expected)
+    assert all(json.loads(out)["exceptional_points"] for out in expected[:len(EP_RUNS)])
     # a grid stack holds at most STACK points, a catalogue stack one crossing's two sides
     assert rows and max(rows) == 2
 

@@ -12,6 +12,9 @@ NAN, INF = math.nan, math.inf
 WAVE = spectral.pt1_closed_wavefunction(1.0, 0.4, -0.3, n=2)
 THETA = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 UNKNOWN_TAG = r"^unknown symmetry tag 'PT6'; E2 has PT1, PT2, PT3, PT4, PT5$"
+TEMPLATE = spectral.SweepTemplate(family="pt5-three", truncation=8, track_levels=2)
+SPAN = r"^lo, hi and hi - lo must be finite, got "
+HAMILTONIAN = algebra.build_hamiltonian("PT5", [1.0, 0.3, 0.0, 0.5, 0.8, 0.4, -0.5, 0.7, 0.0])
 
 CASES = {
     "pt_image-tag": (lambda: spectral.pt_image(WAVE, "PT6", THETA), UNKNOWN_TAG),
@@ -70,6 +73,32 @@ CASES = {
                          r"exp\(1000.0\)$"),
     "normalized-square": (lambda: spectral.WavefunctionSpec(np.ones(3), gauge=(0.0, 400j))
                           .normalized(), r"gauge reaches exp\(400.0\)$"),
+    "sweep-lo": (lambda: spectral.sweep(TEMPLATE, "mu4", NAN, 1, 5), SPAN + r"lo=nan, hi=1$"),
+    "sweep-hi": (lambda: spectral.sweep(TEMPLATE, "mu4", 0, INF, 5), SPAN + r"lo=0, hi=inf$"),
+    "sweep-span": (lambda: spectral.sweep(TEMPLATE, "mu4", -1e308, 1e308, 5),
+                   SPAN + r"lo=-1e\+308, hi=1e\+308$"),
+    **{f"intensity_sweep-{name}": (
+        lambda values=values: spectral.intensity_sweep(TEMPLATE, "mu3", values, 3.0, THETA),
+        rf"^values must be finite, got {bad}$")
+       for name, values, bad in (("first", [NAN, 0.6], "nan"), ("one", [NAN], "nan"),
+                                 ("last", [0.5, INF], "inf"))},
+    "pt_eigenstate_check-tol-nan": (lambda: spectral.pt_eigenstate_check(WAVE, "PT5", tol=NAN),
+                                    r"^tol must be nonnegative, got nan$"),
+    "pt_eigenstate_check-tol-negative": (
+        lambda: spectral.pt_eigenstate_check(WAVE, "PT5", tol=-1),
+        r"^tol must be nonnegative, got -1$"),
+    "pt_eigenstate_check-grid": (lambda: spectral.pt_eigenstate_check(WAVE, "PT5", grid=[]),
+                                 r"^grid must hold at least one angle$"),
+    **{f"similarity_transform-lam{lam:g}": (
+        lambda lam=lam: dyson.similarity_transform(dyson.DysonParamsE2(lam, 0.2), HAMILTONIAN),
+        rf"^the Dyson map overflows floating point at lam={lam}, rho=0.2$")
+       for lam in (700.0, 800.0, -800.0)},
+    **{f"adjoint_generator-{g}": (
+        lambda g=g: dyson.adjoint_generator(dyson.DysonParamsE2(800.0), g),
+        r"^the Dyson map overflows floating point at lam=800.0$") for g in ("u", "v", "J")},
+    "adjoint_generator-J-rho": (
+        lambda: dyson.adjoint_generator(dyson.DysonParamsE2(700.0, 1e300), "J"),
+        r"^the Dyson map overflows floating point at lam=700.0, rho=1e\+300$"),
     **{f"{name}-trunc{trunc}": (call, rf"^trunc must be at least 3, got {trunc}$")
        for trunc in (0, 1, 2)
        for name, call in (

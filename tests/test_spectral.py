@@ -391,7 +391,7 @@ def test_hill_path_matches_the_stepwise_oracle_bit_for_bit(kind):
                 assert spectrum.eigenvalues.tobytes() == levels.tobytes()
                 assert len(spectrum.blocks) == len(chains) == 2
                 for (matrix, bands, _), expected in zip(spectrum.blocks, chains):
-                    assert matrix.dtype == expected[0].dtype
+                    assert matrix is None   # a chain block is its bands
                     for band, want in zip(bands, expected):
                         assert band.dtype == want.dtype and band.tobytes() == want.tobytes()
 
@@ -471,27 +471,23 @@ def test_stacked_grid_matches_the_point_by_point_solve_bit_for_bit(grid, monkeyp
 
 
 def _chunk_log(fails=()):
-    """(log, stack, each) for `_in_stacks`: the stack of a chunk that holds an item of
-    `fails` raises ConvergenceFailure, and every call goes to the log."""
+    """(log, stack) for `_in_stacks`: the stack of a chunk of more than one item that holds an
+    item of `fails` raises ConvergenceFailure, and every call goes to the log."""
     log = []
 
     def stack(chunk):
         log.append(("stack", list(chunk)))
-        if set(chunk) & set(fails):
+        if len(chunk) > 1 and set(chunk) & set(fails):
             raise ConvergenceFailure("a failing stack")
         return [("stacked", x) for x in chunk]
 
-    def each(x):
-        log.append(("each", x))
-        return ("each", x)
-
-    return log, stack, each
+    return log, stack
 
 
 def test_in_stacks_stacks_each_chunk_when_the_caller_reaches_it():
-    log, stack, each = _chunk_log()
+    log, stack = _chunk_log()
     items = list(range(2 * spectral.STACK + 3))
-    for x, got in zip(items, spectral._in_stacks(stack, each, items, spectral.STACK)):
+    for x, got in zip(items, spectral._in_stacks(stack, items, spectral.STACK)):
         assert got == ("stacked", x)
         log.append(("took", x))
     chunks = [chunk for kind, chunk in log if kind == "stack"]
@@ -504,7 +500,7 @@ def test_in_stacks_stacks_each_chunk_when_the_caller_reaches_it():
 
 @pytest.mark.parametrize("error", [ConvergenceFailure, ValueError, FloatingPointError])
 def test_in_stacks_solves_a_failing_chunk_one_by_one_lazily(error):
-    log, stack, each = _chunk_log(fails=[4])
+    log, stack = _chunk_log(fails=[4])
 
     def raising(chunk):
         try:
@@ -512,31 +508,29 @@ def test_in_stacks_solves_a_failing_chunk_one_by_one_lazily(error):
         except ConvergenceFailure:
             raise error("a failing stack") from None
 
-    for x, got in zip(range(10), spectral._in_stacks(raising, each, range(10), 3)):
+    for x, got in zip(range(10), spectral._in_stacks(raising, range(10), 3)):
         log.append(("took", x))
-        assert got == (("each", x) if 3 <= x < 6 else ("stacked", x))
+        assert got == ("stacked", x)
     assert log == [("stack", [0, 1, 2]), ("took", 0), ("took", 1), ("took", 2),
-                   ("stack", [3, 4, 5]), ("each", 3), ("took", 3), ("each", 4), ("took", 4),
-                   ("each", 5), ("took", 5), ("stack", [6, 7, 8]), ("took", 6), ("took", 7),
-                   ("took", 8), ("stack", [9]), ("took", 9)]
+                   ("stack", [3, 4, 5]), ("stack", [3]), ("took", 3), ("stack", [4]),
+                   ("took", 4), ("stack", [5]), ("took", 5), ("stack", [6, 7, 8]), ("took", 6),
+                   ("took", 7), ("took", 8), ("stack", [9]), ("took", 9)]
 
 
 def test_in_stacks_raises_the_first_failing_item_after_those_before_it():
-    log, stack, _ = _chunk_log(fails=[4])
-
-    def each(x):
-        if x >= 4:
-            raise ValueError(f"item {x}")
-        return x
+    def stack(chunk):   # a stack of several raises the error of its last failing item
+        if failing := [x for x in chunk if x >= 4]:
+            raise ValueError(f"item {failing[-1]}")
+        return [("stacked", x) for x in chunk]
 
     taken = []
     with pytest.raises(ValueError, match="^item 4$"):
-        for x in spectral._in_stacks(stack, each, list(range(10)), 3):
+        for x in spectral._in_stacks(stack, list(range(10)), 3):
             taken.append(x)
-    assert taken == [("stacked", 0), ("stacked", 1), ("stacked", 2), 3]
+    assert taken == [("stacked", 0), ("stacked", 1), ("stacked", 2), ("stacked", 3)]
     # an error a stack does not stand for passes through
     with pytest.raises(KeyError):
-        next(spectral._in_stacks(lambda chunk: {}[0], each, [0], 3))
+        next(spectral._in_stacks(lambda chunk: {}[0], [0], 3))
 
 
 def test_stacked_grid_refuses_a_sector_where_a_point_would():
@@ -817,7 +811,7 @@ def test_real_family_sweep_levels_match_bisection(sector):
     result = sweep(template, "mu4", -3, 3, 200)
     for k, x in enumerate(result.values):
         exact = []
-        for _, (diag, upper, lower), _ in spectral._blocks(template.problem_at("mu4", x)):
+        for _, (diag, upper, lower), _ in eigen_spectrum(template.problem_at("mu4", x)).blocks:
             assert np.all(upper * lower >= 0)
             exact += list(scipy.linalg.eigh_tridiagonal(
                 diag, np.sqrt(upper * lower), eigvals_only=True, select="i",
@@ -1228,11 +1222,14 @@ def test_complex_level_of_a_real_chain_needs_eig():
     spectrum = eigen_spectrum(problem)
     level = select_pair(spectrum, 3.0)[0]
     energy = spectrum.eigenvalues[level]
-    chain, bands, _ = spectrum.blocks[spectrum.block_index[level]]
+    block = spectrum.block_index[level]
+    _, bands, _ = spectrum.blocks[block]
+    hill = build_matrix(SpectralProblem(spectral.hill_form(problem.element)))[block::2, block::2]
+    chain = chains.tridiagonal_matrix(*bands)
     assert energy.imag != 0 and chain.dtype == float and np.all(bands[1] * bands[2] != 0)
     for band, j in zip(bands, (0, 1, -1)):   # a real chain's bands are real
         assert band.dtype == float
-        np.testing.assert_array_equal(band, np.diagonal(chain, j))
+        np.testing.assert_array_equal(band, np.diagonal(hill, j))
     vec = chains.inverse_iteration(bands, energy.real)
     assert vec.dtype == float
     assert np.linalg.norm(chain @ vec - energy * vec) > 1e-9 * np.max(np.abs(chain))
