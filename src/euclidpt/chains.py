@@ -2,7 +2,8 @@
 
 Every spectrum euclidpt prints is that of such a chain, a Hill chain of
 `spectral` or a Mathieu class chain of `mathieu` (DLMF 28.4).  Both solve
-their chains here, and both locate exceptional points under the tolerances
+their chains here, and both bracket their exceptional points, the changes
+in a count of conjugate pairs, with `pair_changes` under the tolerances
 `check_ep_tolerances` admits, so this module sits below both and imports
 nothing of the package but `errors`.
 """
@@ -108,6 +109,34 @@ def certify(matrix, vec, energy, what):
     if not (norm := np.linalg.norm(matrix @ vec - energy * vec)) <= bound:
         raise ConvergenceFailure(f"{what}: eigenvector residual {norm:.3e} > 1e-9 max|T| = "
                                  f"{bound:.3e}")
+
+
+def pair_changes(pairs_at, lo, hi, tol, place=None):
+    """Yield (lo, hi, fresh, placed) for each change in the number of conjugate pairs.
+
+    `pairs_at(x)`, which the caller caches, lists the +Im pair members at x.
+    A bracket whose ends hold different numbers of members is halved, the lo
+    half first, until `place(lo, hi, fresh)` returns a result `placed`, or
+    it is at most `tol` wide or spans adjacent floats (`placed` None).  lo
+    and hi may come in either order.  `fresh` is what is left of the end
+    with more members once each member of the other end takes its nearest
+    by real part: the pairs born or dying across the bracket.
+    """
+    brackets = [(lo, hi)]
+    while brackets:
+        lo, hi = brackets.pop()
+        fewer, more = sorted((pairs_at(lo), pairs_at(hi)), key=len)
+        if len(fewer) == len(more):
+            continue
+        fresh = list(more)
+        for z in fewer:
+            del fresh[min(range(len(fresh)), key=lambda i: abs(fresh[i].real - z.real))]
+        placed = None if place is None else place(lo, hi, fresh)
+        mid = 0.5 * (lo + hi)
+        if placed is not None or abs(hi - lo) <= tol or not min(lo, hi) < mid < max(lo, hi):
+            yield lo, hi, fresh, placed
+        else:
+            brackets += [(mid, hi), (lo, mid)]
 
 
 def check_ep_tolerances(tol_name, tol, im_tol, im_tol_name="im_tol"):

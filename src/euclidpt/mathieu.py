@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
-from .chains import (certify, check_ep_tolerances, inverse_iteration,
+from .chains import (certify, check_ep_tolerances, inverse_iteration, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import ConvergenceFailure, check_finite
 
@@ -82,54 +82,39 @@ def _antiperiodic_order(size):
     return np.concatenate([np.arange(0, size, 2)[::-1], np.arange(1, size, 2)])
 
 
-def _chain(q, cls, size, dtype=complex):
-    """Diagonal and (symmetric) off-diagonal of one class's recurrence chain.
-
-    `cls` is a MathieuClass, or the parity of an antiperiodic class, whose
-    chain runs in the mode order of `_antiperiodic_order`.  The bands are
-    complex, or real for dtype float, which takes a real q.  Raises
-    ValueError when a coupling product, at most 2 q^2, is not finite.
-    """
-    q = dtype(q)
-    _check_coupling(q)
-    off = np.full(size - 1, q)
+@functools.cache
+def _bands(cls, size):
+    """One class's chain as an affine function of q, read-only, once per (cls, size): the
+    diagonal at q = 0, its first entry's slope (+-1 on a 2pi class, else 0) and the
+    off-diagonal's slopes (sqrt 2 on the even-pi first link, the symmetrized k=0 coupling;
+    -1 on the odd antiperiodic middle link; else 1).  `cls` is a MathieuClass, or the parity
+    of an antiperiodic class, whose chain runs in the mode order of `_antiperiodic_order`."""
+    unit, slope = np.ones(size - 1), 0.0
     if isinstance(cls, MathieuClass):
-        diag = (_modes(cls, size) ** 2).astype(dtype)
+        diag = (_modes(cls, size) ** 2).astype(float)
         if cls == EVEN_PI:
-            off[0] *= _SQRT2    # symmetrized k=0 coupling
+            unit[0] = _SQRT2
         elif cls.periodicity == "2pi":
-            diag[0] += q if cls == EVEN_2PI else -q
-        return diag, off
-    _check_parity(cls)
-    # cos(2th) folds the k=0 mode back onto k=1 (sign flip for the sine
-    # basis): the middle link of the chain
-    off[(size - 1) // 2] = q if cls == "even" else -q
-    return ((_antiperiodic_order(size) + 0.5) ** 2).astype(dtype), off
+            slope = 1.0 if cls == EVEN_2PI else -1.0
+    else:
+        _check_parity(cls)
+        diag = (_antiperiodic_order(size) + 0.5) ** 2
+        # cos(2th) folds the k=0 mode back onto k=1 (sign flip for the sine
+        # basis): the middle link of the chain
+        unit[(size - 1) // 2] = 1.0 if cls == "even" else -1.0
+    diag.flags.writeable = unit.flags.writeable = False
+    return diag, slope, unit
 
 
-def _check_coupling(q):
+def _chain(q, cls, size):
+    """Diagonal and symmetric off-diagonal of one class's chain at q: new arrays from the
+    `_bands`, real for a float q and complex for a complex q; each slope times q is exact.
+    Raises ValueError when a coupling product, at most 2 q^2, is not finite."""
     if not cmath.isfinite(2.0 * q * q):
         raise ValueError(f"q = {q} overflows the recurrence chain: 2 q^2 is not finite")
-
-
-@functools.cache
-def _real_bands(cls, size):
-    """`_chain` in real arithmetic is affine in q.  Returns its diagonal at q = 0,
-    the slope of the first diagonal entry (+-1 on a 2pi class, else 0) and the
-    off-diagonal's slope, read-only, built once per (cls, size)."""
-    (base, _), (top, unit) = _chain(0.0, cls, size, float), _chain(1.0, cls, size, float)
-    base.flags.writeable = unit.flags.writeable = False
-    return base, float(top[0] - base[0]), unit
-
-
-def _real_chain(q, cls, size):
-    """`_chain(q, cls, size, float)` from the `_real_bands`, bit for bit: each
-    slope times q is exact (q, -q, or q times the EVEN_PI link's sqrt 2)."""
-    _check_coupling(q)
-    diag, slope, unit = _real_bands(cls, size)
-    if slope:
-        diag = diag.copy()
-        diag[0] += slope * q
+    diag, slope, unit = _bands(cls, size)
+    diag = diag.astype(complex if isinstance(q, complex) else float)
+    diag[0] += slope * q
     return diag, q * unit
 
 
@@ -141,7 +126,7 @@ def _canonical(w):
 
 def _sorted_eigs(q, cls, size):
     """Eigenvalues of one class's chain (see `_chain`) in canonical order."""
-    diag, off = _chain(q, cls, size)
+    diag, off = _chain(complex(q), cls, size)
     return _canonical(tridiagonal_eigenvalues(diag, off, off))
 
 
@@ -194,7 +179,7 @@ def _ritz_certified(q, cls, count, trunc, what):
     Returns (values, bounds).
     """
     q = complex(q).real
-    diag, off = _real_chain(q, cls, trunc)
+    diag, off = _chain(q, cls, trunc)
     q = abs(q)
     upper = np.zeros(trunc)    # dstemr takes a workspace entry past the end, and overwrites it
     upper[:-1] = off
@@ -326,7 +311,7 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
     if abs(w[i] - a) > 1e-6 * max(1.0, abs(a)):
         raise ValueError(f"{a} is not a characteristic value of class {cls.label} "
                          f"(nearest: {w[i]})")
-    diag, off = _chain(q, cls, trunc)
+    diag, off = _chain(complex(q), cls, trunc)
     vec = inverse_iteration((diag, off, off), w[i])
     certify(tridiagonal_matrix(diag, off, off), vec, w[i], f"{cls.label} value {w[i]:.12g}")
     if cls == EVEN_PI:
@@ -422,9 +407,11 @@ def _double_point(cls, trunc, a, t, lo, hi):
     or `_NEWTON_STEPS` steps do not converge.  The Jacobian's determinant is
     D_a D_as - D_s D_aa, and D_a = 0 at a double point, so a non-degenerate
     fold needs |D_aa D_s| > |D_a D_as| there; otherwise ConvergenceFailure.
+    The chain is read off `_bands`: at q = i the link with slope c_k has the
+    product -c_k^2, which is 1 or 2, rounded from the slope's square.
     """
-    diag, off = _chain(1j, cls, trunc)
-    diag, coupling = diag.real.tolist(), [0.0, *np.rint(-(off * off).real).tolist()]
+    diag, _, unit = _bands(cls, trunc)
+    diag, coupling = diag.tolist(), [0.0, *np.rint(unit * unit).tolist()]
     s, s_lo, s_hi, last = t * t, lo * lo, hi * hi, math.inf
     for _ in range(_NEWTON_STEPS):
         d, d_a, d_aa, d_s, d_as = _continuant(diag, coupling, a, s)
@@ -449,8 +436,8 @@ def _real_stretch(cls, trunc):
     """t* of the class chain: below it every value at q = i*t is real, with no solve.
 
     At q = i*t, `chains.tridiagonal_eigenvalues` solves the chain's real
-    form: the diagonal d_k of `_real_bands` and the off-diagonals +-t c_k,
-    c_k the coupling's slope (sqrt 2 on the even-pi first link).  Its
+    form: the diagonal d_k of `_bands` and the off-diagonals +-t c_k, c_k
+    the off-diagonal's slope there (sqrt 2 on the even-pi first link).  Its
     Gershgorin discs are centred on d_k with radius t rho_k, rho_k the row's
     sum of c_k.  As d_k increases, they are pairwise disjoint while
     t (rho_k + rho_{k+1}) < d_{k+1} - d_k for every k.  Each isolated disc
@@ -459,17 +446,9 @@ def _real_stretch(cls, trunc):
     1e-14, far more than the few ulps the quotient and the entries t c_k are
     rounded by.  It is 1.0448 for even-pi and 4 for odd-pi at any trunc.
     """
-    diag, _, unit = _real_bands(cls, trunc)
+    diag, _, unit = _bands(cls, trunc)
     rho = np.abs(np.concatenate(([0.0], unit))) + np.abs(np.concatenate((unit, [0.0])))
     return float(np.min(np.diff(diag) / (rho[:-1] + rho[1:]))) * (1.0 - 1e-14)
-
-
-def _new_pair(fewer, more):
-    """The member of `more` left once each of `fewer` takes the one nearest in real part."""
-    more = list(more)
-    for z in fewer:
-        del more[min(range(len(more)), key=lambda i: abs(more[i].real - z.real))]
-    return more[0]
 
 
 def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
@@ -482,11 +461,11 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     spaced t (default 8 + int(max_q)), which only brackets the changes in
     their number of conjugate pairs (Im a > im_tol).  Below the chain's
     `_real_stretch` that number is 0 with no solve: Gershgorin's discs
-    prove every value real there.  Newton on the chain
-    continuant (`_double_point`) places each point, starting from the new
-    pair's real part at the bracket's broken end.  A bracket where the
-    number changes by more than one, or whose Newton iterate leaves it or
-    does not converge, is halved with one more solve.  Returns
+    prove every value real there.  Each scan interval whose ends differ is
+    halved by `chains.pair_changes`, one solve per midpoint, until Newton on
+    the chain continuant (`_double_point`) places a bracket's point: it is
+    tried on every bracket where one pair changes, from that pair's real
+    part at the bracket's broken end.  Returns
     [{"q_imag": t, "a_merge": a}, ...] in increasing t, one entry per pair
     born or dying.  Raises ConvergenceFailure when a bracket narrower than
     param_tol still holds no point, or when a scan interval does not hold
@@ -512,27 +491,21 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
             pairs[t] = [z for z in _sorted_eigs(1j * t, cls, trunc)[:count] if z.imag > im_tol]
         return pairs[t]
 
+    def newton(lo, hi, fresh):
+        if len(fresh) != 1:
+            return None
+        broken = hi if len(pairs_at(hi)) > len(pairs_at(lo)) else lo
+        return _double_point(cls, trunc, float(fresh[0].real), broken, lo, hi)
+
     ts = np.linspace(max_q / scan_steps, max_q, scan_steps).tolist()
     found = []
     for start, end in zip(ts, ts[1:]):
-        points, brackets = [], [(start, end)]
-        while brackets:
-            lo, hi = brackets.pop()
-            change = len(pairs_at(hi)) - len(pairs_at(lo))
-            if not change:
-                continue
-            if abs(change) == 1:
-                broken, real = (hi, lo) if change > 0 else (lo, hi)
-                seed = float(_new_pair(pairs_at(real), pairs_at(broken)).real)
-                point = _double_point(cls, trunc, seed, broken, lo, hi)
-                if point is not None:
-                    points.append(point)
-                    continue
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= param_tol or not lo < mid < hi:
+        points = []
+        for lo, hi, _, point in pair_changes(pairs_at, start, end, param_tol, newton):
+            if point is None:
                 raise ConvergenceFailure(f"no double point found in q = i*[{lo!r}, {hi!r}], "
                                          f"where the number of conjugate pairs changes")
-            brackets += [(mid, hi), (lo, mid)]
+            points.append(point)
         change = len(pairs_at(end)) - len(pairs_at(start))
         if len(points) != abs(change):
             raise ConvergenceFailure(f"{len(points)} double points between q = {start!r}i and "

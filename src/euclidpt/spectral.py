@@ -20,8 +20,8 @@ import scipy.linalg
 
 from . import dyson
 from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
-from .chains import (certify, check_ep_tolerances, inverse_iteration, tridiagonal_eigenvalues,
-                     tridiagonal_matrix)
+from .chains import (certify, check_ep_tolerances, inverse_iteration, pair_changes,
+                     tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_finite, unknown_tag
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
@@ -588,6 +588,8 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int) 
     point by point, all in turn on the calling thread; the continuation is
     an ordered sequential reduction over the solved grid.
     """
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if not math.isfinite(hi - lo):   # also when lo or hi is not finite
@@ -666,54 +668,14 @@ def bisect_transition(changed, lo, hi, tol):
     return lo, hi
 
 
-def reality_transitions(levels_at, grid, tol, im_tol):
-    """Yield (k, lo, hi, fresh) for every change in the number of conjugate pairs.
-
-    A pair is counted by its member with Im > im_tol.  Grid interval k is
-    walked from its first end: each change in that count is bisected to a
-    bracket from lo (the walk side) to hi of width <= tol
-    (`bisect_transition`), and the walk resumes at hi until the count
-    matches the interval's other end, so several transitions inside one
-    interval are all found.  `fresh` holds the +Im members, sorted by real
-    part, present at one end of the bracket and unmatched at the other: the
-    pairs born or dying across it.  Members match when their real parts
-    differ by at most max(1e-3, 100*tol).  `levels_at(x)` is called once per
-    distinct point.
-    """
-    match_tol = max(1e-3, 100 * tol)
-    cache = {}
-
-    def pairs_at(x):
-        if x not in cache:
-            cache[x] = sorted((z for z in levels_at(x) if z.imag > im_tol),
-                              key=lambda z: z.real)
-        return cache[x]
-
-    grid = [float(x) for x in grid]
-    for k, (start, end) in enumerate(zip(grid, grid[1:])):
-        n_end = len(pairs_at(end))
-        while (n_start := len(pairs_at(start))) != n_end:
-            lo, hi = bisect_transition(lambda x: len(pairs_at(x)) != n_start, start, end, tol)
-            fewer, more = sorted((pairs_at(lo), pairs_at(hi)), key=len)
-            unused, fresh = list(fewer), []
-            for z in more:
-                near = [i for i, w in enumerate(unused) if abs(z.real - w.real) <= match_tol]
-                if near:
-                    del unused[near[0]]
-                else:
-                    fresh.append(z)
-            yield k, lo, hi, fresh
-            start = hi
-
-
 def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
                             im_tol: float = 1e-6) -> list:
     """Exceptional points of the sweep, sorted by parameter value and energy.
 
     When the sweep's `forms` all exist and share one shift, the points
     come from the closed-form catalogue of `_catalogue_eps`.  Otherwise
-    every reality transition found by `reality_transitions` is bisected to
-    a bracket <= tol, and a point is reported for each conjugate pair born
+    every change in the number of conjugate pairs is halved to a bracket
+    <= tol (`_bisected_eps`), and a point is reported for each pair born
     (or dying) across it; its energy is the real part of that pair at the
     broken end of the final bracket.  Grid points reuse the sweep's own
     levels; only bisection points are solved.  Either way every solve is at
@@ -732,15 +694,23 @@ def find_exceptional_points(result: SweepResult, tol: float = 1e-6,
 
 
 def _bisected_eps(result, work, tol, im_tol):
-    on_grid = {float(x): result.curves[:, k] for k, x in enumerate(result.values)}
+    """`find_exceptional_points` off the catalogue: in each grid interval, every change in the
+    number of pairs with Im E > im_tol, halved to a bracket <= tol (`chains.pair_changes`).
+    Grid points reuse the sweep's tracked levels; any other point is solved once."""
+    def members(levels):
+        return [z for z in levels if z.imag > im_tol]
 
-    def levels_at(x):
-        if x in on_grid:
-            return on_grid[x]
-        return _levels_at(work, result.axis, x)
+    grid = [float(x) for x in result.values]
+    pairs = {x: members(result.curves[:, k]) for k, x in enumerate(grid)}
+
+    def pairs_at(x):
+        if x not in pairs:
+            pairs[x] = members(_levels_at(work, result.axis, x))
+        return pairs[x]
 
     return [_exceptional_point(result, k, 0.5 * (lo + hi), float(z.real), abs(hi - lo))
-            for k, lo, hi, fresh in reality_transitions(levels_at, result.values, tol, im_tol)
+            for k, (start, end) in enumerate(zip(grid, grid[1:]))
+            for lo, hi, fresh, _ in pair_changes(pairs_at, start, end, tol)
             for z in fresh]
 
 
@@ -1030,8 +1000,25 @@ def pair_intensities(p: SpectralProblem, near_energy: float, theta) -> PairInten
     """`select_pair` of p's spectrum, and the intensities of its two wavefunctions on theta.
 
     `intensity_sweep` gives these, bit for bit, at each point of its grid.
+    near_energy must be finite, and theta a nonempty grid of finite angles.
     """
+    _check_pair_inputs(near_energy, theta)
     return _spectrum_pair(eigen_spectrum(p), near_energy, theta)
+
+
+def _check_pair_inputs(near_energy, theta):
+    check_finite({"near_energy": near_energy})
+    _check_angles("theta", theta)
+
+
+def _check_angles(name, theta):
+    """`theta` as a float array, or ValueError unless it holds at least one angle, all finite."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.size == 0:
+        raise ValueError(f"{name} must hold at least one angle")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"{name} must be finite, got {theta[~np.isfinite(theta)][0]}")
+    return theta
 
 
 def _spectrum_pair(spectrum, near_energy, theta):
@@ -1078,13 +1065,15 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
     The single value and the probes are solved by `eigen_spectrum`; a grid
     of Hill elements takes the rest in stacks of chains, and each point's
     pair and vectors from its row of the stack, so only the probes build a
-    Hill matrix; any other grid goes point by point.
+    Hill matrix; any other grid goes point by point.  near_energy must be
+    finite, and theta a nonempty grid of finite angles.
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("an intensity sweep needs at least one value")
     if not np.isfinite(values).all():
         raise ValueError(f"values must be finite, got {values[~np.isfinite(values)][0]}")
+    _check_pair_inputs(near_energy, theta)
 
     def measure(spectrum):
         return _spectrum_pair(spectrum, near_energy, theta)
@@ -1123,14 +1112,13 @@ def pt_eigenstate_check(w: WavefunctionSpec, sym, grid=None, tol=1e-6):
     The comparison is literal: callers holding eigenvectors with an
     arbitrary overall phase should align it first (an unbroken state
     satisfies image = c*psi with |c| = 1; "broken" here means the image is
-    not proportional to +-psi on the grid).
+    not proportional to +-psi on the grid).  A given grid must hold at
+    least one angle, all finite.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) if grid is None \
-        else np.asarray(grid, dtype=float)
-    if theta.size == 0:
-        raise ValueError("grid must hold at least one angle")
+        else _check_angles("grid", grid)
     psi = w.evaluate(theta)
     image = pt_image(w, sym, theta)
     scale = float(np.max(np.abs(psi)))

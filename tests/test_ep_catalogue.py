@@ -437,11 +437,11 @@ def test_bisect_transition_descending():
     assert (lo, hi) == (1.0, np.nextafter(1.0, 0.0))
 
 
-def _raw_pt5(mu3=0.0, mu7=0.0):
+def _raw_pt5(mu3=0.0, mu7=0.0, sector=0.0):
     # J^2 + mu3 u + i mu4 v + mu7 u^2: first harmonics, so no Hill form
     return SweepTemplate(family="raw", symmetry="PT5",
                          mu=(1.0, 0.0, mu3, 0.0, 0.0, 0.0, mu7, 0.0, 0.0),
-                         truncation=16, track_levels=6)
+                         truncation=16, track_levels=6, sector=sector)
 
 
 DESCENDING_CASES = {
@@ -488,6 +488,57 @@ def test_templates_without_a_mathieu_form_keep_the_bisection(case):
     result = sweep(template, "mu4", 0.0, 1.5, 13)
     assert oracles.element_mathieu_form(template, "mu4", 0.7) is None
     assert [p.as_dict() for p in find_exceptional_points(result)] == expected
+
+
+# the README `ep` recipes in the fermionic sector (`--sector 1`), whose half-integer shift
+# leaves every grid point without a Mathieu form: find_exceptional_points while
+# `spectral.reality_transitions` still bracketed them, as (parameter_value, energy,
+# level_pair, bracket_width); each position holds the twin pairs of the two Hill chains
+BISECTED_CASES = {
+    "mu3": ((0.0, 1.0, 4.0), "mu3", -4.0, 4.0, [
+        (-2.5004665374755857, 5.994674107387974, [0, 1], 7.629394529473643e-07),
+        (-2.5004665374755857, 5.994674107387976, [0, 1], 7.629394529473643e-07),
+        (-1.9358898162841798, 4.7423440751367405, [3, 2], 7.629394529473643e-07),
+        (-1.9358898162841798, 4.7423440751367405, [3, 2], 7.629394529473643e-07),
+        (1.9358898162841798, 4.742344075136739, [2, 3], 7.629394529473643e-07),
+        (1.9358898162841798, 4.742344075136742, [2, 3], 7.629394529473643e-07),
+        (2.5004665374755866, 5.994674107387976, [0, 1], 7.629394529473643e-07),
+        (2.5004665374755866, 5.994674107387984, [0, 1], 7.629394529473643e-07),
+    ]),
+    "mu7": ((1.0, 3.0, 0.0), "mu7", 0.0, 20.0, [
+        (5.355827808380127, 0.04642276757237168, [2, 3], 9.5367431640625e-07),
+        (5.355827808380127, 0.046422767572372375, [2, 3], 9.5367431640625e-07),
+        (14.644172191619873, 4.690594482355087, [0, 1], 9.5367431640625e-07),
+        (14.644172191619873, 4.690594482355094, [0, 1], 9.5367431640625e-07),
+    ]),
+    "mu7-descending": ((1.0, 3.0, 0.0), "mu7", 20.0, 0.0, [
+        (5.355827808380127, 0.04642276757237168, [3, 2], 9.5367431640625e-07),
+        (5.355827808380127, 0.046422767572372375, [3, 2], 9.5367431640625e-07),
+        (14.644172191619873, 4.690594482355087, [1, 0], 9.5367431640625e-07),
+        (14.644172191619873, 4.690594482355094, [1, 0], 9.5367431640625e-07),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", BISECTED_CASES)
+def test_fermionic_readme_recipes_keep_their_bisected_eps(case):
+    (mu3, mu4, mu7), axis, lo, hi, expected = BISECTED_CASES[case]
+    result = sweep(_pt5_three(mu3=mu3, mu4=mu4, mu7=mu7, sector=1.0), axis, lo, hi, 41)
+    assert set(result.forms) == {None}
+    assert [p.as_dict() for p in find_exceptional_points(result)] == [
+        {"axis": axis, "parameter_value": x, "energy": energy, "level_pair": pair,
+         "bracket_width": width} for x, energy, pair, width in expected]
+
+
+def test_bisected_eps_solve_each_point_once(monkeypatch):
+    # one grid interval of this fermionic sweep holds two births, 1.8e-6 apart
+    result = sweep(_raw_pt5(mu3=0.3, mu7=0.5, sector=1.0), "mu4", 0.0, 1.5, 13)
+    solved, levels_at = [], spectral._levels_at
+    monkeypatch.setattr(spectral, "_levels_at",
+                        lambda work, axis, x: solved.append(x) or levels_at(work, axis, x))
+    assert len(find_exceptional_points(result)) == 3
+    assert len(solved) == len(set(solved))
+    assert not set(solved) & set(result.values.tolist())
 
 
 def test_pt1_test_template_keeps_the_bisection():

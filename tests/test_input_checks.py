@@ -89,6 +89,26 @@ CASES = {
         r"^tol must be nonnegative, got -1$"),
     "pt_eigenstate_check-grid": (lambda: spectral.pt_eigenstate_check(WAVE, "PT5", grid=[]),
                                  r"^grid must hold at least one angle$"),
+    "pt_eigenstate_check-grid-nan": (
+        lambda: spectral.pt_eigenstate_check(WAVE, "PT5", grid=[0.0, NAN]),
+        r"^grid must be finite, got nan$"),
+    "sweep-steps": (lambda: spectral.sweep(TEMPLATE, "mu4", 0, 1, 2.5),
+                    r"^steps must be an integer, got 2.5$"),
+    **{f"intensity_sweep-near_energy-{len(values)}": (
+        lambda values=values: spectral.intensity_sweep(TEMPLATE, "mu3", values, NAN, THETA),
+        r"^near_energy must be finite, got nan$") for values in ([0.5], [0.5, 0.6])},
+    "pair_intensities-near_energy": (
+        lambda: spectral.pair_intensities(TEMPLATE.problem_at("mu3", 0.5), NAN, THETA),
+        r"^near_energy must be finite, got nan$"),
+    **{f"{name}-theta-{label}": (call, message)
+       for label, theta, message in (("nan", [NAN], r"^theta must be finite, got nan$"),
+                                     ("inf", [0.0, INF], r"^theta must be finite, got inf$"),
+                                     ("empty", [], r"^theta must hold at least one angle$"))
+       for name, call in (
+           ("intensity_sweep", lambda theta=theta: spectral.intensity_sweep(
+               TEMPLATE, "mu3", [0.5, 0.6], 3.0, theta)),
+           ("pair_intensities", lambda theta=theta: spectral.pair_intensities(
+               TEMPLATE.problem_at("mu3", 0.5), 3.0, theta)))},
     **{f"similarity_transform-lam{lam:g}": (
         lambda lam=lam: dyson.similarity_transform(dyson.DysonParamsE2(lam, 0.2), HAMILTONIAN),
         rf"^the Dyson map overflows floating point at lam={lam}, rho=0.2$")

@@ -69,17 +69,26 @@ def test_matrices_match_loop_reference(q, size):
 
 @pytest.mark.parametrize("cls", SIX_CLASSES, ids=CLASS_IDS)
 def test_cached_real_bands_rebuild_the_chain_bit_for_bit(cls):
-    # the real-q solve takes its bands from a cache per (class, size); its dstemr
-    # call overwrites the off-diagonal it is given, which must leave the cache intact
+    # every chain is a read-only affine table per (class, size) at q: real bands at a
+    # float q, complex at a complex q; the real-q solve's dstemr call overwrites the
+    # off-diagonal it is given, which must leave the table intact
     for size in (3, 12, 41):
+        table = [np.asarray(part).tobytes() for part in mathieu._bands(cls, size)]
+        order = mathieu._antiperiodic_order(size) if isinstance(cls, str) else np.arange(size)
         for q in (-7.25, -0.0, 0.0, 0.3, 26.0, 1e150):
-            fresh = [band.tobytes() for band in mathieu._chain(q, cls, size, float)]
+            reference = dense_matrix(q, cls, size)[np.ix_(order, order)]
             for _ in range(2):
-                got = [band.tobytes() for band in mathieu._real_chain(q, cls, size)]
-                assert got == fresh, (size, q)
+                diag, off = mathieu._chain(q, cls, size)
+                assert diag.dtype == off.dtype == float, (size, q)
+                chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                assert np.array_equal(chain, reference.real), (size, q)
                 with contextlib.suppress(ConvergenceFailure):
                     mathieu._ritz_certified(q, cls, 1, size, "values")
-        base, _, unit = mathieu._real_bands(cls, size)
+            diag, off = mathieu._chain(complex(q), cls, size)
+            assert diag.dtype == off.dtype == complex, (size, q)
+            assert np.array_equal(diag.real, mathieu._chain(q, cls, size)[0]), (size, q)
+        assert [np.asarray(part).tobytes() for part in mathieu._bands(cls, size)] == table
+        base, _, unit = mathieu._bands(cls, size)
         assert not (base.flags.writeable or unit.flags.writeable)
 
 

@@ -19,7 +19,7 @@ from euclidpt.spectral import (DRIFT_RTOL, SpectralProblem, SweepTemplate, Wavef
                                find_exceptional_points, hill_form,
                                intensity,
                                pt1_closed_spectrum, pt1_closed_wavefunction,
-                               pt_eigenstate_check, pt_image, reality_transitions,
+                               pt_eigenstate_check, pt_image,
                                select_pair, sweep, wavefunction)
 
 from oracles import (fourier_modes, generator_matrices, stepwise_chain_eigenvalues,
@@ -878,26 +878,76 @@ def test_bisect_transition_stops_at_adjacent_floats():
     assert bisect_transition(lambda x: x > 1.0, 0.0, 2.0, 0.3) == (1.0, 1.25)
 
 
-def test_reality_transitions_two_births_in_one_interval():
-    # two real levels c -+ |x - x0| become the pair c -+ i(x - x0) at x0:
-    # pairs are born at 0.3 (c = 1) and 0.6 (c = 5), both inside grid
-    # interval 1, and each point is solved once
-    solved = []
+def _births(*points):
+    """pairs_at(x) of pairs c +- i(x - x0) born at each (x0, c), their +Im members sorted by
+    real part, and the list of points it was asked about."""
+    asked = []
 
-    def levels_at(x):
-        solved.append(x)
-        levels = []
-        for x0, c in ((0.3, 1.0), (0.6, 5.0)):
-            d = x - x0
-            levels += [c + 1j * d, c - 1j * d] if d > 0 else [c + d, c - d]
-        return np.array(levels)
+    def pairs_at(x):
+        asked.append(x)
+        return sorted((c + 1j * (x - x0) for x0, c in points if x > x0), key=lambda z: z.real)
+    return pairs_at, asked
 
-    found = list(reality_transitions(levels_at, [0.0, 0.25, 1.0], 1e-9, 0.0))
-    assert [(k, [z.real for z in fresh]) for k, _, _, fresh in found] == [(1, [1.0]),
-                                                                          (1, [5.0])]
-    for (_, lo, hi, _), x0 in zip(found, (0.3, 0.6)):
+
+def test_pair_changes_two_births_in_one_interval():
+    # pairs are born at 0.3 (c = 5) and 0.8 (c = 1), either side of the interval's midpoint;
+    # the second is born below the first in real part, so it is fresh only by nearness
+    pairs_at, _ = _births((0.3, 5.0), (0.8, 1.0))
+    found = list(chains.pair_changes(pairs_at, 0.25, 1.0, 1e-9))
+    assert [([z.real for z in fresh], placed) for _, _, fresh, placed in found] == [
+        ([5.0], None), ([1.0], None)]
+    for (lo, hi, _, _), x0 in zip(found, (0.3, 0.8)):
         assert lo <= x0 < hi and hi - lo <= 1e-9
-    assert len(solved) == len(set(solved))
+
+
+def test_pair_changes_on_a_descending_interval():
+    pairs_at, _ = _births((0.3, 5.0), (0.8, 1.0))
+    found = list(chains.pair_changes(pairs_at, 1.0, 0.25, 1e-9))
+    assert [[z.real for z in fresh] for _, _, fresh, _ in found] == [[1.0], [5.0]]
+    for (lo, hi, _, _), x0 in zip(found, (0.8, 0.3)):
+        assert hi <= x0 < lo and lo - hi <= 1e-9
+
+
+@pytest.mark.parametrize("lo, hi", [(0.25, 1.0), (1.0, 0.25)])
+def test_pair_changes_halve_as_bisect_transition_does(lo, hi):
+    # one change in an interval: the half without it is dropped, so the halving asks
+    # for exactly the midpoints that bisect_transition does, and ends on its bracket
+    pairs_at, asked = _births((0.3, 5.0))
+    midpoints = []
+
+    def changed(x):
+        midpoints.append(x)
+        return (x > 0.3) != (lo > 0.3)
+
+    [(got_lo, got_hi, fresh, _)] = chains.pair_changes(pairs_at, lo, hi, 1e-9)
+    assert (got_lo, got_hi) == bisect_transition(changed, lo, hi, 1e-9)
+    assert set(asked) == {lo, hi, *midpoints} and [z.real for z in fresh] == [5.0]
+
+
+def test_pair_changes_place_settles_a_wide_bracket():
+    pairs_at, _ = _births((0.3, 5.0), (0.8, 1.0))
+    tried = []
+
+    def place(lo, hi, fresh):
+        tried.append(len(fresh))
+        return ("placed", lo, hi) if len(fresh) == 1 else None
+
+    found = list(chains.pair_changes(pairs_at, 0.25, 1.0, 1e-9, place))
+    assert [(lo, hi, placed) for lo, hi, _, placed in found] == [
+        (0.25, 0.625, ("placed", 0.25, 0.625)), (0.625, 1.0, ("placed", 0.625, 1.0))]
+    assert tried == [2, 1, 1]
+
+
+def test_pair_changes_stop_at_adjacent_floats():
+    pairs_at, asked = _births((1.0, 2.0))
+
+    def budgeted(x):
+        assert len(asked) < 400, "halving did not stop"
+        return pairs_at(x)
+
+    [(lo, hi, fresh, placed)] = chains.pair_changes(budgeted, 0.0, 2.0, 1e-300)
+    assert (lo, hi) == (1.0, np.nextafter(1.0, 2.0))
+    assert [z.real for z in fresh] == [2.0] and placed is None
 
 
 @pytest.fixture(scope="module")
