@@ -15,7 +15,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import E2Element, build_hamiltonian, hermiticity_residual
-from .errors import DegenerateCouplings, MapUndefined, check_finite, overflow_error, unknown_tag
+from .errors import (DegenerateCouplings, MapUndefined, check_finite, check_finite_array,
+                     overflow_error, unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
@@ -101,12 +102,13 @@ def adjoint_generator(p: DysonParamsE2, g: str) -> E2Element:
 def similarity_transform(p: DysonParamsE2, H: E2Element) -> E2Element:
     """eta H eta^{-1}: substitute adjoint images and expand; spectrum-preserving.
 
-    A result that overflows floating point raises ValueError.
+    A result that is not finite raises ValueError: one naming H if H is not.
     """
     images = [adjoint_generator(p, g) for g in algebra.GENERATORS]
     with np.errstate(over="ignore", invalid="ignore"):   # the result is checked below
         coeffs = algebra.ENVELOPE.substitute(images, H.coeffs)
     if not np.isfinite(coeffs).all():
+        check_finite_array("H", H.coeffs)
         raise _map_overflow(p)
     return E2Element(coeffs)
 

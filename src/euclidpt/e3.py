@@ -99,16 +99,12 @@ def multiply(a: E3Element, b: E3Element) -> E3Element:
     return E3Element(ENVELOPE.multiply(a.coeffs, b.coeffs))
 
 
-def _images(action):
-    """Each generator's image under a map given as name -> [(coeff, name)]."""
-    return [sum((c * generator(h) for c, h in action[g]), E3Element.zero()) for g in GENERATORS]
-
+# the generators in code order, (Pz, P+, P-, Jz, J+, J-); each map below lists their images
+PZ, PP, PM, JZ, JP, JM = map(generator, GENERATORS)
 
 # adjoint convention induced by Hermitian J_i, P_i:
 # Jz+ = Jz, (J+-)+ = J-+, Pz+ = Pz, (P+-)+ = -P-+
-E3Element.dagger_table = ENVELOPE.map_table(_images(
-    {"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
-     "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]}), reverse=True)
+E3Element.dagger_table = ENVELOPE.map_table((PZ, -PM, -PP, JZ, JM, JP), reverse=True)
 hermitian_conjugate = E3Element.hermitian_conjugate
 hermiticity_residual = E3Element.hermiticity_residual
 is_hermitian = E3Element.is_hermitian
@@ -118,23 +114,15 @@ commutator = E3Element.commutator
 # ---------------------------------------------------------------------------
 # antilinear symmetries, expressed in the (z, +, -) basis
 # ---------------------------------------------------------------------------
-# Each map lists gen -> [(coeff, gen)]; the element's own coefficients are
-# conjugated, the listed image coefficients are not.  PT3 and PT4 are the
-# bracket-consistent completions of the componentwise rules (the J-sector
-# must permute the same axes as the P-sector for the mixed brackets to
-# survive the antilinear map).
+# The element's own coefficients are conjugated, the images' are not.  PT3
+# and PT4 are the bracket-consistent completions of the componentwise rules
+# (the J-sector must permute the same axes as the P-sector for the mixed
+# brackets to survive the antilinear map).
 
-PT_ACTIONS_E3 = {
-    "PT1": {"Jz": [(-1, "Jz")], "Jp": [(-1, "Jm")], "Jm": [(-1, "Jp")],
-            "Pz": [(-1, "Pz")], "Pp": [(+1, "Pm")], "Pm": [(+1, "Pp")]},
-    "PT2": {"Jz": [(-1, "Jz")], "Jp": [(-1, "Jm")], "Jm": [(-1, "Jp")],
-            "Pz": [(+1, "Pz")], "Pp": [(-1, "Pm")], "Pm": [(-1, "Pp")]},
-    "PT3": {"Jz": [(+1, "Jz")], "Jp": [(-1j, "Jp")], "Jm": [(+1j, "Jm")],
-            "Pz": [(+1, "Pz")], "Pp": [(-1j, "Pp")], "Pm": [(+1j, "Pm")]},
-    "PT4": {"Jz": [(-1, "Jz")], "Jp": [(+1, "Jm")], "Jm": [(+1, "Jp")],
-            "Pz": [(-1, "Pz")], "Pp": [(-1, "Pm")], "Pm": [(-1, "Pp")]},
-}
-E3Element.pt_images = {tag: _images(action) for tag, action in PT_ACTIONS_E3.items()}
+E3Element.pt_images = {"PT1": (-PZ, PM, PP, -JZ, -JM, -JP),
+                       "PT2": (PZ, -PM, -PP, -JZ, -JM, -JP),
+                       "PT3": (PZ, -1j * PP, 1j * PM, JZ, -1j * JP, 1j * JM),
+                       "PT4": (-PZ, -PM, -PP, -JZ, JM, JP)}
 
 
 def apply_pt_e3(tag: str, a: E3Element) -> E3Element:

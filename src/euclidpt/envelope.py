@@ -1,8 +1,8 @@
 """Degree-2 truncated enveloping algebras (E2 and E3) over sorted generator words.
 
-Words are normal-ordered by bubble-sorting out-of-order neighbours, each swap
-spawning their bracket, only to build the products of the unit and the letters;
-every product contracts the sparse table of their nonzero structure constants.
+The products of the unit and the letters are tabulated from one rule: the unit
+times a word is that word, and for letters a > b, ab = ba + [a, b].  Every
+product contracts the sparse table of their nonzero structure constants.
 Every generator map, linear or antilinear, is `Envelope.substitute`: a letter
 becomes its image and a pair the product of two images.
 """
@@ -35,28 +35,18 @@ class Envelope:
         if self.length != sorted(self.length) or self.words[:self.low] != \
                 ((),) + tuple((g,) for g in range(self.low - 1)):
             raise ValueError("words must be the unit, the generators in code order, then pairs")
-        # row i * low + j: the product of words i, j < low (the unit and the letters)
-        self.low_product = np.array([self.straighten(self.words[i] + self.words[j])
-                                     for i in range(self.low) for j in range(self.low)])
+        # row i * low + j: the product of words i, j < low (the unit and the letters),
+        # their sorted word plus, for letters a > b, the bracket [a, b]
+        self.low_product = np.zeros((self.low ** 2, self.dim), dtype=complex)
+        for k, row in enumerate(self.low_product):
+            word = self.words[k // self.low] + self.words[k % self.low]
+            row[self.index[tuple(sorted(word))]] = 1
+            for g, c in brackets.get(word, {}).items():
+                row[g + 1] += c
         # its nonzero entries in row order: first factor, second factor, column, value
         rows, self.product_column = self.low_product.nonzero()
         self.product_first, self.product_second = np.divmod(rows, self.low)
         self.product_value = self.low_product[rows, self.product_column]
-
-    def straighten(self, word, coeff=1.0 + 0j):
-        """Normal-order coeff * word, returning its coefficient vector."""
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if a > b:
-                out = self.straighten(word[:i] + (b, a) + word[i + 2:], coeff)
-                for g, c in self.brackets.get((a, b), {}).items():
-                    out += self.straighten(word[:i] + (g,) + word[i + 2:], coeff * c)
-                return out
-        if len(word) > MAX_DEGREE:
-            raise DegreeOverflow(f"monomial of degree {len(word)} outside the truncation")
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.index[word]] = coeff
-        return out
 
     def degree(self, coeffs):
         """Highest word length among the nonzero coefficients."""

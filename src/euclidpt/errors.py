@@ -1,6 +1,9 @@
 """Exception types shared across the package, and the ValueErrors of bad values and tags."""
 
 import cmath
+import numbers
+
+import numpy as np
 
 
 class EuclidPTError(Exception):
@@ -47,6 +50,28 @@ def check_finite(values):
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(name, value):
+    """Raise ValueError unless `value` is an integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_angles(name, theta):
+    """`theta` as a float array, or ValueError unless it holds at least one angle, all finite."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.size == 0:
+        raise ValueError(f"{name} must hold at least one angle")
+    return check_finite_array(name, theta)
+
+
+def check_finite_array(name, values):
+    """`values` as an array, or ValueError naming its first entry that is not finite."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    return values
 
 
 def overflow_error(what, values):

@@ -30,7 +30,7 @@ import scipy.linalg
 from .algebra import E2Element, build_hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
-from .errors import ConvergenceFailure, check_finite
+from .errors import ConvergenceFailure, check_angles, check_finite, check_integer
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -131,11 +131,14 @@ def _sorted_eigs(q, cls, size):
 
 
 def _check_trunc(trunc):
+    check_integer("trunc", trunc)
     if trunc < 3:   # `inverse_iteration`'s `?gttrf` rejects a chain of 2 modes
         raise ValueError(f"trunc must be at least 3, got {trunc}")
 
 
 def _check_count(count, trunc):
+    check_integer("count", count)
+    check_integer("trunc", trunc)
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     if trunc < count + 8:
@@ -322,7 +325,6 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
 
 
 def _synthesize(vec, cls, z):
-    z = np.asarray(z, dtype=float)
     wave = np.cos if cls.parity == "even" else np.sin
     return wave(np.outer(z, _modes(cls, len(vec)))) @ vec
 
@@ -331,11 +333,13 @@ def mathieu_function(q, a, parity: str, z, trunc: int = 60):
     """Periodic Mathieu function of the given parity at characteristic value a.
 
     The class (pi- or 2pi-periodic) is resolved by locating a among the
-    eigenvalues of the two candidate recurrences.  q and a must be finite.
+    eigenvalues of the two candidate recurrences.  q and a must be finite, and
+    z a nonempty grid of finite angles.
     """
     _check_parity(parity)
     _check_trunc(trunc)
     check_finite({"q": q, "a": a})
+    z = check_angles("z", z)
     candidates = (EVEN_PI, EVEN_2PI) if parity == "even" else (ODD_PI, ODD_2PI)
     last_error = None
     for cls in candidates:
@@ -540,9 +544,10 @@ def pt5_complex_solution(mu4: float, mu6: float, E: float, theta,
 
     4E must be (within tolerance) a characteristic value of the class the
     requested combination lives in; bosonic states use the pi-periodic
-    classes in theta/2, fermionic the 2pi-periodic ones.
+    classes in theta/2, fermionic the 2pi-periodic ones.  theta must be a
+    nonempty grid of finite angles.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = check_angles("theta", theta)
     z = theta / 2.0
     q = 1j * mu4
     a = 4.0 * E

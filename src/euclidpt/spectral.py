@@ -22,7 +22,8 @@ from . import dyson
 from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
 from .chains import (certify, check_ep_tolerances, inverse_iteration, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
-from .errors import ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_finite, unknown_tag
+from .errors import (ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_angles,
+                     check_finite, check_finite_array, check_integer, unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
@@ -54,6 +55,7 @@ def _check_truncation(truncation):
 
 def trusted_count(truncation):
     """Interior levels of the truncation that `eigen_spectrum` trusts, 2N+1 - 4 sqrt(N)."""
+    _check_truncation(truncation)
     return max(0, 2 * truncation + 1 - int(math.ceil(4.0 * math.sqrt(truncation))))
 
 
@@ -588,8 +590,7 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int) 
     point by point, all in turn on the calling thread; the continuation is
     an ordered sequential reduction over the solved grid.
     """
-    if not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
+    check_integer("steps", steps)
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if not math.isfinite(hi - lo):   # also when lo or hi is not finite
@@ -838,7 +839,9 @@ def _plane_waves(theta_bytes, sector, first, step, count):
     working truncation and at the probes' others, so each grid, sector and
     lattice of modes keeps one read-only table, built for the widest run of
     modes asked of it.  A narrower run takes its columns, equal entry for
-    entry to its own table.
+    entry to its own table.  A grid is checked when a table is built for it:
+    ValueError unless it holds at least one angle, all finite; so the points
+    of a sweep, which find their grid's tables built, check nothing.
     """
     key = theta_bytes, sector, step, first % step
     last = first + step * (count - 1)
@@ -846,7 +849,7 @@ def _plane_waves(theta_bytes, sector, first, step, count):
     if table is None or first < lo or last > hi:
         lo, hi = min(lo, first), max(hi, last)
         k = np.arange(lo, hi + 1, step) + sector / 2.0
-        table = np.exp(1j * np.outer(np.frombuffer(theta_bytes), k))
+        table = np.exp(1j * np.outer(check_angles("theta", np.frombuffer(theta_bytes)), k))
         table.flags.writeable = False
         _PLANE_WAVES.pop(key, None)
         if len(_PLANE_WAVES) == 16:
@@ -888,15 +891,19 @@ class WavefunctionSpec:
         It is exact for |psi|^2 of degree below M: the modes' span, plus 4 rho + 32 for
         |gauge|^2 = exp(2(Im b sin - Im a cos)), rho = |(Im a, Im b)|, whose coefficients
         fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.  Where |psi|^2 overflows,
-        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.
+        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.  Coefficients or
+        a gauge that are not finite raise ValueError.
         """
         rho = math.hypot(*np.imag(self.gauge))
-        if rho > math.log(np.finfo(float).max):
+        if not rho <= math.log(np.finfo(float).max):
+            check_finite_array("gauge", self.gauge)
             raise GaugeOverflow(rho)
         size = 1 << int(self.step * (len(self.coeffs) - 1) + 4 * rho + 32).bit_length()
         values = self.evaluate(2.0 * math.pi / size * np.arange(size))
         norm = math.sqrt(2.0 * math.pi / size * np.vdot(values, values).real)
         if not math.isfinite(norm):   # BLAS's vdot raises no numpy overflow
+            check_finite_array("coeffs", self.coeffs)
+            check_finite_array("gauge", self.gauge)
             raise GaugeOverflow(rho)
         return replace(self, coeffs=self.coeffs / norm)
 
@@ -969,8 +976,9 @@ def select_pair(spectrum: Spectrum, near_energy: float) -> tuple:
     to REALITY_RTOL*max(1, |E|) rank by block index, then by position, not
     by roundoff: the two Hill chains of a fermionic sector give each level
     twice, and a conjugate pair's members tie, so a complex pair is a
-    conjugate pair of one chain.
+    conjugate pair of one chain.  near_energy must be finite.
     """
+    check_finite({"near_energy": near_energy})
     w = spectrum.eigenvalues[:spectrum.trusted_count]
     if len(w) < 2:
         raise ValueError(f"truncation {spectrum.truncation} trusts {len(w)} level; a pair "
@@ -1008,17 +1016,7 @@ def pair_intensities(p: SpectralProblem, near_energy: float, theta) -> PairInten
 
 def _check_pair_inputs(near_energy, theta):
     check_finite({"near_energy": near_energy})
-    _check_angles("theta", theta)
-
-
-def _check_angles(name, theta):
-    """`theta` as a float array, or ValueError unless it holds at least one angle, all finite."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size == 0:
-        raise ValueError(f"{name} must hold at least one angle")
-    if not np.isfinite(theta).all():
-        raise ValueError(f"{name} must be finite, got {theta[~np.isfinite(theta)][0]}")
-    return theta
+    check_angles("theta", theta)
 
 
 def _spectrum_pair(spectrum, near_energy, theta):
@@ -1069,10 +1067,11 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
     finite, and theta a nonempty grid of finite angles.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be a sequence of numbers, got shape {values.shape}")
     if len(values) == 0:
         raise ValueError("an intensity sweep needs at least one value")
-    if not np.isfinite(values).all():
-        raise ValueError(f"values must be finite, got {values[~np.isfinite(values)][0]}")
+    check_finite_array("values", values)
     _check_pair_inputs(near_energy, theta)
 
     def measure(spectrum):
@@ -1118,12 +1117,13 @@ def pt_eigenstate_check(w: WavefunctionSpec, sym, grid=None, tol=1e-6):
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) if grid is None \
-        else _check_angles("grid", grid)
+        else check_angles("grid", grid)
     psi = w.evaluate(theta)
     image = pt_image(w, sym, theta)
     scale = float(np.max(np.abs(psi)))
-    if scale == 0:
-        raise ValueError("zero wavefunction")
+    if not 0 < scale < math.inf:
+        raise ValueError("zero wavefunction" if scale == 0 else
+                         f"w must be finite, got max |psi| = {scale}")
     if float(np.max(np.abs(image - psi))) <= tol * scale:
         return 1
     if float(np.max(np.abs(image + psi))) <= tol * scale:

@@ -16,6 +16,8 @@ from scipy.linalg import expm
 from euclidpt import algebra, e3
 from euclidpt.algebra import E2Element, completed_square
 from euclidpt.chains import tridiagonal_matrix
+from euclidpt.envelope import MAX_DEGREE
+from euclidpt.errors import DegreeOverflow
 from euclidpt.spectral import SpectralProblem, _mathieu_form, build_matrix
 
 
@@ -70,6 +72,45 @@ def dense_product(envelope, ca, cb):
     return terms.sum(axis=0, initial=0.0)
 
 
+def straighten(envelope, word, coeff=1.0 + 0j):
+    """Normal-order coeff * word, a tuple of generator codes of any length, by swapping
+    out-of-order neighbours, each swap spawning their bracket, into a coefficient vector."""
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if a > b:
+            out = straighten(envelope, word[:i] + (b, a) + word[i + 2:], coeff)
+            for g, c in envelope.brackets.get((a, b), {}).items():
+                out += straighten(envelope, word[:i] + (g,) + word[i + 2:], coeff * c)
+            return out
+    if len(word) > MAX_DEGREE:
+        raise DegreeOverflow(f"monomial of degree {len(word)} outside the truncation")
+    out = np.zeros(envelope.dim, dtype=complex)
+    out[envelope.index[word]] = coeff
+    return out
+
+
+def straightened_low_product(envelope):
+    """`Envelope.low_product` by straightening the product of every pair of low words."""
+    low = envelope.words[:envelope.low]
+    return np.array([straighten(envelope, wi + wj) for wi in low for wj in low])
+
+
+# E3 generator maps as name -> [(coefficient, name)]: hermitian conjugation (factors
+# reverse) and the four antilinear symmetries, written as actions on the generators
+E3_DAGGER = {"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
+             "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]}
+PT_ACTIONS_E3 = {
+    "PT1": {"Jz": [(-1, "Jz")], "Jp": [(-1, "Jm")], "Jm": [(-1, "Jp")],
+            "Pz": [(-1, "Pz")], "Pp": [(+1, "Pm")], "Pm": [(+1, "Pp")]},
+    "PT2": {"Jz": [(-1, "Jz")], "Jp": [(-1, "Jm")], "Jm": [(-1, "Jp")],
+            "Pz": [(+1, "Pz")], "Pp": [(-1, "Pm")], "Pm": [(-1, "Pp")]},
+    "PT3": {"Jz": [(+1, "Jz")], "Jp": [(-1j, "Jp")], "Jm": [(+1j, "Jm")],
+            "Pz": [(+1, "Pz")], "Pp": [(-1j, "Pp")], "Pm": [(+1j, "Pm")]},
+    "PT4": {"Jz": [(-1, "Jz")], "Jp": [(+1, "Jm")], "Jm": [(+1, "Jp")],
+            "Pz": [(-1, "Pz")], "Pp": [(-1, "Pm")], "Pm": [(-1, "Pp")]},
+}
+
+
 def generator_map_table(envelope, images, reverse=False):
     """`Envelope.map_table` without products: generator g maps to the sum of the
     (coefficient, code) terms images[g], each basis word's letters (reversed if
@@ -79,7 +120,7 @@ def generator_map_table(envelope, images, reverse=False):
         terms = [((), 1.0 + 0j)]
         for g in (word[::-1] if reverse else word):
             terms = [(w + (h,), c * ch) for w, c in terms for ch, h in images[g]]
-        columns.append(sum(envelope.straighten(w, c) for w, c in terms))
+        columns.append(sum(straighten(envelope, w, c) for w, c in terms))
     return np.array(columns).T
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -106,6 +107,27 @@ def test_transform_pt1_defaults_notice(capsys):
     assert code == 0
     report = json.loads(out)
     assert "already Hermitian" in report.get("notice", "")
+
+
+# the README `transform` and `e3-adjoint` recipes: exit code and the sha256 of stdout
+README_ALGEBRA_RECIPES = [
+    ("transform --symmetry PT5 --mu1 1 --mu2 0.3 --mu4 0.5 --mu5 0.8 --mu6 0.4 --mu7 -0.5 "
+     "--mu8 0.7", 0, "93a1f61c7510c481a2877f67a0ec6c9076cf55f0c7eaf26733f306b37e5be858"),
+    ("transform --symmetry PT5 --mu1 1 --mu5 1 --mu6 1 --mu7 0.5", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("transform --symmetry PT5 --three-param --mu3 1 --mu4 0.5 --mu7 0", 0,
+     "d6148b4f19f8fd3babe79294b54b8b4935132306be36e19ee9caaf33971bfd7f"),
+    ("e3-adjoint --lambda-z 0.2 --lambda-plus 0.1 --lambda-minus -0.3 --kappa-z 0.4 "
+     "--kappa-plus 0 --kappa-minus 0.5", 0,
+     "324792ee24e0afaa15f4f60078f06fd16259ab3bf61d08134e77fff136025fe2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", README_ALGEBRA_RECIPES,
+                         ids=["pt5", "pt5-broken", "pt5-three-param", "e3-adjoint"])
+def test_readme_algebra_recipes_print_the_same_bytes(argv, code, digest, capsys):
+    assert main(argv.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -6,11 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from euclidpt.e3 import (DysonParamsE3, E3Element, GENERATORS, MONOMIALS,
-                         PT_ACTIONS_E3, apply_pt_e3, bracket, build_h_tilde_pt1,
-                         commutator, defining_matrices, e3_adjoint, generator,
-                         hermitian_conjugate, hermiticity_residual, is_hermitian,
-                         multiply, transform_h_tilde, _omega_functions)
+from euclidpt.e3 import (DysonParamsE3, E3Element, GENERATORS, MONOMIALS, apply_pt_e3,
+                         bracket, build_h_tilde_pt1, commutator, defining_matrices,
+                         e3_adjoint, generator, hermitian_conjugate, hermiticity_residual,
+                         is_hermitian, multiply, transform_h_tilde, _omega_functions)
 from euclidpt.errors import DegreeOverflow
 
 from oracles import adjoint_matrix, allclose
@@ -135,7 +135,7 @@ def test_conjugation_antihomomorphism():
 
 def test_pt_actions_preserve_brackets():
     # [Phi a, Phi b] = Phi([a, b]) for every symmetry and generator pair
-    for tag in PT_ACTIONS_E3:
+    for tag in E3Element.pt_images:
         for a in GENERATORS:
             for b in GENERATORS:
                 lhs = commutator(apply_pt_e3(tag, generator(a)),
@@ -146,7 +146,7 @@ def test_pt_actions_preserve_brackets():
 
 def test_pt_actions_involutive():
     rng = np.random.default_rng(9)
-    for tag in PT_ACTIONS_E3:
+    for tag in E3Element.pt_images:
         c = rng.standard_normal(len(MONOMIALS)) + 1j * rng.standard_normal(len(MONOMIALS))
         a = E3Element(c)
         assert allclose(apply_pt_e3(tag, apply_pt_e3(tag, a)), a, 1e-12), tag
@@ -160,7 +160,7 @@ def test_pt_actions_multiplicative():
         return sum((c[i] * generator(g) for i, g in enumerate(GENERATORS)),
                    E3Element.zero())
 
-    for tag in PT_ACTIONS_E3:
+    for tag in E3Element.pt_images:
         for _ in range(6):
             a, b = degree_one(), degree_one()
             lhs = apply_pt_e3(tag, multiply(a, b))
@@ -343,6 +343,25 @@ def test_transform_hermiticity_report():
     p = DysonParamsE3(lambda_z=0.4)
     res = hermiticity_residual(transform_h_tilde(p, h))
     assert res > 1e-6  # a pure Jz exponent does not hermitize this family
+
+
+# sha256 of the bytes of transform_h_tilde(params, H) on one fixed bilinear H, per params
+TRANSFORM_DIGESTS = [
+    (DysonParamsE3(), "489bea36718e0ff551e4249150d758b1194a7da03ccb9bae5d32aae115ad25d6"),
+    (DysonParamsE3(0.2, 0.1, -0.3, 0.4, 0.0, 0.5),
+     "36dee2ad7dfae1171652507ac43eba69f6d4bfe354b1dfb8fec4859bacbf97dd"),
+    (DysonParamsE3(0.01, 0.02, 0.03, -0.4, 0.3, 0.2),     # the series branch of c, s, A, B
+     "b84a47065af713ee9b64043b491135380577d6502cb9b8de3303538de790a641"),
+    (DysonParamsE3(1.5, -0.7, 0.9, 2.0, -1.0, 0.6),
+     "9a50ad9f7d00d1af84557a28895244003caa5e5e41322bbd57ec523e8730a8eb"),
+]
+
+
+@pytest.mark.parametrize("params, digest", TRANSFORM_DIGESTS,
+                         ids=["zero", "readme", "series", "large"])
+def test_transform_gives_the_same_bytes(params, digest):
+    h = build_h_tilde_pt1([0.7, -0.3, 1.1, 0.4, -0.9, 0.25, 0.6, -0.8, 1.3])
+    assert hashlib.sha256(transform_h_tilde(params, h).coeffs.tobytes()).hexdigest() == digest
 
 
 def test_build_h_tilde_structure():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ def test_multiply_equals_straighten_on_every_basis_pair(name):
                     env.multiply(basis(env, i), basis(env, j))
                 continue
             got = env.multiply(basis(env, i), basis(env, j))
-            assert np.array_equal(got, env.straighten(wi + wj)), (wi, wj)
+            assert np.array_equal(got, oracles.straighten(env, wi + wj)), (wi, wj)
             checked += 1
     ngen = env.length.count(1)
     assert checked == 1 + 2 * (env.dim - 1) + ngen * ngen
@@ -44,7 +45,7 @@ def loop_product(env, ca, cb):
     out = np.zeros(env.dim, dtype=complex)
     for i in np.flatnonzero(ca):
         for j in np.flatnonzero(cb):
-            out += ca[i] * cb[j] * env.straighten(env.words[i] + env.words[j])
+            out += ca[i] * cb[j] * oracles.straighten(env, env.words[i] + env.words[j])
     return out
 
 
@@ -88,6 +89,14 @@ def test_multiply_is_the_dense_contraction_bit_for_bit(name):
     for ca, cb in product_cases(env, np.random.default_rng(7)):
         got = env.multiply(ca, cb)
         assert got.tobytes() == oracles.dense_product(env, ca, cb).tobytes(), (ca, cb)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_low_product_is_the_straightened_words_bit_for_bit(name):
+    env, _ = ALGEBRAS[name]
+    oracle = oracles.straightened_low_product(env)
+    assert env.low_product.dtype == oracle.dtype and env.low_product.shape == oracle.shape
+    assert env.low_product.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -161,11 +170,6 @@ def test_both_algebras_share_one_conjugation():
         assert getattr(algebra, name) is getattr(e3, name) is getattr(Element, name), name
 
 
-# hermitian conjugation of E3 on its generators: factors reverse
-E3_DAGGER = {"Jz": [(1.0, "Jz")], "Jp": [(1.0, "Jm")], "Jm": [(1.0, "Jp")],
-             "Pz": [(1.0, "Pz")], "Pp": [(-1.0, "Pm")], "Pm": [(-1.0, "Pp")]}
-
-
 def _e3_codes(action):
     code = e3.GENERATORS.index
     return {code(g): [(c, code(h)) for c, h in terms] for g, terms in action.items()}
@@ -183,10 +187,39 @@ TABLES = {
     **{f"E2-{tag}": (algebra.E2Element.pt_table(tag), algebra.ENVELOPE, _letter_codes(images),
                      False)
        for tag, images in algebra.PT_SYMMETRIES.items()},
-    "E3-dagger": (e3.E3Element.dagger_table, e3.ENVELOPE, _e3_codes(E3_DAGGER), True),
+    "E3-dagger": (e3.E3Element.dagger_table, e3.ENVELOPE, _e3_codes(oracles.E3_DAGGER), True),
     **{f"E3-{tag}": (e3.E3Element.pt_table(tag), e3.ENVELOPE, _e3_codes(action), False)
-       for tag, action in e3.PT_ACTIONS_E3.items()},
+       for tag, action in oracles.PT_ACTIONS_E3.items()},
 }
+
+
+# sha256 of the bytes of each antilinear image of one fixed element per algebra
+IMAGE_DIGESTS = {
+    "E2-PT1": "5d2d68259f48f6dd9d649c5cef04f9c35896b0ab6dc50446043ecfa165431f75",
+    "E2-PT2": "49cce01953e3be200132c8ffa57b8eee5bab9edf96472c1a8da01491c0e0ab14",
+    "E2-PT3": "f2c81d1c5c990e58f7a713756e25e7b20f63ea15d5ab29f08889c51ca226c773",
+    "E2-PT4": "6b02f6583daf37a1fa4da2bb895c64cd04ad53b59270223eed4d3e200af40794",
+    "E2-PT5": "42b849d182ddc6beca32a41cc3bde8d937c45ad83d1cea7a4f5cbe2284db7e76",
+    "E3-PT1": "9fd24a99d61ffa5ec1e9d1492d0c639c26d38a6d561e6fa68a185030a2a9653e",
+    "E3-PT2": "2211edcf1a15a5802e2c4bf1529cb511dad6e3408f956fe843cb1fbc7c09222b",
+    "E3-PT3": "13e6b27787a627e84704d38fdd6d72c73db9885736c353fe1de2ac5bfdfd7880",
+    "E3-PT4": "be561d1d3746ca310507adee5d5f422cc7f38895cf08640bb4551947ae885366",
+    "E2-dagger": "989415c03a8082496535464f33e6e4e88b5fa8a1d86c6df323688ca24c52655d",
+    "E3-dagger": "2c6a410383212a0a10dbae26e70f22981c6453fb626793662165ed59fe267fed",
+}
+
+
+@pytest.mark.parametrize("name", IMAGE_DIGESTS)
+def test_antilinear_images_give_the_same_bytes(name):
+    algebra_name, tag = name.split("-")
+    _, cls = ALGEBRAS[algebra_name]
+    k = np.arange(cls.envelope.dim)
+    element = cls((k % 7 - 3) * 0.375 + 1j * ((5 * k) % 11 - 5) / 8)   # exact in binary
+    if tag == "dagger":
+        image = element.hermitian_conjugate()
+    else:
+        image = (algebra.apply_pt if algebra_name == "E2" else e3.apply_pt_e3)(tag, element)
+    assert hashlib.sha256(image.coeffs.tobytes()).hexdigest() == IMAGE_DIGESTS[name]
 
 
 def test_pt_tables_are_built_on_first_use_once_per_class_and_tag():

@@ -15,6 +15,7 @@ UNKNOWN_TAG = r"^unknown symmetry tag 'PT6'; E2 has PT1, PT2, PT3, PT4, PT5$"
 TEMPLATE = spectral.SweepTemplate(family="pt5-three", truncation=8, track_levels=2)
 SPAN = r"^lo, hi and hi - lo must be finite, got "
 HAMILTONIAN = algebra.build_hamiltonian("PT5", [1.0, 0.3, 0.0, 0.5, 0.8, 0.4, -0.5, 0.7, 0.0])
+SPECTRUM = spectral.eigen_spectrum(TEMPLATE.problem_at("mu3", 0.5))
 
 CASES = {
     "pt_image-tag": (lambda: spectral.pt_image(WAVE, "PT6", THETA), UNKNOWN_TAG),
@@ -128,6 +129,38 @@ CASES = {
                1.0, -0.4551386, "even", THETA, trunc)),
            ("pt5_complex_solution", lambda trunc=trunc: mathieu.pt5_complex_solution(
                1.0, 0.0, 0.25, THETA, trunc=trunc)))},
+    **{f"select_pair-near_energy-{bad}": (
+        lambda bad=bad: spectral.select_pair(SPECTRUM, bad),
+        rf"^near_energy must be finite, got {bad}$") for bad in (NAN, INF, -INF)},
+    "intensity-grid": (lambda: spectral.intensity(WAVE, [0.0, NAN]),
+                       r"^theta must be finite, got nan$"),
+    "pt_image-theta": (lambda: spectral.pt_image(WAVE, "PT5", [NAN]),
+                       r"^theta must be finite, got nan$"),
+    "mathieu_function-z": (lambda: mathieu.mathieu_function(1.0, -0.4551386, "even", [NAN]),
+                           r"^z must be finite, got nan$"),
+    "pt5_complex_solution-theta": (lambda: mathieu.pt5_complex_solution(0.0, 0.0, 0.0, [NAN]),
+                                   r"^theta must be finite, got nan$"),
+    "characteristic_values-count": (
+        lambda: mathieu.characteristic_values(1.0, mathieu.EVEN_PI, 1.5),
+        r"^count must be an integer, got 1.5$"),
+    "characteristic_values-trunc": (
+        lambda: mathieu.characteristic_values(1.0, mathieu.EVEN_PI, 3, 20.5),
+        r"^trunc must be an integer, got 20.5$"),
+    "intensity_sweep-values-shape": (
+        lambda: spectral.intensity_sweep(TEMPLATE, "mu3", [[0.1, 0.2]], 3.0, THETA),
+        r"^values must be a sequence of numbers, got shape \(1, 2\)$"),
+    "trusted_count-negative": (lambda: spectral.trusted_count(-1),
+                               r"^truncation must be at least 4, got -1$"),
+    "similarity_transform-element": (
+        lambda: dyson.similarity_transform(dyson.DysonParamsE2(0.1),
+                                           algebra.E2Element.from_terms(u=NAN)),
+        r"^H must be finite, got \(nan\+0j\)$"),
+    "normalized-coeffs": (lambda: spectral.WavefunctionSpec(np.array([NAN + 0j])).normalized(),
+                          r"^coeffs must be finite, got \(nan\+0j\)$"),
+    "pt_eigenstate_check-state": (
+        lambda: spectral.pt_eigenstate_check(spectral.WavefunctionSpec(np.array([NAN + 0j])),
+                                             "PT5"),
+        r"^w must be finite, got max \|psi\| = nan$"),
 }
 
 
