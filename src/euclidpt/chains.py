@@ -5,17 +5,31 @@ Every spectrum euclidpt prints is that of such a chain, a Hill chain of
 their chains here, and both bracket their exceptional points, the changes
 in a count of conjugate pairs, with `pair_changes` under the tolerances
 `check_ep_tolerances` admits, so this module sits below both and imports
-nothing of the package but `errors`.
+nothing of the package but `errors`.  Every LAPACK routine is read through
+`linalg`, at call time, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure
+
+
+@functools.cache
+def linalg():
+    """`scipy.linalg`, imported on the first call.
+
+    Every LAPACK call of the package reads its routine off this module when it
+    runs, so `import euclidpt` and the subcommands that solve nothing (`transform`,
+    `e3-adjoint`) never load scipy, and a routine patched on `scipy.linalg` or
+    `scipy.linalg.lapack` is the one called.
+    """
+    import scipy.linalg
+    return scipy.linalg
 
 
 def tridiagonal_eigenvalues(diag, upper, lower):
@@ -49,16 +63,17 @@ def tridiagonal_eigenvalues(diag, upper, lower):
     signed = _imag_rows(upper, lower)
     root = np.sqrt(np.abs(products))
     w = np.empty(diag.shape, complex)
+    la = linalg()
     for i, (cplx, sym, sign) in enumerate(zip(dense, symmetric, signed)):
         if cplx:
-            w[i] = scipy.linalg.eigvals(tridiagonal_matrix(diag[i], upper[i], lower[i]))
+            w[i] = la.eigvals(tridiagonal_matrix(diag[i], upper[i], lower[i]))
         elif sym:
-            w[i], _, info = scipy.linalg.lapack.dstevd(diag[i].real, root[i], compute_v=0)
+            w[i], _, info = la.lapack.dstevd(diag[i].real, root[i], compute_v=0)
             if info:
-                raise scipy.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
+                raise np.linalg.LinAlgError(f"dstevd failed to converge (info {info})")
         else:
             up, low = (root[i], np.sign(products[i]) * root[i]) if sign else (upper[i], lower[i])
-            w[i] = scipy.linalg.eigvals(tridiagonal_matrix(diag[i].real, up.real, low.real))
+            w[i] = la.eigvals(tridiagonal_matrix(diag[i].real, up.real, low.real))
     return w
 
 
@@ -81,8 +96,7 @@ def tridiagonal_matrix(diag, upper, lower):
     return m
 
 
-_GTTR = {False: (scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs),
-         True: (scipy.linalg.lapack.zgttrf, scipy.linalg.lapack.zgttrs)}   # by: a band is complex
+_GTTR = {False: ("dgttrf", "dgttrs"), True: ("zgttrf", "zgttrs")}   # by: a band is complex
 
 
 def inverse_iteration(bands, energy):
@@ -91,7 +105,8 @@ def inverse_iteration(bands, energy):
     (`solve_banded`'s checks cost more than the solve), from a ramp, orthogonal to neither
     parity of a symmetric chain.  An exact zero pivot (a level of a decoupled chain) becomes
     eps max|chain|, as in `?stein`."""
-    gttrf, gttrs = _GTTR[any(map(np.iscomplexobj, bands))]
+    lapack = linalg().lapack
+    gttrf, gttrs = (getattr(lapack, name) for name in _GTTR[any(map(np.iscomplexobj, bands))])
     *lu, info = gttrf(bands[2], bands[0] - energy, bands[1])
     if info:   # the first zero pivot; there may be more
         lu[1][lu[1] == 0] = np.finfo(float).eps * max(np.max(np.abs(band)) for band in bands)

@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import E2Element, build_hamiltonian
-from .chains import (certify, check_ep_tolerances, inverse_iteration, pair_changes,
+from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import ConvergenceFailure, check_angles, check_finite, check_integer
 
@@ -186,7 +185,7 @@ def _ritz_certified(q, cls, count, trunc, what):
     q = abs(q)
     upper = np.zeros(trunc)    # dstemr takes a workspace entry past the end, and overwrites it
     upper[:-1] = off
-    _, _, y, info = scipy.linalg.lapack.dstemr(diag, upper, 2, 0.0, 0.0, 1, count + 1)
+    _, _, y, info = linalg().lapack.dstemr(diag, upper, 2, 0.0, 0.0, 1, count + 1)
     if info:
         raise ConvergenceFailure(f"dstemr failed with info {info} on the {what}")
     y = y[:, :count + 1]

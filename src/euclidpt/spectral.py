@@ -16,11 +16,10 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import dyson
 from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian_coeffs
-from .chains import (certify, check_ep_tolerances, inverse_iteration, pair_changes,
+from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import (ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_angles,
                      check_finite, check_finite_array, check_integer, unknown_tag)
@@ -49,6 +48,7 @@ class SpectralProblem:
 
 
 def _check_truncation(truncation):
+    check_integer("truncation", truncation)
     if truncation < MIN_TRUNCATION:
         raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {truncation}")
 
@@ -208,7 +208,7 @@ def _solve_guard(solve):
         except FloatingPointError:
             raise ValueError(f"the circle-representation matrix at truncation {p.truncation} "
                              "overflows floating point") from None
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
 
     return guarded
@@ -269,7 +269,7 @@ def eigen_spectrum(p: SpectralProblem) -> Spectrum:
         else:
             block = real, None, lambda v: WavefunctionSpec(v * _pt5_phases(p.truncation),
                                                            p.sector)
-        w = scipy.linalg.eigvals(block[0])
+        w = linalg().eigvals(block[0])
         return Spectrum(eigenvalues=w[w.real.argsort(kind="stable")], truncation=p.truncation,
                         sector=p.sector, blocks=[block], block_index=np.zeros(len(w), int),
                         trusted_count=trusted_count(p.truncation))
@@ -866,6 +866,7 @@ class WavefunctionSpec:
     gauge(theta) = exp(-i(b sin(theta) - a cos(theta))), (a, b) = `gauge`,
     as `hill_form` removes it.  By default `first` is the middle mode and
     there is no gauge, so WavefunctionSpec(coeffs, s) is a Fourier vector.
+    Coefficients that are not finite raise ValueError.
     """
 
     coeffs: np.ndarray
@@ -875,6 +876,7 @@ class WavefunctionSpec:
     gauge: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        check_finite_array("coeffs", self.coeffs)
         if self.first is None:
             object.__setattr__(self, "first", -((len(self.coeffs) - 1) // 2))
 
@@ -891,8 +893,8 @@ class WavefunctionSpec:
         It is exact for |psi|^2 of degree below M: the modes' span, plus 4 rho + 32 for
         |gauge|^2 = exp(2(Im b sin - Im a cos)), rho = |(Im a, Im b)|, whose coefficients
         fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.  Where |psi|^2 overflows,
-        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.  Coefficients or
-        a gauge that are not finite raise ValueError.
+        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.  A gauge that is
+        not finite raises ValueError.
         """
         rho = math.hypot(*np.imag(self.gauge))
         if not rho <= math.log(np.finfo(float).max):
@@ -902,7 +904,6 @@ class WavefunctionSpec:
         values = self.evaluate(2.0 * math.pi / size * np.arange(size))
         norm = math.sqrt(2.0 * math.pi / size * np.vdot(values, values).real)
         if not math.isfinite(norm):   # BLAS's vdot raises no numpy overflow
-            check_finite_array("coeffs", self.coeffs)
             check_finite_array("gauge", self.gauge)
             raise GaugeOverflow(rho)
         return replace(self, coeffs=self.coeffs / norm)
@@ -929,11 +930,12 @@ def wavefunction(spectrum: Spectrum, level):
     `blocks` that gave it, B, so no element is built again: an exactly real
     level with no other level of B within 1e-6 max|B|, on a real chain
     whose off-diagonal products are all nonzero, by `inverse_iteration`;
-    any other by one `scipy.linalg.eig` of B, the column of the level's rank
-    in B by real part.  ||(B - E)x|| > 1e-9 max|B| raises
-    ConvergenceFailure.  x is B's `WavefunctionSpec` as it is, on B's own
-    modes and with its gauge.  A chain's B is the dense chain of its bands
-    (`tridiagonal_matrix`), built once per call.
+    any other by one `scipy.linalg.eig` of B (read through `chains.linalg`
+    when it runs), the column of the level's rank in B by real part.
+    ||(B - E)x|| > 1e-9 max|B| raises ConvergenceFailure.  x is B's
+    `WavefunctionSpec` as it is, on B's own modes and with its gauge.  A
+    chain's B is the dense chain of its bands (`tridiagonal_matrix`), built
+    once per call.
     """
     single = np.ndim(level) == 0
     levels = [level] if single else list(level)
@@ -956,7 +958,7 @@ def wavefunction(spectrum: Spectrum, level):
             vec = inverse_iteration(bands, energy.real)
         else:
             if b not in dense:
-                w, vecs = scipy.linalg.eig(matrix)
+                w, vecs = linalg().eig(matrix)
                 dense[b] = vecs[:, np.argsort(w.real, kind="stable")]
             vec = dense[b][:, np.count_nonzero(block_of[:lv] == b)]   # the level's rank in B
         certify(matrix, vec, energy, f"level {lv} ({energy:.12g})")

@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 import euclidpt
 from euclidpt import spectral
 from euclidpt.cli import main
+from test_cli import README_ALGEBRA_RECIPES
 
 
 def _scipy_columns(cost):
@@ -72,11 +73,53 @@ def test_assignment_matches_scipy_on_readme_sweeps(monkeypatch, capsys):
         assert spectral._assignment(cost.tolist()) == _scipy_columns(cost)
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def _python(code, *args):
     src = str(Path(euclidpt.__file__).resolve().parent.parent)
-    code = ("import sys, euclidpt.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    code = ("import sys, euclidpt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    assert _python(code) == ["[]"]
+
+
+# In one fresh interpreter: the imports and the `build_matrix` of perfbench's set-up, then each
+# command line but the last through `cli.main`, then the scipy modules loaded so far, then the
+# last command line.  Each command prints its exit code and the sha256 of its stdout.
+SCIPY_LOADS_AT_THE_FIRST_SOLVE = """
+import contextlib, hashlib, io, sys
+import euclidpt, euclidpt.cli
+from euclidpt import cli, dyson, spectral
+spectral.build_matrix(spectral.SpectralProblem(
+    dyson.pt5_three_param_hamiltonian(1.0, 1.0, 4.0), truncation=spectral.DEFAULT_TRUNCATION))
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv.split())
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+
+for argv in sys.argv[1:-1]:
+    run(argv)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+run(sys.argv[-1])
+print("scipy.linalg" in sys.modules)
+"""
+
+# the README unbroken intensity point, its CSV on stdout, and that CSV's sha256
+README_SOLVE = ("intensity --mu3 0.8 --mu4 1 --mu7 4",
+                "773be403e060270cdfb8c7043fd5926922be072c96124cd6b76287531962a9e4")
+
+
+def test_scipy_loads_only_at_the_first_lapack_call():
+    # `chains.linalg` imports scipy.linalg on first use: importing the package, building a
+    # matrix, `transform` and `e3-adjoint` load no scipy; the first solve does, with the
+    # same bytes as before
+    lines = _python(SCIPY_LOADS_AT_THE_FIRST_SOLVE,
+                    *[argv for argv, _, _ in README_ALGEBRA_RECIPES], README_SOLVE[0])
+    assert lines == [*[f"{code} {digest}" for _, code, digest in README_ALGEBRA_RECIPES], "[]",
+                     f"0 {README_SOLVE[1]}", "True"]

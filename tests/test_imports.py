@@ -49,15 +49,40 @@ def test_no_function_imports_a_package_module():
     assert local == []
 
 
+def imported_modules(node):
+    """The absolute module names an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
+
+
 def test_no_module_imports_threads():
     # every solve runs on the calling thread: no module starts a pool or a thread
     threaded = [f"{name}.py:{node.lineno}" for name, tree in SOURCES.items()
                 for node in ast.walk(tree)
-                for module in (
-                    [a.name for a in node.names] if isinstance(node, ast.Import)
-                    else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                for module in imported_modules(node)
                 if module.split(".")[0] == "threading" or module.startswith("concurrent")]
     assert threaded == []
+
+
+def test_only_the_linalg_accessor_imports_scipy():
+    # every LAPACK routine is read through `chains.linalg`, which imports scipy.linalg on its
+    # first call, so importing the package loads no scipy
+    def visit(node, scope):
+        if any(module.split(".")[0] == "scipy" for module in imported_modules(node)):
+            yield node, scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    imports = [f"{name}.py:{node.lineno} in {'.'.join((name, *scope))}"
+               for name, tree in SOURCES.items() for node, scope in visit(tree, ())]
+    stray = [entry for entry in imports if not entry.endswith(" in chains.linalg")]
+    assert stray == [], "scipy imported outside `chains.linalg`: " + ", ".join(stray)
+    assert len(imports) == 1, imports
 
 
 def test_no_module_takes_a_private_name_from_another():

@@ -151,6 +151,13 @@ CASES = {
         r"^values must be a sequence of numbers, got shape \(1, 2\)$"),
     "trusted_count-negative": (lambda: spectral.trusted_count(-1),
                                r"^truncation must be at least 4, got -1$"),
+    "trusted_count-float": (lambda: spectral.trusted_count(16.5),
+                            r"^truncation must be an integer, got 16.5$"),
+    "SpectralProblem-truncation-float": (
+        lambda: spectral.SpectralProblem(algebra.E2Element.from_terms(J2=1), truncation=8.5),
+        r"^truncation must be an integer, got 8.5$"),
+    "SweepTemplate-truncation-float": (lambda: spectral.SweepTemplate(truncation=8.5),
+                                       r"^truncation must be an integer, got 8.5$"),
     "similarity_transform-element": (
         lambda: dyson.similarity_transform(dyson.DysonParamsE2(0.1),
                                            algebra.E2Element.from_terms(u=NAN)),
@@ -160,7 +167,11 @@ CASES = {
     "pt_eigenstate_check-state": (
         lambda: spectral.pt_eigenstate_check(spectral.WavefunctionSpec(np.array([NAN + 0j])),
                                              "PT5"),
-        r"^w must be finite, got max \|psi\| = nan$"),
+        r"^coeffs must be finite, got \(nan\+0j\)$"),
+    "pt_eigenstate_check-state-inf": (
+        lambda: spectral.pt_eigenstate_check(spectral.WavefunctionSpec(np.array([INF + 0j])),
+                                             "PT5"),
+        r"^coeffs must be finite, got \(inf\+0j\)$"),
 }
 
 
