@@ -36,35 +36,21 @@ DIM = len(MONOMIALS)
 ENVELOPE = Envelope([(_U,) * a + (_V,) * b + (_J,) * c for a, b, c in MONOMIALS],
                     {(_J, _U): {_V: -1j}, (_J, _V): {_U: 1j}})
 
-_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)} | {"one": 0}
-
-
-def _index(label):
-    try:
-        return _INDEX[label]
-    except KeyError:
-        raise ValueError(f"unknown basis label {label!r}") from None
-
 
 class E2Element(Element):
     """Complex coefficient vector over the ten normal-ordered monomials."""
 
     envelope = ENVELOPE
     labels = BASIS_LABELS
+    label_aliases = {"one": 0}
 
     @classmethod
     def from_terms(cls, **terms):
-        """Build from coefficients keyed by basis label, e.g. from_terms(J2=1, v=1j)."""
-        c = [0j] * DIM
-        for label, value in terms.items():
-            c[_index(label)] += value
-        return cls(c)
+        """`Element.from_terms` with labels as keywords, e.g. from_terms(J2=1, v=1j)."""
+        return super().from_terms(terms)
 
     def _product(self, other):
         return multiply(self, other)
-
-    def term(self, label):
-        return complex(self.coeffs[_index(label)])
 
     # -- serialization ---------------------------------------------------
     # schema: {"basis": "u,v,J-normal", "coeffs": [[re, im] x 10]}; exact round-trip

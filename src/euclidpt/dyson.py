@@ -15,8 +15,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import E2Element, build_hamiltonian, hermiticity_residual
-from .errors import (DegenerateCouplings, MapUndefined, check_finite, check_finite_array,
-                     overflow_error, unknown_tag)
+from .errors import (DegenerateCouplings, MapUndefined, check_finite, overflow_error,
+                     unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
@@ -105,12 +105,7 @@ def similarity_transform(p: DysonParamsE2, H: E2Element) -> E2Element:
     A result that is not finite raises ValueError: one naming H if H is not.
     """
     images = [adjoint_generator(p, g) for g in algebra.GENERATORS]
-    with np.errstate(over="ignore", invalid="ignore"):   # the result is checked below
-        coeffs = algebra.ENVELOPE.substitute(images, H.coeffs)
-    if not np.isfinite(coeffs).all():
-        check_finite_array("H", H.coeffs)
-        raise _map_overflow(p)
-    return E2Element(coeffs)
+    return H.substitute(images, lambda: _map_overflow(p))
 
 
 def _map_overflow(p):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import Element, Envelope
+from .errors import overflow_error
 
 GENERATORS = ("Pz", "Pp", "Pm", "Jz", "Jp", "Jm")
 _G = {name: i for i, name in enumerate(GENERATORS)}
@@ -46,7 +47,6 @@ def bracket(a: str, b: str) -> dict:
 # monomial basis: (), single generators, then sorted pairs (i <= j)
 MONOMIALS = [()] + [(i,) for i in range(6)] + \
     [(i, j) for i in range(6) for j in range(i, 6)]
-DIM = len(MONOMIALS)
 
 ENVELOPE = Envelope(MONOMIALS, {(a, b): {_G[g]: c for g, c in bracket(ga, gb).items()}
                                 for a, ga in enumerate(GENERATORS)
@@ -57,35 +57,14 @@ def monomial_label(m):
     return "1" if not m else "*".join(GENERATORS[i] for i in m)
 
 
-_LABEL_INDEX = {monomial_label(m): k for k, m in enumerate(MONOMIALS)}
-
-
-def _label_index(label):
-    """Basis index of a label; a reversed pair is rejected, as it differs by its bracket."""
-    try:
-        return _LABEL_INDEX[label]
-    except KeyError:
-        raise ValueError(f"unknown E3 monomial label {label!r}: a word is written in "
-                         f"the order {' '.join(GENERATORS)}") from None
-
-
 class E3Element(Element):
     envelope = ENVELOPE
     labels = tuple(monomial_label(m) for m in MONOMIALS)
-
-    @classmethod
-    def from_terms(cls, terms: dict):
-        """Build from {"Jp*Jp": coeff, "Pz": ..., "1": ...}."""
-        c = np.zeros(DIM, dtype=complex)
-        for label, value in terms.items():
-            c[_label_index(label)] += value
-        return cls(c)
+    # a reversed pair is not a label, as it differs from the sorted one by their bracket
+    label_hint = f": a word is written in the order {' '.join(GENERATORS)}"
 
     def _product(self, other):
         return multiply(self, other)
-
-    def term(self, label):
-        return complex(self.coeffs[_label_index(label)])
 
 
 def generator(name: str) -> E3Element:
@@ -192,6 +171,8 @@ class E3AdjointTable:
     scalars: dict
 
     def image(self, gen_name: str) -> E3Element:
+        if gen_name not in self.columns:
+            raise ValueError(f"unknown generator {gen_name!r}; E3 has {', '.join(GENERATORS)}")
         return E3Element.from_terms(self.columns[gen_name])
 
     def to_json(self) -> str:
@@ -268,10 +249,10 @@ def build_h_tilde_pt1(mu) -> E3Element:
 
 
 def transform_h_tilde(p: DysonParamsE3, element: E3Element) -> E3Element:
-    """eta . eta^{-1} of a degree-2 element via the adjoint table."""
+    """eta . eta^{-1} of a degree-2 element via the adjoint table and `Element.substitute`."""
     table = e3_adjoint(p)
     images = [table.image(g) for g in GENERATORS]
-    return E3Element(ENVELOPE.substitute(images, element.coeffs))
+    return element.substitute(images, lambda: overflow_error("the Dyson map", p.as_dict()))
 
 
 # ---------------------------------------------------------------------------

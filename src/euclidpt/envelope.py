@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegreeOverflow, unknown_tag
+from .errors import DegreeOverflow, check_finite_array, unknown_tag
 
 MAX_DEGREE = 2
 
@@ -103,9 +103,14 @@ class Element:
 
     envelope: ClassVar[Envelope]
     labels: ClassVar[tuple]
+    label_aliases: ClassVar[dict] = {}   # more labels, as {label: index}
+    label_hint: ClassVar[str] = ""   # the end of the error for an unknown label
     dagger_table: ClassVar[np.ndarray]
     pt_images: ClassVar[dict]
     coeffs: np.ndarray
+
+    def __init_subclass__(cls):
+        cls._label_index = {label: k for k, label in enumerate(cls.labels)} | cls.label_aliases
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)
@@ -117,6 +122,29 @@ class Element:
     @classmethod
     def zero(cls):
         return cls(np.zeros(cls.envelope.dim))
+
+    @classmethod
+    def from_terms(cls, terms):
+        """Build from {label: coefficient}; each is stored as 0j + the sum of its terms."""
+        index, c = cls._label_index, np.zeros(cls.envelope.dim, dtype=complex)
+        try:
+            for label, value in terms.items():
+                c[index[label]] += value
+        except KeyError:
+            cls.basis_index(label)   # raises the ValueError naming the label
+        return cls(c)
+
+    def term(self, label):
+        return complex(self.coeffs[self.basis_index(label)])
+
+    @classmethod
+    def basis_index(cls, label):
+        """Index of the basis word ``label``; ValueError names the algebra and the label."""
+        try:
+            return cls._label_index[label]
+        except KeyError:
+            raise ValueError(f"unknown {cls.__name__.removesuffix('Element')} basis label "
+                             f"{label!r}{cls.label_hint}") from None
 
     def __add__(self, other):
         return type(self)(self.coeffs + other.coeffs)
@@ -141,6 +169,16 @@ class Element:
         return type(other) is type(self) and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
+
+    def substitute(self, images, overflow):
+        """`Envelope.substitute` of ``images[g]`` for each generator g.  A result that is not
+        finite raises ValueError: one naming H if this element is not, else ``overflow()``."""
+        with np.errstate(over="ignore", invalid="ignore"):   # the result is checked below
+            coeffs = self.envelope.substitute(images, self.coeffs)
+        if not np.isfinite(coeffs).all():
+            check_finite_array("H", self.coeffs)
+            raise overflow()
+        return type(self)(coeffs)
 
     def antilinear_image(self, table):
         """Conjugate the coefficients, then map each basis word through ``table``."""

@@ -29,7 +29,8 @@ import numpy as np
 from .algebra import E2Element, build_hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
-from .errors import ConvergenceFailure, check_angles, check_finite, check_integer
+from .errors import (ConvergenceFailure, check_angles, check_finite, check_integer,
+                     overflow_error)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -482,6 +483,7 @@ def complex_mathieu_eps(max_q: float, cls: MathieuClass, count: int = 8,
     _check_count(count, trunc)
     if scan_steps is None:
         scan_steps = 8 + int(max_q)
+    check_integer("scan_steps", scan_steps)
     if scan_steps < 2:
         raise ValueError(f"scan_steps must be at least 2, got {scan_steps}")
     check_ep_tolerances("param_tol", param_tol, im_tol)
@@ -530,10 +532,18 @@ def pt5_complex_hamiltonian(mu4: float, mu6: float) -> E2Element:
     mu9=-mu4*mu6/2.  The u^2 coupling must equal mu4^2/4: the cos-theta
     gauge factor then cancels the residual sin^2 term, leaving the Mathieu
     equation in theta/2 with parameter i*mu4 and characteristic value 4E.
+    A coupling that overflows floating point raises ValueError.
     """
-    return build_hamiltonian("PT5", (1.0, 0.0, -mu6 / 2.0, mu4, -mu4, mu6,
-                                     mu4 ** 2 / 4.0, -mu6 ** 2 / 4.0,
-                                     -mu4 * mu6 / 2.0))
+    given = {"mu4": mu4, "mu6": mu6}
+    check_finite(given)
+    try:
+        mu = (1.0, 0.0, -mu6 / 2.0, mu4, -mu4, mu6, mu4 ** 2 / 4.0, -mu6 ** 2 / 4.0,
+              -mu4 * mu6 / 2.0)
+    except OverflowError:   # a float's ** raises where its * returns inf
+        mu = (math.inf,)
+    if not all(map(math.isfinite, mu)):
+        raise overflow_error("the complex-Mathieu family", given)
+    return build_hamiltonian("PT5", mu)
 
 
 def pt5_complex_solution(mu4: float, mu6: float, E: float, theta,

@@ -22,7 +22,8 @@ from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import (ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_angles,
-                     check_finite, check_finite_array, check_integer, unknown_tag)
+                     check_finite, check_finite_array, check_integer, overflow_error,
+                     unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
@@ -286,9 +287,16 @@ def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "boson
 
     k = n for bosonic boundary conditions, k = n + 1/2 for fermionic.
     """
-    check_finite({"mu1": mu1, "mu3": mu3})
+    couplings = {"mu1": mu1, "mu3": mu3}
+    check_finite(couplings)
     kappa, _ = _pt1_kappa(mu1, n, statistics)
-    return mu1 * (kappa * kappa - (mu3 / mu1) ** 2)
+    try:
+        energy = mu1 * (kappa * kappa - (mu3 / mu1) ** 2)
+    except OverflowError:   # a float's ** raises where its * returns inf
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise overflow_error("the PT1 level", couplings | {"n": n})
+    return energy
 
 
 def _pt1_kappa(mu1, n, statistics):
@@ -337,6 +345,7 @@ class SweepTemplate:
             raise ValueError(f"couplings and sector must be finite, got mu={self.mu}, "
                              f"sector={self.sector}")
         _check_truncation(self.truncation)
+        check_integer("track_levels", self.track_levels)
         dim = 2 * self.truncation + 1
         if not 1 <= self.track_levels <= dim:
             raise ValueError(f"track_levels {self.track_levels} must lie in 1..{dim} "
@@ -657,7 +666,10 @@ class ExceptionalPoint:
 def bisect_transition(changed, lo, hi, tol):
     """Narrow the bracket between lo and hi (in either order), where
     changed(lo) is false and changed(hi) true, to a width <= tol, or to
-    adjacent floats when tol is below their spacing."""
+    adjacent floats when tol is below their spacing.  The ends must be finite, tol >= 0."""
+    check_finite({"lo": lo, "hi": hi})
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if not min(lo, hi) < mid < max(lo, hi):
@@ -866,7 +878,8 @@ class WavefunctionSpec:
     gauge(theta) = exp(-i(b sin(theta) - a cos(theta))), (a, b) = `gauge`,
     as `hill_form` removes it.  By default `first` is the middle mode and
     there is no gauge, so WavefunctionSpec(coeffs, s) is a Fourier vector.
-    Coefficients that are not finite raise ValueError.
+    ValueError unless coeffs are a nonempty vector of finite numbers, first and
+    step integers, step >= 1, and the sector finite.
     """
 
     coeffs: np.ndarray
@@ -876,9 +889,16 @@ class WavefunctionSpec:
     gauge: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        check_finite_array("coeffs", self.coeffs)
+        shape = check_finite_array("coeffs", self.coeffs).shape
+        if len(shape) != 1 or not shape[0]:
+            raise ValueError(f"coeffs must be a nonempty vector, got shape {shape}")
+        check_finite({"sector": self.sector})
+        check_integer("step", self.step)
+        if self.step < 1:
+            raise ValueError(f"step must be at least 1, got {self.step}")
         if self.first is None:
             object.__setattr__(self, "first", -((len(self.coeffs) - 1) // 2))
+        check_integer("first", self.first)
 
     def evaluate(self, theta):
         grid = np.asarray(theta, dtype=float).tobytes()
@@ -894,7 +914,7 @@ class WavefunctionSpec:
         |gauge|^2 = exp(2(Im b sin - Im a cos)), rho = |(Im a, Im b)|, whose coefficients
         fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.  Where |psi|^2 overflows,
         it raises GaugeOverflow: before it sizes M if exp(rho) itself does.  A gauge that is
-        not finite raises ValueError.
+        not finite, or a computed norm of 0, raises ValueError.
         """
         rho = math.hypot(*np.imag(self.gauge))
         if not rho <= math.log(np.finfo(float).max):
@@ -906,6 +926,8 @@ class WavefunctionSpec:
         if not math.isfinite(norm):   # BLAS's vdot raises no numpy overflow
             check_finite_array("gauge", self.gauge)
             raise GaugeOverflow(rho)
+        if norm == 0:
+            raise ValueError("psi cannot be normalized: its computed L^2 norm is 0")
         return replace(self, coeffs=self.coeffs / norm)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,25 @@ def casimir_equivalent(a, b, tol=1e-12):
     z = d.term("u2")
     d = d - z * (casimir() - EL(one=1))
     return bool(np.max(np.abs(d.coeffs)) <= tol)
+
+
+# sha256 of the bytes of similarity_transform(params, H) on one fixed bilinear H, per params
+SIMILARITY_DIGESTS = [
+    (DysonParamsE2(), "3ac5e38a295eb818e446472037ff3161f67d46640f5dad2fbd708d2d3d04d6ea"),
+    (DysonParamsE2(0.3, 0.2, -0.4),
+     "9be42ee5f044829375748392427e1569d7d52a484efbf34ddf9a1355ebedd3f9"),
+    (DysonParamsE2(5e-5, 0.7, 0.1),     # the series branch of sinh(lam)/lam
+     "ae71b8f2566d1f9ec7d7cc53f6dd3218c6e77fe78ea899afdc7fdd147f43f06f"),
+    (DysonParamsE2(-2.5, 1.5, -0.9),
+     "c79750a1f1803797149b05d0f13fb1b09b258417766d2777ea173d918eb1105f"),
+]
+
+
+@pytest.mark.parametrize("params, digest", SIMILARITY_DIGESTS,
+                         ids=["zero", "small", "series", "large"])
+def test_similarity_transform_gives_the_same_bytes(params, digest):
+    h = build_hamiltonian("PT3", [0.7, -0.3, 1.1, 0.4, -0.9, 0.25, 0.6, -0.8, 1.3])
+    assert hashlib.sha256(similarity_transform(params, h).coeffs.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

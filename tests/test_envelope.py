@@ -275,3 +275,34 @@ def test_elements_compare_by_value_and_records_compare_without_raising():
         record = make()
         assert record == record
         assert (record == make()) is False
+
+
+def from_terms(cls, terms):
+    """`from_terms` of {label: value} in its algebra's calling form: keywords for E2."""
+    return cls.from_terms(**terms) if cls is algebra.E2Element else cls.from_terms(terms)
+
+
+# signed zeros and values exact in binary, one per label in turn
+TERM_VALUES = (-0.0, complex(-0.0, -0.0), 1.5 - 2j, -0.25j, 3, complex(0.0, -0.0), -7.125)
+# sha256 of the bytes of from_terms, each label alone in turn, then all in one call
+FROM_TERMS_DIGESTS = {
+    "E2": ("2dd265478207bec301f4f96c5836ada1773e97d4c6bf33e613a69e5daccfc43f",
+           "e057ac366f2c44553bc6b947c861e118f350f3496f2fba484d49edab444ea310"),
+    "E3": ("55a4e241e7365dee09b3ac7b15e18f2eb82022a878f0baf29412a86b75a36255",
+           "f80672e1d43b65ff04c0ace249f4ec1a90dc24b250fb15a188825c89d1c95c88"),
+}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_from_terms_gives_the_same_bytes_and_term_reads_each_back(name):
+    _, cls = ALGEBRAS[name]
+    terms = {label: TERM_VALUES[k % len(TERM_VALUES)] for k, label in enumerate(cls.labels)}
+    alone = [from_terms(cls, {label: value}) for label, value in terms.items()]
+    mixed = from_terms(cls, terms)
+    digests = (hashlib.sha256(b"".join(el.coeffs.tobytes() for el in alone)).hexdigest(),
+               hashlib.sha256(mixed.coeffs.tobytes()).hexdigest())
+    assert digests == FROM_TERMS_DIGESTS[name]
+    for element, (label, value) in zip(alone, terms.items()):
+        for read in (element.term(label), mixed.term(label)):
+            assert repr(read) == repr(0j + value), label   # -0.0 parts read back as 0.0
+    assert algebra.E2Element.from_terms(one=2.5) == algebra.E2Element.from_terms(**{"1": 2.5})

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from euclidpt import algebra, dyson, mathieu, spectral
+from euclidpt import algebra, dyson, e3, mathieu, spectral
 
 NAN, INF = math.nan, math.inf
 WAVE = spectral.pt1_closed_wavefunction(1.0, 0.4, -0.3, n=2)
@@ -16,6 +16,8 @@ TEMPLATE = spectral.SweepTemplate(family="pt5-three", truncation=8, track_levels
 SPAN = r"^lo, hi and hi - lo must be finite, got "
 HAMILTONIAN = algebra.build_hamiltonian("PT5", [1.0, 0.3, 0.0, 0.5, 0.8, 0.4, -0.5, 0.7, 0.0])
 SPECTRUM = spectral.eigen_spectrum(TEMPLATE.problem_at("mu3", 0.5))
+E3_PARAMS = e3.DysonParamsE3(0.2, 0.1, -0.3, 0.4, 0.0, 0.5)
+E3_WORDS = r": a word is written in the order Pz Pp Pm Jz Jp Jm$"
 
 CASES = {
     "pt_image-tag": (lambda: spectral.pt_image(WAVE, "PT6", THETA), UNKNOWN_TAG),
@@ -172,6 +174,58 @@ CASES = {
         lambda: spectral.pt_eigenstate_check(spectral.WavefunctionSpec(np.array([INF + 0j])),
                                              "PT5"),
         r"^coeffs must be finite, got \(inf\+0j\)$"),
+    **{f"WavefunctionSpec-{name}": (lambda fields=fields: spectral.WavefunctionSpec(**fields),
+                                    message)
+       for name, fields, message in (
+           ("step-zero", {"coeffs": np.ones(3), "step": 0}, r"^step must be at least 1, got 0$"),
+           ("step-negative", {"coeffs": np.ones(3), "step": -1},
+            r"^step must be at least 1, got -1$"),
+           ("first-float", {"coeffs": np.ones(3), "first": 1.5},
+            r"^first must be an integer, got 1.5$"),
+           ("sector-nan", {"coeffs": np.ones(3), "sector": NAN},
+            r"^sector must be finite, got nan$"),
+           ("coeffs-2d", {"coeffs": np.ones((2, 2))},
+            r"^coeffs must be a nonempty vector, got shape \(2, 2\)$"),
+           ("coeffs-empty", {"coeffs": np.ones(0)},
+            r"^coeffs must be a nonempty vector, got shape \(0,\)$"))},
+    "normalized-zero": (lambda: spectral.WavefunctionSpec(np.zeros(3)).normalized(),
+                        r"^psi cannot be normalized: its computed L\^2 norm is 0$"),
+    "SweepTemplate-track_levels-float": (
+        lambda: spectral.SweepTemplate(truncation=8, track_levels=2.5),
+        r"^track_levels must be an integer, got 2.5$"),
+    "complex_mathieu_eps-scan_steps": (
+        lambda: mathieu.complex_mathieu_eps(2.0, mathieu.EVEN_PI, scan_steps=2.5),
+        r"^scan_steps must be an integer, got 2.5$"),
+    "bisect_transition-tol": (lambda: spectral.bisect_transition(bool, 0.0, 1.0, NAN),
+                              r"^tol must be nonnegative, got nan$"),
+    "bisect_transition-lo": (lambda: spectral.bisect_transition(bool, NAN, 1.0, 1e-3),
+                             r"^lo must be finite, got nan$"),
+    "image-generator": (lambda: e3.e3_adjoint(E3_PARAMS).image("X"),
+                        r"^unknown generator 'X'; E3 has Pz, Pp, Pm, Jz, Jp, Jm$"),
+    "pt1_spectrum-overflow-n": (lambda: spectral.pt1_closed_spectrum(1.0, 0.5, 1e300),
+                                r"^the PT1 level overflows floating point at mu1=1.0, mu3=0.5, "
+                                r"n=1e\+300$"),
+    "pt1_spectrum-overflow-ratio": (lambda: spectral.pt1_closed_spectrum(1e-300, 1e300, 1),
+                                    r"^the PT1 level overflows floating point at mu1=1e-300, "
+                                    r"mu3=1e\+300, n=1$"),
+    "pt5_complex_hamiltonian-inf": (lambda: mathieu.pt5_complex_hamiltonian(INF, 0.5),
+                                    r"^mu4 must be finite, got inf$"),
+    "pt5_complex_hamiltonian-overflow": (
+        lambda: mathieu.pt5_complex_hamiltonian(1e200, 0.5),
+        r"^the complex-Mathieu family overflows floating point at mu4=1e\+200, mu6=0.5$"),
+    "transform_h_tilde-element": (
+        lambda: e3.transform_h_tilde(E3_PARAMS, e3.E3Element.from_terms({"Pz": NAN})),
+        r"^H must be finite, got \(nan\+0j\)$"),
+    "transform_h_tilde-overflow": (
+        lambda: e3.transform_h_tilde(E3_PARAMS, 1e308 * e3.build_h_tilde_pt1([1.0] * 9)),
+        r"^the Dyson map overflows floating point at lambda_z=0.2, lambda_plus=0.1, "
+        r"lambda_minus=-0.3, kappa_z=0.4, kappa_minus=0.5$"),
+    "from_terms-E2-label": (lambda: algebra.E2Element.from_terms(w=1.0),
+                            r"^unknown E2 basis label 'w'$"),
+    "term-E2-label": (lambda: algebra.U.term("J3"), r"^unknown E2 basis label 'J3'$"),
+    "from_terms-E3-reversed": (lambda: e3.E3Element.from_terms({"Jp*Pz": 1.0}),
+                               r"^unknown E3 basis label 'Jp\*Pz'" + E3_WORDS),
+    "term-E3-label": (lambda: e3.ONE_E3.term("Qz"), r"^unknown E3 basis label 'Qz'" + E3_WORDS),
 }
 
 
