@@ -15,13 +15,12 @@ normal-ordered with the rewrite rules Ju = uJ - iv and Jv = vJ + iu.
 
 from __future__ import annotations
 
-import cmath
 import json
 
 import numpy as np
 
 from .envelope import Element, Envelope
-from .errors import overflow_error, unknown_tag
+from .errors import check_floats, closed_form, unknown_tag
 
 # generator codes; the ordering fixes the normal form (u, v powers before J)
 GENERATORS = ("u", "v", "J")
@@ -107,6 +106,9 @@ def apply_pt(sym, a: E2Element) -> E2Element:
     return a.apply_pt(sym)
 
 
+_COUPLINGS = tuple(f"mu{i}" for i in range(1, 10))
+
+
 def build_hamiltonian(sym, mu) -> E2Element:
     """Most general PT-invariant bilinear for the given symmetry and nine real couplings."""
     return E2Element(hamiltonian_coeffs(sym, mu))
@@ -119,7 +121,7 @@ def hamiltonian_coeffs(sym, mu) -> list:
     apply_pt(sym, .) for real mu.  Each coefficient is 0j + its term, as
     `E2Element.from_terms` stores it, so no part is -0.0.
     """
-    m1, m2, m3, m4, m5, m6, m7, m8, m9 = map(float, mu)
+    m1, m2, m3, m4, m5, m6, m7, m8, m9 = check_floats(_COUPLINGS, mu)
     # basis order 1, u, v, J, u2, v2, uv, uJ, vJ, J2
     if sym == "PT1":
         terms = 0, 1j * m3, 1j * m4, 1j * m2, m7, m8, m9, m5, m6, m1
@@ -144,15 +146,17 @@ def completed_square(coeffs):
     an element's `coeffs.tolist()` give them; a square that overflows
     raises ValueError.
     """
-    c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c = coeffs
+    return closed_form("the completed square", zip(BASIS_LABELS, coeffs), _square,
+                       *coeffs) or None
+
+
+def _square(c1, cu, cv, cj, cu2, cv2, cuv, cuj, cvj, c):
+    """`completed_square`'s six coefficients, or () if there is none."""
     if c == 0:
-        return None
+        return ()
     a, b, d = cuj / (2 * c), cvj / (2 * c), cj / (2 * c)
     if cu - c * (1j * b + 2 * a * d) != 0 or cv - c * (-1j * a + 2 * b * d) != 0:
-        return None
+        return ()
     # 0j + x, as `from_terms` stores a term: -0.0 parts become 0.0
-    square = (0j + c1, 0j + cj, 0j + (cu2 - c * a * a), 0j + (cv2 - c * b * b),
-              0j + (cuv - 2 * c * a * b), 0j + c)
-    if not all(map(cmath.isfinite, square)):
-        raise overflow_error("the completed square", dict(zip(BASIS_LABELS, coeffs)))
-    return square
+    return (0j + c1, 0j + cj, 0j + (cu2 - c * a * a), 0j + (cv2 - c * b * b),
+            0j + (cuv - 2 * c * a * b), 0j + c)

@@ -12,7 +12,7 @@ nothing of the package but `errors`.  Every LAPACK routine is read through
 from __future__ import annotations
 
 import functools
-import math
+import sys
 
 import numpy as np
 
@@ -97,19 +97,21 @@ def tridiagonal_matrix(diag, upper, lower):
 
 
 _GTTR = {False: ("dgttrf", "dgttrs"), True: ("zgttrf", "zgttrs")}   # by: a band is complex
+_TINY = np.finfo(float).tiny   # the smallest normal float
 
 
 def inverse_iteration(bands, energy):
     """Unit eigenvector of the real or complex tridiagonal chain (diag, upper, lower) at
     `energy`: two steps of raw `dgttrf`/`dgttrs`, or `zgttrf`/`zgttrs` if a band is complex
     (`solve_banded`'s checks cost more than the solve), from a ramp, orthogonal to neither
-    parity of a symmetric chain.  An exact zero pivot (a level of a decoupled chain) becomes
-    eps max|chain|, as in `?stein`."""
+    parity of a symmetric chain.  A zero or subnormal pivot (a level of a chain decoupled, or
+    nearly so) becomes eps max|chain|, as in `?stein`."""
     lapack = linalg().lapack
     gttrf, gttrs = (getattr(lapack, name) for name in _GTTR[any(map(np.iscomplexobj, bands))])
-    *lu, info = gttrf(bands[2], bands[0] - energy, bands[1])
-    if info:   # the first zero pivot; there may be more
-        lu[1][lu[1] == 0] = np.finfo(float).eps * max(np.max(np.abs(band)) for band in bands)
+    *lu, _ = gttrf(bands[2], bands[0] - energy, bands[1])
+    tiny = np.abs(lu[1]) < _TINY   # zero or subnormal: its reciprocal overflows
+    if tiny.any():
+        lu[1][tiny] = np.finfo(float).eps * max(np.max(np.abs(band)) for band in bands)
     x = np.linspace(1.0, 2.0, len(bands[0]))
     for _ in range(2):
         x = gttrs(*lu, x)[0]
@@ -156,7 +158,7 @@ def pair_changes(pairs_at, lo, hi, tol, place=None):
 
 def check_ep_tolerances(tol_name, tol, im_tol, im_tol_name="im_tol"):
     """Require a finite positive bisection tolerance and a finite non-negative im_tol."""
-    if not (math.isfinite(tol) and tol > 0):
+    if not 0 < tol <= sys.float_info.max:   # so an int beyond the floats is not finite
         raise ValueError(f"{tol_name} must be finite and positive, got {tol}")
-    if not (math.isfinite(im_tol) and im_tol >= 0):
+    if not 0 <= im_tol <= sys.float_info.max:
         raise ValueError(f"{im_tol_name} must be finite and non-negative, got {im_tol}")

@@ -7,7 +7,6 @@ that produce isospectral Hermitian partners h = eta H eta^{-1}.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -15,8 +14,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import E2Element, build_hamiltonian, hermiticity_residual
-from .errors import (DegenerateCouplings, MapUndefined, check_finite, overflow_error,
-                     unknown_tag)
+from .errors import (DegenerateCouplings, MapUndefined, check_finite, check_floats,
+                     closed_form, overflow_error, unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 # below this |lambda| the sinh/cosh ratios switch to their Taylor series,
@@ -49,7 +48,13 @@ def _lam_coth(lam):
 
 
 def arcoth(x):
-    """Real inverse of coth on |x| > 1; sign follows the argument."""
+    """Real inverse of coth on |x| > 1; sign follows the argument.  x must be finite."""
+    x, = check_finite({"x": x})
+    return _arcoth(x)
+
+
+def _arcoth(x):
+    """`arcoth` without its check: nan at +-inf, for the closed forms' guard to report."""
     if abs(x) <= 1.0:
         raise MapUndefined(x)
     return 0.5 * math.log((x + 1.0) / (x - 1.0))
@@ -64,9 +69,7 @@ class DysonParamsE2:
     tau: float = 0.0
 
     def __post_init__(self):
-        for name in ("lam", "rho", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_finite(vars(self))
 
     def as_dict(self):
         return {"lambda": self.lam, "rho": self.rho, "tau": self.tau}
@@ -83,20 +86,19 @@ def adjoint_generator(p: DysonParamsE2, g: str) -> E2Element:
     """
     if g not in ("u", "v", "J"):
         raise ValueError(f"unknown generator {g!r}")
-    lam = p.lam
-    try:   # math.cosh and math.sinh raise OverflowError rather than return inf
-        if g == "u":
-            return E2Element.from_terms(u=math.cosh(lam), v=-1j * math.sinh(lam))
-        if g == "v":
-            return E2Element.from_terms(v=math.cosh(lam), u=1j * math.sinh(lam))
-        s = _sinhc(lam)
-        c = _one_minus_cosh_over(lam)
-    except OverflowError:
-        raise _map_overflow(p) from None
-    u, v = -1j * p.tau * s + p.rho * c, 1j * p.rho * s + p.tau * c
-    if not (cmath.isfinite(u) and cmath.isfinite(v)):
-        raise _map_overflow(p)
-    return E2Element.from_terms(J=1.0, u=u, v=v)
+    u, v = closed_form("the Dyson map", vars(p), _adjoint_image, p.lam, p.rho, p.tau, g)
+    # basis order 1, u, v, J, ...; each term 0j + x, as `from_terms` stores it
+    return E2Element((0j, 0j + u, 0j + v, 1.0 if g == "J" else 0j, 0j, 0j, 0j, 0j, 0j, 0j))
+
+
+def _adjoint_image(lam, rho, tau, g):
+    """The u and v coefficients of eta g eta^{-1}."""
+    if g == "u":
+        return math.cosh(lam), -1j * math.sinh(lam)
+    if g == "v":
+        return 1j * math.sinh(lam), math.cosh(lam)
+    s, c = _sinhc(lam), _one_minus_cosh_over(lam)
+    return -1j * tau * s + rho * c, 1j * rho * s + tau * c
 
 
 def similarity_transform(p: DysonParamsE2, H: E2Element) -> E2Element:
@@ -105,11 +107,7 @@ def similarity_transform(p: DysonParamsE2, H: E2Element) -> E2Element:
     A result that is not finite raises ValueError: one naming H if H is not.
     """
     images = [adjoint_generator(p, g) for g in algebra.GENERATORS]
-    return H.substitute(images, lambda: _map_overflow(p))
-
-
-def _map_overflow(p):
-    return overflow_error("the Dyson map", {"lam": p.lam, "rho": p.rho, "tau": p.tau})
+    return H.substitute(images, lambda: overflow_error("the Dyson map", vars(p)))
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,14 @@ class HermitizationResult:
 def _hermitize_pt1(lam, mu1, mu3, mu4):
     mu = (mu1, 0.0, mu3, mu4, -2.0 * mu4, 2.0 * mu3,
           (mu4 ** 2 - mu3 ** 2) / mu1, 0.0, -2.0 * mu3 * mu4 / mu1)
-    return DysonParamsE2(lam, rho=-lam * mu4 / mu1, tau=lam * mu3 / mu1), mu
+    return (*mu, lam, -lam * mu4 / mu1, lam * mu3 / mu1)
 
 
 def _hermitize_pt2(lam, mu1, mu3, mu4):
     mu = (mu1, 0.0, mu3, mu4, 2.0 * mu4, -2.0 * mu3,
           (mu3 ** 2 - mu4 ** 2) / mu1, 0.0, 2.0 * mu3 * mu4 / mu1)
     lc = _lam_coth(lam)
-    return DysonParamsE2(lam, rho=mu3 * lc / mu1, tau=mu4 * lc / mu1), mu
-
-
-class _UnusedTarget(ValueError):
-    """A PT3 mu9_target given where the coth equation fixes mu9 itself."""
+    return (*mu, lam, mu3 * lc / mu1, mu4 * lc / mu1)
 
 
 def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=None):
@@ -164,42 +158,42 @@ def _hermitize_pt3(mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9_target=None):
             raise DegenerateCouplings("mu9 equation degenerates as well")
         mu9 = 0.0 if mu9_target is None else mu9_target
         K2 = (2.0 * mu1 * mu9 - mu5 ** 2 - mu6 ** 2) / den2
-        lam = 0.5 * arcoth(K2)  # raises MapUndefined when |K2| <= 1
+        lam = 0.5 * _arcoth(K2)  # raises MapUndefined when |K2| <= 1
         K1 = 1.0 / math.tanh(lam)
     else:
         if mu9_target is not None:
-            raise _UnusedTarget(f"mu9_target applies only when the PT3 coth equation is 0/0; "
-                                f"here coth(lam) = {num / den!r} fixes mu9")
+            raise ValueError(f"mu9_target applies only when the PT3 coth equation is 0/0; "
+                             f"here coth(lam) = {num / den!r} fixes mu9")
         K1 = num / den
-        lam = arcoth(K1)  # raises MapUndefined when |K1| <= 1
+        lam = _arcoth(K1)  # raises MapUndefined when |K1| <= 1
         K2 = (K1 * K1 + 1.0) / (2.0 * K1)  # coth(2*lam)
         mu9 = (mu5 ** 2 + mu6 ** 2 + 2.0 * mu5 * mu6 * K2) / (2.0 * mu1) + 2.0 * mu7 * K2
     rt = lam * (mu5 + mu6 * K1) / (2.0 * mu1)
-    return DysonParamsE2(lam, rho=rt, tau=rt), (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9)
+    return mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9, lam, rt, rt
 
 
 def _hermitize_pt4(mu1, mu2, mu4, mu5, mu6, mu7, mu8):
     if mu5 * mu6 == 0:
         raise DegenerateCouplings("mu5*mu6 must be nonzero")
     K2 = (4.0 * mu1 * (mu8 - mu7) - mu5 ** 2 - mu6 ** 2) / (2.0 * mu5 * mu6)
-    lam = 0.5 * arcoth(K2)
+    lam = 0.5 * _arcoth(K2)
     coth = 1.0 / math.tanh(lam)
     tau = lam * (mu5 * coth + mu6) / (2.0 * mu1)
     mu3 = ((mu1 * mu5 + mu2 * mu6 - 2.0 * mu1 * mu4) / (2.0 * mu1)) * math.tanh(lam) \
         + mu2 * mu5 / (2.0 * mu1) + mu6 / 2.0
-    return DysonParamsE2(lam, rho=0.0, tau=tau), (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0)
+    return mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0, lam, 0.0, tau
 
 
 def _hermitize_pt5(mu1, mu2, mu4, mu5, mu6, mu7, mu8):
     if mu5 * mu6 == 0:
         raise DegenerateCouplings("mu5*mu6 must be nonzero")
     K2 = (mu5 ** 2 + mu6 ** 2 - 4.0 * mu1 * mu7 + 4.0 * mu1 * mu8) / (2.0 * mu5 * mu6)
-    lam = 0.5 * arcoth(K2)
+    lam = 0.5 * _arcoth(K2)
     coth = 1.0 / math.tanh(lam)
     rho = lam * (mu5 - mu6 * coth) / (2.0 * mu1)
     mu3 = ((2.0 * mu1 * mu4 + mu1 * mu5 - mu2 * mu6) * coth) / (2.0 * mu1) \
         + mu2 * mu5 / (2.0 * mu1) - mu6 / 2.0
-    return DysonParamsE2(lam, rho=rho, tau=0.0), (mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0)
+    return mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, 0.0, lam, rho, 0.0
 
 
 _SOLVERS = {
@@ -236,27 +230,24 @@ def hermitize(symmetry, **free) -> HermitizationResult:
     unknown = set(free) - allowed
     if unknown:
         raise ValueError(f"{symmetry} does not take parameters {sorted(unknown)}")
-    kwargs = {n: float(free.get(n, 1.0 if n == "mu1" else 0.0)) for n in names}
-    if symmetry == "PT3" and "mu9_target" in free:
-        kwargs["mu9_target"] = float(free["mu9_target"])
-    check_finite(kwargs)
-    if kwargs["mu1"] == 0:
+    keys = names + ("mu9_target",) if symmetry == "PT3" and "mu9_target" in free else names
+    given = dict(zip(keys, check_floats(keys, [free.get(n, 1.0 if n == "mu1" else 0.0)
+                                               for n in keys])))
+    if given["mu1"] == 0:
         raise DegenerateCouplings("mu1 must be nonzero")
-    try:   # numpy's warnings are silenced: the result is checked to be finite below
-        with np.errstate(all="ignore"):
-            params, mu = solver(**kwargs)
-            H = build_hamiltonian(symmetry, mu)
-            h = similarity_transform(params, H)
-            residual = hermiticity_residual(h)
-    except _UnusedTarget:
-        raise
-    except (ArithmeticError, ValueError):  # overflow, 1/tanh(lam) at lam = 0, an infinite exponent
-        raise overflow_error(symmetry + " hermitization", kwargs) from None
-    if not np.isfinite([*h.coeffs, *mu, residual]).all():
-        raise overflow_error(symmetry + " hermitization", kwargs)
+    what = symmetry + " hermitization"
+    *mu, lam, rho, tau = closed_form(what, given, solver, *given.values())
+    params, H = DysonParamsE2(lam, rho, tau), build_hamiltonian(symmetry, mu)
+    try:
+        h = similarity_transform(params, H)
+    except ValueError:   # the Dyson map overflows
+        raise overflow_error(what, given) from None
+    with np.errstate(over="ignore", invalid="ignore"):   # a residual that overflows is inf
+        residual, = closed_form(what, given, lambda: (hermiticity_residual(h),))
+        hermitian = algebra.is_hermitian(H, 1e-12)
     return HermitizationResult(symmetry=symmetry, params=params, constrained_mu=tuple(mu),
                                h=h, free_parameter_names=names, residual=residual,
-                               input_hermitian=algebra.is_hermitian(H, 1e-12))
+                               input_hermitian=hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +255,15 @@ def hermitize(symmetry, **free) -> HermitizationResult:
 # ---------------------------------------------------------------------------
 
 def pt5_three_param_couplings(mu3, mu4, mu7) -> tuple:
-    """The nine PT5 couplings of the family, the tied ones co-varying."""
-    return 1.0, 0.0, mu3, mu4, -2.0 * mu4, -2.0 * mu3, mu7, 0.0, 0.0
+    """The nine PT5 couplings of the family, the tied ones co-varying, as floats; each must be
+    finite."""
+    return closed_form("the PT5 couplings", zip(("mu3", "mu4", "mu7"), (mu3, mu4, mu7)),
+                       _pt5_three_param, mu3, mu4, mu7)
+
+
+def _pt5_three_param(mu3, mu4, mu7):
+    mu3, mu4 = float(mu3), float(mu4)
+    return 1.0, 0.0, mu3, mu4, -2.0 * mu4, -2.0 * mu3, float(mu7), 0.0, 0.0
 
 
 def pt5_three_param_hamiltonian(mu3, mu4, mu7) -> E2Element:
@@ -279,23 +277,23 @@ def reduce_pt5_three_param(mu3: float, mu4: float, mu7: float) -> dict:
     boundary of that region is where eigenvalue pairs merge.
     """
     couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
-    check_finite(couplings)
+    mu3, mu4, mu7 = check_finite(couplings)
     if mu3 * mu4 == 0:
         raise DegenerateCouplings("mu3*mu4 must be nonzero")
-    try:
-        K2 = (mu3 ** 2 + mu4 ** 2 - mu7) / (2.0 * mu3 * mu4)
-        lam = 0.5 * arcoth(K2)
-        rho = lam * (mu3 / math.tanh(lam) - mu4)
-        ch, sh = math.cosh(lam), math.sinh(lam)
-        alpha = mu3 * math.tanh(lam / 2.0) - mu4
-        gamma = (mu3 * ch - mu4 * sh) ** 2 - mu7 * sh ** 2
-        beta = 2.0 * mu3 * (mu3 * ch - mu4 * sh) / (1.0 + ch) + mu7 - 2.0 * gamma
-    except ArithmeticError:   # an overflow, or 1/tanh(lam) where lam rounds to 0
-        raise overflow_error("the three-parameter reduction", couplings) from None
-    out = {"alpha": alpha, "beta": beta, "gamma": gamma, "lambda": lam, "rho": rho}
-    if not all(map(math.isfinite, out.values())):
-        raise overflow_error("the three-parameter reduction", couplings)
-    return out
+    alpha, beta, gamma, lam, rho = closed_form("the three-parameter reduction", couplings,
+                                               _reduction, mu3, mu4, mu7)
+    return {"alpha": alpha, "beta": beta, "gamma": gamma, "lambda": lam, "rho": rho}
+
+
+def _reduction(mu3, mu4, mu7):
+    K2 = (mu3 ** 2 + mu4 ** 2 - mu7) / (2.0 * mu3 * mu4)
+    lam = 0.5 * _arcoth(K2)
+    rho = lam * (mu3 / math.tanh(lam) - mu4)
+    ch, sh = math.cosh(lam), math.sinh(lam)
+    alpha = mu3 * math.tanh(lam / 2.0) - mu4
+    gamma = (mu3 * ch - mu4 * sh) ** 2 - mu7 * sh ** 2
+    beta = 2.0 * mu3 * (mu3 * ch - mu4 * sh) / (1.0 + ch) + mu7 - 2.0 * gamma
+    return alpha, beta, gamma, lam, rho
 
 
 def ep_predictions_pt5(mu3, mu4, mu7, sweep_axis) -> list:
@@ -306,23 +304,22 @@ def ep_predictions_pt5(mu3, mu4, mu7, sweep_axis) -> list:
     (mu3 -+ mu4)^2.
     """
     couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
-    check_finite(couplings)
+    mu3, mu4, mu7 = check_finite(couplings)
     if sweep_axis in ("mu3", "mu4"):
         if mu7 < 0:
             raise ValueError("mu7 must be nonnegative for the four-point prediction")
-        other = mu4 if sweep_axis == "mu3" else mu3
-        r = math.sqrt(mu7)
-        values = [other + r, other - r, -other + r, -other - r]
-    elif sweep_axis == "mu7":
-        try:
-            values = [(mu3 - mu4) ** 2, (mu3 + mu4) ** 2]
-        except OverflowError:
-            raise overflow_error("the EP prediction", couplings) from None
-    else:
+    elif sweep_axis != "mu7":
         raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
-    if not all(map(math.isfinite, values)):
-        raise overflow_error("the EP prediction", couplings)
-    return sorted(values)
+    return sorted(closed_form("the EP prediction", couplings, _ep_values, mu3, mu4, mu7,
+                              sweep_axis))
+
+
+def _ep_values(mu3, mu4, mu7, sweep_axis):
+    if sweep_axis == "mu7":
+        return (mu3 - mu4) ** 2, (mu3 + mu4) ** 2
+    other = mu4 if sweep_axis == "mu3" else mu3
+    r = math.sqrt(mu7)
+    return other + r, other - r, -other + r, -other - r
 
 
 def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
@@ -338,19 +335,11 @@ def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
     the square roots reach is used; the list is sorted.
     """
     couplings = {"mu3": mu3, "mu4": mu4, "mu7": mu7}
-    check_finite(couplings)
-    try:
-        if sweep_axis in ("mu3", "mu4"):
-            other = mu4 if sweep_axis == "mu3" else mu3
-            center, reach = other ** 2 + mu7, other ** 2 * mu7
-        elif sweep_axis == "mu7":
-            center, reach = mu3 ** 2 + mu4 ** 2, (mu3 * mu4) ** 2
-        else:
-            raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
-    except OverflowError:
-        raise overflow_error("the double-point prediction", couplings) from None
-    if not (math.isfinite(center) and math.isfinite(reach)):
-        raise overflow_error("the double-point prediction", couplings)
+    mu3, mu4, mu7 = check_finite(couplings)
+    if sweep_axis not in ("mu3", "mu4", "mu7"):
+        raise ValueError(f"sweep_axis must be mu3, mu4 or mu7, got {sweep_axis!r}")
+    center, reach = closed_form("the double-point prediction", couplings, _double_point_reach,
+                                mu3, mu4, mu7, sweep_axis)
     if reach <= 0:
         return []
     ts = [ep["q_imag"] for cls in (EVEN_PI, ODD_PI)
@@ -361,6 +350,14 @@ def pt5_double_point_predictions(mu3, mu4, mu7, sweep_axis) -> list:
     return sorted(values)
 
 
+def _double_point_reach(mu3, mu4, mu7, sweep_axis):
+    """The centre of the double points and the square whose root reaches them."""
+    if sweep_axis == "mu7":
+        return mu3 ** 2 + mu4 ** 2, (mu3 * mu4) ** 2
+    other = mu4 if sweep_axis == "mu3" else mu3
+    return other ** 2 + mu7, other ** 2 * mu7
+
+
 def optical_lattice_map(mu7: float, mu8: float, mu9: float) -> dict:
     """Hermitian partner of J^2 + mu7 u^2 + mu8 v^2 + i mu9 uv.
 
@@ -368,20 +365,22 @@ def optical_lattice_map(mu7: float, mu8: float, mu9: float) -> dict:
     has a real solution; mu9 = 0 is the identity-map limit.
     """
     couplings = {"mu7": mu7, "mu8": mu8, "mu9": mu9}
-    check_finite(couplings)
+    mu7, mu8, mu9 = check_finite(couplings)
+    lam, coeff, shift = closed_form("the optical-lattice map", couplings, _optical_lattice,
+                                    mu7, mu8, mu9)
+    h = (E2Element.from_terms(J2=1)
+         + coeff * E2Element.from_terms(v2=1, u2=-1)
+         + E2Element.from_terms(one=shift))
+    return {"lambda": lam, "h": h}
+
+
+def _optical_lattice(mu7, mu8, mu9):
+    """lambda, the coefficient of v^2 - u^2 and the constant of the map."""
     diff = mu7 - mu8
     if mu9 == 0.0:
         if diff == 0.0:
             raise DegenerateCouplings("mu7 - mu8 and mu9 both vanish")
         lam = 0.0
     else:
-        K2 = diff / mu9
-        lam = 0.5 * arcoth(K2)
-    coeff = 0.5 * math.sqrt(diff * diff - mu9 * mu9)
-    shift = 0.5 * (mu7 + mu8)
-    if not all(map(math.isfinite, (lam, coeff, shift))):
-        raise overflow_error("the optical-lattice map", couplings)
-    h = (E2Element.from_terms(J2=1)
-         + coeff * E2Element.from_terms(v2=1, u2=-1)
-         + E2Element.from_terms(one=shift))
-    return {"lambda": lam, "h": h}
+        lam = 0.5 * _arcoth(diff / mu9)
+    return lam, 0.5 * math.sqrt(diff * diff - mu9 * mu9), 0.5 * (mu7 + mu8)

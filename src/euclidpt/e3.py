@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import Element, Envelope
-from .errors import overflow_error
+from .errors import check_finite, check_floats, overflow_error
 
 GENERATORS = ("Pz", "Pp", "Pm", "Jz", "Jp", "Jm")
 _G = {name: i for i, name in enumerate(GENERATORS)}
@@ -131,9 +131,7 @@ class DysonParamsE3:
     kappa_minus: float = 0.0
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        check_finite(vars(self))
 
     def as_dict(self):
         return {"lambda_z": self.lambda_z, "lambda_plus": self.lambda_plus,
@@ -237,10 +235,13 @@ def e3_adjoint(p: DysonParamsE3) -> E3AdjointTable:
     return E3AdjointTable(params=p, columns=columns, scalars=scalars)
 
 
+_COUPLINGS = tuple(f"mu{i}" for i in range(1, 10))
+
+
 def build_h_tilde_pt1(mu) -> E3Element:
     """General bilinear in the complement generators {J+, J-, Pz} of the
     {Jz, P+, P-} subalgebra, with the i-placements of the antilinear family."""
-    m1, m2, m3, m4, m5, m6, m7, m8, m9 = [float(x) for x in mu]
+    m1, m2, m3, m4, m5, m6, m7, m8, m9 = check_floats(_COUPLINGS, mu)
     return E3Element.from_terms({
         "Jp*Jp": m1, "Jm*Jm": m2, "Pz*Pz": m3,
         "Pz*Jp": m4, "Pz*Jm": m5, "Jp*Jm": m6,

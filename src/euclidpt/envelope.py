@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegreeOverflow, check_finite_array, unknown_tag
+from .errors import DegreeOverflow, check_finite, check_finite_array, overflow_error, unknown_tag
 
 MAX_DEGREE = 2
 
@@ -156,9 +156,16 @@ class Element:
         return type(self)(-self.coeffs)
 
     def __mul__(self, other):
+        """The product with an element, or with a finite number; ValueError if the scaled
+        coefficients overflow."""
         if isinstance(other, Element):
             return self._product(other)
-        return type(self)(self.coeffs * complex(other))
+        scalar, = check_finite({"scalar": other})
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return type(self)(self.coeffs * complex(scalar))
+        except FloatingPointError:
+            raise overflow_error("the scaled element", {"scalar": scalar}) from None
 
     __rmul__ = __mul__
 

@@ -1,9 +1,14 @@
 """Exception types shared across the package, and the ValueErrors of bad values and tags."""
 
 import cmath
+import math
 import operator
+import sys
 
 import numpy as np
+
+
+_BEYOND = "an int beyond the floats"
 
 
 class EuclidPTError(Exception):
@@ -46,44 +51,106 @@ class TrackingAmbiguity(EuclidPTError):
 
 
 def check_finite(values):
-    """Raise ValueError naming the first of {name: value} (real or complex) that is not finite."""
+    """The values of {name: value}, each a real or complex number: ValueError names the first
+    that is not finite, an int beyond the floats included.  A numpy scalar is replaced by its
+    Python number in place, so that closed forms of the values raise or return inf where
+    numpy's arithmetic would warn."""
     for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, np.generic):
+            values[name] = value = value.item()
+        try:
+            if cmath.isfinite(value):
+                continue
+        except OverflowError:   # an int too large for a float
+            pass
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
+    return values.values()
 
 
-def check_integer(name, value):
-    """Raise ValueError unless `value` is an integer, a Python or a numpy one.
+def check_integer(name, value, least=-sys.maxsize):
+    """`value` as an int, or ValueError unless it is an integer, a Python or a numpy one, from
+    `least` to sys.maxsize, the largest size or index numpy takes.
 
     `operator.index` tells in about 60 ns, against 0.7 us for `isinstance(value,
     numbers.Integral)` on a Python int; every Hill solve checks its truncation.
     """
     try:
-        operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}") from None
+    if index < least:
+        raise ValueError(f"{name} must be at least {least}, got {_shown(value)}")
+    if index > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}, got {_shown(value)}")
+    return index
+
+
+def check_floats(names, values):
+    """`values` as a list of floats, or `check_finite`'s ValueError naming the first of them,
+    by `names`, that is not finite.  Builders that take a sequence of couplings call it on
+    every point of a sweep, so it builds no dict unless a value fails."""
+    try:
+        floats = list(map(float, values))
+        if math.isfinite(sum(floats)) or all(map(math.isfinite, floats)):   # see `closed_form`
+            return floats
+    except OverflowError:   # an int too large for a float
+        pass
+    check_finite(dict(zip(names, values)))
 
 
 def check_angles(name, theta):
     """`theta` as a float array, or ValueError unless it holds at least one angle, all finite."""
-    theta = np.asarray(theta, dtype=float)
+    theta = check_finite_array(name, theta).astype(float, copy=False)
     if theta.size == 0:
         raise ValueError(f"{name} must hold at least one angle")
-    return check_finite_array(name, theta)
+    return theta
 
 
 def check_finite_array(name, values):
-    """`values` as an array, or ValueError naming its first entry that is not finite."""
+    """`values` as an array, or ValueError naming its first entry that is not finite, an int
+    beyond the floats included."""
     values = np.asarray(values)
+    if values.dtype == object:   # Python ints beyond int64
+        try:
+            values = values.astype(float)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got {_BEYOND}") from None
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     return values
 
 
+def closed_form(what, inputs, formula, *args):
+    """formula(*args), a sequence of numbers; if it raises ArithmeticError (a float's ** and
+    math.cosh raise OverflowError, 1/tanh(0) ZeroDivisionError) or returns a number that is
+    not finite, `check_finite`'s error for `inputs`, (name, value) pairs, or else their
+    `overflow_error` of `what`.  Python-number args, as `check_finite` leaves them, warn
+    nothing."""
+    try:
+        out = formula(*args)
+        # a sum is finite only if every entry is; one that overflows checks them one by one
+        if cmath.isfinite(sum(out)) or all(map(cmath.isfinite, out)):
+            return out
+    except ArithmeticError:
+        pass
+    check_finite(inputs := dict(inputs))
+    raise overflow_error(what, inputs) from None
+
+
 def overflow_error(what, values):
     """The ValueError for `what` overflowing at the nonzero ones of {name: value}."""
-    given = ", ".join(f"{name}={value!r}" for name, value in values.items() if value)
+    given = ", ".join(f"{name}={_shown(value)}" for name, value in values.items() if value)
     return ValueError(f"{what} overflows floating point at {given}")
+
+
+def _shown(value):
+    """`value` as a message prints it: a numpy scalar as its Python number, in short an int
+    too large for a float."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return _BEYOND
+    return repr(value)
 
 
 def unknown_tag(tag, algebra, known):

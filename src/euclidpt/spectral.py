@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,8 +23,8 @@ from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import (ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_angles,
-                     check_finite, check_finite_array, check_integer, overflow_error,
-                     unknown_tag)
+                     check_finite, check_finite_array, check_integer, closed_form,
+                     overflow_error, unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
@@ -41,22 +42,16 @@ class SpectralProblem:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        _check_truncation(self.truncation)
+        check_integer("truncation", self.truncation, MIN_TRUNCATION)
         if not np.isfinite(self.element.coeffs).all():
             raise ValueError("element coefficients must be finite")
         if not 0.0 <= self.sector < 2.0:
             raise ValueError(f"sector must lie in [0, 2), got {self.sector}")
 
 
-def _check_truncation(truncation):
-    check_integer("truncation", truncation)
-    if truncation < MIN_TRUNCATION:
-        raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {truncation}")
-
-
 def trusted_count(truncation):
     """Interior levels of the truncation that `eigen_spectrum` trusts, 2N+1 - 4 sqrt(N)."""
-    _check_truncation(truncation)
+    check_integer("truncation", truncation, MIN_TRUNCATION)
     return max(0, 2 * truncation + 1 - int(math.ceil(4.0 * math.sqrt(truncation))))
 
 
@@ -288,24 +283,25 @@ def pt1_closed_spectrum(mu1: float, mu3: float, n: int, statistics: str = "boson
     k = n for bosonic boundary conditions, k = n + 1/2 for fermionic.
     """
     couplings = {"mu1": mu1, "mu3": mu3}
-    check_finite(couplings)
-    kappa, _ = _pt1_kappa(mu1, n, statistics)
-    try:
-        energy = mu1 * (kappa * kappa - (mu3 / mu1) ** 2)
-    except OverflowError:   # a float's ** raises where its * returns inf
-        energy = math.inf
-    if not math.isfinite(energy):
-        raise overflow_error("the PT1 level", couplings | {"n": n})
+    mu1, mu3 = check_finite(couplings)
+    energy, = closed_form("the PT1 level", couplings | {"n": n}, _pt1_level, mu1, mu3, n,
+                          statistics)
     return energy
 
 
+def _pt1_level(mu1, mu3, n, statistics):
+    kappa, _ = _pt1_kappa(mu1, n, statistics)
+    return mu1 * (kappa * kappa - (mu3 / mu1) ** 2),
+
+
 def _pt1_kappa(mu1, n, statistics):
-    """(|k|, sector) of level n of the PT1 family: (|n|, 0) bosonic, (|n + 1/2|, 1) fermionic."""
+    """(|k|, sector) of level n of the PT1 family: (|n|, 0) bosonic, (|n + 1/2|, 1) fermionic.
+    An int n beyond the floats raises OverflowError."""
     if mu1 == 0:
         raise ValueError("mu1 must be nonzero")
     if statistics not in ("bosonic", "fermionic"):
         raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
-    if not float(n).is_integer():
+    if not (n := float(n)).is_integer():
         raise ValueError(f"n must be an integer, got {n!r}")
     sector = 0.0 if statistics == "bosonic" else 1.0
     return abs(n + sector / 2), sector
@@ -341,10 +337,9 @@ class SweepTemplate:
             raise ValueError(f"unknown family {self.family!r}")
         if len(self.mu) != 9:
             raise ValueError("mu must have nine entries")
-        if not (np.all(np.isfinite(self.mu)) and math.isfinite(self.sector)):
-            raise ValueError(f"couplings and sector must be finite, got mu={self.mu}, "
-                             f"sector={self.sector}")
-        _check_truncation(self.truncation)
+        check_finite_array("mu", self.mu)
+        check_finite({"sector": self.sector})
+        check_integer("truncation", self.truncation, MIN_TRUNCATION)
         check_integer("track_levels", self.track_levels)
         dim = 2 * self.truncation + 1
         if not 1 <= self.track_levels <= dim:
@@ -599,10 +594,9 @@ def sweep(template: SweepTemplate, axis: str, lo: float, hi: float, steps: int) 
     point by point, all in turn on the calling thread; the continuation is
     an ordered sequential reduction over the solved grid.
     """
-    check_integer("steps", steps)
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    if not math.isfinite(hi - lo):   # also when lo or hi is not finite
+    check_integer("steps", steps, 2)
+    most = sys.float_info.max   # an int beyond the floats is not finite either
+    if not (abs(lo) <= most and abs(hi) <= most and abs(hi - lo) <= most):
         raise ValueError(f"lo, hi and hi - lo must be finite, got lo={lo}, hi={hi}")
     values = np.linspace(lo, hi, steps)
     n, drift, cache, forms = _solve_grid(template, axis, values, None, _level_drift)
@@ -852,8 +846,9 @@ def _plane_waves(theta_bytes, sector, first, step, count):
     lattice of modes keeps one read-only table, built for the widest run of
     modes asked of it.  A narrower run takes its columns, equal entry for
     entry to its own table.  A grid is checked when a table is built for it:
-    ValueError unless it holds at least one angle, all finite; so the points
-    of a sweep, which find their grid's tables built, check nothing.
+    ValueError unless it holds at least one angle, all finite, and no phase
+    (m + s/2) theta overflows; so the points of a sweep, which find their
+    grid's tables built, check nothing.
     """
     key = theta_bytes, sector, step, first % step
     last = first + step * (count - 1)
@@ -861,7 +856,12 @@ def _plane_waves(theta_bytes, sector, first, step, count):
     if table is None or first < lo or last > hi:
         lo, hi = min(lo, first), max(hi, last)
         k = np.arange(lo, hi + 1, step) + sector / 2.0
-        table = np.exp(1j * np.outer(check_angles("theta", np.frombuffer(theta_bytes)), k))
+        theta = check_angles("theta", np.frombuffer(theta_bytes))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                table = np.exp(1j * np.outer(theta, k))
+        except FloatingPointError:   # (m + s/2) theta beyond the floats
+            raise overflow_error("the plane waves", {"theta": np.max(np.abs(theta))}) from None
         table.flags.writeable = False
         _PLANE_WAVES.pop(key, None)
         if len(_PLANE_WAVES) == 16:
@@ -879,7 +879,7 @@ class WavefunctionSpec:
     as `hill_form` removes it.  By default `first` is the middle mode and
     there is no gauge, so WavefunctionSpec(coeffs, s) is a Fourier vector.
     ValueError unless coeffs are a nonempty vector of finite numbers, first and
-    step integers, step >= 1, and the sector finite.
+    step integers, step >= 1, and the sector and the gauge finite.
     """
 
     coeffs: np.ndarray
@@ -892,16 +892,18 @@ class WavefunctionSpec:
         shape = check_finite_array("coeffs", self.coeffs).shape
         if len(shape) != 1 or not shape[0]:
             raise ValueError(f"coeffs must be a nonempty vector, got shape {shape}")
-        check_finite({"sector": self.sector})
-        check_integer("step", self.step)
-        if self.step < 1:
-            raise ValueError(f"step must be at least 1, got {self.step}")
+        a, b = self.gauge
+        check_finite({"sector": self.sector, "gauge a": a, "gauge b": b})
+        check_integer("step", self.step, 1)
         if self.first is None:
             object.__setattr__(self, "first", -((len(self.coeffs) - 1) // 2))
         check_integer("first", self.first)
 
     def evaluate(self, theta):
-        grid = np.asarray(theta, dtype=float).tobytes()
+        theta = np.asarray(theta)
+        if theta.dtype != float:   # `_plane_waves` checks a float grid when it builds its tables
+            theta = check_angles("theta", theta)
+        grid = theta.tobytes()
         waves = _plane_waves(grid, self.sector, self.first, self.step, len(self.coeffs))
         turn = _plane_waves(grid, 0.0, 1, 1, 1)[:, 0]   # exp(i theta): cos and sin, cached
         a, b = self.gauge
@@ -913,18 +915,23 @@ class WavefunctionSpec:
         It is exact for |psi|^2 of degree below M: the modes' span, plus 4 rho + 32 for
         |gauge|^2 = exp(2(Im b sin - Im a cos)), rho = |(Im a, Im b)|, whose coefficients
         fall like I_k(2 rho)/I_0(2 rho), far below roundoff there.  Where |psi|^2 overflows,
-        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.  A gauge that is
-        not finite, or a computed norm of 0, raises ValueError.
+        it raises GaugeOverflow: before it sizes M if exp(rho) itself does.  Where the sum of
+        |psi|^2 underflows to 0 for a nonzero state, or overflows with no gauge (rho = 0),
+        the samples are scaled by their largest modulus first, if it is a normal float.  A
+        norm of 0 raises ValueError.
         """
         rho = math.hypot(*np.imag(self.gauge))
         if not rho <= math.log(np.finfo(float).max):
-            check_finite_array("gauge", self.gauge)
             raise GaugeOverflow(rho)
         size = 1 << int(self.step * (len(self.coeffs) - 1) + 4 * rho + 32).bit_length()
         values = self.evaluate(2.0 * math.pi / size * np.arange(size))
         norm = math.sqrt(2.0 * math.pi / size * np.vdot(values, values).real)
-        if not math.isfinite(norm):   # BLAS's vdot raises no numpy overflow
-            check_finite_array("gauge", self.gauge)
+        if norm == 0 or (not norm < math.inf and not rho):   # BLAS's vdot warns of no overflow
+            scale = np.max(np.abs(values))
+            if np.finfo(float).tiny < scale < math.inf:   # 1/scale is finite
+                values = values / scale
+                norm = scale * math.sqrt(2.0 * math.pi / size * np.vdot(values, values).real)
+        if not math.isfinite(norm):
             raise GaugeOverflow(rho)
         if norm == 0:
             raise ValueError("psi cannot be normalized: its computed L^2 norm is 0")
@@ -934,13 +941,21 @@ class WavefunctionSpec:
 def pt1_closed_wavefunction(mu1, mu3, mu4, n, statistics="bosonic", c1=1.0, c2=0.0):
     """exp(-i(mu4 cos + mu3 sin)/mu1) [c1 e^{-i k theta} + (i/(2k)) c2 e^{i k theta}], k = |n|
     (bosonic) or |n + 1/2| (fermionic): level n of `pt1_closed_spectrum`, on modes -+k."""
-    check_finite({"mu1": mu1, "mu3": mu3, "mu4": mu4})
-    kappa, sector = _pt1_kappa(mu1, n, statistics)
+    couplings = {"mu1": mu1, "mu3": mu3, "mu4": mu4}
+    mu1, mu3, mu4 = check_finite(couplings)
+    c1, c2 = check_finite({"c1": c1, "c2": c2})
+    kappa, sector, first, step, *gauge = closed_form(
+        "the PT1 state", couplings | {"n": n}, _pt1_state, mu1, mu3, mu4, n, statistics)
     if kappa == 0 and c2 != 0:
         raise ValueError(f"level n = 0 has the one mode k = 0: c2 must be 0, got {c2!r}")
     coeffs = np.array([c1, 1j / (2.0 * kappa) * c2] if kappa else [c1], dtype=complex)
-    return WavefunctionSpec(coeffs, sector, first=int(-kappa - sector / 2),
-                            step=max(1, int(2 * kappa)), gauge=(-mu4 / mu1, mu3 / mu1))
+    return WavefunctionSpec(coeffs, sector, first=first, step=step, gauge=tuple(gauge))
+
+
+def _pt1_state(mu1, mu3, mu4, n, statistics):
+    """|k|, the sector, the first mode, the step between the two modes, and the gauge."""
+    kappa, sector = _pt1_kappa(mu1, n, statistics)
+    return kappa, sector, int(-kappa - sector / 2), max(1, int(2 * kappa)), -mu4 / mu1, mu3 / mu1
 
 
 @_solve_guard
@@ -1090,12 +1105,11 @@ def intensity_sweep(template: SweepTemplate, axis: str, values, near_energy: flo
     Hill matrix; any other grid goes point by point.  near_energy must be
     finite, and theta a nonempty grid of finite angles.
     """
-    values = np.asarray(values, dtype=float)
+    values = check_finite_array("values", values).astype(float, copy=False)
     if values.ndim != 1:
         raise ValueError(f"values must be a sequence of numbers, got shape {values.shape}")
     if len(values) == 0:
         raise ValueError("an intensity sweep needs at least one value")
-    check_finite_array("values", values)
     _check_pair_inputs(near_energy, theta)
 
     def measure(spectrum):
@@ -1125,7 +1139,7 @@ def pt_image(w: WavefunctionSpec, sym, theta):
     """Samples of the antilinear image of the wavefunction on the grid."""
     if sym not in _CIRCLE_MAPS:
         raise unknown_tag(sym, "E2", _CIRCLE_MAPS)
-    mapped = _CIRCLE_MAPS[sym](np.asarray(theta, dtype=float))
+    mapped = _CIRCLE_MAPS[sym](check_angles("theta", theta))
     return np.conj(w.evaluate(mapped))
 
 
@@ -1140,6 +1154,7 @@ def pt_eigenstate_check(w: WavefunctionSpec, sym, grid=None, tol=1e-6):
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    tol, = check_finite({"tol": tol})
     theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) if grid is None \
         else check_angles("grid", grid)
     psi = w.evaluate(theta)

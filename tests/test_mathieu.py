@@ -1,11 +1,12 @@
 import math
+import signal
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from euclidpt import mathieu
+from euclidpt import dyson, mathieu
 from euclidpt.dyson import pt5_three_param_hamiltonian, reduce_pt5_three_param
 from euclidpt.errors import ConvergenceFailure
 from euclidpt.mathieu import (CLASSES, EVEN_2PI, EVEN_PI, ODD_2PI, ODD_PI,
@@ -539,3 +540,35 @@ def test_chain_overflow_raises_without_warning(q):
             characteristic_values(q, EVEN_PI, 4)
         with pytest.raises(ValueError, match="q"):
             antiperiodic_characteristic_values(q, "odd", 4)
+
+
+@pytest.mark.parametrize("cls", [EVEN_PI, ODD_PI])
+@pytest.mark.parametrize("t", [200.0, 1000.0, 5000.0])
+def test_the_eight_lowest_values_hold_four_pairs_once_the_class_saturates(cls, t):
+    # `complex_mathieu_eps` stops its scan at the first point with count // 2 pairs
+    values = mathieu._sorted_eigs(1j * t, cls, 60)[:8]
+    assert np.count_nonzero(values.imag > 1e-8) == 4
+
+
+def _within(seconds, call):
+    """call(), or a failure once `seconds` pass (an interval timer in this process)."""
+    def late(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mu", [1e3, 1e10])
+def test_double_points_at_large_couplings_end_where_the_classes_saturate(mu):
+    # a scan of 8 + max_q points, max_q = mu^2 / 2, took minutes at 1e3 and ran out of memory
+    # at 1e10; the sixteen points are those of (100, 100): four per class, each at both signs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _within(5.0, lambda: dyson.pt5_double_point_predictions(mu, mu, 0.0, "mu7"))
+    assert len(values) == 16 and values == sorted(values)

@@ -1632,3 +1632,16 @@ def test_inverse_iteration_at_a_level_of_a_decoupled_chain():
     chains.certify(np.diag(diag), vec, 4.0, "decoupled chain")
     with pytest.raises(ConvergenceFailure, match="decoupled chain: eigenvector residual"):
         chains.certify(np.diag(diag), vec, 16.0, "decoupled chain")
+
+
+@pytest.mark.parametrize("magnitude", [1e-200, 1e200])
+def test_normalized_scales_samples_whose_sum_underflows_or_overflows(magnitude):
+    # |psi|^2 sums to 0 or to inf at these magnitudes; the state is still normalized, and
+    # the same as the state at magnitude 1
+    coeffs = np.array([1.0, 0.5 - 2j, 3.0])
+    w = WavefunctionSpec(coeffs * magnitude, 0.37, gauge=(0.3, -0.2)).normalized()
+    ref = WavefunctionSpec(coeffs, 0.37, gauge=(0.3, -0.2)).normalized()
+    assert np.allclose(w.coeffs, ref.coeffs, rtol=1e-12, atol=0)
+    w = WavefunctionSpec(np.full(3, magnitude + 0j)).normalized()
+    assert np.allclose(w.coeffs, WavefunctionSpec(np.ones(3, complex)).normalized().coeffs,
+                       rtol=1e-12, atol=0)
