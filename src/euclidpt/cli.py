@@ -25,7 +25,7 @@ import numpy as np
 
 from . import chains, dyson, e3, mathieu, spectral
 from .errors import (ConvergenceFailure, DegenerateCouplings, GaugeOverflow, MapUndefined,
-                     TrackingAmbiguity)
+                     TrackingAmbiguity, check_finite, check_integer)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -240,10 +240,8 @@ def _parse_sweep(text):
 
 def _check_finite(args, *flags):
     """Reject a value of any of `flags` that is not finite; an unset flag (None) passes."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+    check_finite({flag: value for flag in flags
+                  if (value := getattr(args, flag[2:].replace("-", "_"))) is not None})
 
 
 def _check_sector(sector, axis):
@@ -271,13 +269,9 @@ def _run_sweep(args):
                           f"only, got --sweep axis {axis!r}")
     _check_finite(args, *(f"--mu{i}" for i in range(1, 10)))
     _check_sector(args.sector, axis)
-    if steps < 2:
-        raise ConfigError(f"--sweep STEPS must be at least 2, got {steps}")
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    if args.truncation < spectral.MIN_TRUNCATION:
-        raise ConfigError(f"--truncation must be at least {spectral.MIN_TRUNCATION}, "
-                          f"got {args.truncation}")
+    check_integer("--sweep STEPS", steps, 2)
+    check_integer("--workers", args.workers, 1)
+    check_integer("--truncation", args.truncation, spectral.MIN_TRUNCATION)
     dim = 2 * args.truncation + 1
     if not 1 <= args.levels <= dim:
         raise ConfigError(f"--levels must lie in 1..{dim} (2*--truncation+1 levels at "
@@ -353,8 +347,8 @@ def _cmd_ep(args):
 
 
 def _cmd_intensity(args):
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
+    check_integer("--grid", args.grid, 1)
+    check_integer("--truncation", args.truncation, spectral.MIN_TRUNCATION)
     _check_finite(args, "--near-energy", "--mu4", "--mu7")
     _check_sector(args.sector, "mu3")
     sweep_spec = getattr(args, "sweep", None)
@@ -362,8 +356,7 @@ def _cmd_intensity(args):
         axis, lo, hi, steps = _parse_sweep(sweep_spec)
         if axis != "mu3":
             raise ConfigError(f"intensity --sweep supports axis mu3 only, got {axis!r}")
-        if steps < 1:
-            raise ConfigError(f"--sweep needs at least one step, got {steps}")
+        check_integer("--sweep STEPS", steps, 1)
         mu3s = np.linspace(lo, hi, steps)
     else:
         _check_finite(args, "--mu3")
@@ -410,11 +403,11 @@ def _cmd_mathieu(args):
     cls = mathieu.CLASSES.get(args.cls)
     if cls is None:
         raise ConfigError(f"--class must be one of {sorted(mathieu.CLASSES)}")
-    if args.count <= 0:
-        raise ConfigError(f"--count must be positive, got {args.count}")
+    check_integer("--count", args.count, 1)
     if args.trunc < args.count + 8:
         raise ConfigError(f"--trunc must be at least --count + 8, got --trunc {args.trunc} "
                           f"with --count {args.count}")
+    check_integer("--trunc", args.trunc)
     values = mathieu.characteristic_values(q, cls, args.count, args.trunc)
     order = np.arange(len(values))
     _write(args.out, _csv_chunks("order,re_a,im_a", [(_int_texts(len(values)), order)],

@@ -230,8 +230,7 @@ def e3_adjoint(p: DysonParamsE3) -> E3AdjointTable:
                "nu": nu, "c": c, "s": s}
     if not all(map(math.isfinite, [*scalars.values(),
                                    *(v for col in columns.values() for v in col.values())])):
-        raise ValueError(f"adjoint table is not finite at omega^2 = {w2!r}: "
-                         "the Dyson exponents are too large")
+        raise overflow_error("the E3 adjoint table", p.as_dict())
     return E3AdjointTable(params=p, columns=columns, scalars=scalars)
 
 

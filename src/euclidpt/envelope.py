@@ -15,7 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegreeOverflow, check_finite, check_finite_array, overflow_error, unknown_tag
+from .errors import (DegreeOverflow, check_finite, check_finite_array, check_tolerance,
+                     overflow_guard, unknown_tag)
 
 MAX_DEGREE = 2
 
@@ -161,11 +162,8 @@ class Element:
         if isinstance(other, Element):
             return self._product(other)
         scalar, = check_finite({"scalar": other})
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return type(self)(self.coeffs * complex(scalar))
-        except FloatingPointError:
-            raise overflow_error("the scaled element", {"scalar": scalar}) from None
+        with overflow_guard("the scaled element", lambda: {"scalar": scalar}):
+            return type(self)(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -212,8 +210,7 @@ class Element:
         return float(np.max(np.abs(self.coeffs - self.hermitian_conjugate().coeffs)))
 
     def is_hermitian(self, tol=1e-12):
-        if not tol >= 0:
-            raise ValueError(f"tol must be nonnegative, got {tol!r}")
+        check_tolerance("tol", tol)
         return self.hermiticity_residual() <= tol
 
     def commutator(self, other):

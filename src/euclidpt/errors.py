@@ -9,6 +9,7 @@ import numpy as np
 
 
 _BEYOND = "an int beyond the floats"
+_COMPLEX_TYPES = {complex, np.complex64, np.complex128, np.clongdouble}
 
 
 class EuclidPTError(Exception):
@@ -86,21 +87,42 @@ def check_integer(name, value, least=-sys.maxsize):
 
 
 def check_floats(names, values):
-    """`values` as a list of floats, or `check_finite`'s ValueError naming the first of them,
-    by `names`, that is not finite.  Builders that take a sequence of couplings call it on
-    every point of a sweep, so it builds no dict unless a value fails."""
+    """`values` as a list of floats, or a ValueError naming, by `names`, the first of them that
+    is complex or not finite.  Builders that take a sequence of couplings call it on every
+    point of a sweep, so it builds no dict unless a value fails; the complex types are looked
+    up before `float`, which warns and drops the imaginary part of a numpy complex."""
     try:
-        floats = list(map(float, values))
-        if math.isfinite(sum(floats)) or all(map(math.isfinite, floats)):   # see `closed_form`
-            return floats
-    except OverflowError:   # an int too large for a float
+        if _COMPLEX_TYPES.isdisjoint(map(type, values)):
+            floats = list(map(float, values))
+            if math.isfinite(sum(floats)) or all(map(math.isfinite, floats)):   # see `closed_form`
+                return floats
+    except (OverflowError, TypeError):   # an int too large for a float, a complex subclass
         pass
+    for name, value in zip(names, values):
+        _check_real(name, value)
     check_finite(dict(zip(names, values)))
 
 
+def _check_real(name, value):
+    """ValueError if `value` is a complex number, a Python or a numpy one."""
+    if isinstance(value, (complex, np.complexfloating)):
+        raise ValueError(f"{name} must be real, got {_shown(value)}")
+
+
+def check_tolerance(name, tol):
+    """ValueError unless `tol` is a real number >= 0 (inf included; nan is refused)."""
+    _check_real(name, tol)
+    if not tol >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {_shown(tol)}")
+
+
 def check_angles(name, theta):
-    """`theta` as a float array, or ValueError unless it holds at least one angle, all finite."""
-    theta = check_finite_array(name, theta).astype(float, copy=False)
+    """`theta` as a float array, or ValueError unless it holds at least one angle, all real and
+    finite."""
+    theta = check_finite_array(name, theta)
+    if theta.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {theta.dtype} values")
+    theta = theta.astype(float, copy=False)
     if theta.size == 0:
         raise ValueError(f"{name} must hold at least one angle")
     return theta
@@ -137,10 +159,27 @@ def closed_form(what, inputs, formula, *args):
     raise overflow_error(what, inputs) from None
 
 
+class overflow_guard(np.errstate):
+    """`with overflow_guard(what, inputs):` runs numpy arithmetic under a raising `np.errstate`.
+    An overflow or an invalid operation in it raises `overflow_error(what, inputs())` instead
+    of numpy's FloatingPointError; `inputs`, a callable giving {name: value}, runs only then."""
+
+    __slots__ = ("_what", "_inputs")
+
+    def __init__(self, what, inputs):
+        super().__init__(over="raise", invalid="raise")
+        self._what, self._inputs = what, inputs
+
+    def __exit__(self, kind, error, trace):
+        super().__exit__(kind, error, trace)
+        if isinstance(error, FloatingPointError):
+            raise overflow_error(self._what, self._inputs()) from None
+
+
 def overflow_error(what, values):
-    """The ValueError for `what` overflowing at the nonzero ones of {name: value}."""
+    """The ValueError for `what` overflowing at the nonzero ones of {name: value}, if any."""
     given = ", ".join(f"{name}={_shown(value)}" for name, value in values.items() if value)
-    return ValueError(f"{what} overflows floating point at {given}")
+    return ValueError(f"{what} overflows floating point" + (f" at {given}" if given else ""))
 
 
 def _shown(value):

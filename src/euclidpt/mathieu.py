@@ -31,7 +31,7 @@ from .algebra import E2Element, build_hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import (ConvergenceFailure, check_angles, check_finite, check_integer,
-                     closed_form, overflow_error)
+                     closed_form, overflow_guard)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -132,10 +132,8 @@ def _sorted_eigs(q, cls, size):
 
 
 def _check_count(count, trunc):
-    check_integer("count", count)
+    check_integer("count", count, 1)
     check_integer("trunc", trunc)
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
     if trunc < count + 8:
         raise ValueError(f"trunc must be at least count + 8, got trunc {trunc} with count {count}")
 
@@ -321,11 +319,8 @@ def coefficient_vector(q, cls: MathieuClass, a, trunc: int = 60):
 
 def _synthesize(vec, cls, z):
     wave = np.cos if cls.parity == "even" else np.sin
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return wave(np.outer(z, _modes(cls, len(vec)))) @ vec
-    except FloatingPointError:   # a mode times z beyond the floats
-        raise overflow_error("the Mathieu function", {"z": np.max(np.abs(z))}) from None
+    with overflow_guard("the Mathieu function", lambda: {"z": np.max(np.abs(z))}):
+        return wave(np.outer(z, _modes(cls, len(vec)))) @ vec   # a mode times z may overflow
 
 
 def mathieu_function(q, a, parity: str, z, trunc: int = 60):
@@ -576,12 +571,9 @@ def pt5_complex_solution(mu4: float, mu6: float, E: float, theta,
     a = 4.0 * E
     terms = [(c, mathieu_function(q, a, parity, z, trunc))
              for c, parity in ((c1, "even"), (c2, "odd")) if c != 0]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            parts = np.zeros(len(theta), dtype=complex)
-            for c, function in terms:
-                parts = parts + c * function
-            prefactor = np.exp(-1j * (mu4 / 2.0) * np.cos(theta) + (mu6 / 2.0) * np.sin(theta))
-            return prefactor * parts
-    except FloatingPointError:
-        raise overflow_error("the complex-Mathieu solution", given) from None
+    with overflow_guard("the complex-Mathieu solution", lambda: given):
+        parts = np.zeros(len(theta), dtype=complex)
+        for c, function in terms:
+            parts = parts + c * function
+        prefactor = np.exp(-1j * (mu4 / 2.0) * np.cos(theta) + (mu6 / 2.0) * np.sin(theta))
+        return prefactor * parts

@@ -23,8 +23,8 @@ from .algebra import E2Element, build_hamiltonian, completed_square, hamiltonian
 from .chains import (certify, check_ep_tolerances, inverse_iteration, linalg, pair_changes,
                      tridiagonal_eigenvalues, tridiagonal_matrix)
 from .errors import (ConvergenceFailure, GaugeOverflow, TrackingAmbiguity, check_angles,
-                     check_finite, check_finite_array, check_integer, closed_form,
-                     overflow_error, unknown_tag)
+                     check_finite, check_finite_array, check_integer, check_tolerance,
+                     closed_form, overflow_guard, unknown_tag)
 from .mathieu import EVEN_PI, ODD_PI, complex_mathieu_eps
 
 DEFAULT_TRUNCATION = 64
@@ -43,8 +43,7 @@ class SpectralProblem:
 
     def __post_init__(self):
         check_integer("truncation", self.truncation, MIN_TRUNCATION)
-        if not np.isfinite(self.element.coeffs).all():
-            raise ValueError("element coefficients must be finite")
+        check_finite_array("element coefficients", self.element.coeffs)
         if not 0.0 <= self.sector < 2.0:
             raise ValueError(f"sector must lie in [0, 2), got {self.sector}")
 
@@ -199,11 +198,9 @@ def _solve_guard(solve):
     @functools.wraps(solve)
     def guarded(p, *args, **kwargs):
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with overflow_guard(f"the circle-representation matrix at truncation {p.truncation}",
+                                dict):
                 return solve(p, *args, **kwargs)
-        except FloatingPointError:
-            raise ValueError(f"the circle-representation matrix at truncation {p.truncation} "
-                             "overflows floating point") from None
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
 
@@ -662,8 +659,7 @@ def bisect_transition(changed, lo, hi, tol):
     changed(lo) is false and changed(hi) true, to a width <= tol, or to
     adjacent floats when tol is below their spacing.  The ends must be finite, tol >= 0."""
     check_finite({"lo": lo, "hi": hi})
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    check_tolerance("tol", tol)
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if not min(lo, hi) < mid < max(lo, hi):
@@ -857,11 +853,8 @@ def _plane_waves(theta_bytes, sector, first, step, count):
         lo, hi = min(lo, first), max(hi, last)
         k = np.arange(lo, hi + 1, step) + sector / 2.0
         theta = check_angles("theta", np.frombuffer(theta_bytes))
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                table = np.exp(1j * np.outer(theta, k))
-        except FloatingPointError:   # (m + s/2) theta beyond the floats
-            raise overflow_error("the plane waves", {"theta": np.max(np.abs(theta))}) from None
+        with overflow_guard("the plane waves", lambda: {"theta": np.max(np.abs(theta))}):
+            table = np.exp(1j * np.outer(theta, k))   # (m + s/2) theta may overflow
         table.flags.writeable = False
         _PLANE_WAVES.pop(key, None)
         if len(_PLANE_WAVES) == 16:
@@ -1152,8 +1145,7 @@ def pt_eigenstate_check(w: WavefunctionSpec, sym, grid=None, tol=1e-6):
     not proportional to +-psi on the grid).  A given grid must hold at
     least one angle, all finite.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    check_tolerance("tol", tol)
     tol, = check_finite({"tol": tol})
     theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) if grid is None \
         else check_angles("grid", grid)

@@ -594,6 +594,7 @@ def test_ep_tolerances_checked_before_sweep(flag, value, monkeypatch, capsys):
     assert flag in err
 
 
+BIG = "99999999999999999999"   # beyond sys.maxsize
 SQUARE_OVERFLOW = ["spectrum", "--family", "pt5-three", "--mu3", "1e200", "--sweep", "mu4:0:1:3",
                    "--truncation", "8", "--levels", "3"]
 
@@ -635,6 +636,12 @@ SQUARE_OVERFLOW = ["spectrum", "--family", "pt5-three", "--mu3", "1e200", "--swe
     (["intensity", "--sweep", "mu3:0:1e200:3"], ("completed square overflows", "vJ=-1e+200j")),
     (SQUARE_OVERFLOW, ("completed square overflows", "vJ=-2e+200j")),
     (["ep", *SQUARE_OVERFLOW[1:]], ("completed square overflows", "vJ=-2e+200j")),
+    # integer bounds the library also checks: the CLI names the flag, not the parameter
+    (["intensity", "--truncation", "3"], ("--truncation",)),
+    (["spectrum", "--sweep", "mu3:0:1:3", "--truncation", BIG], ("--truncation",)),
+    (["spectrum", "--sweep", f"mu3:0:1:{BIG}"], ("--sweep STEPS",)),
+    (["intensity", "--mu3", "1", "--grid", BIG], ("--grid",)),
+    (["mathieu", "--q", "1", "--class", "even-pi", "--trunc", BIG], ("--trunc",)),
 ], ids=["axis", "steps", "truncation", "sector", "nan", "family-axis",
         "mathieu-count", "mathieu-count-zero", "mathieu-count-negative", "mathieu-q-parts",
         "mathieu-q-inf", "levels", "ep-tol-zero", "ep-tol-nan", "im-tol-negative",
@@ -642,7 +649,8 @@ SQUARE_OVERFLOW = ["spectrum", "--family", "pt5-three", "--mu3", "1e200", "--swe
         "near-energy-nan", "near-energy-inf", "e3-lambda-nan", "workers-zero",
         "ep-workers-negative", "sweep-inf", "mathieu-trunc", "levels-default-at-truncation-4",
         "levels-zero", "ep-levels-zero", "ep-steps", "square-mu3", "square-mu4",
-        "square-mu3-sweep", "square-spectrum", "square-ep"])
+        "square-mu3-sweep", "square-spectrum", "square-ep", "intensity-truncation",
+        "truncation-huge", "steps-huge", "grid-huge", "mathieu-trunc-huge"])
 def test_bad_value_one_line_exit_1(args, flags, capsys):
     # flags: what the message must name, the flags at fault
     code, _, err = run(args, capsys)

@@ -2,8 +2,9 @@
 
 Whatever the value, a run ends in a defined exit code with at most one line
 on stderr, prints no nan or inf when it succeeds, and raises no Python
-warning.  The base commands run at small truncations, so all cases take a
-few seconds.  A Python traceback fails the test.
+warning; a refused integer flag is named in that line.  The base commands run
+at small truncations, so all cases take a few seconds.  A Python traceback
+fails the test.
 """
 
 import contextlib
@@ -16,7 +17,8 @@ import pytest
 from euclidpt import cli
 
 VALUES = ("0", "-0", "1e-300", "-1e-300", "5e-324", "1e300", "-1e300", "1e155", "1.7e308",
-          "nan", "inf", "-inf", "1e-8", "1e8")
+          "nan", "inf", "-inf", "1e-8", "1e8", "99999999999999999999", "-5")
+INTEGER_FLAGS = ("--truncation", "--levels", "--workers", "--grid", "--count", "--trunc")
 
 _SWEEP = ("--truncation", "--levels", "--workers", "--sector",
           *(f"--mu{i}" for i in range(1, 10)))
@@ -77,18 +79,19 @@ def _with(argv, flag, value):
 
 
 def _cases(base, flags, axis):
+    """(argv, the flag it sets) of every case; the flag is None for --sweep and --q."""
     for flag in flags:
         for value in VALUES:
-            yield _with(base, flag, value)
+            yield _with(base, flag, value), flag
     if axis is not None:
         steps = base[base.index("--sweep") + 1].split(":")[-1]
         for lo, hi in BOUNDS:
-            yield _with(base, "--sweep", f"{axis}:{lo}:{hi}:{steps}")
+            yield _with(base, "--sweep", f"{axis}:{lo}:{hi}:{steps}"), None
         for count in STEPS:
-            yield _with(base, "--sweep", f"{axis}:0:1:{count}")
+            yield _with(base, "--sweep", f"{axis}:0:1:{count}"), None
     if base[0] == "mathieu":
         for q in Q:
-            yield _with(base, "--q", q)
+            yield _with(base, "--q", q), None
 
 
 _NOT_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
@@ -97,7 +100,7 @@ _NOT_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
 @pytest.mark.parametrize("name", BASES)
 def test_every_numeric_flag_at_the_float_extremes(name):
     failures = []
-    for argv in _cases(*BASES[name]):
+    for argv, flag in _cases(*BASES[name]):
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -108,6 +111,8 @@ def test_every_numeric_flag_at_the_float_extremes(name):
             problems.append(f"stderr {err.getvalue()!r}")
         if code == 0 and _NOT_FINITE.search(out.getvalue()):
             problems.append("nan or inf printed")
+        if code == 1 and flag in INTEGER_FLAGS and flag not in err.getvalue():
+            problems.append(f"stderr {err.getvalue()!r} does not name {flag}")
         problems += [f"warning {w.category.__name__}: {w.message}" for w in caught]
         if problems:
             failures.append(f"{' '.join(argv)}: {'; '.join(problems)}")

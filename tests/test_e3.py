@@ -390,7 +390,7 @@ def test_adjoint_table_overflow_raises(params):
     p = DysonParamsE3(**params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="^the E3 adjoint table overflows floating point at "):
             e3_adjoint(p)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="^the E3 adjoint table overflows floating point at "):
             transform_h_tilde(p, generator("Jz"))

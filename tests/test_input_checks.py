@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from euclidpt import algebra, dyson, e3, mathieu, spectral
+from euclidpt import algebra, dyson, e3, errors, mathieu, spectral
 
 NAN, INF = math.nan, math.inf
 WAVE = spectral.pt1_closed_wavefunction(1.0, 0.4, -0.3, n=2)
@@ -226,6 +226,30 @@ CASES = {
     "from_terms-E3-reversed": (lambda: e3.E3Element.from_terms({"Jp*Pz": 1.0}),
                                r"^unknown E3 basis label 'Jp\*Pz'" + E3_WORDS),
     "term-E3-label": (lambda: e3.ONE_E3.term("Qz"), r"^unknown E3 basis label 'Qz'" + E3_WORDS),
+    # a complex number where a real one is meant: float() of a numpy complex warns and drops
+    # its imaginary part, and float() of a Python complex raises TypeError
+    **{f"check_floats-{name}": (lambda value=value: errors.check_floats(("x", "y"), [1.0, value]),
+                                rf"^y must be real, got {shown}$")
+       for name, value, shown in (("complex", 0.5 + 1j, r"\(0.5\+1j\)"),
+                                  ("numpy-complex", np.complex128(1j), "1j"),
+                                  ("numpy-complex-real", np.complex64(2.0), r"\(2\+0j\)"))},
+    "build_hamiltonian-complex": (lambda: algebra.build_hamiltonian("PT5", [1j] + [0.0] * 8),
+                                  r"^mu1 must be real, got 1j$"),
+    **{f"check_angles-{name}": (lambda theta=theta: errors.check_angles("theta", theta),
+                                r"^theta must be real, got complex128 values$")
+       for name, theta in (("complex", [0.0, 1j]), ("complex-dtype", np.zeros(2, complex)))},
+    "evaluate-complex-grid": (lambda: spectral.WavefunctionSpec(np.ones(3)).evaluate(
+        np.array([0.5 + 0j])), r"^theta must be real, got complex128 values$"),
+    "check_tolerance-complex": (lambda: errors.check_tolerance("tol", np.complex128(1j)),
+                                r"^tol must be real, got 1j$"),
+    "is_hermitian-tol-numpy": (lambda: algebra.U.is_hermitian(np.float64(-1.0)),
+                               r"^tol must be nonnegative, got -1.0$"),
+    # the E3 adjoint table names the exponents it overflows at, as the E2 Dyson map does
+    **{f"e3_adjoint-overflow-{name}": (
+        lambda fields=fields: e3.e3_adjoint(e3.DysonParamsE3(**fields)),
+        rf"^the E3 adjoint table overflows floating point at {shown}$")
+       for name, fields, shown in (("lambda_plus", {"lambda_plus": 1e300}, r"lambda_plus=1e\+300"),
+                                   ("kappa_z", {"kappa_z": 1.7e308}, r"kappa_z=1.7e\+308"))},
 }
 
 
@@ -235,3 +259,18 @@ def test_bad_input_is_one_value_error_naming_the_argument(case):
     with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
         warnings.simplefilter("error")
         call()
+
+
+def test_an_overflow_at_zero_inputs_names_none():
+    assert str(errors.overflow_error("the sum", {"a": 0.0, "b": 0})) == \
+        "the sum overflows floating point"
+
+
+def test_the_overflow_guard_computes_its_inputs_only_on_failure_and_restores_errstate():
+    before = np.geterr()
+    with errors.overflow_guard("the product", lambda: pytest.fail("inputs computed")):
+        np.ones(2) * 2.0
+    with pytest.raises(ValueError, match=r"^the product overflows floating point at a=2.0$"):
+        with errors.overflow_guard("the product", lambda: {"a": 2.0, "b": 0.0}):
+            np.array([1e308]) * 10.0
+    assert np.geterr() == before

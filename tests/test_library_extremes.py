@@ -183,6 +183,8 @@ ROWS = {
                            lambda x: errors.check_finite_array("x", [0.0, x]), (1.0,)),
     "check_floats": (errors.check_floats, lambda x: errors.check_floats(("x", "y"), [x, 1.0]),
                      (1.0,)),
+    "check_tolerance": (errors.check_tolerance, lambda x: errors.check_tolerance("x", x),
+                        (1e-6,)),
     "closed_form": (errors.closed_form, lambda x: errors.closed_form(
         "exp", {"x": x}, lambda x: (math.exp(x),), x), (1.0,)),
     "overflow_error": (errors.overflow_error, lambda x: errors.overflow_error("x", {"x": x}),
@@ -199,7 +201,8 @@ TAKE_NO_NUMBER = {
     chains.inverse_iteration, chains.certify, chains.pair_changes, cli.main,
     dyson.free_parameter_names, dyson.HermitizationResult, e3.bracket, e3.monomial_label,
     e3.generator, e3.multiply, e3.apply_pt_e3, e3.E3AdjointTable, e3.defining_matrices,
-    envelope.Envelope, envelope.Element, errors.unknown_tag, mathieu.MathieuClass,
+    envelope.Envelope, envelope.Element, errors.overflow_guard, errors.unknown_tag,
+    mathieu.MathieuClass,
     spectral.hill_form, spectral.Spectrum, spectral.SweepResult, spectral.ExceptionalPoint,
     spectral.PairIntensities, spectral.IntensitySweep,
 }

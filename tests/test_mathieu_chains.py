@@ -244,9 +244,9 @@ def test_unknown_parity_rejected(call):
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_nonpositive_count_rejected(count):
-    with pytest.raises(ValueError, match="count must be positive"):
+    with pytest.raises(ValueError, match="count must be at least 1"):
         characteristic_values(1.0, EVEN_PI, count)
-    with pytest.raises(ValueError, match="count must be positive"):
+    with pytest.raises(ValueError, match="count must be at least 1"):
         antiperiodic_characteristic_values(1.0, "even", count)
 
 
